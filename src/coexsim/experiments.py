@@ -20,7 +20,8 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
-from .config import RunConfig, canonical_for_seed, derive_seed, serialize_config
+from .config import (RunConfig, _coerce, canonical_for_seed, derive_seed,
+                     serialize_config)
 from .metrics import RunMetrics, box_stats, throughput_mbps
 from .simulation import Simulation
 
@@ -53,6 +54,8 @@ def set_path(cfg: RunConfig, path: str, value) -> RunConfig:
         value = int(value)
     elif t.startswith("str"):
         value = str(value)
+    elif t.startswith("bool"):
+        value = _coerce(section_name, field_name, str(value), bool)
     section = dataclasses.replace(section, **{field_name: value})
     return dataclasses.replace(cfg, **{section_name: section})
 

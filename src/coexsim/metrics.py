@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .engine import NS_PER_S
 
@@ -31,27 +33,64 @@ class BoxStats:
 
 
 class MetricsAccumulator:
-    """Mutable counters filled in by the nodes while a run executes."""
+    """Mutable counters filled in by the nodes while a run executes.
+
+    WiFi emissions (data frames and ACKs) arrive one at a time from the event
+    path and as int64 ``(n, 2)`` blocks from the station's fast-forward; both
+    are kept in time order.
+    """
 
     def __init__(self) -> None:
         self.delivered_payload_bytes = 0
         self.attempts = 0
         self.failures = 0
         self.drops = 0
-        self.wifi_intervals: list[tuple[int, int]] = []  # data + ACK emissions
         self.lte_intervals: list[tuple[int, int]] = []
+        self._wifi_blocks: list[np.ndarray] = []
+        self._wifi_pairs: list[tuple[int, int]] = []  # pairs after the last block
+
+    def add_wifi(self, t0: int, t1: int) -> None:
+        self._wifi_pairs.append((t0, t1))
+
+    def add_wifi_block(self, block: np.ndarray) -> None:
+        self._flush_wifi_pairs()
+        self._wifi_blocks.append(block)
+
+    def _flush_wifi_pairs(self) -> None:
+        if self._wifi_pairs:
+            self._wifi_blocks.append(_interval_array(self._wifi_pairs))
+            self._wifi_pairs = []
+
+    def _wifi_array(self) -> np.ndarray:
+        """All WiFi emission intervals, time-ordered, as one int64 (n, 2) array."""
+        self._flush_wifi_pairs()
+        return np.concatenate([_interval_array([]), *self._wifi_blocks])
+
+    @property
+    def wifi_intervals(self) -> list[tuple[int, int]]:
+        """Data and ACK emissions as time-ordered (t0, t1) pairs."""
+        return [(t0, t1) for t0, t1 in self._wifi_array().tolist()]
 
     def finalize(self, duration_ns: int) -> RunMetrics:
-        clip = lambda iv: max(0, min(iv[1], duration_ns) - min(iv[0], duration_ns))
         return RunMetrics(
             delivered_payload_bytes=self.delivered_payload_bytes,
             attempts=self.attempts,
             failures=self.failures,
             drops=self.drops,
-            wifi_airtime_ns=sum(clip(iv) for iv in self.wifi_intervals),
-            lte_airtime_ns=sum(clip(iv) for iv in self.lte_intervals),
+            wifi_airtime_ns=_clipped_ns(self._wifi_array(), duration_ns),
+            lte_airtime_ns=_clipped_ns(_interval_array(self.lte_intervals), duration_ns),
             duration_ns=duration_ns,
         )
+
+
+def _interval_array(pairs) -> np.ndarray:
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _clipped_ns(intervals: np.ndarray, duration_ns: int) -> int:
+    """Summed length of the intervals once each is cut off at the run end."""
+    clipped = np.minimum(intervals, duration_ns)
+    return int(np.maximum(clipped[:, 1] - clipped[:, 0], 0).sum())
 
 
 def throughput_mbps(m: RunMetrics) -> float:

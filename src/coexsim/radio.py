@@ -168,7 +168,10 @@ def packet_outcome(mcs_mbps: int, trace: SinrTrace, model: PerModel,
         return trace.min_sinr_db() >= threshold
     log_p = 0.0
     for t0, t1, sinr in trace.segments:
-        p = 1.0 / (1.0 + math.exp(-model.soft_slope_k * (sinr - threshold)))
+        try:
+            p = 1.0 / (1.0 + math.exp(-model.soft_slope_k * (sinr - threshold)))
+        except OverflowError:  # the sigmoid is below the smallest float
+            p = 0.0
         if p <= 0.0:
             return False
         log_p += ((t1 - t0) / 1e6) * math.log(p)

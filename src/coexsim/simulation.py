@@ -23,9 +23,11 @@ from .wifi import DcfStation, cca_busy, mcs_entry
 class Medium:
     """Shared-channel state: LTE activity timeline, busy flag, SINR traces."""
 
-    def __init__(self, engine: Engine, cfg: RunConfig, acc: MetricsAccumulator) -> None:
+    def __init__(self, engine: Engine, cfg: RunConfig, acc: MetricsAccumulator,
+                 end_ns: int) -> None:
         self.engine = engine
         self.acc = acc
+        self.end_ns = end_ns
         self.station: DcfStation | None = None
 
         r = cfg.radio
@@ -53,7 +55,7 @@ class Medium:
         self.sinr_tx_lte_off = sinr_db(ack_at_tx, [], noise)
 
         self.lte_on = False
-        self.wifi_tx_on = False
+        self.next_change_ns: int | None = None  # next scheduled LTE transition
         self._times: list[int] = []
         self._states: list[bool] = []
         self._lte_on_since = 0
@@ -63,8 +65,16 @@ class Medium:
         """Carrier-sense verdict for the station (its own TX is not sensed)."""
         return self.lte_on and self.defer_to_lte
 
-    def lte_state_changed(self, now: int, on: bool) -> None:
+    def quiet_until(self) -> int:
+        """Time of the medium's next change: the next LTE transition or the run end."""
+        if self.next_change_ns is None:
+            return self.end_ns
+        return min(self.next_change_ns, self.end_ns)
+
+    def lte_state_changed(self, now: int, on: bool, next_change_ns: int | None) -> None:
+        """LTE switched at ``now``; its next transition is due at ``next_change_ns``."""
         self.lte_on = on
+        self.next_change_ns = next_change_ns
         self._times.append(now)
         self._states.append(on)
         if on:
@@ -76,9 +86,6 @@ class Medium:
                 self.station.busy_onset(now)
             else:
                 self.station.busy_cleared(now)
-
-    def wifi_tx_changed(self, now: int, on: bool) -> None:
-        self.wifi_tx_on = on
 
     def _trace(self, t0: int, t1: int, on_value: float, off_value: float):
         from .radio import SinrTrace
@@ -118,7 +125,7 @@ class Simulation:
         self.engine = Engine(cfg.seed if seed is None else seed, trace=trace)
         self.acc = MetricsAccumulator()
         self.duration_ns = int(round(cfg.duration_s * NS_PER_S))
-        self.medium = Medium(self.engine, cfg, self.acc)
+        self.medium = Medium(self.engine, cfg, self.acc, self.duration_ns)
 
         self.lte_node = None
         if include_lte:
@@ -131,7 +138,7 @@ class Simulation:
             per_model = cfg.radio.per_model()
             self.station = DcfStation(
                 self.engine, self.medium, cfg.wifi.dcf_params(),
-                mcs_entry(cfg.wifi.mcs_mbps, per_model), cfg.wifi.cca(),
+                mcs_entry(cfg.wifi.mcs_mbps), cfg.wifi.cca(),
                 per_model, cfg.wifi.payload_bytes, self.acc)
             self.medium.station = self.station
             self.station.start()

@@ -13,20 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import NS_PER_US, Engine
-from .radio import PerModel, SinrTrace, SpectrumBand, overlap_fraction, packet_outcome
+from .radio import PerModel, SpectrumBand, overlap_fraction, packet_outcome
 
 # Legacy OFDM rates: label (Mbps) -> data bits per 4 us symbol.
 BITS_PER_SYMBOL = {6: 24, 9: 36, 12: 48, 18: 72, 24: 96, 36: 144, 48: 192, 54: 216}
 MCS_RATES = tuple(sorted(BITS_PER_SYMBOL))
 BASIC_RATES = (6, 12, 24)
 SERVICE_TAIL_BITS = 16 + 6
+# Most DCF cycles one vectorised step covers; bounds the arrays it builds and
+# the draws it rewinds when the chunk overshoots the medium's next change.
+FAST_FORWARD_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
 class McsEntry:
     label_mbps: int
     bits_per_symbol: int
-    min_sinr_db: float
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,10 @@ CCA_PRESETS = {
 }
 
 
-def mcs_entry(label_mbps: int, per_model: PerModel) -> McsEntry:
+def mcs_entry(label_mbps: int) -> McsEntry:
     if label_mbps not in BITS_PER_SYMBOL:
         raise ValueError(f"mcs must be one of {MCS_RATES}, got {label_mbps}")
-    return McsEntry(label_mbps, BITS_PER_SYMBOL[label_mbps],
-                    per_model.threshold_db(label_mbps))
+    return McsEntry(label_mbps, BITS_PER_SYMBOL[label_mbps])
 
 
 def frame_airtime_us(mcs_mbps: int, payload_bytes: int, params: DcfParams) -> int:
@@ -155,13 +156,6 @@ def cca_busy(profile: CcaProfile, lte_power_at_sensor_dbm: float | None,
     return in_band_dbm >= profile.ed_threshold_dbm
 
 
-def receiver_decode(channel, mcs: McsEntry, start_ns: int, end_ns: int,
-                    model: PerModel, rng: np.random.Generator) -> bool:
-    """Decode one data frame at the WiFi receiver against the LTE timeline."""
-    trace = channel.sinr_trace_at_rx(start_ns, end_ns)
-    return packet_outcome(mcs.label_mbps, trace, model, rng)
-
-
 class DcfStation:
     """Saturated DCF transmitter driving the engine; its peer only sends ACKs.
 
@@ -169,6 +163,13 @@ class DcfStation:
     tx, ack.  Standard DCF: idle DIFS, uniform backoff in [0, cw], freeze
     while the medium is busy, binary exponential backoff on failure, drop and
     reset after retry_limit consecutive failures.
+
+    Untraced runs under the hard PER rule fast-forward: each contention that
+    starts on an idle medium first advances, in one vectorised step, every
+    whole cycle that ends before the medium next changes (see
+    ``_skip_whole_cycles``).  Counters, intervals and RNG streams end exactly
+    where the event path leaves them; the cycle that crosses the change, and
+    traced or soft-PER runs throughout, stay on events.
     """
 
     name = "wifi-tx"
@@ -193,6 +194,13 @@ class DcfStation:
         self.data_air_ns = frame_airtime_us(mcs.label_mbps, payload_bytes, params) * NS_PER_US
         self.ack_air_ns = ack_airtime_us(mcs.label_mbps, params) * NS_PER_US
         self.ack_rate = ack_rate_mbps(mcs.label_mbps, params)
+        # A trace needs one line per event and soft PER one draw per packet.
+        self._fast_forward = engine.trace is None and per_model.soft_slope_k == 0.0
+        # cw after j consecutive failures; cw is always _cw_ladder[min(j, top)].
+        ladder = [params.cw_min]
+        while ladder[-1] < params.cw_max:
+            ladder.append(min(2 * (ladder[-1] + 1) - 1, params.cw_max))
+        self._cw_ladder = np.array(ladder, dtype=np.int64)
 
         self.state = "blocked"
         self.cw = params.cw_min
@@ -221,6 +229,16 @@ class DcfStation:
         if self.channel.busy:
             self.state = "blocked"
             return
+        now = self.engine.now
+        resume = (self._skip_whole_cycles(now)
+                  if self._fast_forward and self.pending_k is None else now)
+        if resume > now:
+            self._event = self.engine.schedule(resume, "cca-sample", self.name,
+                                               self._start_difs)
+        else:
+            self._start_difs()
+
+    def _start_difs(self) -> None:
         self.state = "difs"
         self._event = self.engine.schedule_in(self.difs_ns, "difs-end", self.name,
                                               self._difs_end)
@@ -253,16 +271,15 @@ class DcfStation:
         self.state = "tx"
         self.acc.attempts += 1
         self._tx_start = self.engine.now
-        self.channel.wifi_tx_changed(self.engine.now, True)
         self._event = self.engine.schedule_in(self.data_air_ns, "tx-end", self.name,
                                               self._tx_end)
 
     def _tx_end(self) -> None:
         now = self.engine.now
-        self.channel.wifi_tx_changed(now, False)
-        self.acc.wifi_intervals.append((self._tx_start, now))
-        data_ok = receiver_decode(self.channel, self.mcs, self._tx_start, now,
-                                  self.per_model, self.decode_rng)
+        self.acc.add_wifi(self._tx_start, now)
+        data_ok = packet_outcome(self.mcs.label_mbps,
+                                 self.channel.sinr_trace_at_rx(self._tx_start, now),
+                                 self.per_model, self.decode_rng)
         ack_start = now + self.sifs_ns
         ack_end = ack_start + self.ack_air_ns
         self.state = "ack"
@@ -279,7 +296,7 @@ class DcfStation:
 
     def _ack_result(self) -> None:
         ack_start, ack_end = self._ack_window
-        self.acc.wifi_intervals.append((ack_start, ack_end))
+        self.acc.add_wifi(ack_start, ack_end)
         self._ack_window = None
         trace = self.channel.sinr_trace_at_tx(ack_start, ack_end)
         if packet_outcome(self.ack_rate, trace, self.per_model, self.decode_rng):
@@ -310,6 +327,88 @@ class DcfStation:
                                                   self.name, self._begin_contention)
         else:
             self._begin_contention()
+
+    # -- fast-forward ---------------------------------------------------------
+
+    def _skip_whole_cycles(self, now: int) -> int:
+        """Advance every whole cycle that ends before the medium next changes.
+
+        A cycle is DIFS, backoff, data, SIFS, then the ACK, plus one slot
+        (ACK timeout, or the resume after an undecoded ACK) if it failed.
+        Until the next LTE transition or the run end the SINR at both ends is
+        constant, so under the hard PER rule every cycle has the same outcome
+        and the cycles differ only in their backoff draws.  Those come from
+        one ``integers`` call over the cycles' windows, which consumes the
+        stream exactly as the per-cycle scalar draws do: draw a chunk, count
+        the cycles that fit, then rewind and draw exactly that many.  Returns
+        the time the first cycle left to the event path begins.
+        """
+        horizon = self.channel.quiet_until()
+        base_ns = self.difs_ns + self.data_air_ns + self.sifs_ns + self.ack_air_ns
+        if now + base_ns >= horizon:
+            return now
+        probe = (now, now + 1)  # any window before the horizon sees the same SINR
+        data_ok = packet_outcome(self.mcs.label_mbps, self.channel.sinr_trace_at_rx(*probe),
+                                 self.per_model, self.decode_rng)
+        ack_ok = data_ok and packet_outcome(self.ack_rate,
+                                            self.channel.sinr_trace_at_tx(*probe),
+                                            self.per_model, self.decode_rng)
+        cycle_ns = base_ns if ack_ok else base_ns + self.slot_ns
+        if data_ok:
+            emissions = np.array([0, self.data_air_ns, self.data_air_ns + self.sifs_ns,
+                                  self.data_air_ns + self.sifs_ns + self.ack_air_ns])
+        else:
+            emissions = np.array([0, self.data_air_ns])
+        top = len(self._cw_ladder) - 1
+        while True:
+            m = min((horizon - 1 - now) // cycle_ns, FAST_FORWARD_CHUNK)
+            if m == 0:
+                return now
+            # Consecutive failures before each cycle: one success resets them,
+            # a failure counts up and a drop at retry_limit wraps them to 0.
+            if ack_ok:
+                failures_before = np.zeros(m, dtype=np.int64)
+                failures_before[0] = self.consecutive_failures
+            else:
+                failures_before = ((self.consecutive_failures + np.arange(m))
+                                   % max(self.params.retry_limit, 1))
+            cws = self._cw_ladder[np.minimum(failures_before, top)]
+            saved = self.rng.bit_generator.state
+            ks = self.rng.integers(0, cws + 1)
+            ends = now + np.cumsum(cycle_ns + ks * self.slot_ns)
+            n = int(np.searchsorted(ends, horizon))  # cycles ending before it
+            if n < m:
+                self.rng.bit_generator.state = saved
+                if n == 0:
+                    return now
+                ks = self.rng.integers(0, cws[:n] + 1)
+                ends, failures_before = ends[:n], failures_before[:n]
+
+            # Each cycle ends a fixed time after its data frame starts.
+            tx_start = ends - (cycle_ns - self.difs_ns)
+            self.acc.add_wifi_block((tx_start[:, None] + emissions).reshape(-1, 2))
+            self.acc.attempts += n
+            self.difs_completed += n
+            self.backoff_slots_elapsed += int(ks.sum())
+            if self.draw_log is not None:
+                self.draw_log.extend(ks.tolist())
+            if ack_ok:
+                self.acc.delivered_payload_bytes += n * self.payload_bytes
+                self.consecutive_failures = 0
+            else:
+                if data_ok:
+                    self.ack_decode_failures += n
+                else:
+                    self.data_decode_failures += n
+                dropped = failures_before + 1 >= self.params.retry_limit
+                self.acc.failures += n
+                self.acc.drops += int(dropped.sum())
+                self.consecutive_failures = (0 if dropped[-1]
+                                             else int(failures_before[-1]) + 1)
+            self.cw = int(self._cw_ladder[min(self.consecutive_failures, top)])
+            now = int(ends[-1])
+            if n < m:
+                return now
 
     # -- carrier-sense callbacks from the channel ----------------------------
 
@@ -359,7 +458,6 @@ class DcfStation:
     def flush(self, t_end_ns: int) -> None:
         """Account in-flight emissions when the run is cut off at t_end."""
         if self.state == "tx":
-            self.acc.wifi_intervals.append((self._tx_start, t_end_ns))
+            self.acc.add_wifi(self._tx_start, t_end_ns)
         elif self._ack_window is not None and self._ack_window[0] < t_end_ns:
-            self.acc.wifi_intervals.append((self._ack_window[0],
-                                            min(self._ack_window[1], t_end_ns)))
+            self.acc.add_wifi(self._ack_window[0], min(self._ack_window[1], t_end_ns))

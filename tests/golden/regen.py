@@ -1,0 +1,62 @@
+"""Golden outputs that pin the simulator's bytes.
+
+The files next to this script are the CSV and summary of each of the four
+sweeps on a reduced grid (2 reps, 0.5 s runs, 2-3 values per axis, both MCS
+values and both CCA profiles kept), plus one default ``coexsim run`` at 0.5 s
+with its event trace.  ``tests/test_golden.py`` regenerates them into a
+temporary directory and compares them byte for byte.
+
+Rewrite them only on purpose, when a change is meant to alter the outputs,
+and record that in CHANGES.md.  From the repository root:
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from coexsim.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+
+SWEEP_ARGS = ["--seed", "1", "--reps", "2", "--duration", "0.5", "--jobs", "1"]
+SWEEP_GRIDS = {
+    "duty": ["lte.duty=0.0,0.5,1.0", "lte.tx_power_dbm=-16.0,12.0"],
+    "power": ["lte.tx_power_dbm=-16.0,12.0", "wifi.tx_power_dbm=8.0,17.0"],
+    "prb": ["lte.n_prb=6,50,100", "lte.tx_power_dbm=-16.0,12.0"],
+    "freq": ["lte.center_offset_mhz=-10.0,0.0,10.0", "lte.tx_power_dbm=-16.0,12.0"],
+}
+RUN_ARGS = ["--duration", "0.5"]
+RUN_CSV = "run.csv"
+RUN_TRACE = "run.trace"
+
+
+def golden_names() -> list[str]:
+    names = []
+    for scenario in SWEEP_GRIDS:
+        names += [f"{scenario}.csv", f"{scenario}.summary.csv"]
+    return names + [RUN_CSV, RUN_TRACE]
+
+
+def run_cli(argv: list[str]) -> None:
+    code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"coexsim {' '.join(argv)} exited {code}")
+
+
+def generate(out_dir: Path) -> None:
+    """Write every golden file into ``out_dir``."""
+    for scenario, grids in SWEEP_GRIDS.items():
+        grid_args = [arg for grid in grids for arg in ("--grid", grid)]
+        run_cli(["sweep", scenario, *SWEEP_ARGS, *grid_args,
+                 "--out", str(out_dir / f"{scenario}.csv"),
+                 "--summary", str(out_dir / f"{scenario}.summary.csv")])
+    run_cli(["run", *RUN_ARGS, "--out", str(out_dir / RUN_CSV),
+             "--trace", str(out_dir / RUN_TRACE)])
+
+
+if __name__ == "__main__":
+    generate(GOLDEN_DIR)
+    print(f"rewrote {len(golden_names())} golden files in {GOLDEN_DIR}", file=sys.stderr)

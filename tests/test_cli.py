@@ -117,3 +117,20 @@ class TestBaseline:
     def test_bad_mcs_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "baseline", "--mcs", "11")
         assert code == 2
+
+
+class TestInputErrors:
+    def test_steep_soft_slope_runs(self, tmp_path, capsys):
+        path = tmp_path / "soft.ini"
+        path.write_text("[radio]\nsoft_slope_k = 40\n[lte]\ntx_power_dbm = 12\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(path),
+                                 "--duration", "0.3")
+        assert code == 0, err
+        assert out.startswith("scenario,")
+
+    def test_bad_bool_grid_token_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "prb", "--out", "-", "--reps", "1",
+                               "--duration", "0.05",
+                               "--grid", "wifi.cca_mid_packet_abort=false,maybe")
+        assert code == 2
+        assert "cca_mid_packet_abort" in err and "maybe" in err

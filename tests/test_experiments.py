@@ -1,6 +1,6 @@
 import pytest
 
-from coexsim.config import RunConfig
+from coexsim.config import ConfigError, RunConfig
 from coexsim.experiments import (SCENARIOS, Scenario, SweepError, exp_center_freq,
                                  exp_duty_cycle, exp_prb_sweep, exp_tx_power,
                                  run_sweep, set_path)
@@ -124,3 +124,16 @@ class TestRunSweep:
         ], reps=1, duration_s=0.3)
         result = run_sweep(scenario, master_seed=5)
         assert len({row["seed"] for row in result.rows}) == 2
+
+
+class TestSetPathBool:
+    @pytest.mark.parametrize("token,expected", [("false", False), ("true", True),
+                                                ("False", False), ("1", True)])
+    def test_bool_tokens_are_parsed(self, token, expected):
+        cfg = set_path(RunConfig(), "wifi.cca_mid_packet_abort", token)
+        assert cfg.wifi.cca_mid_packet_abort is expected
+        assert cfg.wifi.cca().mid_packet_abort is expected
+
+    def test_bad_bool_token_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="cca_mid_packet_abort"):
+            set_path(RunConfig(), "wifi.cca_mid_packet_abort", "maybe")

@@ -207,3 +207,25 @@ class TestSinrTrace:
         trace = SinrTrace([(0, 10, 5.0), (10, 30, -2.0), (30, 40, 8.0)])
         assert trace.min_sinr_db() == -2.0
         assert trace.start_ns == 0 and trace.end_ns == 40
+
+
+class TestSoftRuleOverflow:
+    def test_steep_slope_far_below_threshold_fails_without_overflow(self):
+        # exp(40 * 25) overflows a float; the packet simply does not decode.
+        model = PerModel(soft_slope_k=40.0)
+        rng = Engine(seed=1).rng_stream("decode")
+        assert not packet_outcome(54, flat_trace(0.0), model, rng)
+        assert packet_outcome(54, flat_trace(60.0), model, rng)
+
+    def test_outcomes_at_k2_are_unchanged(self):
+        # Outcomes pinned from the formula before the overflow guard existed.
+        model = PerModel(soft_slope_k=2.0)
+        rng = np.random.default_rng(2024)
+        bits = []
+        for i in range(96):
+            sinr = 23.0 + 0.05 * i
+            trace = SinrTrace([(0, 248_000, sinr), (248_000, 2_320_000, sinr + 2.0)])
+            bits.append("1" if packet_outcome(54, trace, model, rng) else "0")
+        assert "".join(bits) == ("000001110100101000011110110111110101100111011111"
+                                 "111111111111111111111111111111111111111111111111")
+        assert rng.integers(0, 1 << 30) == 12559720
