@@ -298,8 +298,12 @@ def canonical_for_seed(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+def seed_from_text(master_seed: int, text: str, rep: int) -> int:
+    """Stable per-run seed from (master seed, canonical config text, repetition)."""
+    digest = hashlib.sha256(f"{master_seed}|{rep}|{text}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little") >> 1
+
+
 def derive_seed(master_seed: int, cfg: RunConfig, rep: int) -> int:
     """Stable per-run seed from (master seed, canonical config, repetition)."""
-    material = f"{master_seed}|{rep}|{serialize_config(canonical_for_seed(cfg))}"
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") >> 1
+    return seed_from_text(master_seed, serialize_config(canonical_for_seed(cfg)), rep)

@@ -11,17 +11,21 @@ Every run's seed derives from (master seed, canonical config, rep), so sweeps
 are byte-reproducible and each grid point is independent of the others.
 Normalization divides by the duty-0 run sharing all non-LTE parameters and
 the same rep index, which makes duty-0 rows exactly 1.0.
+
+A sweep is planned in full, and every distinct config validated, before any
+run starts; the runs then go out in chunks over the worker pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
-from .config import (RunConfig, _coerce, canonical_for_seed, derive_seed,
-                     serialize_config)
+from .config import (ConfigError, RunConfig, _coerce, canonical_for_seed,
+                     seed_from_text, serialize_config, validate_config)
 from .metrics import RunMetrics, box_stats, throughput_mbps
 from .simulation import Simulation
 
@@ -48,14 +52,17 @@ def set_path(cfg: RunConfig, path: str, value) -> RunConfig:
     if field_name not in declared:
         raise SweepError(f"swept path {path!r} does not resolve to a config field")
     t = declared[field_name]
-    if t.startswith("float"):
-        value = float(value)
-    elif t.startswith("int"):
-        value = int(value)
-    elif t.startswith("str"):
-        value = str(value)
-    elif t.startswith("bool"):
-        value = _coerce(section_name, field_name, str(value), bool)
+    try:
+        if t.startswith("float"):
+            value = float(value)
+        elif t.startswith("int"):
+            value = int(value)
+        elif t.startswith("str"):
+            value = str(value)
+        elif t.startswith("bool"):
+            value = _coerce(section_name, field_name, str(value), bool)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot parse {value!r} as {t}") from exc
     section = dataclasses.replace(section, **{field_name: value})
     return dataclasses.replace(cfg, **{section_name: section})
 
@@ -71,8 +78,6 @@ class Scenario:
     duration_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise SweepError("reps must be >= 1")
         for path, values in self.axes:
             if not values:
                 raise SweepError(f"axis {path!r} has an empty grid")
@@ -143,9 +148,13 @@ SCENARIOS = {"duty": exp_duty_cycle, "power": exp_tx_power,
              "prb": exp_prb_sweep, "freq": exp_center_freq}
 
 
-def _execute(payload: tuple[RunConfig, int]) -> RunMetrics:
-    cfg, seed = payload
-    return Simulation(cfg, seed=seed).run()
+def _execute(payload: tuple[RunConfig, int, str]) -> RunMetrics:
+    """One sweep run; a failure names its own grid point, also from a worker."""
+    cfg, seed, label = payload
+    try:
+        return Simulation(cfg, seed=seed).run()
+    except Exception as exc:
+        raise SweepError(f"run failed at {label}: {exc}") from exc
 
 
 @dataclass
@@ -197,57 +206,64 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
     """Execute reps x grid runs plus duty-0 baselines; deterministic output.
 
     Baseline runs are de-duplicated by canonical config, so grid points that
-    differ only in LTE parameters share one baseline per rep.
+    differ only in LTE parameters share one baseline per rep.  Each distinct
+    config is validated and serialized once, and all of it happens before the
+    first run, so a bad grid value is a config error, not a failed run.
     """
-    points = scenario.points()
-    plan: list[tuple[str, RunConfig, int, str]] = []  # key, cfg, seed, label
-    seen: set[str] = set()
-    row_keys: list[tuple[tuple, int, str, str, int]] = []
+    if scenario.reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {scenario.reps}")
+    axis_names = scenario.axis_names_list()
+    texts: dict[RunConfig, str] = {}  # config -> canonical text for its seed
 
-    def plan_run(cfg: RunConfig, rep: int, label: str) -> tuple[str, int]:
-        key = f"{rep}|{serialize_config(canonical_for_seed(cfg))}"
-        seed = derive_seed(master_seed, cfg, rep)
-        if key not in seen:
-            seen.add(key)
-            plan.append((key, cfg, seed, label))
-        return key, seed
+    def canonical_text(cfg: RunConfig) -> str:
+        text = texts.get(cfg)
+        if text is None:
+            validate_config(cfg)
+            text = texts[cfg] = serialize_config(canonical_for_seed(cfg))
+        return text
 
-    for point in points:
+    plan: dict[tuple[int, str], tuple[RunConfig, int, str]] = {}  # -> cfg, seed, label
+    row_keys: list[tuple[tuple, int, tuple[int, str], tuple[int, str]]] = []
+
+    def plan_run(cfg: RunConfig, text: str, rep: int, label: str) -> tuple[int, str]:
+        key = (rep, text)
+        if key not in plan:
+            plan[key] = (cfg, seed_from_text(master_seed, text, rep), label)
+        return key
+
+    for point in scenario.points():
         cfg = scenario.config_for(point)
         baseline_cfg = set_path(cfg, "lte.duty", 0.0)
+        run_text, base_text = canonical_text(cfg), canonical_text(baseline_cfg)
+        point_label = str(dict(zip(axis_names, point)))
         for rep in range(scenario.reps):
-            label = f"{dict(zip(scenario.axis_names_list(), point))} rep {rep}"
-            run_key, run_seed = plan_run(cfg, rep, label)
-            base_key, _ = plan_run(baseline_cfg, rep, f"baseline for {label}")
-            row_keys.append((point, rep, run_key, base_key, run_seed))
+            label = f"{point_label} rep {rep}"
+            row_keys.append((point, rep, plan_run(cfg, run_text, rep, label),
+                             plan_run(baseline_cfg, base_text, rep, f"baseline for {label}")))
 
-    results: dict[str, RunMetrics] = {}
-    if jobs > 1 and len(plan) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_execute, (cfg, seed)) for _, cfg, seed, _ in plan]
-            for (key, _, _, label), future in zip(plan, futures):
-                try:
-                    results[key] = future.result()
-                except Exception as exc:
-                    raise SweepError(f"run failed at {label}: {exc}") from exc
-    else:
-        for key, cfg, seed, label in plan:
-            try:
-                results[key] = _execute((cfg, seed))
-            except Exception as exc:
-                raise SweepError(f"run failed at {label}: {exc}") from exc
+    # One chunk holds about 1/16 of a worker's share: few enough round trips
+    # for millisecond runs, small enough that the last chunk's tail stays short
+    # when runs take seconds.
+    pool = (ProcessPoolExecutor(max_workers=jobs)
+            if jobs > 1 and len(plan) > 1 else None)
+    with pool or contextlib.nullcontext():
+        outcomes = (map(_execute, plan.values()) if pool is None else
+                    pool.map(_execute, plan.values(),
+                             chunksize=-(-len(plan) // (16 * jobs))))
+        # A failing run raises here, and map cancels every chunk not yet started.
+        results = dict(zip(plan, outcomes))
 
-    result = SweepResult(scenario.name, scenario.axis_names_list())
-    for point, rep, run_key, base_key, run_seed in row_keys:
+    result = SweepResult(scenario.name, axis_names)
+    for point, rep, run_key, base_key in row_keys:
         metrics = results[run_key]
         baseline = results[base_key]
         thr = throughput_mbps(metrics)
         base_thr = throughput_mbps(baseline)
         result.rows.append({
             "scenario": scenario.name,
-            **{axis: _fmt(value) for axis, value in zip(scenario.axis_names_list(), point)},
+            **{axis: _fmt(value) for axis, value in zip(axis_names, point)},
             "rep": rep,
-            "seed": run_seed,
+            "seed": plan[run_key][1],
             "throughput_mbps": thr,
             "normalized": thr / base_thr,
             "wifi_airtime_frac": metrics.wifi_airtime_ns / metrics.duration_ns,

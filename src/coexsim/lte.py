@@ -97,7 +97,8 @@ class LteNode:
         self.cfg = cfg
         self.phy = phy
         self.medium = medium
-        self.rng = engine.rng_stream(RNG_LABEL)
+        # Only a duty strictly between 0 and 1 has silent periods to draw.
+        self.rng = engine.rng_stream(RNG_LABEL) if 0.0 < cfg.duty < 1.0 else None
         self.on = False
         self.transitions: list[tuple[int, bool]] = []  # (time_ns, now_on)
         self._on_ns = on_duration_ns(cfg)

@@ -154,14 +154,15 @@ def sinr_db(signal_dbm: float, interferers: list[tuple[float, float]],
 
 
 def packet_outcome(mcs_mbps: int, trace: SinrTrace, model: PerModel,
-                   rng: np.random.Generator) -> bool:
+                   rng: np.random.Generator | None) -> bool:
     """True iff the packet decodes.
 
     Hard rule (soft_slope_k = 0): success iff the minimum SINR over the trace
     clears the MCS threshold.  Soft rule: each constant-SINR segment decodes
     independently per started millisecond with probability
     sigmoid(k * (sinr - threshold)); the packet succeeds iff all segments do.
-    Deterministic given the rng stream.
+    Deterministic given the rng stream, which only the soft rule draws from
+    (the hard rule accepts None).
     """
     threshold = model.threshold_db(mcs_mbps)
     if model.soft_slope_k == 0.0:

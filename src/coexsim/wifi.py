@@ -186,7 +186,9 @@ class DcfStation:
         self.payload_bytes = payload_bytes
         self.acc = acc
         self.rng = engine.rng_stream("wifi-backoff")
-        self.decode_rng = engine.rng_stream("wifi-decode")
+        # The hard PER rule decodes without drawing, so it gets no decode stream.
+        self.decode_rng = (engine.rng_stream("wifi-decode")
+                           if per_model.soft_slope_k != 0.0 else None)
 
         self.slot_ns = params.slot_us * NS_PER_US
         self.sifs_ns = params.sifs_us * NS_PER_US

@@ -1,5 +1,8 @@
+import multiprocessing
+
 import pytest
 
+from coexsim import experiments
 from coexsim.cli import main
 
 
@@ -134,3 +137,45 @@ class TestInputErrors:
                                "--grid", "wifi.cca_mid_packet_abort=false,maybe")
         assert code == 2
         assert "cca_mid_packet_abort" in err and "maybe" in err
+
+
+class TestSweepPlanErrors:
+    @pytest.mark.parametrize("argv,needle", [
+        (["--grid", "lte.duty=0.0,1.5"], "duty"),
+        (["--duration", "-1"], "duration_s"),
+        (["--grid", "lte.duty=0.0,abc"], "lte.duty"),
+        (["--reps", "0"], "reps"),
+    ])
+    def test_bad_sweep_input_exits_2_before_a_pool_starts(self, monkeypatch, tmp_path,
+                                                          capsys, argv, needle):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "duty.csv"
+        base = ["--reps", "1", "--duration", "0.05", "--grid", "lte.tx_power_dbm=12"]
+        code, _, err = run_cli(capsys, "sweep", "duty", "--jobs", "2",
+                               "--out", str(out), *base, *argv)
+        assert code == 2
+        assert err.startswith("config error:") and needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers do not inherit the test process's patches")
+    def test_failing_run_exits_3_naming_its_grid_point(self, monkeypatch, capsys):
+        class Failing:
+            def __init__(self, cfg, seed):
+                pass
+
+            def run(self):
+                raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(experiments, "Simulation", Failing)
+        code, _, err = run_cli(capsys, "sweep", "duty", "--out", "-", "--jobs", "2",
+                               "--reps", "1", "--duration", "0.05",
+                               "--grid", "lte.duty=0.5", "--grid", "lte.tx_power_dbm=12",
+                               "--grid", "wifi.mcs_mbps=54")
+        assert code == 3
+        assert ("run failed at {'lte.duty': 0.5, 'lte.tx_power_dbm': 12, "
+                "'wifi.mcs_mbps': 54} rep 0: injected failure") in err

@@ -1,9 +1,14 @@
+import multiprocessing
+import time
+
 import pytest
 
-from coexsim.config import ConfigError, RunConfig
+from coexsim import experiments
+from coexsim.config import ConfigError, RunConfig, derive_seed
 from coexsim.experiments import (SCENARIOS, Scenario, SweepError, exp_center_freq,
                                  exp_duty_cycle, exp_prb_sweep, exp_tx_power,
                                  run_sweep, set_path)
+from coexsim.metrics import RunMetrics
 
 
 def tiny_scenario(reps=2, duration=0.3):
@@ -137,3 +142,73 @@ class TestSetPathBool:
     def test_bad_bool_token_is_a_config_error(self):
         with pytest.raises(ConfigError, match="cca_mid_packet_abort"):
             set_path(RunConfig(), "wifi.cca_mid_packet_abort", "maybe")
+
+
+# Pool workers must inherit a Simulation patched in the test process.
+forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers do not inherit the test process's patches")
+
+FAKE_METRICS = RunMetrics(1500, 1, 0, 0, 1_000, 0, 1_000_000)
+
+
+def chunked_scenario():
+    # 4 duties x 10 reps: 40 planned runs (each duty-0 run is its own baseline
+    # and the others share it), so at jobs=2 every chunk holds two runs.
+    return Scenario("chunked", RunConfig(), [
+        ("lte.duty", [0.0, 0.25, 0.5, 0.75]),
+    ], reps=10, duration_s=0.05)
+
+
+def failing_simulation(fail_seed, log_path=None, delay_s=0.0):
+    """A stand-in for Simulation that fails one run and logs every run it starts."""
+    class FakeSimulation:
+        def __init__(self, cfg, seed):
+            self.seed = seed
+
+        def run(self):
+            if log_path is not None:
+                with open(log_path, "a", encoding="utf-8") as log:
+                    log.write(f"{self.seed}\n")
+            if self.seed == fail_seed:
+                raise RuntimeError("injected failure")
+            time.sleep(delay_s)
+            return FAKE_METRICS
+    return FakeSimulation
+
+
+class TestChunkedPool:
+    def test_multi_chunk_parallel_equals_serial(self):
+        scenario = Scenario("chunked", RunConfig(), [
+            ("lte.duty", [0.0, 0.5, 1.0]),
+            ("wifi.mcs_mbps", [6, 54]),
+        ], reps=6, duration_s=0.1)
+        # 36 planned runs: chunks of 2 at jobs=2, so no chunk is a single run.
+        serial = run_sweep(scenario, master_seed=5, jobs=1)
+        parallel = run_sweep(scenario, master_seed=5, jobs=2)
+        assert len(serial.rows) == 36
+        assert serial.to_csv_text() == parallel.to_csv_text()
+        assert serial.summary_csv_text() == parallel.summary_csv_text()
+
+    @forked_workers
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_run_is_named_by_its_own_grid_point(self, monkeypatch, jobs):
+        scenario = chunked_scenario()
+        fail_seed = derive_seed(5, scenario.config_for((0.5,)), 3)
+        # Duty 0.5 rep 3 is planned 24th: the second run of its chunk.
+        monkeypatch.setattr(experiments, "Simulation", failing_simulation(fail_seed))
+        with pytest.raises(SweepError, match=r"\{'lte.duty': 0.5\} rep 3: injected"):
+            run_sweep(scenario, master_seed=5, jobs=jobs)
+
+    @forked_workers
+    def test_leftover_chunks_are_not_run(self, monkeypatch, tmp_path):
+        scenario = chunked_scenario()
+        log = tmp_path / "runs.log"
+        fail_seed = derive_seed(5, scenario.config_for((0.0,)), 0)  # the first run
+        monkeypatch.setattr(experiments, "Simulation",
+                            failing_simulation(fail_seed, log, delay_s=0.05))
+        with pytest.raises(SweepError):
+            run_sweep(scenario, master_seed=5, jobs=2)
+        started = log.read_text().splitlines()
+        assert str(fail_seed) in started
+        assert len(started) < 20  # of 40 planned, which would sleep about 2 s in all

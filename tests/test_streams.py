@@ -1,0 +1,56 @@
+"""Which RNG streams a run builds, and that the ones it draws from are unchanged.
+
+A stream depends only on (seed, label), so leaving out a stream that a run
+never draws from cannot move any draw of the others.
+"""
+
+import dataclasses
+
+import pytest
+
+from coexsim.config import (canonical_for_seed, derive_seed, seed_from_text,
+                            serialize_config)
+from coexsim.simulation import Simulation
+
+from conftest import make_cfg
+
+
+class TestStreamsBuilt:
+    def test_hard_per_run_has_no_decode_stream(self):
+        sim = Simulation(make_cfg(duty=0.5, duration=0.3), seed=3)
+        sim.run()
+        assert "wifi-decode" not in sim.engine._streams
+        assert "wifi-backoff" in sim.engine._streams
+
+    @pytest.mark.parametrize("duty", [0.0, 1.0])
+    def test_no_silent_stream_without_silent_periods(self, duty):
+        sim = Simulation(make_cfg(duty=duty, duration=0.3), seed=3)
+        sim.run()
+        assert "lte-silent" not in sim.engine._streams
+
+
+class TestDrawsUnchanged:
+    def test_soft_per_half_duty_draws_pinned_sequences(self):
+        # Pinned from the code that built every stream for every run.
+        cfg = make_cfg(duty=0.5, lte_power=-6.0, duration=0.5)
+        cfg = dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio, soft_slope_k=2.0))
+        sim = Simulation(cfg, seed=7)
+        metrics = sim.run()
+        assert dataclasses.astuple(metrics) == (
+            1048500, 700, 0, 0, 193115000, 225000000, 500000000)
+        assert sim.lte_node.transitions == [
+            (0, True), (75000000, False), (170000000, True), (245000000, False),
+            (360000000, True), (435000000, False)]
+        assert sim.station.decode_rng.uniform(size=3).tolist() == [
+            0.08514812159421248, 0.20690615171707427, 0.1261768195815648]
+        assert sim.lte_node.rng.uniform(size=3).tolist() == [
+            0.018215087516119, 0.0067603642789679785, 0.3984484808115806]
+
+
+class TestSeedFromText:
+    @pytest.mark.parametrize("duty", [0.0, 0.5])
+    def test_derive_seed_is_seed_from_canonical_text(self, duty):
+        cfg = make_cfg(duty=duty, lte_power=-16.0, mcs=6)
+        text = serialize_config(canonical_for_seed(cfg))
+        for master, rep in ((1, 0), (7, 3)):
+            assert derive_seed(master, cfg, rep) == seed_from_text(master, text, rep)
