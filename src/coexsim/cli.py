@@ -12,13 +12,10 @@ import sys
 
 from .config import ConfigError, RunConfig, parse_config
 from .engine import SchedulingError
-from .experiments import SCENARIOS, SweepError, run_sweep, set_path
+from .experiments import SCENARIOS, SweepError, SweepResult, run_sweep, set_path
 from .metrics import throughput_mbps
 from .simulation import Simulation
 from .wifi import MCS_RATES, analytic_goodput_mbps
-
-RUN_CSV_HEADER = ("scenario,rep,seed,throughput_mbps,normalized,"
-                  "wifi_airtime_frac,lte_airtime_frac,attempts,failures,drops")
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -39,30 +36,6 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _parse_grid_value(token: str):
-    token = token.strip()
-    for cast in (int, float):
-        try:
-            return cast(token)
-        except ValueError:
-            continue
-    return token
-
-
-def _resolve_axis_path(path: str) -> str:
-    if "." in path:
-        return path
-    matches = []
-    for section_name in ("lte", "wifi", "radio"):
-        section = getattr(RunConfig(), section_name)
-        if path in {f.name for f in dataclasses.fields(section)}:
-            matches.append(f"{section_name}.{path}")
-    if len(matches) != 1:
-        raise ConfigError(f"grid path {path!r} is {'ambiguous' if matches else 'unknown'}; "
-                          f"use section.field")
-    return matches[0]
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
@@ -70,15 +43,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.duration is not None:
         cfg = dataclasses.replace(cfg, duration_s=args.duration)
     sim = Simulation(cfg, trace=args.trace is not None)
-    metrics = sim.run()
-    row = ",".join([
-        "run", "0", str(cfg.seed),
-        f"{throughput_mbps(metrics):.6f}", "",
-        f"{metrics.wifi_airtime_ns / metrics.duration_ns:.6f}",
-        f"{metrics.lte_airtime_ns / metrics.duration_ns:.6f}",
-        str(metrics.attempts), str(metrics.failures), str(metrics.drops),
-    ])
-    _write(args.out, RUN_CSV_HEADER + "\n" + row + "\n")
+    result = SweepResult("run", [])
+    result.add((), 0, cfg.seed, sim.run(), normalized="")
+    _write(args.out, result.to_csv_text())
     if args.trace is not None:
         _write(args.trace, "\n".join(sim.engine.trace_lines()) + "\n")
     return 0
@@ -100,9 +67,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise ConfigError(f"--grid expects key=v1,v2,... got {item!r}")
         path, _, values = item.partition("=")
-        resolved = _resolve_axis_path(path.strip())
-        scenario.override_grid(resolved,
-                               [_parse_grid_value(v) for v in values.split(",")])
+        scenario.override_grid(path, values.split(","))
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     result = run_sweep(scenario, args.seed, jobs=jobs)
     out = args.out or f"{scenario.name}_sweep.csv"
@@ -120,22 +85,15 @@ def _summary_path(out: str) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    rates = MCS_RATES if args.mcs == "all" else tuple(
-        int(tok) for tok in args.mcs.split(","))
-    base = RunConfig()
-    for rate in rates:
-        if rate not in MCS_RATES:
-            raise ConfigError(f"mcs must be one of {MCS_RATES}, got {rate}")
+    base = set_path(dataclasses.replace(RunConfig(), duration_s=args.duration),
+                    "lte.duty", 0.0)
+    rates = MCS_RATES if args.mcs == "all" else args.mcs.split(",")
+    configs = [set_path(base, "wifi.mcs_mbps", rate) for rate in rates]
     print(f"{'mcs_mbps':>8} {'analytic_mbps':>14} {'simulated_mbps':>15} {'rel_err':>9}")
     worst = 0.0
-    for rate in rates:
-        analytic = analytic_goodput_mbps(rate, base.wifi.payload_bytes,
-                                         base.wifi.dcf_params())
-        cfg = dataclasses.replace(
-            base,
-            duration_s=args.duration,
-            lte=dataclasses.replace(base.lte, duty=0.0),
-            wifi=dataclasses.replace(base.wifi, mcs_mbps=rate))
+    for cfg in configs:
+        rate = cfg.wifi.mcs_mbps
+        analytic = analytic_goodput_mbps(rate, cfg.wifi.payload_bytes, cfg.wifi)
         simulated = throughput_mbps(Simulation(cfg, seed=args.seed).run())
         rel_err = abs(simulated - analytic) / analytic
         worst = max(worst, rel_err)

@@ -1,9 +1,13 @@
-"""Run configuration: flat sectioned key-value files, validation, canonical form.
+"""Run configuration: the settings the simulator reads, their text form, seeds.
 
 An empty config reproduces the reference testbed: 94 cm WiFi link, LTE base
 station 34/35 cm from the WiFi transmitter/receiver, 3 dBi antennas at
 5.18 GHz, 100 PRB LTE, 17 dBm WiFi sending saturated 1500-byte UDP frames.
-Unknown sections or keys are rejected by name.
+
+The settings classes are the run parameters themselves.  Each checks its
+values when it is built, also through ``dataclasses.replace``, and raises
+``ConfigError`` naming the key as ``section.key``.  Text becomes a value in
+one place, ``parse_value``, for INI files and sweep grids alike.
 """
 
 from __future__ import annotations
@@ -12,37 +16,65 @@ import configparser
 import dataclasses
 import hashlib
 import io
+import math
+import typing
 from dataclasses import dataclass, field, fields
 
-from . import lte as lte_mod
-from . import radio, wifi
+from .engine import NS_PER_S
+from .lte import PRB_CHOICES
+from .radio import DEFAULT_PER_THRESHOLDS_DB, PerModel, fspl_db
+from .wifi import BITS_PER_SYMBOL, CCA_PRESETS, MCS_RATES, CcaProfile
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration text or values; message names the offending key."""
+
+
+def _invalid(section: str, key: str, rule: str, value) -> ConfigError:
+    return ConfigError(f"{section}.{key} must {rule}, got {value!r}")
+
+
+def _require_finite(settings, section: str) -> None:
+    for key in _FLOAT_KEYS[section]:
+        value = getattr(settings, key)
+        if value is not None and not math.isfinite(value):
+            raise _invalid(section, key, "be finite", value)
 
 
 @dataclass(frozen=True)
 class LteSettings:
+    """Duty-cycle schedule and occupied spectrum of the LTE node.
+
+    duty is the long-run fraction of time spent radiating; silent_spread is
+    the uniform half-width of a silent period, as a fraction of its mean.
+    """
+
     duty: float = 0.5
     mean_period_ms: float = 150.0
     silent_spread: float = 0.5
     frame_align_ms: int = 10
     n_prb: int = 100
-    center_offset_mhz: float = 0.0
+    center_offset_mhz: float = 0.0  # relative to the WiFi channel center
     tx_power_dbm: float = 12.0
 
-    def duty_cycle(self) -> lte_mod.DutyCycleConfig:
-        return lte_mod.DutyCycleConfig(self.duty, self.mean_period_ms,
-                                       self.silent_spread, self.frame_align_ms)
-
-    def phy(self) -> lte_mod.LtePhyConfig:
-        return lte_mod.LtePhyConfig(self.n_prb, self.center_offset_mhz,
-                                    self.tx_power_dbm)
+    def __post_init__(self) -> None:
+        _require_finite(self, "lte")
+        if not 0.0 <= self.duty <= 1.0:
+            raise _invalid("lte", "duty", "be in [0, 1]", self.duty)
+        if self.mean_period_ms <= 0:
+            raise _invalid("lte", "mean_period_ms", "be positive", self.mean_period_ms)
+        if not 0.0 <= self.silent_spread < 1.0:
+            raise _invalid("lte", "silent_spread", "be in [0, 1)", self.silent_spread)
+        if self.frame_align_ms < 1:
+            raise _invalid("lte", "frame_align_ms", "be >= 1", self.frame_align_ms)
+        if self.n_prb not in PRB_CHOICES:
+            raise _invalid("lte", "n_prb", f"be one of {PRB_CHOICES}", self.n_prb)
 
 
 @dataclass(frozen=True)
 class WifiSettings:
+    """The WiFi link: MCS, power, payload, carrier sensing and 802.11a MAC timing."""
+
     mcs_mbps: int = 54
     tx_power_dbm: float = 17.0
     payload_bytes: int = 1500
@@ -61,29 +93,52 @@ class WifiSettings:
     control_rate_mbps: int = 24
     mac_overhead_bytes: int = 36
 
-    def dcf_params(self) -> wifi.DcfParams:
-        return wifi.DcfParams(
-            slot_us=self.slot_us, sifs_us=self.sifs_us,
-            difs_us=self.sifs_us + 2 * self.slot_us,
-            cw_min=self.cw_min, cw_max=self.cw_max, retry_limit=self.retry_limit,
-            preamble_us=self.preamble_us, ack_bytes=self.ack_bytes,
-            control_rate_mbps=self.control_rate_mbps,
-            mac_overhead_bytes=self.mac_overhead_bytes)
-
-    def cca(self) -> wifi.CcaProfile:
-        preset = wifi.CCA_PRESETS.get(self.cca_profile)
+    def __post_init__(self) -> None:
+        _require_finite(self, "wifi")
+        if self.mcs_mbps not in BITS_PER_SYMBOL:
+            raise _invalid("wifi", "mcs_mbps", f"be one of {MCS_RATES}", self.mcs_mbps)
+        if self.payload_bytes <= 0:
+            raise _invalid("wifi", "payload_bytes", "be positive", self.payload_bytes)
+        if self.slot_us <= 0:
+            raise _invalid("wifi", "slot_us", "be positive", self.slot_us)
+        for key in ("sifs_us", "preamble_us", "ack_bytes", "mac_overhead_bytes"):
+            if getattr(self, key) < 0:
+                raise _invalid("wifi", key, "be >= 0", getattr(self, key))
+        for key in ("cw_min", "cw_max"):
+            cw = getattr(self, key)
+            if cw < 0 or cw & (cw + 1):
+                raise _invalid("wifi", key, "be 2^k - 1", cw)
+        if self.cw_max < self.cw_min:
+            raise _invalid("wifi", "cw_max", "be >= cw_min", self.cw_max)
+        preset = CCA_PRESETS.get(self.cca_profile)
         if preset is None:
-            raise ConfigError(f"unknown cca_profile {self.cca_profile!r}; "
-                              f"presets: {sorted(wifi.CCA_PRESETS)}")
-        return wifi.CcaProfile(
-            name=preset.name,
-            ed_threshold_dbm=(preset.ed_threshold_dbm
-                              if self.cca_ed_threshold_dbm is None
-                              else self.cca_ed_threshold_dbm),
-            measure_band=self.cca_measure_band or preset.measure_band,
-            mid_packet_abort=(preset.mid_packet_abort
-                              if self.cca_mid_packet_abort is None
-                              else self.cca_mid_packet_abort))
+            raise _invalid("wifi", "cca_profile", f"be one of {sorted(CCA_PRESETS)}",
+                           self.cca_profile)
+        try:
+            cca = CcaProfile(
+                name=preset.name,
+                ed_threshold_dbm=(preset.ed_threshold_dbm
+                                  if self.cca_ed_threshold_dbm is None
+                                  else self.cca_ed_threshold_dbm),
+                measure_band=self.cca_measure_band or preset.measure_band,
+                mid_packet_abort=(preset.mid_packet_abort
+                                  if self.cca_mid_packet_abort is None
+                                  else self.cca_mid_packet_abort))
+        except ValueError as exc:
+            raise ConfigError(f"wifi.cca_measure_band: {exc}") from exc
+        object.__setattr__(self, "_cca", cca)
+
+    @property
+    def difs_us(self) -> int:
+        return self.sifs_us + 2 * self.slot_us
+
+    def cca(self) -> CcaProfile:
+        """The CCA preset with this section's overrides applied."""
+        return self._cca
+
+    def dcf_params(self) -> WifiSettings:
+        """The DCF timing the analytic goodput reads: these settings themselves."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -103,10 +158,38 @@ class RadioSettings:
     soft_slope_k: float = 0.0
     per_thresholds: str = ""  # e.g. "6:5, 9:6"; empty keeps the defaults
 
+    def __post_init__(self) -> None:
+        _require_finite(self, "radio")
+        for key in ("freq_ghz", "wifi_bandwidth_mhz", "dist_lte_to_wifi_tx_m",
+                    "dist_lte_to_wifi_rx_m", "dist_wifi_tx_to_rx_m"):
+            if getattr(self, key) <= 0:
+                raise _invalid("radio", key, "be positive", getattr(self, key))
+        if self.oob_floor_dbc > 0:
+            raise _invalid("radio", "oob_floor_dbc", "be <= 0", self.oob_floor_dbc)
+        if self.soft_slope_k < 0:
+            raise _invalid("radio", "soft_slope_k", "be >= 0", self.soft_slope_k)
+        thresholds = dict(DEFAULT_PER_THRESHOLDS_DB)
+        if self.per_thresholds.strip():
+            for pair in self.per_thresholds.split(","):
+                try:
+                    rate, db = pair.split(":")
+                    thresholds[int(rate.strip())] = float(db.strip())
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"radio.per_thresholds: bad entry {pair.strip()!r}") from exc
+        if not all(map(math.isfinite, thresholds.values())):
+            raise _invalid("radio", "per_thresholds", "give finite thresholds",
+                           self.per_thresholds)
+        try:
+            model = PerModel(thresholds, self.soft_slope_k, self.oob_floor_dbc)
+        except ValueError as exc:
+            raise ConfigError(f"radio.per_thresholds: {exc}") from exc
+        object.__setattr__(self, "_per_model", model)
+
     def _gain(self, override: float | None, distance_m: float) -> float:
         if override is not None:
             return override
-        return -radio.fspl_db(distance_m, self.freq_ghz) + 2 * self.antenna_gain_dbi
+        return -fspl_db(distance_m, self.freq_ghz) + 2 * self.antenna_gain_dbi
 
     def link_gains(self) -> tuple[float, float, float]:
         """(LTE->WiFi TX, LTE->WiFi RX, WiFi TX<->RX) path gains in dB."""
@@ -114,19 +197,9 @@ class RadioSettings:
                 self._gain(self.gain_lte_to_wifi_rx_db, self.dist_lte_to_wifi_rx_m),
                 self._gain(self.gain_wifi_link_db, self.dist_wifi_tx_to_rx_m))
 
-    def per_model(self) -> radio.PerModel:
-        thresholds = dict(radio.DEFAULT_PER_THRESHOLDS_DB)
-        if self.per_thresholds.strip():
-            for pair in self.per_thresholds.split(","):
-                try:
-                    rate, db = pair.split(":")
-                    thresholds[int(rate.strip())] = float(db.strip())
-                except ValueError as exc:
-                    raise ConfigError(f"bad per_thresholds entry {pair.strip()!r}") from exc
-        try:
-            return radio.PerModel(thresholds, self.soft_slope_k, self.oob_floor_dbc)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def per_model(self) -> PerModel:
+        """The default PER thresholds with this section's overrides applied."""
+        return self._per_model
 
 
 @dataclass(frozen=True)
@@ -137,10 +210,35 @@ class RunConfig:
     wifi: WifiSettings = field(default_factory=WifiSettings)
     radio: RadioSettings = field(default_factory=RadioSettings)
 
+    def __post_init__(self) -> None:
+        duration_ns = self.duration_s * NS_PER_S  # inf also when the product overflows
+        if not (math.isfinite(duration_ns) and round(duration_ns) >= 1):
+            raise _invalid("run", "duration_s", "be finite and at least 1 ns",
+                           self.duration_s)
 
-_SECTIONS = {"run": None, "lte": LteSettings, "wifi": WifiSettings,
+
+_SECTIONS = {"run": RunConfig, "lte": LteSettings, "wifi": WifiSettings,
              "radio": RadioSettings}
-_RUN_KEYS = {"seed": int, "duration_s": float}
+_GRID_SECTIONS = ("lte", "wifi", "radio")
+
+
+def _scalar_types(cls) -> dict[str, type]:
+    """Declared type of each scalar field, with ``| None`` taken off."""
+    out = {}
+    for key, hint in typing.get_type_hints(cls).items():
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        kind = args[0] if args else hint
+        if kind in (bool, int, float, str):
+            out[key] = kind
+    return out
+
+
+# Resolved once per class: a conversion is a dict lookup, not a type-hint walk.
+_KEY_TYPES = {name: _scalar_types(cls) for name, cls in _SECTIONS.items()}
+_FLOAT_KEYS = {name: tuple(k for k, t in types.items() if t is float)
+               for name, types in _KEY_TYPES.items()}
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
 # Pairs that must not both be set explicitly: a distance and its gain override.
 _GEOMETRY_CONFLICTS = [
@@ -150,117 +248,61 @@ _GEOMETRY_CONFLICTS = [
 ]
 
 
-def _coerce(section: str, key: str, raw: str, target_type) -> object:
-    text = raw.strip()
+def parse_value(section: str, key: str, text: str):
+    """``text`` as the value of ``[section] key``, in the key's declared type.
+
+    INI values, ``--grid`` tokens and the built-in grids (as ``str(value)``)
+    all convert here.  A ``%`` suffix is accepted for ``duty`` alone.  Ranges
+    are checked when the section is built.
+    """
+    kind = _KEY_TYPES[section].get(key)
+    if kind is None:
+        raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    token = text.strip()
     try:
-        if target_type is bool:
-            lowered = text.lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            if text.endswith("%"):  # duty etc. may be given as a percentage
-                return float(text[:-1]) / 100.0
-            return float(text)
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as "
-                          f"{target_type.__name__}") from exc
+        if kind is bool:
+            return _BOOLS[token.lower()]
+        if key == "duty" and token.endswith("%"):
+            return float(token[:-1]) / 100.0
+        return kind(token)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{section}.{key}: cannot parse {text!r} as "
+                          f"{kind.__name__}") from exc
 
 
-def _field_types(cls) -> dict[str, type]:
-    out = {}
-    for f in fields(cls):
-        t = f.type
-        if isinstance(t, str):
-            t = {"int": int, "float": float, "str": str, "bool": bool,
-                 "float | None": float, "str | None": str,
-                 "bool | None": bool}.get(t, str)
-        out[f.name] = t
-    return out
+def resolve_path(path: str) -> tuple[str, str]:
+    """(section, key) of a grid path: ``section.key``, or a key one section has."""
+    section, dot, key = path.strip().rpartition(".")
+    names = [section] if dot else _GRID_SECTIONS
+    found = [name for name in names if name in _GRID_SECTIONS and key in _KEY_TYPES[name]]
+    if len(found) != 1:
+        raise ConfigError(f"grid path {path!r} is {'ambiguous' if found else 'unknown'}; "
+                          "use section.field")
+    return found[0], key
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a sectioned key-value configuration."""
+    """Parse a sectioned key-value configuration; unknown sections and keys are errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-
-    run_kwargs: dict[str, object] = {}
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"unknown key {key!r} in section [run]")
-            run_kwargs[key] = _coerce("run", key, raw, _RUN_KEYS[key])
-
-    sections: dict[str, object] = {}
-    for name, cls in _SECTIONS.items():
-        if cls is None:
-            continue
-        types = _field_types(cls)
-        kwargs: dict[str, object] = {}
-        if parser.has_section(name):
-            for key, raw in parser.items(name):
-                if key not in types:
-                    raise ConfigError(f"unknown key {key!r} in section [{name}]")
-                kwargs[key] = _coerce(name, key, raw, types[key])
-        if name == "radio":
-            for dist_key, gain_key in _GEOMETRY_CONFLICTS:
-                if dist_key in kwargs and gain_key in kwargs:
-                    raise ConfigError(
-                        f"[radio] {dist_key} and {gain_key} are inconsistent: "
-                        "give the geometry or the explicit gain, not both")
-        try:
-            sections[name] = cls(**kwargs)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"[{name}]: {exc}") from exc
-
-    cfg = RunConfig(seed=run_kwargs.get("seed", 1),
-                    duration_s=run_kwargs.get("duration_s", 10.0),
-                    lte=sections["lte"], wifi=sections["wifi"],
-                    radio=sections["radio"])
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Check cross-field constraints; raises ConfigError naming the key."""
-    if cfg.duration_s <= 0:
-        raise ConfigError("[run] duration_s must be positive")
-    if not 0.0 <= cfg.lte.duty <= 1.0:
-        raise ConfigError(f"[lte] duty must be in [0, 1], got {cfg.lte.duty}")
-    try:
-        cfg.lte.duty_cycle()
-        cfg.lte.phy()
-    except ValueError as exc:
-        raise ConfigError(f"[lte] {exc}") from exc
-    if cfg.wifi.mcs_mbps not in wifi.BITS_PER_SYMBOL:
-        raise ConfigError(f"[wifi] mcs_mbps must be one of {wifi.MCS_RATES}, "
-                          f"got {cfg.wifi.mcs_mbps}")
-    if cfg.wifi.payload_bytes <= 0:
-        raise ConfigError("[wifi] payload_bytes must be positive")
-    try:
-        cfg.wifi.dcf_params()
-        cfg.wifi.cca()
-    except ValueError as exc:
-        raise ConfigError(f"[wifi] {exc}") from exc
-    for key in ("dist_lte_to_wifi_tx_m", "dist_lte_to_wifi_rx_m",
-                "dist_wifi_tx_to_rx_m"):
-        if getattr(cfg.radio, key) <= 0:
-            raise ConfigError(f"[radio] {key} must be positive")
-    if cfg.radio.wifi_bandwidth_mhz <= 0:
-        raise ConfigError("[radio] wifi_bandwidth_mhz must be positive")
-    cfg.radio.per_model()
+    values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key, raw in parser.items(name):
+            values[name][key] = parse_value(name, key, raw)
+    for dist_key, gain_key in _GEOMETRY_CONFLICTS:
+        if dist_key in values["radio"] and gain_key in values["radio"]:
+            raise ConfigError(
+                f"radio.{dist_key} and radio.{gain_key} are inconsistent: "
+                "give the geometry or the explicit gain, not both")
+    return RunConfig(**values["run"], lte=LteSettings(**values["lte"]),
+                     wifi=WifiSettings(**values["wifi"]),
+                     radio=RadioSettings(**values["radio"]))
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -271,7 +313,7 @@ def serialize_config(cfg: RunConfig) -> str:
     out.write(f"duration_s = {cfg.duration_s!r}\n")
     superseded = {dist for dist, gain in _GEOMETRY_CONFLICTS
                   if getattr(cfg.radio, gain) is not None}
-    for name in ("lte", "wifi", "radio"):
+    for name in _GRID_SECTIONS:
         section = getattr(cfg, name)
         out.write(f"\n[{name}]\n")
         for f in fields(section):

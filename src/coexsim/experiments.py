@@ -12,8 +12,8 @@ are byte-reproducible and each grid point is independent of the others.
 Normalization divides by the duty-0 run sharing all non-LTE parameters and
 the same rep index, which makes duty-0 rows exactly 1.0.
 
-A sweep is planned in full, and every distinct config validated, before any
-run starts; the runs then go out in chunks over the worker pool.
+A sweep is planned in full, and so every config built and checked, before
+any run starts; the runs then go out in chunks over the worker pool.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import contextlib
 import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .config import (ConfigError, RunConfig, _coerce, canonical_for_seed,
-                     seed_from_text, serialize_config, validate_config)
-from .metrics import RunMetrics, box_stats, throughput_mbps
+from .config import (ConfigError, RunConfig, canonical_for_seed, parse_value,
+                     resolve_path, seed_from_text, serialize_config)
+from .metrics import RunMetrics, box_stats, normalized_throughput, throughput_mbps
 from .simulation import Simulation
 
 CSV_METRIC_COLUMNS = ("throughput_mbps", "normalized", "wifi_airtime_frac",
@@ -38,38 +38,26 @@ class SweepError(Exception):
 
 
 def set_path(cfg: RunConfig, path: str, value) -> RunConfig:
-    """Return a copy of cfg with the dotted ``section.field`` replaced.
+    """Return a copy of cfg with the grid path (``section.field`` or a bare field) set.
 
-    Values are coerced to the field's declared type so that e.g. a grid value
-    of 0 lands in a float field as 0.0 (keeping canonical texts stable).
+    The value is converted from ``str(value)`` to the field's declared type,
+    like an INI value, so e.g. a grid value of 0 lands in a float field as 0.0
+    (keeping canonical texts stable).
     """
-    try:
-        section_name, field_name = path.split(".")
-        section = getattr(cfg, section_name)
-    except (ValueError, AttributeError) as exc:
-        raise SweepError(f"swept path {path!r} does not resolve to a config field") from exc
-    declared = {f.name: str(f.type) for f in fields(section)}
-    if field_name not in declared:
-        raise SweepError(f"swept path {path!r} does not resolve to a config field")
-    t = declared[field_name]
-    try:
-        if t.startswith("float"):
-            value = float(value)
-        elif t.startswith("int"):
-            value = int(value)
-        elif t.startswith("str"):
-            value = str(value)
-        elif t.startswith("bool"):
-            value = _coerce(section_name, field_name, str(value), bool)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: cannot parse {value!r} as {t}") from exc
-    section = dataclasses.replace(section, **{field_name: value})
+    section_name, field_name = resolve_path(path)
+    section = dataclasses.replace(
+        getattr(cfg, section_name),
+        **{field_name: parse_value(section_name, field_name, str(value))})
     return dataclasses.replace(cfg, **{section_name: section})
 
 
 @dataclass
 class Scenario:
-    """A named sweep: a fixed base config plus (path, value grid) axes."""
+    """A named sweep: a fixed base config plus (path, value grid) axes.
+
+    Axis paths are stored resolved (``section.field``) and their values
+    converted to the field's type, so axis cells print the value a run used.
+    """
 
     name: str
     base: RunConfig
@@ -78,21 +66,22 @@ class Scenario:
     duration_s: float = 10.0
 
     def __post_init__(self) -> None:
-        for path, values in self.axes:
-            if not values:
-                raise SweepError(f"axis {path!r} has an empty grid")
-            set_path(self.base, path, values[0])  # raises if unresolvable
+        axes, self.axes = self.axes, []
+        for path, values in axes:
+            self.override_grid(path, values)
 
     def override_grid(self, path: str, values: list) -> None:
         """Replace an axis's grid (or add a new axis) for this scenario."""
         if not values:
             raise SweepError(f"axis {path!r} has an empty grid")
-        set_path(self.base, path, values[0])
+        section_name, field_name = resolve_path(path)
+        path = f"{section_name}.{field_name}"
+        values = [parse_value(section_name, field_name, str(v)) for v in values]
         for i, (existing, _) in enumerate(self.axes):
             if existing == path:
-                self.axes[i] = (path, list(values))
+                self.axes[i] = (path, values)
                 return
-        self.axes.append((path, list(values)))
+        self.axes.append((path, values))
 
     def axis_names_list(self) -> list[str]:
         return [path for path, _ in self.axes]
@@ -163,6 +152,23 @@ class SweepResult:
     axis_names: list[str]
     rows: list[dict] = field(default_factory=list)
 
+    def add(self, point: tuple, rep: int, seed: int, metrics: RunMetrics,
+            normalized: float | str) -> None:
+        """Append one run's row; ``normalized`` is "" for a run with no baseline."""
+        self.rows.append({
+            "scenario": self.scenario,
+            **{axis: _fmt(value) for axis, value in zip(self.axis_names, point)},
+            "rep": rep,
+            "seed": seed,
+            "throughput_mbps": throughput_mbps(metrics),
+            "normalized": normalized,
+            "wifi_airtime_frac": metrics.wifi_airtime_ns / metrics.duration_ns,
+            "lte_airtime_frac": metrics.lte_airtime_ns / metrics.duration_ns,
+            "attempts": metrics.attempts,
+            "failures": metrics.failures,
+            "drops": metrics.drops,
+        })
+
     def header(self) -> list[str]:
         return ["scenario", *self.axis_names, "rep", "seed", *CSV_METRIC_COLUMNS]
 
@@ -207,8 +213,9 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
 
     Baseline runs are de-duplicated by canonical config, so grid points that
     differ only in LTE parameters share one baseline per rep.  Each distinct
-    config is validated and serialized once, and all of it happens before the
-    first run, so a bad grid value is a config error, not a failed run.
+    config is serialized once, and every config is built, and so checked,
+    before the first run, so a bad grid value is a config error, not a failed
+    run.
     """
     if scenario.reps < 1:
         raise ConfigError(f"reps must be >= 1, got {scenario.reps}")
@@ -218,7 +225,6 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
     def canonical_text(cfg: RunConfig) -> str:
         text = texts.get(cfg)
         if text is None:
-            validate_config(cfg)
             text = texts[cfg] = serialize_config(canonical_for_seed(cfg))
         return text
 
@@ -255,21 +261,10 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
 
     result = SweepResult(scenario.name, axis_names)
     for point, rep, run_key, base_key in row_keys:
-        metrics = results[run_key]
-        baseline = results[base_key]
-        thr = throughput_mbps(metrics)
-        base_thr = throughput_mbps(baseline)
-        result.rows.append({
-            "scenario": scenario.name,
-            **{axis: _fmt(value) for axis, value in zip(axis_names, point)},
-            "rep": rep,
-            "seed": plan[run_key][1],
-            "throughput_mbps": thr,
-            "normalized": thr / base_thr,
-            "wifi_airtime_frac": metrics.wifi_airtime_ns / metrics.duration_ns,
-            "lte_airtime_frac": metrics.lte_airtime_ns / metrics.duration_ns,
-            "attempts": metrics.attempts,
-            "failures": metrics.failures,
-            "drops": metrics.drops,
-        })
+        try:
+            normalized = normalized_throughput(results[run_key], results[base_key])
+        except ValueError as exc:
+            raise SweepError(f"cannot normalize against the {plan[base_key][2]}: "
+                             f"{exc}") from exc
+        result.add(point, rep, plan[run_key][1], results[run_key], normalized)
     return result

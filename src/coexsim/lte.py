@@ -9,12 +9,15 @@ occupied band, while off it radiates nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .engine import NS_PER_MS, Engine
 from .radio import SpectrumBand
+
+if TYPE_CHECKING:
+    from .config import LteSettings
 
 PRB_CHOICES = (6, 15, 25, 50, 75, 100)
 PRB_WIDTH_MHZ = 0.18
@@ -22,48 +25,17 @@ PRB_WIDTH_MHZ = 0.18
 RNG_LABEL = "lte-silent"
 
 
-@dataclass(frozen=True)
-class DutyCycleConfig:
-    """On/off schedule: duty = long-run fraction of time spent radiating."""
-
-    duty: float = 0.5
-    mean_period_ms: float = 150.0
-    silent_spread: float = 0.5  # uniform half-width, as a fraction of the mean silent time
-    frame_align_ms: int = 10
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.duty <= 1.0:
-            raise ValueError(f"duty must be in [0, 1], got {self.duty}")
-        if self.mean_period_ms <= 0:
-            raise ValueError("mean_period_ms must be positive")
-        if not 0.0 <= self.silent_spread < 1.0:
-            raise ValueError("silent_spread must be in [0, 1)")
-        if self.frame_align_ms < 1:
-            raise ValueError("frame_align_ms must be >= 1")
-
-
-@dataclass(frozen=True)
-class LtePhyConfig:
-    n_prb: int = 100
-    center_offset_mhz: float = 0.0  # relative to the WiFi channel center
-    tx_power_dbm: float = 12.0
-
-    def __post_init__(self) -> None:
-        if self.n_prb not in PRB_CHOICES:
-            raise ValueError(f"n_prb must be one of {PRB_CHOICES}, got {self.n_prb}")
-
-
 def _round_ms_to_ns(value_ms: float) -> int:
     # Half-up to whole subframes; all schedule arithmetic stays integer ns.
     return int(math.floor(value_ms + 0.5)) * NS_PER_MS
 
 
-def on_duration_ns(cfg: DutyCycleConfig) -> int:
+def on_duration_ns(cfg: LteSettings) -> int:
     """Fixed active interval: duty x mean period, whole 1 ms subframes."""
     return _round_ms_to_ns(cfg.duty * cfg.mean_period_ms)
 
 
-def draw_silent_duration_ns(cfg: DutyCycleConfig, rng: np.random.Generator) -> int:
+def draw_silent_duration_ns(cfg: LteSettings, rng: np.random.Generator) -> int:
     """One randomized silent interval, whole subframes, at least 1 ms.
 
     Uniform on [(1-spread), (1+spread)] x mean silent time, so the long-run
@@ -77,9 +49,9 @@ def draw_silent_duration_ns(cfg: DutyCycleConfig, rng: np.random.Generator) -> i
     return max(_round_ms_to_ns(float(rng.uniform(low, high))), NS_PER_MS)
 
 
-def occupied_band(phy: LtePhyConfig) -> SpectrumBand:
+def occupied_band(cfg: LteSettings) -> SpectrumBand:
     """Occupied spectrum: n_prb x 180 kHz centered at the configured offset."""
-    return SpectrumBand(phy.center_offset_mhz, phy.n_prb * PRB_WIDTH_MHZ)
+    return SpectrumBand(cfg.center_offset_mhz, cfg.n_prb * PRB_WIDTH_MHZ)
 
 
 class LteNode:
@@ -91,11 +63,9 @@ class LteNode:
 
     name = "lte"
 
-    def __init__(self, engine: Engine, cfg: DutyCycleConfig, phy: LtePhyConfig,
-                 medium) -> None:
+    def __init__(self, engine: Engine, cfg: LteSettings, medium) -> None:
         self.engine = engine
         self.cfg = cfg
-        self.phy = phy
         self.medium = medium
         # Only a duty strictly between 0 and 1 has silent periods to draw.
         self.rng = engine.rng_stream(RNG_LABEL) if 0.0 < cfg.duty < 1.0 else None

@@ -17,7 +17,7 @@ from .lte import LteNode, occupied_band
 from .metrics import MetricsAccumulator, RunMetrics
 from .radio import (LinkBudget, SpectrumBand, noise_floor_dbm, overlap_fraction,
                     sinr_db)
-from .wifi import DcfStation, cca_busy, mcs_entry
+from .wifi import DcfStation, cca_busy
 
 
 class Medium:
@@ -33,7 +33,7 @@ class Medium:
         r = cfg.radio
         gain_lte_tx, gain_lte_rx, gain_link = r.link_gains()
         self.wifi_band = SpectrumBand(0.0, r.wifi_bandwidth_mhz)
-        self.lte_band = occupied_band(cfg.lte.phy())
+        self.lte_band = occupied_band(cfg.lte)
         noise = noise_floor_dbm(r.wifi_bandwidth_mhz, r.noise_figure_db)
         profile = cfg.wifi.cca()
 
@@ -129,17 +129,13 @@ class Simulation:
 
         self.lte_node = None
         if include_lte:
-            self.lte_node = LteNode(self.engine, cfg.lte.duty_cycle(),
-                                    cfg.lte.phy(), self.medium)
+            self.lte_node = LteNode(self.engine, cfg.lte, self.medium)
             self.lte_node.start()
 
         self.station = None
         if include_wifi:
-            per_model = cfg.radio.per_model()
-            self.station = DcfStation(
-                self.engine, self.medium, cfg.wifi.dcf_params(),
-                mcs_entry(cfg.wifi.mcs_mbps), cfg.wifi.cca(),
-                per_model, cfg.wifi.payload_bytes, self.acc)
+            self.station = DcfStation(self.engine, self.medium, cfg.wifi,
+                                      cfg.radio.per_model(), self.acc)
             self.medium.station = self.station
             self.station.start()
 

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .engine import NS_PER_US, Engine
 from .radio import PerModel, SpectrumBand, overlap_fraction, packet_outcome
+
+if TYPE_CHECKING:
+    from .config import WifiSettings
 
 # Legacy OFDM rates: label (Mbps) -> data bits per 4 us symbol.
 BITS_PER_SYMBOL = {6: 24, 9: 36, 12: 48, 18: 72, 24: 96, 36: 144, 48: 192, 54: 216}
@@ -23,37 +27,6 @@ SERVICE_TAIL_BITS = 16 + 6
 # Most DCF cycles one vectorised step covers; bounds the arrays it builds and
 # the draws it rewinds when the chunk overshoots the medium's next change.
 FAST_FORWARD_CHUNK = 4096
-
-
-@dataclass(frozen=True, slots=True)
-class McsEntry:
-    label_mbps: int
-    bits_per_symbol: int
-
-
-@dataclass(frozen=True)
-class DcfParams:
-    """802.11a MAC timing constants; difs must equal sifs + 2 x slot."""
-
-    slot_us: int = 9
-    sifs_us: int = 16
-    difs_us: int = 34
-    cw_min: int = 15
-    cw_max: int = 1023
-    retry_limit: int = 7
-    preamble_us: int = 20
-    ack_bytes: int = 14
-    control_rate_mbps: int = 24
-    mac_overhead_bytes: int = 36
-
-    def __post_init__(self) -> None:
-        if self.difs_us != self.sifs_us + 2 * self.slot_us:
-            raise ValueError("difs_us must equal sifs_us + 2 * slot_us")
-        for cw in (self.cw_min, self.cw_max):
-            if cw & (cw + 1):
-                raise ValueError(f"contention windows must be 2^k - 1, got {cw}")
-        if self.cw_max < self.cw_min:
-            raise ValueError("cw_max must be >= cw_min")
 
 
 @dataclass(frozen=True)
@@ -92,13 +65,7 @@ CCA_PRESETS = {
 }
 
 
-def mcs_entry(label_mbps: int) -> McsEntry:
-    if label_mbps not in BITS_PER_SYMBOL:
-        raise ValueError(f"mcs must be one of {MCS_RATES}, got {label_mbps}")
-    return McsEntry(label_mbps, BITS_PER_SYMBOL[label_mbps])
-
-
-def frame_airtime_us(mcs_mbps: int, payload_bytes: int, params: DcfParams) -> int:
+def frame_airtime_us(mcs_mbps: int, payload_bytes: int, params: WifiSettings) -> int:
     """PPDU airtime: preamble + 4 us OFDM symbols covering service/tail/MAC/payload."""
     if payload_bytes <= 0:
         raise ValueError("payload_bytes must be positive")
@@ -106,20 +73,21 @@ def frame_airtime_us(mcs_mbps: int, payload_bytes: int, params: DcfParams) -> in
     return params.preamble_us + 4 * math.ceil(bits / BITS_PER_SYMBOL[mcs_mbps])
 
 
-def ack_rate_mbps(data_rate_mbps: int, params: DcfParams) -> int:
+def ack_rate_mbps(data_rate_mbps: int, params: WifiSettings) -> int:
     """Highest basic rate not exceeding min(data rate, configured control rate)."""
     cap = min(data_rate_mbps, params.control_rate_mbps)
     eligible = [r for r in BASIC_RATES if r <= cap]
     return max(eligible) if eligible else BASIC_RATES[0]
 
 
-def ack_airtime_us(data_rate_mbps: int, params: DcfParams) -> int:
+def ack_airtime_us(data_rate_mbps: int, params: WifiSettings) -> int:
     rate = ack_rate_mbps(data_rate_mbps, params)
     bits = SERVICE_TAIL_BITS + 8 * params.ack_bytes
     return params.preamble_us + 4 * math.ceil(bits / BITS_PER_SYMBOL[rate])
 
 
-def analytic_goodput_mbps(mcs_mbps: int, payload_bytes: int, params: DcfParams) -> float:
+def analytic_goodput_mbps(mcs_mbps: int, payload_bytes: int,
+                          params: WifiSettings) -> float:
     """Exact-expectation single-station DCF goodput on an always-idle channel.
 
     Per-packet cycle: DIFS + E[backoff] x slot + data + SIFS + ACK, with
@@ -174,16 +142,15 @@ class DcfStation:
 
     name = "wifi-tx"
 
-    def __init__(self, engine: Engine, channel, params: DcfParams, mcs: McsEntry,
-                 cca: CcaProfile, per_model: PerModel, payload_bytes: int,
-                 acc) -> None:
+    def __init__(self, engine: Engine, channel, params: WifiSettings,
+                 per_model: PerModel, acc) -> None:
         self.engine = engine
         self.channel = channel
         self.params = params
-        self.mcs = mcs
-        self.cca = cca
+        self.mcs_mbps = params.mcs_mbps
+        self.cca = params.cca()
         self.per_model = per_model
-        self.payload_bytes = payload_bytes
+        self.payload_bytes = params.payload_bytes
         self.acc = acc
         self.rng = engine.rng_stream("wifi-backoff")
         # The hard PER rule decodes without drawing, so it gets no decode stream.
@@ -193,9 +160,10 @@ class DcfStation:
         self.slot_ns = params.slot_us * NS_PER_US
         self.sifs_ns = params.sifs_us * NS_PER_US
         self.difs_ns = params.difs_us * NS_PER_US
-        self.data_air_ns = frame_airtime_us(mcs.label_mbps, payload_bytes, params) * NS_PER_US
-        self.ack_air_ns = ack_airtime_us(mcs.label_mbps, params) * NS_PER_US
-        self.ack_rate = ack_rate_mbps(mcs.label_mbps, params)
+        self.data_air_ns = frame_airtime_us(self.mcs_mbps, self.payload_bytes,
+                                            params) * NS_PER_US
+        self.ack_air_ns = ack_airtime_us(self.mcs_mbps, params) * NS_PER_US
+        self.ack_rate = ack_rate_mbps(self.mcs_mbps, params)
         # A trace needs one line per event and soft PER one draw per packet.
         self._fast_forward = engine.trace is None and per_model.soft_slope_k == 0.0
         # cw after j consecutive failures; cw is always _cw_ladder[min(j, top)].
@@ -279,7 +247,7 @@ class DcfStation:
     def _tx_end(self) -> None:
         now = self.engine.now
         self.acc.add_wifi(self._tx_start, now)
-        data_ok = packet_outcome(self.mcs.label_mbps,
+        data_ok = packet_outcome(self.mcs_mbps,
                                  self.channel.sinr_trace_at_rx(self._tx_start, now),
                                  self.per_model, self.decode_rng)
         ack_start = now + self.sifs_ns
@@ -350,7 +318,7 @@ class DcfStation:
         if now + base_ns >= horizon:
             return now
         probe = (now, now + 1)  # any window before the horizon sees the same SINR
-        data_ok = packet_outcome(self.mcs.label_mbps, self.channel.sinr_trace_at_rx(*probe),
+        data_ok = packet_outcome(self.mcs_mbps, self.channel.sinr_trace_at_rx(*probe),
                                  self.per_model, self.decode_rng)
         ack_ok = data_ok and packet_outcome(self.ack_rate,
                                             self.channel.sinr_trace_at_tx(*probe),

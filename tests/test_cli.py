@@ -93,6 +93,30 @@ class TestSweep:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
+    def test_axis_cells_print_the_converted_value(self, tmp_path, capsys):
+        texts = []
+        for power in ("12", "12.0"):
+            out = tmp_path / f"{power}.csv"
+            code, _, _ = run_cli(capsys, "sweep", "duty", "--out", str(out), "--reps", "1",
+                                 "--duration", "0.05", "--jobs", "1", "--grid", "duty=0.5",
+                                 "--grid", f"lte.tx_power_dbm={power}",
+                                 "--grid", "mcs_mbps=54")
+            assert code == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert texts[0].splitlines()[1].startswith("duty,0.5,12.0,54,0,")
+
+    def test_baseline_without_payload_exits_3_naming_it(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "power", "--out", "-", "--reps", "1",
+                               "--duration", "0.05", "--jobs", "1",
+                               "--grid", "lte.tx_power_dbm=12",
+                               "--grid", "wifi.tx_power_dbm=-80", "--grid", "wifi.mcs_mbps=54")
+        assert code == 3
+        assert err.startswith("runtime error: cannot normalize against the baseline for "
+                              "{'lte.tx_power_dbm': 12.0, 'wifi.tx_power_dbm': -80.0, "
+                              "'wifi.mcs_mbps': 54} rep 0")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_ambiguous_grid_key_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "duty", "--out", "-",
                                "--grid", "tx_power_dbm=12,17")
@@ -145,6 +169,9 @@ class TestSweepPlanErrors:
         (["--duration", "-1"], "duration_s"),
         (["--grid", "lte.duty=0.0,abc"], "lte.duty"),
         (["--reps", "0"], "reps"),
+        (["--grid", "wifi.mcs_mbps=54.7"], "wifi.mcs_mbps"),
+        (["--grid", "lte.nonsense=1"], "lte.nonsense"),
+        (["--grid", "lte.tx_power_dbm=nan"], "lte.tx_power_dbm"),
     ])
     def test_bad_sweep_input_exits_2_before_a_pool_starts(self, monkeypatch, tmp_path,
                                                           capsys, argv, needle):
@@ -177,5 +204,27 @@ class TestSweepPlanErrors:
                                "--grid", "lte.duty=0.5", "--grid", "lte.tx_power_dbm=12",
                                "--grid", "wifi.mcs_mbps=54")
         assert code == 3
-        assert ("run failed at {'lte.duty': 0.5, 'lte.tx_power_dbm': 12, "
+        assert ("run failed at {'lte.duty': 0.5, 'lte.tx_power_dbm': 12.0, "
                 "'wifi.mcs_mbps': 54} rep 0: injected failure") in err
+
+
+class TestRunInputErrors:
+    @pytest.mark.parametrize("argv,ini,needle", [
+        (["run", "--duration", "nan"], None, "duration_s"),
+        (["run"], "[run]\nduration_s = inf\n", "duration_s"),
+        (["run", "--duration", "1e-12"], None, "duration_s"),
+        (["baseline", "--duration", "-1"], None, "duration_s"),
+        (["baseline", "--duration", "inf"], None, "duration_s"),
+        (["baseline", "--mcs", "abc"], None, "mcs_mbps"),
+        (["run"], "[lte]\ntx_power_dbm = 12%\n", "tx_power_dbm"),
+        (["run"], "[lte]\ntx_power_dbm = nan\n", "tx_power_dbm"),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, ini, needle):
+        if ini is not None:
+            path = tmp_path / "bad.ini"
+            path.write_text(ini)
+            argv = [*argv, "--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("config error:") and needle in err
+        assert len(err.strip().splitlines()) == 1 and out == ""

@@ -1,9 +1,17 @@
 import dataclasses
+import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coexsim.config import (ConfigError, RunConfig, canonical_for_seed,
-                            derive_seed, parse_config, serialize_config)
+from coexsim.config import (ConfigError, LteSettings, RadioSettings, RunConfig,
+                            WifiSettings, canonical_for_seed, derive_seed, parse_config,
+                            serialize_config)
+from coexsim.experiments import Scenario
+from coexsim.lte import PRB_CHOICES
+from coexsim.wifi import CCA_PRESETS, MCS_RATES
 
 
 class TestDefaults:
@@ -147,3 +155,148 @@ class TestSeedDerivation:
         base = RunConfig()
         reseeded = dataclasses.replace(base, seed=777)
         assert derive_seed(1, base, 0) == derive_seed(1, reseeded, 0)
+
+
+SETTINGS = {"lte": LteSettings, "wifi": WifiSettings, "radio": RadioSettings}
+TOKENS = ["0", "1", "-1", "12", "12.5", "54.7", "50%", "12%", "nan", "inf", "true",
+          "off", "vendor-B", "primary10", "6:4", "abc", ""]
+
+
+def outcome(build):
+    """The built value and its type, or the text of the config error."""
+    try:
+        value = build()
+    except ConfigError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+class TestGridTokensParseLikeIniValues:
+    @pytest.mark.parametrize("section,key", [
+        (name, f.name) for name, cls in SETTINGS.items() for f in fields(cls)])
+    def test_same_text_gives_same_value_or_error(self, section, key):
+        def from_ini():
+            cfg = parse_config(f"[{section}]\n{key} = {text}\n")
+            return getattr(getattr(cfg, section), key)
+
+        def from_grid():
+            scenario = Scenario("grid", RunConfig(), [], reps=1)
+            scenario.override_grid(f"{section}.{key}", [text])
+            cfg = scenario.config_for(scenario.points()[0])
+            return getattr(getattr(cfg, section), key)
+
+        for text in TOKENS:
+            assert outcome(from_ini) == outcome(from_grid), text
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+optional_finite = st.none() | finite
+contention_windows = st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted)
+
+
+def per_table(thresholds):
+    return ", ".join(f"{rate}:{db!r}" for rate, db in zip(MCS_RATES, sorted(thresholds)))
+
+
+def wifi_settings(windows, **kwargs):
+    cw_min, cw_max = (2 ** k - 1 for k in windows)
+    return WifiSettings(cw_min=cw_min, cw_max=cw_max, **kwargs)
+
+
+valid_configs = st.builds(
+    RunConfig,
+    seed=st.integers(-2 ** 63, 2 ** 63),
+    duration_s=positive,
+    lte=st.builds(LteSettings, duty=st.floats(0.0, 1.0), mean_period_ms=positive,
+                  silent_spread=st.floats(0.0, 1.0, exclude_max=True),
+                  frame_align_ms=st.integers(1, 1000), n_prb=st.sampled_from(PRB_CHOICES),
+                  center_offset_mhz=finite, tx_power_dbm=finite),
+    wifi=st.builds(wifi_settings, contention_windows,
+                   mcs_mbps=st.sampled_from(MCS_RATES), tx_power_dbm=finite,
+                   payload_bytes=st.integers(1, 10_000),
+                   cca_profile=st.sampled_from(sorted(CCA_PRESETS)),
+                   cca_ed_threshold_dbm=optional_finite,
+                   cca_measure_band=st.sampled_from([None, "full20", "primary10"]),
+                   cca_mid_packet_abort=st.sampled_from([None, False, True]),
+                   slot_us=st.integers(1, 100), sifs_us=st.integers(0, 100),
+                   retry_limit=st.integers(0, 20), preamble_us=st.integers(0, 100),
+                   ack_bytes=st.integers(0, 100), control_rate_mbps=st.sampled_from(MCS_RATES),
+                   mac_overhead_bytes=st.integers(0, 100)),
+    radio=st.builds(RadioSettings, freq_ghz=positive, wifi_bandwidth_mhz=positive,
+                    noise_figure_db=finite, antenna_gain_dbi=finite,
+                    dist_lte_to_wifi_tx_m=positive, dist_lte_to_wifi_rx_m=positive,
+                    dist_wifi_tx_to_rx_m=positive, gain_lte_to_wifi_tx_db=optional_finite,
+                    gain_lte_to_wifi_rx_db=optional_finite, gain_wifi_link_db=optional_finite,
+                    oob_floor_dbc=st.floats(max_value=0.0, allow_infinity=False),
+                    soft_slope_k=st.floats(min_value=0.0, allow_infinity=False),
+                    per_thresholds=st.just("") | st.lists(
+                        finite, min_size=8, max_size=8, unique=True).map(per_table)),
+)
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+invalid_values = st.one_of(
+    st.tuples(st.just(LteSettings), st.just("duty"),
+              non_finite | st.floats(max_value=-1e-9) | st.floats(min_value=1.000001)),
+    st.tuples(st.just(LteSettings), st.just("mean_period_ms"),
+              non_finite | st.floats(max_value=0.0)),
+    st.tuples(st.just(LteSettings), st.just("silent_spread"),
+              non_finite | st.floats(max_value=-1e-9) | st.floats(min_value=1.0)),
+    st.tuples(st.just(LteSettings), st.just("frame_align_ms"), st.integers(max_value=0)),
+    st.tuples(st.just(LteSettings), st.just("n_prb"),
+              st.integers().filter(lambda n: n not in PRB_CHOICES)),
+    st.tuples(st.just(LteSettings), st.sampled_from(
+        ["center_offset_mhz", "tx_power_dbm"]), non_finite),
+    st.tuples(st.just(WifiSettings), st.just("mcs_mbps"),
+              st.integers().filter(lambda n: n not in MCS_RATES)),
+    st.tuples(st.just(WifiSettings), st.sampled_from(
+        ["tx_power_dbm", "cca_ed_threshold_dbm"]), non_finite),
+    st.tuples(st.just(WifiSettings), st.sampled_from(["payload_bytes", "slot_us"]),
+              st.integers(max_value=0)),
+    st.tuples(st.just(WifiSettings), st.sampled_from(
+        ["sifs_us", "preamble_us", "ack_bytes", "mac_overhead_bytes"]),
+        st.integers(max_value=-1)),
+    st.tuples(st.just(WifiSettings), st.sampled_from(["cw_min", "cw_max"]),
+              st.integers(max_value=14).filter(lambda cw: cw < 0 or cw & (cw + 1))),
+    st.tuples(st.just(WifiSettings), st.just("cw_max"), st.sampled_from([0, 1, 3, 7])),
+    st.tuples(st.just(WifiSettings), st.just("cca_profile"),
+              st.text().filter(lambda t: t not in CCA_PRESETS)),
+    st.tuples(st.just(WifiSettings), st.just("cca_measure_band"),
+              st.text(min_size=1).filter(lambda t: t not in ("full20", "primary10"))),
+    st.tuples(st.just(RadioSettings), st.sampled_from(
+        ["freq_ghz", "wifi_bandwidth_mhz", "dist_lte_to_wifi_tx_m",
+         "dist_lte_to_wifi_rx_m", "dist_wifi_tx_to_rx_m"]),
+        non_finite | st.floats(max_value=0.0)),
+    st.tuples(st.just(RadioSettings), st.sampled_from(
+        ["noise_figure_db", "antenna_gain_dbi", "gain_lte_to_wifi_tx_db",
+         "gain_lte_to_wifi_rx_db", "gain_wifi_link_db"]), non_finite),
+    st.tuples(st.just(RadioSettings), st.just("oob_floor_dbc"),
+              non_finite | st.floats(min_value=1e-9)),
+    st.tuples(st.just(RadioSettings), st.just("soft_slope_k"),
+              non_finite | st.floats(max_value=-1e-9)),
+    st.tuples(st.just(RadioSettings), st.just("per_thresholds"), st.sampled_from(
+        ["6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30"])),
+    st.tuples(st.just(RunConfig), st.just("duration_s"),
+              non_finite | st.floats(max_value=4e-10)),
+)
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(valid_configs)
+    def test_serialized_config_parses_back_to_itself(self, cfg):
+        radio = cfg.radio
+        for dist_key, gain_key in (("dist_lte_to_wifi_tx_m", "gain_lte_to_wifi_tx_db"),
+                                   ("dist_lte_to_wifi_rx_m", "gain_lte_to_wifi_rx_db"),
+                                   ("dist_wifi_tx_to_rx_m", "gain_wifi_link_db")):
+            if getattr(radio, gain_key) is not None:  # the gain supersedes the distance
+                radio = dataclasses.replace(
+                    radio, **{dist_key: getattr(RadioSettings(), dist_key)})
+        assert parse_config(serialize_config(cfg)) == dataclasses.replace(cfg, radio=radio)
+
+    @settings(max_examples=500, deadline=None)
+    @given(invalid_values)
+    def test_out_of_range_value_is_a_config_error_naming_its_key(self, case):
+        cls, key, value = case
+        with pytest.raises(ConfigError, match=key):
+            cls(**{key: value})

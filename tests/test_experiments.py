@@ -55,9 +55,9 @@ class TestSetPath:
         assert cfg.lte.n_prb == 50
 
     def test_unresolvable_path_rejected(self):
-        with pytest.raises(SweepError):
+        with pytest.raises(ConfigError):
             set_path(RunConfig(), "lte.nonsense", 1)
-        with pytest.raises(SweepError):
+        with pytest.raises(ConfigError):
             set_path(RunConfig(), "nowhere.duty", 1)
 
 

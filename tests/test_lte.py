@@ -3,27 +3,27 @@ import dataclasses
 import numpy as np
 import pytest
 
+from coexsim.config import LteSettings
 from coexsim.engine import NS_PER_MS, NS_PER_S, Engine
-from coexsim.lte import (DutyCycleConfig, LtePhyConfig, draw_silent_duration_ns,
-                         occupied_band, on_duration_ns)
+from coexsim.lte import draw_silent_duration_ns, occupied_band, on_duration_ns
 
 from conftest import make_cfg, run_sim
 
 
 class TestOnDuration:
     def test_half_duty_150ms_period(self):
-        assert on_duration_ns(DutyCycleConfig(duty=0.5)) == 75 * NS_PER_MS
+        assert on_duration_ns(LteSettings(duty=0.5)) == 75 * NS_PER_MS
 
     def test_zero_duty_never_transmits(self):
-        assert on_duration_ns(DutyCycleConfig(duty=0.0)) == 0
+        assert on_duration_ns(LteSettings(duty=0.0)) == 0
 
     def test_full_duty_is_whole_period(self):
-        assert on_duration_ns(DutyCycleConfig(duty=1.0)) == 150 * NS_PER_MS
+        assert on_duration_ns(LteSettings(duty=1.0)) == 150 * NS_PER_MS
 
 
 class TestSilentDraw:
     def test_bounds_and_mean_at_half_duty(self):
-        cfg = DutyCycleConfig(duty=0.5, silent_spread=0.5)
+        cfg = LteSettings(duty=0.5, silent_spread=0.5)
         rng = Engine(seed=2).rng_stream("lte-silent")
         draws = np.array([draw_silent_duration_ns(cfg, rng) for _ in range(100_000)])
         # Uniform on [37.5, 112.5] ms before subframe rounding.
@@ -32,13 +32,13 @@ class TestSilentDraw:
         assert abs(draws.mean() / NS_PER_MS - 75.0) < 0.75  # within 1%
 
     def test_zero_spread_is_degenerate(self):
-        cfg = DutyCycleConfig(duty=0.5, silent_spread=0.0)
+        cfg = LteSettings(duty=0.5, silent_spread=0.0)
         rng = Engine(seed=2).rng_stream("lte-silent")
         assert all(draw_silent_duration_ns(cfg, rng) == 75 * NS_PER_MS
                    for _ in range(100))
 
     def test_high_duty_short_silences(self):
-        cfg = DutyCycleConfig(duty=0.9)  # mean off 15 ms, draws in [7.5, 22.5]
+        cfg = LteSettings(duty=0.9)  # mean off 15 ms, draws in [7.5, 22.5]
         rng = Engine(seed=2).rng_stream("lte-silent")
         draws = [draw_silent_duration_ns(cfg, rng) for _ in range(10_000)]
         assert min(draws) >= 7 * NS_PER_MS
@@ -47,31 +47,31 @@ class TestSilentDraw:
     def test_full_duty_has_no_silent_period(self):
         rng = Engine(seed=2).rng_stream("lte-silent")
         with pytest.raises(ValueError):
-            draw_silent_duration_ns(DutyCycleConfig(duty=1.0), rng)
+            draw_silent_duration_ns(LteSettings(duty=1.0), rng)
 
     def test_minimum_one_subframe(self):
-        cfg = DutyCycleConfig(duty=0.995, silent_spread=0.9)
+        cfg = LteSettings(duty=0.995, silent_spread=0.9)
         rng = Engine(seed=2).rng_stream("lte-silent")
         assert min(draw_silent_duration_ns(cfg, rng) for _ in range(1000)) >= NS_PER_MS
 
 
 class TestOccupiedBand:
     def test_100_prb_is_18_mhz(self):
-        band = occupied_band(LtePhyConfig(n_prb=100, center_offset_mhz=0.0))
+        band = occupied_band(LteSettings(n_prb=100, center_offset_mhz=0.0))
         assert band.width_mhz == pytest.approx(18.0)
         assert band.center_mhz == 0.0
 
     def test_6_prb_is_1_08_mhz(self):
-        assert occupied_band(LtePhyConfig(n_prb=6)).width_mhz == pytest.approx(1.08)
+        assert occupied_band(LteSettings(n_prb=6)).width_mhz == pytest.approx(1.08)
 
     def test_offset_band_edges(self):
-        band = occupied_band(LtePhyConfig(n_prb=100, center_offset_mhz=20.0))
+        band = occupied_band(LteSettings(n_prb=100, center_offset_mhz=20.0))
         assert band.low_mhz == pytest.approx(11.0)
         assert band.high_mhz == pytest.approx(29.0)
 
     def test_prb_outside_channelization_set_rejected(self):
         with pytest.raises(ValueError):
-            LtePhyConfig(n_prb=40)
+            LteSettings(n_prb=40)
 
 
 def lte_on_time_ns(transitions, t_end):
@@ -136,8 +136,8 @@ class TestScheduleActivity:
 class TestConfigValidation:
     def test_duty_out_of_range(self):
         with pytest.raises(ValueError):
-            DutyCycleConfig(duty=1.3)
+            LteSettings(duty=1.3)
 
     def test_spread_must_be_below_one(self):
         with pytest.raises(ValueError):
-            DutyCycleConfig(silent_spread=1.0)
+            LteSettings(silent_spread=1.0)

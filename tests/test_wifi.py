@@ -2,16 +2,16 @@ import dataclasses
 
 import pytest
 
+from coexsim.config import WifiSettings
 from coexsim.engine import NS_PER_MS, NS_PER_S, NS_PER_US
 from coexsim.metrics import throughput_mbps
 from coexsim.radio import SpectrumBand
-from coexsim.wifi import (CCA_PRESETS, CcaProfile, DcfParams, ack_airtime_us,
-                          ack_rate_mbps, analytic_goodput_mbps, cca_busy,
-                          frame_airtime_us)
+from coexsim.wifi import (CCA_PRESETS, CcaProfile, ack_airtime_us, ack_rate_mbps,
+                          analytic_goodput_mbps, cca_busy, frame_airtime_us)
 
 from conftest import make_cfg, run_sim
 
-PARAMS = DcfParams()
+PARAMS = WifiSettings()
 
 
 class TestAirtime:
@@ -39,12 +39,12 @@ class TestAirtime:
 
 class TestDcfParams:
     def test_difs_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            DcfParams(difs_us=40)
+        params = WifiSettings(sifs_us=10, slot_us=20)
+        assert params.difs_us == params.sifs_us + 2 * params.slot_us
 
     def test_cw_must_be_power_of_two_minus_one(self):
         with pytest.raises(ValueError):
-            DcfParams(cw_min=16, cw_max=1023)
+            WifiSettings(cw_min=16, cw_max=1023)
 
 
 class TestCcaBusy:
