@@ -34,11 +34,25 @@ def _invalid(section: str, key: str, rule: str, value) -> ConfigError:
     return ConfigError(f"{section}.{key} must {rule}, got {value!r}")
 
 
-def _require_finite(settings, section: str) -> None:
+# Bounds that keep every link budget finite: each value in dB (a key ending
+# in _db, _dbi, _dbc or _dbm, or a PER threshold) lies within +-DB_LIMIT, and
+# each distance, frequency and bandwidth within MAGNITUDE_RANGE of its unit.
+# Received powers, noise floors and SINRs then stay within about +-2,600 dB,
+# far inside the range where 10 ** (dB / 10) is a finite, nonzero float.
+DB_LIMIT = 300.0
+MAGNITUDE_RANGE = (1e-9, 1e9)
+
+
+def _check_floats(settings, section: str) -> None:
+    """Every float key finite, and every dB key within +-DB_LIMIT."""
     for key in _FLOAT_KEYS[section]:
         value = getattr(settings, key)
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        if not math.isfinite(value):
             raise _invalid(section, key, "be finite", value)
+        if key in _DB_KEYS[section] and abs(value) > DB_LIMIT:
+            raise _invalid(section, key, f"be within +-{DB_LIMIT:g} dB", value)
 
 
 @dataclass(frozen=True)
@@ -58,7 +72,7 @@ class LteSettings:
     tx_power_dbm: float = 12.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "lte")
+        _check_floats(self, "lte")
         if not 0.0 <= self.duty <= 1.0:
             raise _invalid("lte", "duty", "be in [0, 1]", self.duty)
         if self.mean_period_ms <= 0:
@@ -94,7 +108,7 @@ class WifiSettings:
     mac_overhead_bytes: int = 36
 
     def __post_init__(self) -> None:
-        _require_finite(self, "wifi")
+        _check_floats(self, "wifi")
         if self.mcs_mbps not in BITS_PER_SYMBOL:
             raise _invalid("wifi", "mcs_mbps", f"be one of {MCS_RATES}", self.mcs_mbps)
         if self.payload_bytes <= 0:
@@ -159,11 +173,13 @@ class RadioSettings:
     per_thresholds: str = ""  # e.g. "6:5, 9:6"; empty keeps the defaults
 
     def __post_init__(self) -> None:
-        _require_finite(self, "radio")
+        _check_floats(self, "radio")
+        low, high = MAGNITUDE_RANGE
         for key in ("freq_ghz", "wifi_bandwidth_mhz", "dist_lte_to_wifi_tx_m",
                     "dist_lte_to_wifi_rx_m", "dist_wifi_tx_to_rx_m"):
-            if getattr(self, key) <= 0:
-                raise _invalid("radio", key, "be positive", getattr(self, key))
+            if not low <= getattr(self, key) <= high:
+                raise _invalid("radio", key, f"be in [{low:g}, {high:g}]",
+                               getattr(self, key))
         if self.oob_floor_dbc > 0:
             raise _invalid("radio", "oob_floor_dbc", "be <= 0", self.oob_floor_dbc)
         if self.soft_slope_k < 0:
@@ -177,9 +193,9 @@ class RadioSettings:
                 except ValueError as exc:
                     raise ConfigError(
                         f"radio.per_thresholds: bad entry {pair.strip()!r}") from exc
-        if not all(map(math.isfinite, thresholds.values())):
-            raise _invalid("radio", "per_thresholds", "give finite thresholds",
-                           self.per_thresholds)
+        if not all(abs(db) <= DB_LIMIT for db in thresholds.values()):
+            raise _invalid("radio", "per_thresholds",
+                           f"give thresholds within +-{DB_LIMIT:g} dB", self.per_thresholds)
         try:
             model = PerModel(thresholds, self.soft_slope_k, self.oob_floor_dbc)
         except ValueError as exc:
@@ -237,6 +253,9 @@ def _scalar_types(cls) -> dict[str, type]:
 _KEY_TYPES = {name: _scalar_types(cls) for name, cls in _SECTIONS.items()}
 _FLOAT_KEYS = {name: tuple(k for k, t in types.items() if t is float)
                for name, types in _KEY_TYPES.items()}
+_DB_KEYS = {name: tuple(k for k in keys
+                        if k.rpartition("_")[2] in ("db", "dbi", "dbc", "dbm"))
+            for name, keys in _FLOAT_KEYS.items()}
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
           "false": False, "no": False, "off": False, "0": False}
 

@@ -153,20 +153,16 @@ def sinr_db(signal_dbm: float, interferers: list[tuple[float, float]],
     return dbm(mw(signal_dbm) / denominator_mw)
 
 
-def packet_outcome(mcs_mbps: int, trace: SinrTrace, model: PerModel,
-                   rng: np.random.Generator | None) -> bool:
-    """True iff the packet decodes.
+def success_probability(mcs_mbps: int, trace: SinrTrace, model: PerModel) -> float | None:
+    """Soft-rule probability that the packet decodes; None if it surely fails.
 
-    Hard rule (soft_slope_k = 0): success iff the minimum SINR over the trace
-    clears the MCS threshold.  Soft rule: each constant-SINR segment decodes
-    independently per started millisecond with probability
-    sigmoid(k * (sinr - threshold)); the packet succeeds iff all segments do.
-    Deterministic given the rng stream, which only the soft rule draws from
-    (the hard rule accepts None).
+    Each constant-SINR segment decodes independently with probability
+    sigmoid(k * (sinr - threshold)) ** ms, where ms is the segment's length in
+    milliseconds, fractional (a 0.25 ms segment takes the 0.25th power); the
+    packet succeeds iff all segments do.  None means some segment's sigmoid
+    is 0, so the packet fails with no draw.
     """
     threshold = model.threshold_db(mcs_mbps)
-    if model.soft_slope_k == 0.0:
-        return trace.min_sinr_db() >= threshold
     log_p = 0.0
     for t0, t1, sinr in trace.segments:
         try:
@@ -174,6 +170,22 @@ def packet_outcome(mcs_mbps: int, trace: SinrTrace, model: PerModel,
         except OverflowError:  # the sigmoid is below the smallest float
             p = 0.0
         if p <= 0.0:
-            return False
+            return None
         log_p += ((t1 - t0) / 1e6) * math.log(p)
-    return float(rng.uniform()) < math.exp(log_p)
+    return math.exp(log_p)
+
+
+def packet_outcome(mcs_mbps: int, trace: SinrTrace, model: PerModel,
+                   rng: np.random.Generator | None) -> bool:
+    """True iff the packet decodes.
+
+    Hard rule (soft_slope_k = 0): success iff the minimum SINR over the trace
+    clears the MCS threshold.  Soft rule: one uniform draw against
+    ``success_probability``, none when that is None.  Deterministic given the
+    rng stream, which only the soft rule draws from (the hard rule accepts
+    None).
+    """
+    if model.soft_slope_k == 0.0:
+        return trace.min_sinr_db() >= model.threshold_db(mcs_mbps)
+    p = success_probability(mcs_mbps, trace, model)
+    return p is not None and float(rng.uniform()) < p

@@ -7,6 +7,7 @@ carrier sensing (profile-dependent) and through SINR at decode time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -14,7 +15,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .engine import NS_PER_US, Engine
-from .radio import PerModel, SpectrumBand, overlap_fraction, packet_outcome
+from .radio import (PerModel, SpectrumBand, overlap_fraction, packet_outcome,
+                    success_probability)
 
 if TYPE_CHECKING:
     from .config import WifiSettings
@@ -27,6 +29,10 @@ SERVICE_TAIL_BITS = 16 + 6
 # Most DCF cycles one vectorised step covers; bounds the arrays it builds and
 # the draws it rewinds when the chunk overshoots the medium's next change.
 FAST_FORWARD_CHUNK = 4096
+# The trace lines a stepped cycle can write, in time order: DIFS end, backoff
+# end (when k > 0), data end, ACK end (when the data decoded), and the cycle's
+# end after a failure (ACK timeout, or the resume after an undecoded ACK).
+CYCLE_LINE_KINDS = ("difs-end", "backoff-slot", "tx-end", "ack-result", "cca-sample")
 
 
 @dataclass(frozen=True)
@@ -132,12 +138,13 @@ class DcfStation:
     while the medium is busy, binary exponential backoff on failure, drop and
     reset after retry_limit consecutive failures.
 
-    Untraced runs under the hard PER rule fast-forward: each contention that
-    starts on an idle medium first advances, in one vectorised step, every
+    Every run fast-forwards: each contention that starts on an idle medium
+    without a residual backoff first advances, in one vectorised step, every
     whole cycle that ends before the medium next changes (see
-    ``_skip_whole_cycles``).  Counters, intervals and RNG streams end exactly
-    where the event path leaves them; the cycle that crosses the change, and
-    traced or soft-PER runs throughout, stay on events.
+    ``_skip_whole_cycles``).  Counters, intervals, RNG streams and trace
+    lines end exactly where the event path leaves them; only the cycle that
+    crosses a change and the cycles that resume a frozen backoff stay on
+    events.
     """
 
     name = "wifi-tx"
@@ -164,13 +171,17 @@ class DcfStation:
                                             params) * NS_PER_US
         self.ack_air_ns = ack_airtime_us(self.mcs_mbps, params) * NS_PER_US
         self.ack_rate = ack_rate_mbps(self.mcs_mbps, params)
-        # A trace needs one line per event and soft PER one draw per packet.
-        self._fast_forward = engine.trace is None and per_model.soft_slope_k == 0.0
         # cw after j consecutive failures; cw is always _cw_ladder[min(j, top)].
         ladder = [params.cw_min]
         while ladder[-1] < params.cw_max:
             ladder.append(min(2 * (ladder[-1] + 1) - 1, params.cw_max))
         self._cw_ladder = np.array(ladder, dtype=np.int64)
+        # Step inputs: the cycle outcomes of each LTE state, and a cycle's
+        # data frame and ACK as offsets from the data frame's start.
+        self._outcomes: dict[bool, tuple] = {}
+        ack_start_ns = self.data_air_ns + self.sifs_ns
+        self._emission_offsets = np.array([0, self.data_air_ns, ack_start_ns,
+                                           ack_start_ns + self.ack_air_ns])
 
         self.state = "blocked"
         self.cw = params.cw_min
@@ -200,13 +211,9 @@ class DcfStation:
             self.state = "blocked"
             return
         now = self.engine.now
-        resume = (self._skip_whole_cycles(now)
-                  if self._fast_forward and self.pending_k is None else now)
-        if resume > now:
-            self._event = self.engine.schedule(resume, "cca-sample", self.name,
-                                               self._start_difs)
-        else:
-            self._start_difs()
+        if self.pending_k is None and self._skip_whole_cycles(now) > now:
+            return  # the step scheduled the next contention
+        self._start_difs()
 
     def _start_difs(self) -> None:
         self.state = "difs"
@@ -306,79 +313,185 @@ class DcfStation:
         A cycle is DIFS, backoff, data, SIFS, then the ACK, plus one slot
         (ACK timeout, or the resume after an undecoded ACK) if it failed.
         Until the next LTE transition or the run end the SINR at both ends is
-        constant, so under the hard PER rule every cycle has the same outcome
-        and the cycles differ only in their backoff draws.  Those come from
-        one ``integers`` call over the cycles' windows, which consumes the
-        stream exactly as the per-cycle scalar draws do: draw a chunk, count
-        the cycles that fit, then rewind and draw exactly that many.  Returns
-        the time the first cycle left to the event path begins.
+        constant.  Under the hard PER rule, or when the data cannot decode,
+        every cycle then has the same outcome and the cycles differ only in
+        their backoff draws.  Otherwise each cycle draws its data outcome and,
+        if the data decoded, its ACK outcome against fixed odds.  Draws come
+        from one ``integers`` call over the cycles' windows and one
+        ``uniform`` call, which consume the streams exactly as the per-cycle
+        scalar draws do: draw a chunk, count the cycles that fit, then rewind
+        and draw exactly what they used.  A traced run gets the lines the
+        events would have written.  If it advanced, the step schedules the
+        next contention under the kind of the last cycle's last line, which
+        that event then traces.  Returns the time that contention begins.
         """
+        start = now
         horizon = self.channel.quiet_until()
-        base_ns = self.difs_ns + self.data_air_ns + self.sifs_ns + self.ack_air_ns
+        tail_ns = self.data_air_ns + self.sifs_ns + self.ack_air_ns  # tx start to ACK end
+        base_ns = self.difs_ns + tail_ns
         if now + base_ns >= horizon:
             return now
-        probe = (now, now + 1)  # any window before the horizon sees the same SINR
-        data_ok = packet_outcome(self.mcs_mbps, self.channel.sinr_trace_at_rx(*probe),
-                                 self.per_model, self.decode_rng)
-        ack_ok = data_ok and packet_outcome(self.ack_rate,
-                                            self.channel.sinr_trace_at_tx(*probe),
-                                            self.per_model, self.decode_rng)
-        cycle_ns = base_ns if ack_ok else base_ns + self.slot_ns
-        if data_ok:
-            emissions = np.array([0, self.data_air_ns, self.data_air_ns + self.sifs_ns,
-                                  self.data_air_ns + self.sifs_ns + self.ack_air_ns])
-        else:
-            emissions = np.array([0, self.data_air_ns])
+        # The medium's SINRs depend on the LTE state alone.
+        outcomes = self._outcomes.get(self.channel.lte_on)
+        if outcomes is None:
+            outcomes = self._outcomes[self.channel.lte_on] = self._cycle_outcomes(now)
+        data_ok, ack_ok, odds = outcomes
+        shortest_ns = base_ns if ack_ok or odds else base_ns + self.slot_ns
         top = len(self._cw_ladder) - 1
+        retry_limit = self.params.retry_limit
+        trace = self.engine.trace
         while True:
-            m = min((horizon - 1 - now) // cycle_ns, FAST_FORWARD_CHUNK)
+            m = min((horizon - 1 - now) // shortest_ns, FAST_FORWARD_CHUNK)
             if m == 0:
-                return now
-            # Consecutive failures before each cycle: one success resets them,
-            # a failure counts up and a drop at retry_limit wraps them to 0.
-            if ack_ok:
-                failures_before = np.zeros(m, dtype=np.int64)
-                failures_before[0] = self.consecutive_failures
+                break
+            if odds is None:  # every cycle ends alike: one flag stands for all
+                data, ok, failed = data_ok, ack_ok, not ack_ok
+                # Consecutive failures before each cycle: one success resets
+                # them, a failure counts up and a drop at retry_limit wraps
+                # them to 0.
+                if ack_ok:
+                    failures_before = np.zeros(m, dtype=np.int64)
+                    failures_before[0] = self.consecutive_failures
+                else:
+                    failures_before = ((self.consecutive_failures + np.arange(m))
+                                       % max(retry_limit, 1))
             else:
-                failures_before = ((self.consecutive_failures + np.arange(m))
-                                   % max(self.params.retry_limit, 1))
+                decode_saved = self.decode_rng.bit_generator.state
+                data, ok, failures_before, used = self._drawn_outcomes(m, *odds)
+                failed = ~ok
             cws = self._cw_ladder[np.minimum(failures_before, top)]
             saved = self.rng.bit_generator.state
             ks = self.rng.integers(0, cws + 1)
-            ends = now + np.cumsum(cycle_ns + ks * self.slot_ns)
+            ends = now + np.cumsum(ks * self.slot_ns + (base_ns + failed * self.slot_ns))
             n = int(np.searchsorted(ends, horizon))  # cycles ending before it
+            if odds is not None:
+                self.decode_rng.bit_generator.state = decode_saved
+                if n:
+                    self.decode_rng.uniform(size=int(used[n - 1]))
             if n < m:
                 self.rng.bit_generator.state = saved
                 if n == 0:
-                    return now
+                    break
                 ks = self.rng.integers(0, cws[:n] + 1)
-                ends, failures_before = ends[:n], failures_before[:n]
+                failures_before, ends = failures_before[:n], ends[:n]
+                if odds is not None:
+                    data, ok, failed = data[:n], ok[:n], failed[:n]
+            if odds is None:
+                delivered, undecoded = n * ack_ok, n * (not data_ok)
+                last_ok, last_data = ack_ok, data_ok
+            else:
+                delivered = int(np.count_nonzero(ok))
+                undecoded = n - int(np.count_nonzero(data))
+                last_ok, last_data = bool(ok[-1]), bool(data[-1])
 
-            # Each cycle ends a fixed time after its data frame starts.
-            tx_start = ends - (cycle_ns - self.difs_ns)
-            self.acc.add_wifi_block((tx_start[:, None] + emissions).reshape(-1, 2))
+            tx_start = ends - (tail_ns + failed * self.slot_ns)
+            emissions = (tx_start[:, None] + self._emission_offsets).reshape(-1, 2)
+            if undecoded:  # a data frame that did not decode gets no ACK
+                keep = np.ones((n, 2), dtype=bool)
+                keep[:, 1] = data
+                emissions = emissions[keep.ravel()]
+            self.acc.add_wifi_block(emissions)
+            if trace is not None:
+                self._trace_cycles(trace, ends, tx_start, ks,
+                                   np.broadcast_to(data, n), np.broadcast_to(ok, n))
+            if delivered < n:
+                dropped = failed & (failures_before + 1 >= retry_limit)
+                self.acc.drops += int(np.count_nonzero(dropped))
             self.acc.attempts += n
+            self.acc.delivered_payload_bytes += delivered * self.payload_bytes
+            self.acc.failures += n - delivered
             self.difs_completed += n
             self.backoff_slots_elapsed += int(ks.sum())
+            self.data_decode_failures += undecoded
+            self.ack_decode_failures += n - delivered - undecoded
             if self.draw_log is not None:
                 self.draw_log.extend(ks.tolist())
-            if ack_ok:
-                self.acc.delivered_payload_bytes += n * self.payload_bytes
-                self.consecutive_failures = 0
-            else:
-                if data_ok:
-                    self.ack_decode_failures += n
-                else:
-                    self.data_decode_failures += n
-                dropped = failures_before + 1 >= self.params.retry_limit
-                self.acc.failures += n
-                self.acc.drops += int(dropped.sum())
-                self.consecutive_failures = (0 if dropped[-1]
-                                             else int(failures_before[-1]) + 1)
+            failures = int(failures_before[-1]) + 1
+            self.consecutive_failures = (0 if last_ok or failures >= retry_limit
+                                         else failures)
             self.cw = int(self._cw_ladder[min(self.consecutive_failures, top)])
             now = int(ends[-1])
+            last_kind = ("ack-result" if last_ok else
+                         "cca-sample" if last_data else "ack-timeout")
             if n < m:
-                return now
+                break
+        if now > start:
+            if trace is not None:
+                trace.pop()  # the resume event writes this line itself
+            self._event = self.engine.schedule(now, last_kind, self.name,
+                                               self._start_difs)
+        return now
+
+    def _cycle_outcomes(self, now: int):
+        """(data decoded, ACK decoded, odds) of cycles from ``now`` on.
+
+        This holds for every cycle that ends before the medium next changes.
+        ``odds`` is None when those cycles all end alike (the hard PER rule,
+        or data that cannot decode); otherwise it is the soft rule's
+        (p_data, p_ack) to draw against, and the two flags are unused.  Any
+        window before the change sees the same SINR; the soft rule also
+        reads the window's length.
+        """
+        data_trace = self.channel.sinr_trace_at_rx(now, now + self.data_air_ns)
+        ack_trace = self.channel.sinr_trace_at_tx(now, now + self.ack_air_ns)
+        if self.decode_rng is None:
+            data_ok = packet_outcome(self.mcs_mbps, data_trace, self.per_model, None)
+            return data_ok, data_ok and packet_outcome(self.ack_rate, ack_trace,
+                                                       self.per_model, None), None
+        p_data = success_probability(self.mcs_mbps, data_trace, self.per_model)
+        odds = (None if p_data is None else
+                (p_data, success_probability(self.ack_rate, ack_trace, self.per_model)))
+        return False, False, odds
+
+    def _drawn_outcomes(self, m: int, p_data: float, p_ack: float | None):
+        """Outcomes of the next ``m`` cycles from one chunk of decode draws.
+
+        Each cycle takes a data draw, then an ACK draw if the data decoded
+        and the ACK can (``p_ack`` is None when it surely fails).  Returns
+        per-cycle arrays: data decoded, ACK decoded, consecutive failures
+        before the cycle, and decode draws used through the cycle.
+        """
+        draws = self.decode_rng.uniform(size=2 * m)
+        # A draw starts a cycle unless the cycle before took it for its ACK,
+        # so across a run of draws that would each take an ACK draw after
+        # them, cycle starts alternate: a draw starts a cycle iff an even
+        # number of such draws directly precede it.
+        takes_two = (draws < p_data) if p_ack is not None else np.zeros(2 * m, bool)
+        at = np.arange(2 * m)
+        last_single = np.maximum.accumulate(np.where(takes_two, -1, at))
+        preceding = at - 1 - np.concatenate(([-1], last_single[:-1]))
+        starts = np.flatnonzero(preceding % 2 == 0)[:m]
+        data = draws[starts] < p_data
+        ok = np.zeros(m, dtype=bool)
+        if p_ack is not None:
+            ok[data] = draws[starts[data] + 1] < p_ack
+        # A success resets the failure count and a failure counts up,
+        # wrapping to 0 at retry_limit (the drop): the count is the cycles
+        # since the last success, or since the step began, modulo the limit.
+        i = at[:m]
+        last_ok = np.maximum.accumulate(np.where(ok, i, -1))
+        previous = np.concatenate(([-1], last_ok[:-1]))
+        counted = np.where(previous < 0, self.consecutive_failures + i, i - previous - 1)
+        return (data, ok, counted % max(self.params.retry_limit, 1),
+                starts + 1 + (data & (p_ack is not None)))
+
+    def _trace_cycles(self, trace, ends, tx_start, ks, data, ok) -> None:
+        """Append the trace lines the event path writes for these cycles."""
+        n = len(ends)
+        data_end, ack_end = self._emission_offsets[[1, 3]]
+        times = np.column_stack([tx_start - ks * self.slot_ns, tx_start,
+                                 tx_start + data_end, tx_start + ack_end, ends])
+        kinds = np.empty((n, 5), dtype=object)
+        kinds[:] = CYCLE_LINE_KINDS
+        kinds[~data, 4] = "ack-timeout"
+        details = np.full((n, 5), "", dtype=object)
+        details[:, 1] = [f"k={k}" for k in ks.tolist()]
+        always = np.ones(n, dtype=bool)
+        written = np.column_stack([always, ks > 0, always, data, ~ok]).ravel()
+        trace.extend(zip(times.ravel()[written].tolist(),
+                         kinds.ravel()[written].tolist(),
+                         itertools.repeat(self.name),
+                         details.ravel()[written].tolist()))
 
     # -- carrier-sense callbacks from the channel ----------------------------
 

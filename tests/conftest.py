@@ -8,11 +8,13 @@ from coexsim.simulation import Simulation
 
 def make_cfg(duty=0.5, lte_power=12.0, mcs=54, wifi_power=17.0, prb=100,
              offset=0.0, profile="vendor-A", duration=10.0,
-             mean_period_ms=150.0, silent_spread=0.5, **wifi_extra) -> RunConfig:
+             mean_period_ms=150.0, silent_spread=0.5, soft_slope_k=0.0,
+             **wifi_extra) -> RunConfig:
     base = RunConfig()
     return dataclasses.replace(
         base,
         duration_s=duration,
+        radio=dataclasses.replace(base.radio, soft_slope_k=soft_slope_k),
         lte=dataclasses.replace(base.lte, duty=duty, tx_power_dbm=lte_power,
                                 n_prb=prb, center_offset_mhz=offset,
                                 mean_period_ms=mean_period_ms,

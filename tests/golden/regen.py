@@ -2,9 +2,12 @@
 
 The files next to this script are the CSV and summary of each of the four
 sweeps on a reduced grid (2 reps, 0.5 s runs, 2-3 values per axis, both MCS
-values and both CCA profiles kept), plus one default ``coexsim run`` at 0.5 s
-with its event trace.  ``tests/test_golden.py`` regenerates them into a
-temporary directory and compares them byte for byte.
+values and both CCA profiles kept), plus ``coexsim run`` at 0.5 s with its
+event trace: the default config, and two soft-PER configs read from an INI
+file (vendor-B, which defers to the low-power LTE, and vendor-A, which does
+not and sends packets that decode under LTE only by chance).
+``tests/test_golden.py`` regenerates them into a temporary directory and
+compares them byte for byte.
 
 Rewrite them only on purpose, when a change is meant to alter the outputs,
 and record that in CHANGES.md.  From the repository root:
@@ -15,6 +18,7 @@ and record that in CHANGES.md.  From the repository root:
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 from coexsim.cli import main
@@ -31,13 +35,29 @@ SWEEP_GRIDS = {
 RUN_ARGS = ["--duration", "0.5"]
 RUN_CSV = "run.csv"
 RUN_TRACE = "run.trace"
+SOFT_INI = """\
+[lte]
+n_prb = 50
+tx_power_dbm = -16
+
+[wifi]
+mcs_mbps = 54
+cca_profile = {profile}
+
+[radio]
+soft_slope_k = 2
+"""
+SOFT_RUNS = {"soft-vendor-b": "vendor-B", "soft-vendor-a": "vendor-A"}
 
 
 def golden_names() -> list[str]:
     names = []
     for scenario in SWEEP_GRIDS:
         names += [f"{scenario}.csv", f"{scenario}.summary.csv"]
-    return names + [RUN_CSV, RUN_TRACE]
+    names += [RUN_CSV, RUN_TRACE]
+    for name in SOFT_RUNS:
+        names += [f"{name}.csv", f"{name}.trace"]
+    return names
 
 
 def run_cli(argv: list[str]) -> None:
@@ -55,6 +75,13 @@ def generate(out_dir: Path) -> None:
                  "--summary", str(out_dir / f"{scenario}.summary.csv")])
     run_cli(["run", *RUN_ARGS, "--out", str(out_dir / RUN_CSV),
              "--trace", str(out_dir / RUN_TRACE)])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, profile in SOFT_RUNS.items():
+            ini = Path(tmp) / f"{name}.ini"
+            ini.write_text(SOFT_INI.format(profile=profile))
+            run_cli(["run", "--config", str(ini), *RUN_ARGS,
+                     "--out", str(out_dir / f"{name}.csv"),
+                     "--trace", str(out_dir / f"{name}.trace")])
 
 
 if __name__ == "__main__":

@@ -218,6 +218,11 @@ class TestRunInputErrors:
         (["baseline", "--mcs", "abc"], None, "mcs_mbps"),
         (["run"], "[lte]\ntx_power_dbm = 12%\n", "tx_power_dbm"),
         (["run"], "[lte]\ntx_power_dbm = nan\n", "tx_power_dbm"),
+        # Finite values whose link budget overflowed or took log10 of 0.
+        (["run"], "[lte]\ntx_power_dbm = 1e308\n", "tx_power_dbm"),
+        (["run"], "[radio]\noob_floor_dbc = -4000\n[lte]\ncenter_offset_mhz = 40\n",
+         "oob_floor_dbc"),
+        (["run"], "[radio]\ndist_lte_to_wifi_tx_m = 1e-300\n", "dist_lte_to_wifi_tx_m"),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, ini, needle):
         if ini is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from dataclasses import fields
 
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coexsim.config import (ConfigError, LteSettings, RadioSettings, RunConfig,
-                            WifiSettings, canonical_for_seed, derive_seed, parse_config,
-                            serialize_config)
+from coexsim.config import (DB_LIMIT, MAGNITUDE_RANGE, ConfigError, LteSettings,
+                            RadioSettings, RunConfig, WifiSettings, canonical_for_seed,
+                            derive_seed, parse_config, serialize_config)
+from coexsim.engine import Engine
 from coexsim.experiments import Scenario
 from coexsim.lte import PRB_CHOICES
+from coexsim.metrics import MetricsAccumulator
+from coexsim.simulation import Medium
 from coexsim.wifi import CCA_PRESETS, MCS_RATES
 
 
@@ -191,7 +195,9 @@ class TestGridTokensParseLikeIniValues:
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
-optional_finite = st.none() | finite
+db_value = st.floats(-DB_LIMIT, DB_LIMIT)
+optional_db = st.none() | db_value
+magnitude = st.floats(*MAGNITUDE_RANGE)
 contention_windows = st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted)
 
 
@@ -211,30 +217,34 @@ valid_configs = st.builds(
     lte=st.builds(LteSettings, duty=st.floats(0.0, 1.0), mean_period_ms=positive,
                   silent_spread=st.floats(0.0, 1.0, exclude_max=True),
                   frame_align_ms=st.integers(1, 1000), n_prb=st.sampled_from(PRB_CHOICES),
-                  center_offset_mhz=finite, tx_power_dbm=finite),
+                  center_offset_mhz=finite, tx_power_dbm=db_value),
     wifi=st.builds(wifi_settings, contention_windows,
-                   mcs_mbps=st.sampled_from(MCS_RATES), tx_power_dbm=finite,
+                   mcs_mbps=st.sampled_from(MCS_RATES), tx_power_dbm=db_value,
                    payload_bytes=st.integers(1, 10_000),
                    cca_profile=st.sampled_from(sorted(CCA_PRESETS)),
-                   cca_ed_threshold_dbm=optional_finite,
+                   cca_ed_threshold_dbm=optional_db,
                    cca_measure_band=st.sampled_from([None, "full20", "primary10"]),
                    cca_mid_packet_abort=st.sampled_from([None, False, True]),
                    slot_us=st.integers(1, 100), sifs_us=st.integers(0, 100),
                    retry_limit=st.integers(0, 20), preamble_us=st.integers(0, 100),
                    ack_bytes=st.integers(0, 100), control_rate_mbps=st.sampled_from(MCS_RATES),
                    mac_overhead_bytes=st.integers(0, 100)),
-    radio=st.builds(RadioSettings, freq_ghz=positive, wifi_bandwidth_mhz=positive,
-                    noise_figure_db=finite, antenna_gain_dbi=finite,
-                    dist_lte_to_wifi_tx_m=positive, dist_lte_to_wifi_rx_m=positive,
-                    dist_wifi_tx_to_rx_m=positive, gain_lte_to_wifi_tx_db=optional_finite,
-                    gain_lte_to_wifi_rx_db=optional_finite, gain_wifi_link_db=optional_finite,
-                    oob_floor_dbc=st.floats(max_value=0.0, allow_infinity=False),
+    radio=st.builds(RadioSettings, freq_ghz=magnitude, wifi_bandwidth_mhz=magnitude,
+                    noise_figure_db=db_value, antenna_gain_dbi=db_value,
+                    dist_lte_to_wifi_tx_m=magnitude, dist_lte_to_wifi_rx_m=magnitude,
+                    dist_wifi_tx_to_rx_m=magnitude, gain_lte_to_wifi_tx_db=optional_db,
+                    gain_lte_to_wifi_rx_db=optional_db, gain_wifi_link_db=optional_db,
+                    oob_floor_dbc=st.floats(-DB_LIMIT, 0.0),
                     soft_slope_k=st.floats(min_value=0.0, allow_infinity=False),
                     per_thresholds=st.just("") | st.lists(
-                        finite, min_size=8, max_size=8, unique=True).map(per_table)),
+                        db_value, min_size=8, max_size=8, unique=True).map(per_table)),
 )
 
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+beyond_db_limit = (st.floats(max_value=-DB_LIMIT, exclude_max=True)
+                   | st.floats(min_value=DB_LIMIT, exclude_min=True))
+out_of_magnitude = (st.floats(max_value=MAGNITUDE_RANGE[0], exclude_max=True)
+                    | st.floats(min_value=MAGNITUDE_RANGE[1], exclude_min=True))
 invalid_values = st.one_of(
     st.tuples(st.just(LteSettings), st.just("duty"),
               non_finite | st.floats(max_value=-1e-9) | st.floats(min_value=1.000001)),
@@ -247,10 +257,11 @@ invalid_values = st.one_of(
               st.integers().filter(lambda n: n not in PRB_CHOICES)),
     st.tuples(st.just(LteSettings), st.sampled_from(
         ["center_offset_mhz", "tx_power_dbm"]), non_finite),
+    st.tuples(st.just(LteSettings), st.just("tx_power_dbm"), beyond_db_limit),
     st.tuples(st.just(WifiSettings), st.just("mcs_mbps"),
               st.integers().filter(lambda n: n not in MCS_RATES)),
     st.tuples(st.just(WifiSettings), st.sampled_from(
-        ["tx_power_dbm", "cca_ed_threshold_dbm"]), non_finite),
+        ["tx_power_dbm", "cca_ed_threshold_dbm"]), non_finite | beyond_db_limit),
     st.tuples(st.just(WifiSettings), st.sampled_from(["payload_bytes", "slot_us"]),
               st.integers(max_value=0)),
     st.tuples(st.just(WifiSettings), st.sampled_from(
@@ -266,19 +277,51 @@ invalid_values = st.one_of(
     st.tuples(st.just(RadioSettings), st.sampled_from(
         ["freq_ghz", "wifi_bandwidth_mhz", "dist_lte_to_wifi_tx_m",
          "dist_lte_to_wifi_rx_m", "dist_wifi_tx_to_rx_m"]),
-        non_finite | st.floats(max_value=0.0)),
+        non_finite | out_of_magnitude),
     st.tuples(st.just(RadioSettings), st.sampled_from(
         ["noise_figure_db", "antenna_gain_dbi", "gain_lte_to_wifi_tx_db",
-         "gain_lte_to_wifi_rx_db", "gain_wifi_link_db"]), non_finite),
+         "gain_lte_to_wifi_rx_db", "gain_wifi_link_db"]), non_finite | beyond_db_limit),
     st.tuples(st.just(RadioSettings), st.just("oob_floor_dbc"),
-              non_finite | st.floats(min_value=1e-9)),
+              non_finite | st.floats(min_value=1e-9) | beyond_db_limit),
     st.tuples(st.just(RadioSettings), st.just("soft_slope_k"),
               non_finite | st.floats(max_value=-1e-9)),
     st.tuples(st.just(RadioSettings), st.just("per_thresholds"), st.sampled_from(
-        ["6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30"])),
+        ["6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30",
+         "54:301", "6:-1e308"])),
     st.tuples(st.just(RunConfig), st.just("duration_s"),
               non_finite | st.floats(max_value=4e-10)),
 )
+
+
+LINKS = (("dist_lte_to_wifi_tx_m", "gain_lte_to_wifi_tx_db"),
+         ("dist_lte_to_wifi_rx_m", "gain_lte_to_wifi_rx_db"),
+         ("dist_wifi_tx_to_rx_m", "gain_wifi_link_db"))
+
+
+def corner_configs():
+    """Configs at every corner of the dB and magnitude bounds, links by geometry
+    or by explicit gain."""
+    db = (-DB_LIMIT, DB_LIMIT)
+    geometry = [dict(zip([d for d, _ in LINKS], ds))
+                for ds in itertools.product(MAGNITUDE_RANGE, repeat=3)]
+    gains = [dict(zip([g for _, g in LINKS], gs)) for gs in itertools.product(db, repeat=3)]
+    for lte_dbm, wifi_dbm, nf, antenna, freq, bandwidth, oob, offset, links in (
+            itertools.product(db, db, db, db, MAGNITUDE_RANGE, MAGNITUDE_RANGE,
+                              (-DB_LIMIT, 0.0), (0.0, 1e6), geometry + gains)):
+        yield RunConfig(
+            lte=LteSettings(tx_power_dbm=lte_dbm, center_offset_mhz=offset),
+            wifi=WifiSettings(tx_power_dbm=wifi_dbm),
+            radio=RadioSettings(noise_figure_db=nf, antenna_gain_dbi=antenna,
+                                freq_ghz=freq, wifi_bandwidth_mhz=bandwidth,
+                                oob_floor_dbc=oob, **links))
+
+
+def test_link_budget_is_finite_at_every_corner_of_the_bounds():
+    for cfg in corner_configs():
+        medium = Medium(Engine(1), cfg, MetricsAccumulator(), 1)
+        sinrs = (medium.sinr_rx_lte_on, medium.sinr_rx_lte_off,
+                 medium.sinr_tx_lte_on, medium.sinr_tx_lte_off)
+        assert all(map(math.isfinite, sinrs)), cfg
 
 
 class TestProperties:

@@ -19,8 +19,8 @@ def test_output_matches_golden_bytes(regenerated, name):
 
 
 def test_untraced_run_csv_equals_traced(regenerated, tmp_path):
-    # --trace keeps every packet on the event path; without it whole cycles
-    # are fast-forwarded.  The CSV must not tell them apart.
+    # Tracing records lines and draws nothing, so the CSV must not tell a
+    # traced run from an untraced one.
     untraced = tmp_path / RUN_CSV
     run_cli(["run", *RUN_ARGS, "--out", str(untraced)])
     assert untraced.read_bytes() == (regenerated / RUN_CSV).read_bytes()

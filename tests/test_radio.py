@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coexsim.engine import Engine
 from coexsim.radio import (PerModel, SinrTrace, SpectrumBand, dbm, fspl_db, mw,
                            noise_floor_dbm, overlap_fraction, packet_outcome,
-                           sinr_db)
+                           sinr_db, success_probability)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -229,3 +229,30 @@ class TestSoftRuleOverflow:
         assert "".join(bits) == ("000001110100101000011110110111110101100111011111"
                                  "111111111111111111111111111111111111111111111111")
         assert rng.integers(0, 1 << 30) == 12559720
+
+
+class TestSuccessProbability:
+    def test_segment_decodes_per_fractional_millisecond(self):
+        # A 0.25 ms segment counts a quarter of a millisecond, not a whole one.
+        model = PerModel(soft_slope_k=2.0)
+        sigmoid = 1.0 / (1.0 + math.exp(-2.0 * (26.0 - 25.0)))
+        quarter = SinrTrace([(0, 250_000, 26.0)])
+        assert success_probability(54, quarter, model) == pytest.approx(
+            sigmoid ** 0.25, rel=1e-12)
+        split = SinrTrace([(0, 250_000, 26.0), (250_000, 1_250_000, 26.0)])
+        assert success_probability(54, split, model) == pytest.approx(
+            sigmoid ** 1.25, rel=1e-12)
+
+    def test_sure_failure_is_none(self):
+        model = PerModel(soft_slope_k=40.0)
+        assert success_probability(54, flat_trace(0.0), model) is None
+        assert success_probability(54, flat_trace(60.0), model) == 1.0
+
+    def test_outcome_draws_once_against_the_probability(self):
+        model = PerModel(soft_slope_k=2.0)
+        trace = flat_trace(25.5)
+        p = success_probability(54, trace, model)
+        rng, reference = (np.random.default_rng(7) for _ in range(2))
+        outcomes = [packet_outcome(54, trace, model, rng) for _ in range(32)]
+        assert outcomes == [u < p for u in reference.uniform(size=32)]
+        assert rng.bit_generator.state == reference.bit_generator.state
