@@ -23,17 +23,43 @@ def _load_config(path: str | None) -> RunConfig:
         return RunConfig()
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_config(handle.read())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}"
+                          ) from exc
+    return parse_config(text)
 
 
-def _write(path: str | None, text: str) -> None:
+def _check_outputs(*paths: str | None) -> None:
+    """Raise ConfigError unless each path is stdout or a distinct file we may write."""
+    files = [path for path in paths if path is not None and path != "-"]
+    if len({os.path.realpath(path) for path in files}) < len(files):
+        raise ConfigError(f"output paths {', '.join(files)} name the same file twice")
+    for path in files:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            reason = "Is a directory"
+        elif not os.path.isdir(parent):
+            reason = "No such directory"
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            reason = "Permission denied"
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {reason}")
+
+
+def _write(path: str | None, chunks) -> None:
+    """Write text chunks to ``path``, or to stdout for None or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(chunks)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -42,12 +68,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.duration is not None:
         cfg = dataclasses.replace(cfg, duration_s=args.duration)
+    _check_outputs(args.out, args.trace)
     sim = Simulation(cfg, trace=args.trace is not None)
     result = SweepResult("run", [])
     result.add((), 0, cfg.seed, sim.run(), normalized="")
-    _write(args.out, result.to_csv_text())
+    _write(args.out, [result.to_csv_text()])
     if args.trace is not None:
-        _write(args.trace, "\n".join(sim.engine.trace_lines()) + "\n")
+        _write(args.trace, sim.engine.trace)
     return 0
 
 
@@ -69,11 +96,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         path, _, values = item.partition("=")
         scenario.override_grid(path, values.split(","))
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    result = run_sweep(scenario, args.seed, jobs=jobs)
     out = args.out or f"{scenario.name}_sweep.csv"
-    _write(out, result.to_csv_text())
     summary = args.summary or (out if out == "-" else _summary_path(out))
-    _write(summary, result.summary_csv_text())
+    _check_outputs(out, summary)
+    result = run_sweep(scenario, args.seed, jobs=jobs)
+    _write(out, [result.to_csv_text()])
+    _write(summary, [result.summary_csv_text()])
     if out != "-":
         print(f"wrote {len(result.rows)} rows to {out} (summary: {summary})")
     return 0

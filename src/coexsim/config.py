@@ -20,10 +20,11 @@ import math
 import typing
 from dataclasses import dataclass, field, fields
 
-from .engine import NS_PER_S
+from .engine import NS_PER_S, NS_PER_US
 from .lte import PRB_CHOICES
 from .radio import DEFAULT_PER_THRESHOLDS_DB, PerModel, fspl_db
-from .wifi import BITS_PER_SYMBOL, CCA_PRESETS, MCS_RATES, CcaProfile
+from .wifi import (BITS_PER_SYMBOL, CCA_PRESETS, FAST_FORWARD_CHUNK, MCS_RATES, CcaProfile,
+                   ack_airtime_us, frame_airtime_us)
 
 
 class ConfigError(ValueError):
@@ -41,6 +42,8 @@ def _invalid(section: str, key: str, rule: str, value) -> ConfigError:
 # far inside the range where 10 ** (dB / 10) is a finite, nonzero float.
 DB_LIMIT = 300.0
 MAGNITUDE_RANGE = (1e-9, 1e9)
+# The DCF step computes times in int64 ns.
+INT64_MAX = 2**63 - 1
 
 
 def _check_floats(settings, section: str) -> None:
@@ -124,6 +127,8 @@ class WifiSettings:
                 raise _invalid("wifi", key, "be 2^k - 1", cw)
         if self.cw_max < self.cw_min:
             raise _invalid("wifi", "cw_max", "be >= cw_min", self.cw_max)
+        if not 0 <= self.retry_limit <= INT64_MAX:
+            raise _invalid("wifi", "retry_limit", "be in [0, 2^63 - 1]", self.retry_limit)
         preset = CCA_PRESETS.get(self.cca_profile)
         if preset is None:
             raise _invalid("wifi", "cca_profile", f"be one of {sorted(CCA_PRESETS)}",
@@ -231,6 +236,36 @@ class RunConfig:
         if not (math.isfinite(duration_ns) and round(duration_ns) >= 1):
             raise _invalid("run", "duration_s", "be finite and at least 1 ns",
                            self.duration_s)
+        self._check_step_range(round(duration_ns))
+
+    def _check_step_range(self, end_ns: int) -> None:
+        """Keep the DCF step's int64 ns arithmetic from overflowing.
+
+        A step adds up to FAST_FORWARD_CHUNK cycles to a time before the run
+        end, so that many of the longest cycle past the run end must fit in
+        int64.  The longest cycle is cw_max slots of backoff, DIFS (SIFS and
+        two slots), data, SIFS, ACK and the slot after a failure.  Past the
+        bound, the error names the key that sets the largest part of it.
+        """
+        w = self.wifi
+        data_us = frame_airtime_us(w.mcs_mbps, w.payload_bytes, w) - w.preamble_us
+        ack_us = ack_airtime_us(w.mcs_mbps, w) - w.preamble_us
+        parts_us = {
+            "cw_max" if w.cw_max > w.slot_us else "slot_us": (w.cw_max + 3) * w.slot_us,
+            "sifs_us": 2 * w.sifs_us,
+            "preamble_us": 2 * w.preamble_us,
+            "payload_bytes" if w.payload_bytes >= w.mac_overhead_bytes
+            else "mac_overhead_bytes": data_us,
+            "ack_bytes": ack_us,
+        }
+        scale = FAST_FORWARD_CHUNK * NS_PER_US
+        if scale * sum(parts_us.values()) + end_ns <= INT64_MAX:
+            return
+        parts_us["duration_s"] = end_ns / scale
+        key = max(parts_us, key=parts_us.get)
+        section, settings = ("run", self) if key == "duration_s" else ("wifi", w)
+        raise _invalid(section, key, f"keep {FAST_FORWARD_CHUNK} of the longest DCF cycles "
+                       "past the run end within 2^63 - 1 ns", getattr(settings, key))
 
 
 _SECTIONS = {"run": RunConfig, "lte": LteSettings, "wifi": WifiSettings,

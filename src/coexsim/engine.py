@@ -47,8 +47,8 @@ class Engine:
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._streams: dict[str, np.random.Generator] = {}
-        # Trace lines are (time_ns, kind, node, detail); None disables recording.
-        self.trace: list[tuple[int, str, str, str]] | None = [] if trace else None
+        # Text chunks of whole trace lines; None disables recording.
+        self.trace: list[str] | None = [] if trace else None
 
     def schedule(self, fire_time: int, kind: str, target: str,
                  fn: Callable[[], None], detail: str = "") -> Event:
@@ -85,7 +85,8 @@ class Engine:
             self.now = event.fire_time
             event.fired = True
             if self.trace is not None:
-                self.trace.append((event.fire_time, event.kind, event.target, event.detail))
+                self.trace.append(f"{event.fire_time} {event.kind} {event.target} "
+                                  f"{event.detail}".rstrip() + "\n")
             event.fn()
         self.now = t_end
 
@@ -106,7 +107,5 @@ class Engine:
         return stream
 
     def trace_lines(self) -> list[str]:
-        """Trace formatted as ``time_ns kind node detail`` lines."""
-        if self.trace is None:
-            return []
-        return [f"{t} {kind} {node} {detail}".rstrip() for t, kind, node, detail in self.trace]
+        """The trace as ``time_ns kind node [detail]`` lines, without newlines."""
+        return "".join(self.trace or ()).splitlines()

@@ -7,7 +7,6 @@ carrier sensing (profile-dependent) and through SINR at decode time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -29,10 +28,13 @@ SERVICE_TAIL_BITS = 16 + 6
 # Most DCF cycles one vectorised step covers; bounds the arrays it builds and
 # the draws it rewinds when the chunk overshoots the medium's next change.
 FAST_FORWARD_CHUNK = 4096
-# The trace lines a stepped cycle can write, in time order: DIFS end, backoff
-# end (when k > 0), data end, ACK end (when the data decoded), and the cycle's
-# end after a failure (ACK timeout, or the resume after an undecoded ACK).
-CYCLE_LINE_KINDS = ("difs-end", "backoff-slot", "tx-end", "ack-result", "cca-sample")
+# The trace lines of a stepped cycle, one "%" template per shape, indexed by
+# 3 * (k > 0) + outcome: 0 the ACK decoded, 1 only the data decoded (contention
+# resumes a slot later), 2 the data did not decode (the ACK times out).
+CYCLE_TEMPLATES = tuple(
+    "%d difs-end wifi-tx\n" + backoff + "%d tx-end wifi-tx\n%d " + end + " wifi-tx\n"
+    for backoff in ("", "%d backoff-slot wifi-tx k=%d\n")
+    for end in ("ack-result", "ack-result wifi-tx\n%d cca-sample", "ack-timeout"))
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def frame_airtime_us(mcs_mbps: int, payload_bytes: int, params: WifiSettings) ->
     if payload_bytes <= 0:
         raise ValueError("payload_bytes must be positive")
     bits = SERVICE_TAIL_BITS + 8 * (payload_bytes + params.mac_overhead_bytes)
-    return params.preamble_us + 4 * math.ceil(bits / BITS_PER_SYMBOL[mcs_mbps])
+    return params.preamble_us + 4 * -(-bits // BITS_PER_SYMBOL[mcs_mbps])
 
 
 def ack_rate_mbps(data_rate_mbps: int, params: WifiSettings) -> int:
@@ -89,7 +91,7 @@ def ack_rate_mbps(data_rate_mbps: int, params: WifiSettings) -> int:
 def ack_airtime_us(data_rate_mbps: int, params: WifiSettings) -> int:
     rate = ack_rate_mbps(data_rate_mbps, params)
     bits = SERVICE_TAIL_BITS + 8 * params.ack_bytes
-    return params.preamble_us + 4 * math.ceil(bits / BITS_PER_SYMBOL[rate])
+    return params.preamble_us + 4 * -(-bits // BITS_PER_SYMBOL[rate])
 
 
 def analytic_goodput_mbps(mcs_mbps: int, payload_bytes: int,
@@ -340,6 +342,7 @@ class DcfStation:
         top = len(self._cw_ladder) - 1
         retry_limit = self.params.retry_limit
         trace = self.engine.trace
+        block = None  # the last traced chunk's cycles, written once the next one fits
         while True:
             m = min((horizon - 1 - now) // shortest_ns, FAST_FORWARD_CHUNK)
             if m == 0:
@@ -392,8 +395,9 @@ class DcfStation:
                 emissions = emissions[keep.ravel()]
             self.acc.add_wifi_block(emissions)
             if trace is not None:
-                self._trace_cycles(trace, ends, tx_start, ks,
-                                   np.broadcast_to(data, n), np.broadcast_to(ok, n))
+                if block is not None:
+                    self._trace_cycles(trace, *block, resumed=False)
+                block = ends, tx_start, ks, np.broadcast_to(data, n), np.broadcast_to(ok, n)
             if delivered < n:
                 dropped = failed & (failures_before + 1 >= retry_limit)
                 self.acc.drops += int(np.count_nonzero(dropped))
@@ -417,7 +421,7 @@ class DcfStation:
                 break
         if now > start:
             if trace is not None:
-                trace.pop()  # the resume event writes this line itself
+                self._trace_cycles(trace, *block, resumed=True)
             self._event = self.engine.schedule(now, last_kind, self.name,
                                                self._start_difs)
         return now
@@ -475,23 +479,20 @@ class DcfStation:
         return (data, ok, counted % max(self.params.retry_limit, 1),
                 starts + 1 + (data & (p_ack is not None)))
 
-    def _trace_cycles(self, trace, ends, tx_start, ks, data, ok) -> None:
-        """Append the trace lines the event path writes for these cycles."""
-        n = len(ends)
+    def _trace_cycles(self, trace, ends, tx_start, ks, data, ok, resumed) -> None:
+        """Append the event path's lines for these cycles as one text chunk, less
+        the last line if ``resumed``: the event that resumes contention writes it."""
         data_end, ack_end = self._emission_offsets[[1, 3]]
-        times = np.column_stack([tx_start - ks * self.slot_ns, tx_start,
-                                 tx_start + data_end, tx_start + ack_end, ends])
-        kinds = np.empty((n, 5), dtype=object)
-        kinds[:] = CYCLE_LINE_KINDS
-        kinds[~data, 4] = "ack-timeout"
-        details = np.full((n, 5), "", dtype=object)
-        details[:, 1] = [f"k={k}" for k in ks.tolist()]
-        always = np.ones(n, dtype=bool)
-        written = np.column_stack([always, ks > 0, always, data, ~ok]).ravel()
-        trace.extend(zip(times.ravel()[written].tolist(),
-                         kinds.ravel()[written].tolist(),
-                         itertools.repeat(self.name),
-                         details.ravel()[written].tolist()))
+        backoff, always = ks > 0, np.ones(len(ends), dtype=bool)
+        written = np.column_stack([always, backoff, backoff, always, data, ~ok]).ravel()
+        values = np.column_stack([tx_start - ks * self.slot_ns, tx_start, ks, tx_start + data_end,
+                                  tx_start + ack_end, ends]).ravel()[written]
+        shapes = 3 * backoff + 2 * ~data + (data & ~ok)
+        templates = [CYCLE_TEMPLATES[s] for s in shapes.tolist()]
+        if resumed:
+            templates[-1] = templates[-1][:templates[-1].rindex("%d")]
+            values = values[:-1]
+        trace.append("".join(templates) % tuple(values.tolist()))
 
     # -- carrier-sense callbacks from the channel ----------------------------
 

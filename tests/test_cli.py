@@ -2,7 +2,7 @@ import multiprocessing
 
 import pytest
 
-from coexsim import experiments
+from coexsim import cli, experiments
 from coexsim.cli import main
 
 
@@ -223,6 +223,14 @@ class TestRunInputErrors:
         (["run"], "[radio]\noob_floor_dbc = -4000\n[lte]\ncenter_offset_mhz = 40\n",
          "oob_floor_dbc"),
         (["run"], "[radio]\ndist_lte_to_wifi_tx_m = 1e-300\n", "dist_lte_to_wifi_tx_m"),
+        # Values whose DCF cycles overflow the step's int64 ns.
+        (["run", "--duration", "0.2"], "[lte]\nduty = 1\n[wifi]\ncw_max = 4611686018427387903"
+         "\nretry_limit = 100\ncca_ed_threshold_dbm = 30\n", "cw_max"),
+        (["run", "--duration", "0.2"], "[lte]\nduty = 1\n[wifi]\ncw_max = 9223372036854775807"
+         "\nretry_limit = 100\ncca_ed_threshold_dbm = 30\n", "cw_max"),
+        (["run"], "[wifi]\npayload_bytes = 1e15\n", "payload_bytes"),
+        (["run"], "[wifi]\npayload_bytes = 1000000000000000\n", "payload_bytes"),
+        (["run"], "[wifi]\nretry_limit = 10000000000000000000000\n", "retry_limit"),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, ini, needle):
         if ini is not None:
@@ -233,3 +241,41 @@ class TestRunInputErrors:
         assert code == 2
         assert err.startswith("config error:") and needle in err
         assert len(err.strip().splitlines()) == 1 and out == ""
+
+
+class TestFileErrors:
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "Simulation", refuse)
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["run", "--config", "{tmp}"], "Is a directory"),
+        (["run", "--config", "{tmp}/latin1.ini"], "not UTF-8"),
+        (["run", "--config", "{tmp}/missing.ini"], "No such file"),
+        (["run", "--out", "{tmp}/missing/run.csv"], "No such directory"),
+        (["run", "--out", "{tmp}"], "Is a directory"),
+        (["run", "--out", "{tmp}/out.csv", "--trace", "{tmp}/missing/trace.log"],
+         "No such directory"),
+        (["run", "--out", "{tmp}/out.csv", "--trace", "{tmp}"], "Is a directory"),
+        (["sweep", "duty", "--out", "{tmp}/missing/duty.csv"], "No such directory"),
+        (["sweep", "duty", "--out", "{tmp}/out.csv", "--summary", "{tmp}/missing/s.csv"],
+         "No such directory"),
+        # One file for two outputs: the second would overwrite the first.
+        (["run", "--out", "{tmp}/out.csv", "--trace", "{tmp}/../{tmp.name}/out.csv"],
+         "same file"),
+        (["sweep", "duty", "--out", "{tmp}/out.csv", "--summary", "{tmp}/out.csv"],
+         "same file"),
+    ])
+    def test_file_error_exits_2_before_any_run(self, tmp_path, capsys, no_runs, argv,
+                                               needle):
+        (tmp_path / "latin1.ini").write_bytes("[wifi]\n# café\nmcs_mbps = 6\n".encode("latin-1"))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and needle in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out.csv").exists()

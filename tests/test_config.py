@@ -240,6 +240,11 @@ valid_configs = st.builds(
                         db_value, min_size=8, max_size=8, unique=True).map(per_table)),
 )
 
+def run_with_wifi(**kwargs):
+    """A default 10 s RunConfig whose WiFi settings take ``kwargs``."""
+    return RunConfig(wifi=WifiSettings(**kwargs))
+
+
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 beyond_db_limit = (st.floats(max_value=-DB_LIMIT, exclude_max=True)
                    | st.floats(min_value=DB_LIMIT, exclude_min=True))
@@ -288,8 +293,19 @@ invalid_values = st.one_of(
     st.tuples(st.just(RadioSettings), st.just("per_thresholds"), st.sampled_from(
         ["6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30",
          "54:301", "6:-1e308"])),
+    st.tuples(st.just(WifiSettings), st.just("retry_limit"),
+              st.integers(max_value=-1) | st.integers(min_value=2**63)),
     st.tuples(st.just(RunConfig), st.just("duration_s"),
-              non_finite | st.floats(max_value=4e-10)),
+              non_finite | st.floats(max_value=4e-10) | st.floats(min_value=1e10)),
+    # Past the int64 range of the DCF step: 4096 of the longest cycles after
+    # the 10 s run end would pass 2^63 - 1 ns.
+    st.tuples(st.just(run_with_wifi), st.just("cw_max"),
+              st.integers(38, 200).map(lambda k: 2**k - 1)),
+    st.tuples(st.just(run_with_wifi), st.just("slot_us"), st.integers(min_value=10**10)),
+    st.tuples(st.just(run_with_wifi), st.sampled_from(["sifs_us", "preamble_us"]),
+              st.integers(min_value=10**13)),
+    st.tuples(st.just(run_with_wifi), st.sampled_from(
+        ["payload_bytes", "ack_bytes", "mac_overhead_bytes"]), st.integers(min_value=10**14)),
 )
 
 

@@ -5,14 +5,19 @@ to advance nothing, which keeps every packet on the event path.  Runs are
 compared traced and untraced, under the hard and the soft PER rule.
 """
 
+import dataclasses
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coexsim.config import ConfigError
+from coexsim.engine import NS_PER_S, NS_PER_US
 from coexsim.simulation import Simulation
-from coexsim.wifi import DcfStation
+from coexsim.wifi import FAST_FORWARD_CHUNK, DcfStation, ack_airtime_us, frame_airtime_us
 
 from conftest import make_cfg
 
@@ -40,7 +45,7 @@ def observe(cfg, seed, trace, fast=True):
         "backoff_rng": station.rng.bit_generator.state,
         "decode_rng": (None if station.decode_rng is None
                        else station.decode_rng.bit_generator.state),
-        "trace": sim.engine.trace_lines(),
+        "trace": "".join(sim.engine.trace or ()),
         "scheduled": sim.engine._seq,
     }
 
@@ -53,7 +58,7 @@ def assert_paths_agree(cfg, seed):
         assert traced[key] == events[key], f"traced {key} differs at seed {seed}"
     for key in events.keys() - {"scheduled", "trace"}:
         assert untraced[key] == events[key], f"untraced {key} differs at seed {seed}"
-    assert untraced["trace"] == []
+    assert untraced["trace"] == ""
     return events, traced
 
 
@@ -181,3 +186,153 @@ def test_fast_path_matches_event_path_on_random_mac_settings(
                    slot_us=slot_us, cw_min=cw[0], cw_max=cw[1],
                    soft_slope_k=soft_slope_k)
     assert_paths_agree(cfg, seed)
+
+
+@pytest.mark.parametrize("soft_slope_k", [0.0, 2.0])
+@pytest.mark.parametrize("duty,ed_threshold", [(0.0, None), (0.5, None), (1.0, 30.0)])
+def test_stepped_run_metrics_are_python_ints(duty, ed_threshold, soft_slope_k):
+    # The benchmark digests repr(astuple(metrics)): an np.int64 would change it.
+    cfg = make_cfg(duty=duty, lte_power=-16.0, prb=50, duration=1.0,
+                   cca_ed_threshold_dbm=ed_threshold, soft_slope_k=soft_slope_k)
+    sim = Simulation(cfg, seed=3)
+    metrics = sim.run()
+    assert sim.station.difs_completed > sim.engine._seq  # most cycles were stepped
+    assert [type(v) for v in dataclasses.astuple(metrics)] == [int] * 7
+
+
+# -- the trace text of a stepped block ---------------------------------------
+
+def per_line_trace(station, start, cycles, resumed):
+    """The lines the event path writes for ``cycles`` of (k, outcome) from ``start``,
+    each formatted from its (time, kind, node, detail) on its own."""
+    events, t = [], start
+    for k, outcome in cycles:
+        t += station.difs_ns
+        events.append((t, "difs-end", station.name, ""))
+        if k:
+            t += k * station.slot_ns
+            events.append((t, "backoff-slot", station.name, f"k={k}"))
+        t += station.data_air_ns
+        events.append((t, "tx-end", station.name, ""))
+        t += station.sifs_ns + station.ack_air_ns
+        if outcome != "data lost":
+            events.append((t, "ack-result", station.name, ""))
+        if outcome != "ok":
+            t += station.slot_ns
+            kind = "cca-sample" if outcome == "ack lost" else "ack-timeout"
+            events.append((t, kind, station.name, ""))
+    if resumed:
+        events.pop()
+    return "".join(f"{t} {kind} {node} {detail}".rstrip() + "\n"
+                   for t, kind, node, detail in events)
+
+
+TRACE_STATION = Simulation(make_cfg(duration=0.01)).station
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles=st.lists(st.tuples(st.integers(0, 1023),
+                                 st.sampled_from(["ok", "ack lost", "data lost"])),
+                       min_size=1, max_size=30),
+       start=st.integers(0, 10**15), resumed=st.booleans())
+def test_block_text_equals_the_per_line_format(cycles, start, resumed):
+    station = TRACE_STATION
+    ks = np.array([k for k, _ in cycles], dtype=np.int64)
+    data = np.array([outcome != "data lost" for _, outcome in cycles])
+    ok = np.array([outcome == "ok" for _, outcome in cycles])
+    lengths = (station.difs_ns + ks * station.slot_ns + station.data_air_ns
+               + station.sifs_ns + station.ack_air_ns + ~ok * station.slot_ns)
+    ends = start + np.cumsum(lengths)
+    tx_start = ends - (lengths - station.difs_ns - ks * station.slot_ns)
+    trace = []
+    station._trace_cycles(trace, ends, tx_start, ks, data, ok, resumed=resumed)
+    assert trace == [per_line_trace(station, start, cycles, resumed)]
+
+
+@pytest.mark.parametrize("cfg", [
+    # The traced-soft benchmark's run: a step per LTE off period.
+    make_cfg(duty=0.5, lte_power=-16.0, prb=50, profile="vendor-B", soft_slope_k=2.0),
+    # LTE always on and not sensed: one step over the whole run, in many chunks.
+    make_cfg(duty=1.0, lte_power=-16.0, prb=100, profile="vendor-B", soft_slope_k=2.0),
+], ids=["duty0.5-prb50", "duty1-prb100"])
+def test_ten_second_traced_soft_run_writes_the_event_path_text(cfg):
+    events, fast = assert_paths_agree(cfg, 7)
+    assert fast["trace"] == events["trace"]
+    assert fast["trace"].endswith("\n10000000000 run-end engine\n")
+    assert fast["scheduled"] < events["scheduled"] // 20
+    if cfg.lte.duty == 1.0:
+        assert fast["metrics"].attempts > 4 * FAST_FORWARD_CHUNK
+
+
+# -- the int64 range of the step ---------------------------------------------
+
+INT64_MAX = 2**63 - 1
+
+
+def longest_cycle_ns(w):
+    """cw_max slots, DIFS, data, SIFS, ACK and the slot after a failure."""
+    return NS_PER_US * (w.cw_max * w.slot_us + (w.sifs_us + 2 * w.slot_us)
+                        + frame_airtime_us(w.mcs_mbps, w.payload_bytes, w) + w.sifs_us
+                        + ack_airtime_us(w.mcs_mbps, w) + w.slot_us)
+
+
+def fits(wifi, duration_s):
+    """FAST_FORWARD_CHUNK longest cycles past the run end stay within int64 ns."""
+    end_ns = round(duration_s * NS_PER_S)
+    return FAST_FORWARD_CHUNK * longest_cycle_ns(wifi) + end_ns <= INT64_MAX
+
+
+def with_value(cfg, key, value):
+    """cfg with one run or WiFi key set."""
+    if key == "duration_s":
+        return dataclasses.replace(cfg, duration_s=value)
+    return dataclasses.replace(cfg, wifi=dataclasses.replace(cfg.wifi, **{key: value}))
+
+
+def corner(cfg, key):
+    """(largest value of ``key`` that fits, the next value), the rest as in cfg.
+
+    The search builds WiFi settings alone, which leave the range to RunConfig.
+    """
+    if key == "duration_s":
+        ok = lambda v: fits(cfg.wifi, v)  # noqa: E731
+        value = (INT64_MAX - FAST_FORWARD_CHUNK * longest_cycle_ns(cfg.wifi)) / NS_PER_S
+        while not ok(value):
+            value = math.nextafter(value, 0.0)
+        return value, math.nextafter(value, math.inf)
+    ok = lambda v: fits(dataclasses.replace(cfg.wifi, **{key: v}), cfg.duration_s)  # noqa: E731
+    if key == "cw_max":
+        bits = max(b for b in range(cfg.wifi.cw_min.bit_length(), 64) if ok(2**b - 1))
+        return 2**bits - 1, 2**(bits + 1) - 1
+    low, high = getattr(cfg.wifi, key), 2**63
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if ok(mid) else (low, mid)
+    return low, high
+
+
+QUARTER_RANGE_S = INT64_MAX // 4 / NS_PER_S  # about 73 years
+COLLIDING = dict(duty=1.0, lte_power=12.0, cca_ed_threshold_dbm=30.0)
+NARROW = dict(cw_min=1, cw_max=1)  # backoffs of 0 and 1 slot: cycles near the longest
+CORNERS = [
+    # The whole retry ladder under forced collisions, up to the largest cw_max.
+    ("cw_max", make_cfg(duration=0.2, retry_limit=100, **COLLIDING)),
+    ("cw_max", make_cfg(duration=QUARTER_RANGE_S, retry_limit=100, **COLLIDING)),
+    ("slot_us", make_cfg(duty=0.0, duration=QUARTER_RANGE_S, **NARROW)),
+    ("sifs_us", make_cfg(duration=QUARTER_RANGE_S, **COLLIDING, **NARROW)),
+    ("preamble_us", make_cfg(duty=0.0, duration=QUARTER_RANGE_S, soft_slope_k=2.0, **NARROW)),
+    ("payload_bytes", make_cfg(duty=1.0, lte_power=-16.0, prb=50, duration=QUARTER_RANGE_S,
+                               soft_slope_k=2.0, **NARROW)),
+    ("ack_bytes", make_cfg(duty=0.0, duration=QUARTER_RANGE_S, **NARROW)),
+    ("mac_overhead_bytes", make_cfg(duration=QUARTER_RANGE_S, **COLLIDING, **NARROW)),
+    ("duration_s", make_cfg(duty=0.0, duration=1.0, slot_us=2 * 10**11, **NARROW)),
+]
+
+
+@pytest.mark.parametrize("key,cfg", CORNERS, ids=[key for key, _ in CORNERS])
+def test_step_equals_event_path_at_each_corner_of_its_int64_range(key, cfg):
+    value, past = corner(cfg, key)
+    with pytest.raises(ConfigError, match=key):
+        with_value(cfg, key, past)
+    events, fast = assert_paths_agree(with_value(cfg, key, value), 2)
+    assert fast["metrics"].attempts > 4
