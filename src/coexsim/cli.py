@@ -95,7 +95,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"--grid expects key=v1,v2,... got {item!r}")
         path, _, values = item.partition("=")
         scenario.override_grid(path, values.split(","))
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    if (args.jobs or 0) < 0:
+        raise ConfigError(f"--jobs must be >= 0 (0 uses all cores), got {args.jobs}")
+    jobs = args.jobs or os.cpu_count() or 1
     out = args.out or f"{scenario.name}_sweep.csv"
     summary = args.summary or (out if out == "-" else _summary_path(out))
     _check_outputs(out, summary)
@@ -113,7 +115,7 @@ def _summary_path(out: str) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    base = set_path(dataclasses.replace(RunConfig(), duration_s=args.duration),
+    base = set_path(dataclasses.replace(RunConfig(), seed=args.seed, duration_s=args.duration),
                     "lte.duty", 0.0)
     rates = MCS_RATES if args.mcs == "all" else args.mcs.split(",")
     configs = [set_path(base, "wifi.mcs_mbps", rate) for rate in rates]
@@ -122,7 +124,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     for cfg in configs:
         rate = cfg.wifi.mcs_mbps
         analytic = analytic_goodput_mbps(rate, cfg.wifi.payload_bytes, cfg.wifi)
-        simulated = throughput_mbps(Simulation(cfg, seed=args.seed).run())
+        simulated = throughput_mbps(Simulation(cfg).run())
         rel_err = abs(simulated - analytic) / analytic
         worst = max(worst, rel_err)
         print(f"{rate:>8} {analytic:>14.4f} {simulated:>15.4f} {rel_err:>9.4%}")
@@ -152,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--duration", type=float, help="seconds per run")
     sweep_p.add_argument("--out", help="CSV output path (default <scenario>_sweep.csv)")
     sweep_p.add_argument("--summary", help="box-stats CSV path")
-    sweep_p.add_argument("--jobs", type=int, help="parallel runs (default: cores)")
+    sweep_p.add_argument("--jobs", type=int, help="parallel runs (default and 0: all cores)")
     sweep_p.add_argument("--grid", action="append", metavar="KEY=V1,V2,...",
                          help="override an axis grid, e.g. --grid duty=0,0.5,1")
     sweep_p.set_defaults(fn=cmd_sweep)

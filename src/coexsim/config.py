@@ -232,6 +232,8 @@ class RunConfig:
     radio: RadioSettings = field(default_factory=RadioSettings)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**64:  # the engine seeds every stream with 64 bits
+            raise _invalid("run", "seed", "be in [0, 2^64 - 1]", self.seed)
         duration_ns = self.duration_s * NS_PER_S  # inf also when the product overflows
         if not (math.isfinite(duration_ns) and round(duration_ns) >= 1):
             raise _invalid("run", "duration_s", "be finite and at least 1 ns",

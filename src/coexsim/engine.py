@@ -102,7 +102,7 @@ class Engine:
             digest = hashlib.sha256(label.encode("utf-8")).digest()
             words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
             stream = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence([self.seed & (2**64 - 1), *words])))
+                np.random.SeedSequence([self.seed, *words])))
             self._streams[label] = stream
         return stream
 

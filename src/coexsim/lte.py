@@ -69,38 +69,32 @@ class LteNode:
         self.medium = medium
         # Only a duty strictly between 0 and 1 has silent periods to draw.
         self.rng = engine.rng_stream(RNG_LABEL) if 0.0 < cfg.duty < 1.0 else None
-        self.on = False
-        self.transitions: list[tuple[int, bool]] = []  # (time_ns, now_on)
+        self.next_ns: int | None = None  # time of the next scheduled transition
         self._on_ns = on_duration_ns(cfg)
         self._align_ns = cfg.frame_align_ms * NS_PER_MS
 
     def start(self) -> None:
         if self.cfg.duty > 0.0 and self._on_ns > 0:
-            self.medium.next_change_ns = 0
+            self.next_ns = 0
             self.engine.schedule(0, "lte-on", self.name, self._turn_on)
 
-    # Each transition tells the medium when the next one is due before the
-    # medium notifies the station, so a station that contends inside the
+    # Each transition sets the time of the next one before the medium records
+    # it and notifies the station, so a station that contends inside the
     # callback knows how long the medium stays as it is.  The next transition
     # is scheduled after the station has reacted, which keeps the station's
     # events ahead of it when both fall on the same instant.
 
     def _turn_on(self) -> None:
         now = self.engine.now
-        self.on = True
-        self.transitions.append((now, True))
-        next_off = now + self._on_ns if self.cfg.duty < 1.0 else None
-        self.medium.lte_state_changed(now, True, next_off)
-        if next_off is not None:
-            self.engine.schedule(next_off, "lte-off", self.name, self._turn_off)
+        self.next_ns = now + self._on_ns if self.cfg.duty < 1.0 else None
+        self.medium.lte_switched(now)
+        if self.next_ns is not None:
+            self.engine.schedule(self.next_ns, "lte-off", self.name, self._turn_off)
 
     def _turn_off(self) -> None:
         now = self.engine.now
-        self.on = False
-        self.transitions.append((now, False))
         silent_ns = draw_silent_duration_ns(self.cfg, self.rng)
-        expiry = now + silent_ns
         # Ceiling to the next frame boundary; the extra wait counts as off-time.
-        next_on = -(-expiry // self._align_ns) * self._align_ns
-        self.medium.lte_state_changed(now, False, next_on)
-        self.engine.schedule(next_on, "lte-on", self.name, self._turn_on)
+        self.next_ns = -(-(now + silent_ns) // self._align_ns) * self._align_ns
+        self.medium.lte_switched(now)
+        self.engine.schedule(self.next_ns, "lte-on", self.name, self._turn_on)

@@ -45,7 +45,6 @@ class MetricsAccumulator:
         self.attempts = 0
         self.failures = 0
         self.drops = 0
-        self.lte_intervals: list[tuple[int, int]] = []
         self._wifi_blocks: list[np.ndarray] = []
         self._wifi_pairs: list[tuple[int, int]] = []  # pairs after the last block
 
@@ -71,14 +70,14 @@ class MetricsAccumulator:
         """Data and ACK emissions as time-ordered (t0, t1) pairs."""
         return [(t0, t1) for t0, t1 in self._wifi_array().tolist()]
 
-    def finalize(self, duration_ns: int) -> RunMetrics:
+    def finalize(self, duration_ns: int, lte_intervals: list[tuple[int, int]]) -> RunMetrics:
         return RunMetrics(
             delivered_payload_bytes=self.delivered_payload_bytes,
             attempts=self.attempts,
             failures=self.failures,
             drops=self.drops,
             wifi_airtime_ns=_clipped_ns(self._wifi_array(), duration_ns),
-            lte_airtime_ns=_clipped_ns(_interval_array(self.lte_intervals), duration_ns),
+            lte_airtime_ns=_clipped_ns(_interval_array(lte_intervals), duration_ns),
             duration_ns=duration_ns,
         )
 

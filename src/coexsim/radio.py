@@ -46,18 +46,6 @@ class SpectrumBand:
         return self.center_mhz + self.width_mhz / 2.0
 
 
-@dataclass(frozen=True, slots=True)
-class LinkBudget:
-    """One directed radio path; received power = tx_power_dbm + path_gain_db."""
-
-    tx_power_dbm: float
-    path_gain_db: float  # includes both antenna gains
-
-    @property
-    def rx_power_dbm(self) -> float:
-        return self.tx_power_dbm + self.path_gain_db
-
-
 @dataclass(frozen=True)
 class PerModel:
     """Packet-error behavior: per-MCS SINR thresholds plus optional soft transition.
@@ -81,36 +69,6 @@ class PerModel:
 
     def threshold_db(self, mcs_mbps: int) -> float:
         return self.per_mcs_threshold_db[mcs_mbps]
-
-
-class SinrTrace:
-    """Piecewise-constant SINR over one packet's reception window.
-
-    Segments are (start_ns, end_ns, sinr_db), contiguous, non-overlapping, and
-    covering the window exactly.
-    """
-
-    def __init__(self, segments: list[tuple[int, int, float]]) -> None:
-        if not segments:
-            raise ValueError("trace must cover a non-empty window")
-        for (a0, a1, _), (b0, _, _) in zip(segments, segments[1:]):
-            if a1 != b0:
-                raise ValueError("trace segments must be contiguous")
-        for t0, t1, _ in segments:
-            if t1 <= t0:
-                raise ValueError("trace segments must have positive duration")
-        self.segments = segments
-
-    @property
-    def start_ns(self) -> int:
-        return self.segments[0][0]
-
-    @property
-    def end_ns(self) -> int:
-        return self.segments[-1][1]
-
-    def min_sinr_db(self) -> float:
-        return min(s for _, _, s in self.segments)
 
 
 def fspl_db(distance_m: float, freq_ghz: float) -> float:
@@ -153,39 +111,41 @@ def sinr_db(signal_dbm: float, interferers: list[tuple[float, float]],
     return dbm(mw(signal_dbm) / denominator_mw)
 
 
-def success_probability(mcs_mbps: int, trace: SinrTrace, model: PerModel) -> float | None:
+def success_probability(mcs_mbps: int, segments: list[tuple[int, float]],
+                        model: PerModel) -> float | None:
     """Soft-rule probability that the packet decodes; None if it surely fails.
 
-    Each constant-SINR segment decodes independently with probability
-    sigmoid(k * (sinr - threshold)) ** ms, where ms is the segment's length in
-    milliseconds, fractional (a 0.25 ms segment takes the 0.25th power); the
-    packet succeeds iff all segments do.  None means some segment's sigmoid
-    is 0, so the packet fails with no draw.
+    ``segments`` is the SINR over the reception window as consecutive
+    (duration_ns, sinr_db) pieces.  Each decodes independently with
+    probability sigmoid(k * (sinr - threshold)) ** ms, where ms is its length
+    in milliseconds, fractional (a 0.25 ms segment takes the 0.25th power);
+    the packet succeeds iff all segments do.  None means some segment's
+    sigmoid is 0, so the packet fails with no draw.
     """
     threshold = model.threshold_db(mcs_mbps)
     log_p = 0.0
-    for t0, t1, sinr in trace.segments:
+    for duration_ns, sinr in segments:
         try:
             p = 1.0 / (1.0 + math.exp(-model.soft_slope_k * (sinr - threshold)))
         except OverflowError:  # the sigmoid is below the smallest float
             p = 0.0
         if p <= 0.0:
             return None
-        log_p += ((t1 - t0) / 1e6) * math.log(p)
+        log_p += (duration_ns / 1e6) * math.log(p)
     return math.exp(log_p)
 
 
-def packet_outcome(mcs_mbps: int, trace: SinrTrace, model: PerModel,
+def packet_outcome(mcs_mbps: int, segments: list[tuple[int, float]], model: PerModel,
                    rng: np.random.Generator | None) -> bool:
     """True iff the packet decodes.
 
-    Hard rule (soft_slope_k = 0): success iff the minimum SINR over the trace
-    clears the MCS threshold.  Soft rule: one uniform draw against
+    Hard rule (soft_slope_k = 0): success iff the minimum SINR over the
+    segments clears the MCS threshold.  Soft rule: one uniform draw against
     ``success_probability``, none when that is None.  Deterministic given the
     rng stream, which only the soft rule draws from (the hard rule accepts
     None).
     """
     if model.soft_slope_k == 0.0:
-        return trace.min_sinr_db() >= model.threshold_db(mcs_mbps)
-    p = success_probability(mcs_mbps, trace, model)
+        return min(sinr for _, sinr in segments) >= model.threshold_db(mcs_mbps)
+    p = success_probability(mcs_mbps, segments, model)
     return p is not None and float(rng.uniform()) < p

@@ -1,8 +1,11 @@
 """Assembles one run: engine, shared medium, LTE node, DCF station pair.
 
-The medium precomputes the run's static link budget (geometry never changes)
-and turns the LTE on/off timeline into carrier-sense callbacks and SINR
-traces.  Construction order matters: the LTE node schedules its t=0 event
+The medium is two-valued: geometry never changes, so each direction (data
+at the receiver, ACK at the transmitter) has one SINR while the LTE node is
+on and one while it is off.  The run's one record of the LTE schedule is
+``Medium.lte_times``, the transitions so far with "on" at even indices; the
+LTE state, each packet's SINR window and the run's LTE on-periods all
+derive from it.  Construction order matters: the LTE node schedules its t=0 event
 before the station's start event, so a duty>0 run begins with the medium
 already marked busy.
 """
@@ -15,50 +18,43 @@ from .config import RunConfig
 from .engine import NS_PER_S, Engine
 from .lte import LteNode, occupied_band
 from .metrics import MetricsAccumulator, RunMetrics
-from .radio import (LinkBudget, SpectrumBand, noise_floor_dbm, overlap_fraction,
-                    sinr_db)
+from .radio import SpectrumBand, noise_floor_dbm, overlap_fraction, sinr_db
 from .wifi import DcfStation, cca_busy
 
 
 class Medium:
-    """Shared-channel state: LTE activity timeline, busy flag, SINR traces."""
+    """Shared channel: the LTE schedule so far, carrier sense and SINR windows."""
 
-    def __init__(self, engine: Engine, cfg: RunConfig, acc: MetricsAccumulator,
-                 end_ns: int) -> None:
-        self.engine = engine
-        self.acc = acc
+    def __init__(self, cfg: RunConfig, end_ns: int) -> None:
         self.end_ns = end_ns
         self.station: DcfStation | None = None
+        self.lte: LteNode | None = None
+        self.lte_times: list[int] = []  # LTE transitions so far, "on" at even indices
 
         r = cfg.radio
         gain_lte_tx, gain_lte_rx, gain_link = r.link_gains()
-        self.wifi_band = SpectrumBand(0.0, r.wifi_bandwidth_mhz)
-        self.lte_band = occupied_band(cfg.lte)
+        wifi_band = SpectrumBand(0.0, r.wifi_bandwidth_mhz)
+        lte_band = occupied_band(cfg.lte)
         noise = noise_floor_dbm(r.wifi_bandwidth_mhz, r.noise_figure_db)
-        profile = cfg.wifi.cca()
 
-        lte_at_sensor = LinkBudget(cfg.lte.tx_power_dbm, gain_lte_tx).rx_power_dbm
-        self.defer_to_lte = cca_busy(profile, lte_at_sensor, self.lte_band,
-                                     self.wifi_band, r.oob_floor_dbc)
+        lte_at_sensor = cfg.lte.tx_power_dbm + gain_lte_tx
+        self.defer_to_lte = cca_busy(cfg.wifi.cca(), lte_at_sensor, lte_band, wifi_band,
+                                     r.oob_floor_dbc)
 
         # Receiver-side interference integrates over the demodulated channel.
-        rx_fraction = overlap_fraction(self.lte_band, self.wifi_band, r.oob_floor_dbc)
-        signal_at_rx = LinkBudget(cfg.wifi.tx_power_dbm, gain_link).rx_power_dbm
-        lte_at_rx = LinkBudget(cfg.lte.tx_power_dbm, gain_lte_rx).rx_power_dbm
-        self.sinr_rx_lte_on = sinr_db(signal_at_rx, [(lte_at_rx, rx_fraction)], noise)
-        self.sinr_rx_lte_off = sinr_db(signal_at_rx, [], noise)
+        # The peer's ACK comes at the same configured WiFi power over the
+        # reciprocal link, decoded where the LTE sits 34 cm away.  Each pair
+        # is (LTE off, LTE on).
+        rx_fraction = overlap_fraction(lte_band, wifi_band, r.oob_floor_dbc)
+        signal = cfg.wifi.tx_power_dbm + gain_link
+        lte_at_rx = cfg.lte.tx_power_dbm + gain_lte_rx
+        clear = sinr_db(signal, [], noise)
+        self.sinr_rx = (clear, sinr_db(signal, [(lte_at_rx, rx_fraction)], noise))
+        self.sinr_tx = (clear, sinr_db(signal, [(lte_at_sensor, rx_fraction)], noise))
 
-        # ACK direction: the peer answers at the same configured WiFi power
-        # over the reciprocal link, decoded where the LTE sits 34 cm away.
-        ack_at_tx = LinkBudget(cfg.wifi.tx_power_dbm, gain_link).rx_power_dbm
-        self.sinr_tx_lte_on = sinr_db(ack_at_tx, [(lte_at_sensor, rx_fraction)], noise)
-        self.sinr_tx_lte_off = sinr_db(ack_at_tx, [], noise)
-
-        self.lte_on = False
-        self.next_change_ns: int | None = None  # next scheduled LTE transition
-        self._times: list[int] = []
-        self._states: list[bool] = []
-        self._lte_on_since = 0
+    @property
+    def lte_on(self) -> bool:
+        return len(self.lte_times) % 2 == 1
 
     @property
     def busy(self) -> bool:
@@ -67,53 +63,35 @@ class Medium:
 
     def quiet_until(self) -> int:
         """Time of the medium's next change: the next LTE transition or the run end."""
-        if self.next_change_ns is None:
-            return self.end_ns
-        return min(self.next_change_ns, self.end_ns)
+        next_ns = None if self.lte is None else self.lte.next_ns
+        return self.end_ns if next_ns is None else min(next_ns, self.end_ns)
 
-    def lte_state_changed(self, now: int, on: bool, next_change_ns: int | None) -> None:
-        """LTE switched at ``now``; its next transition is due at ``next_change_ns``."""
-        self.lte_on = on
-        self.next_change_ns = next_change_ns
-        self._times.append(now)
-        self._states.append(on)
-        if on:
-            self._lte_on_since = now
-        else:
-            self.acc.lte_intervals.append((self._lte_on_since, now))
+    def lte_switched(self, now: int) -> None:
+        """Record an LTE transition at ``now`` and tell a deferring station."""
+        self.lte_times.append(now)
         if self.defer_to_lte and self.station is not None:
-            if on:
+            if self.lte_on:
                 self.station.busy_onset(now)
             else:
                 self.station.busy_cleared(now)
 
-    def _trace(self, t0: int, t1: int, on_value: float, off_value: float):
-        from .radio import SinrTrace
+    def lte_intervals(self) -> list[tuple[int, int]]:
+        """The LTE on-periods so far as (t0, t1) pairs; one still open ends at the run end."""
+        times = self.lte_times + [self.end_ns] * (len(self.lte_times) % 2)
+        return list(zip(times[0::2], times[1::2]))
 
-        idx = bisect.bisect_right(self._times, t0) - 1
-        state = self._states[idx] if idx >= 0 else False
-        segments = []
-        cursor = t0
-        for i in range(idx + 1, len(self._times)):
-            t = self._times[i]
-            if t >= t1:
-                break
-            if t > cursor:
-                segments.append((cursor, t, on_value if state else off_value))
-                cursor = t
-            state = self._states[i]
-        segments.append((cursor, t1, on_value if state else off_value))
-        return SinrTrace(segments)
+    def _window(self, t0: int, t1: int, sinr: tuple[float, float]) -> list[tuple[int, float]]:
+        """SINR over [t0, t1) as (duration_ns, sinr_db) segments, one per LTE state."""
+        times = self.lte_times
+        lo = bisect.bisect_right(times, t0)  # the transitions inside cut the window
+        cuts = [t0, *times[lo:bisect.bisect_left(times, t1, lo)], t1]
+        return [(b - a, sinr[(lo + j) % 2]) for j, (a, b) in enumerate(zip(cuts, cuts[1:]))]
 
-    def sinr_trace_at_rx(self, t0: int, t1: int):
-        return self._trace(t0, t1, self.sinr_rx_lte_on, self.sinr_rx_lte_off)
+    def sinr_trace_at_rx(self, t0: int, t1: int) -> list[tuple[int, float]]:
+        return self._window(t0, t1, self.sinr_rx)
 
-    def sinr_trace_at_tx(self, t0: int, t1: int):
-        return self._trace(t0, t1, self.sinr_tx_lte_on, self.sinr_tx_lte_off)
-
-    def flush(self, t_end_ns: int) -> None:
-        if self.lte_on and self._lte_on_since < t_end_ns:
-            self.acc.lte_intervals.append((self._lte_on_since, t_end_ns))
+    def sinr_trace_at_tx(self, t0: int, t1: int) -> list[tuple[int, float]]:
+        return self._window(t0, t1, self.sinr_tx)
 
 
 class Simulation:
@@ -125,11 +103,11 @@ class Simulation:
         self.engine = Engine(cfg.seed if seed is None else seed, trace=trace)
         self.acc = MetricsAccumulator()
         self.duration_ns = int(round(cfg.duration_s * NS_PER_S))
-        self.medium = Medium(self.engine, cfg, self.acc, self.duration_ns)
+        self.medium = Medium(cfg, self.duration_ns)
 
         self.lte_node = None
         if include_lte:
-            self.lte_node = LteNode(self.engine, cfg.lte, self.medium)
+            self.lte_node = self.medium.lte = LteNode(self.engine, cfg.lte, self.medium)
             self.lte_node.start()
 
         self.station = None
@@ -145,5 +123,4 @@ class Simulation:
         self.engine.run_until(self.duration_ns)
         if self.station is not None:
             self.station.flush(self.duration_ns)
-        self.medium.flush(self.duration_ns)
-        return self.acc.finalize(self.duration_ns)
+        return self.acc.finalize(self.duration_ns, self.medium.lte_intervals())

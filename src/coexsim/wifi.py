@@ -110,19 +110,14 @@ def analytic_goodput_mbps(mcs_mbps: int, payload_bytes: int,
     return payload_bytes * 8.0 / cycle_us
 
 
-def cca_busy(profile: CcaProfile, lte_power_at_sensor_dbm: float | None,
-             lte_band: SpectrumBand | None, wifi_band: SpectrumBand,
-             oob_floor_dbc: float = -30.0, peer_preamble: bool = False) -> bool:
-    """Energy-detect decision: integrated non-WiFi energy in the measured band.
+def cca_busy(profile: CcaProfile, lte_power_at_sensor_dbm: float, lte_band: SpectrumBand,
+             wifi_band: SpectrumBand, oob_floor_dbc: float = -30.0) -> bool:
+    """Energy-detect decision on a radiating LTE node: its integrated energy in
+    the measured band against the profile's threshold.
 
-    A detected WiFi preamble from the peer always reads busy regardless of
-    profile.  ``lte_power_at_sensor_dbm`` is the total LTE power arriving at
-    the sensing antenna (None while the LTE node is silent).
+    ``lte_power_at_sensor_dbm`` is the total LTE power arriving at the
+    sensing antenna.
     """
-    if peer_preamble:
-        return True
-    if lte_power_at_sensor_dbm is None or lte_band is None:
-        return False
     if profile.measure_band == "full20":
         measured = wifi_band
     else:
@@ -277,8 +272,8 @@ class DcfStation:
         ack_start, ack_end = self._ack_window
         self.acc.add_wifi(ack_start, ack_end)
         self._ack_window = None
-        trace = self.channel.sinr_trace_at_tx(ack_start, ack_end)
-        if packet_outcome(self.ack_rate, trace, self.per_model, self.decode_rng):
+        segments = self.channel.sinr_trace_at_tx(ack_start, ack_end)
+        if packet_outcome(self.ack_rate, segments, self.per_model, self.decode_rng):
             self._success()
         else:
             self.ack_decode_failures += 1
@@ -436,15 +431,15 @@ class DcfStation:
         window before the change sees the same SINR; the soft rule also
         reads the window's length.
         """
-        data_trace = self.channel.sinr_trace_at_rx(now, now + self.data_air_ns)
-        ack_trace = self.channel.sinr_trace_at_tx(now, now + self.ack_air_ns)
+        data = self.channel.sinr_trace_at_rx(now, now + self.data_air_ns)
+        ack = self.channel.sinr_trace_at_tx(now, now + self.ack_air_ns)
         if self.decode_rng is None:
-            data_ok = packet_outcome(self.mcs_mbps, data_trace, self.per_model, None)
-            return data_ok, data_ok and packet_outcome(self.ack_rate, ack_trace,
+            data_ok = packet_outcome(self.mcs_mbps, data, self.per_model, None)
+            return data_ok, data_ok and packet_outcome(self.ack_rate, ack,
                                                        self.per_model, None), None
-        p_data = success_probability(self.mcs_mbps, data_trace, self.per_model)
+        p_data = success_probability(self.mcs_mbps, data, self.per_model)
         odds = (None if p_data is None else
-                (p_data, success_probability(self.ack_rate, ack_trace, self.per_model)))
+                (p_data, success_probability(self.ack_rate, ack, self.per_model)))
         return False, False, odds
 
     def _drawn_outcomes(self, m: int, p_data: float, p_ack: float | None):

@@ -24,6 +24,11 @@ def make_cfg(duty=0.5, lte_power=12.0, mcs=54, wifi_power=17.0, prb=100,
     )
 
 
+def lte_transitions(sim) -> list[tuple[int, bool]]:
+    """The run's LTE transitions so far as (time_ns, now_on) pairs."""
+    return [(t, i % 2 == 0) for i, t in enumerate(sim.medium.lte_times)]
+
+
 def run_sim(cfg: RunConfig, seed: int = 1, **kwargs):
     sim = Simulation(cfg, seed=seed, **kwargs)
     metrics = sim.run()

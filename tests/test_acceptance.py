@@ -24,7 +24,7 @@ from coexsim.radio import SpectrumBand, overlap_fraction
 from coexsim.simulation import Simulation
 from coexsim.wifi import MCS_RATES, analytic_goodput_mbps
 
-from conftest import make_cfg, run_sim
+from conftest import lte_transitions, make_cfg, run_sim
 
 MASTER_SEED = 1
 JOBS = os.cpu_count() or 1
@@ -217,11 +217,10 @@ class TestCriterion8LteScheduleInvariants:
         cfg = make_cfg(duty=0.5, duration=100.0)
         metrics, sim = run_sim(cfg, seed=MASTER_SEED)
         on_fraction = metrics.lte_airtime_ns / metrics.duration_ns
-        ons = [t for t, on in sim.lte_node.transitions if on]
+        ons = [t for t, on in lte_transitions(sim) if on]
         aligned = all(t % (10 * NS_PER_MS) == 0 for t in ons)
         _, lte_only = run_sim(cfg, seed=MASTER_SEED, include_wifi=False)
-        invariant_trace = (sim.lte_node.transitions
-                           == lte_only.lte_node.transitions)
+        invariant_trace = lte_transitions(sim) == lte_transitions(lte_only)
         ok = 0.48 <= on_fraction <= 0.52 and aligned and invariant_trace
         report(8, ok, f"on-time fraction {on_fraction:.4f} (need [0.48, 0.52]); "
                       f"{len(ons)} on-transitions all on 10 ms boundaries: {aligned}; "

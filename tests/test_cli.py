@@ -231,6 +231,11 @@ class TestRunInputErrors:
         (["run"], "[wifi]\npayload_bytes = 1e15\n", "payload_bytes"),
         (["run"], "[wifi]\npayload_bytes = 1000000000000000\n", "payload_bytes"),
         (["run"], "[wifi]\nretry_limit = 10000000000000000000000\n", "retry_limit"),
+        # Seeds outside the engine's 64 bits.
+        (["run", "--seed", "-1"], None, "run.seed"),
+        (["run", "--seed", "18446744073709551616"], None, "run.seed"),
+        (["run"], "[run]\nseed = 18446744073709551621\n", "run.seed"),
+        (["baseline", "--mcs", "54", "--seed", "-1"], None, "run.seed"),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, ini, needle):
         if ini is not None:
@@ -251,6 +256,13 @@ class TestFileErrors:
 
         monkeypatch.setattr(cli, "Simulation", refuse)
         monkeypatch.setattr(cli, "run_sweep", refuse)
+
+    def test_negative_jobs_exits_2_before_any_run(self, tmp_path, capsys, no_runs):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "duty", "--jobs", "-3", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == "config error: --jobs must be >= 0 (0 uses all cores), got -3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,needle", [
         (["run", "--config", "{tmp}"], "Is a directory"),

@@ -120,6 +120,13 @@ class TestRngStreams:
         b = engine.rng_stream("wifi-backoff").uniform(size=1000)
         assert not np.array_equal(a, b)
 
+    def test_seeds_past_64_bits_do_not_alias(self):
+        a = Engine(seed=5).rng_stream("lte-silent").uniform(size=1000)
+        b = Engine(seed=5 + 2**64).rng_stream("lte-silent").uniform(size=1000)
+        assert not np.array_equal(a, b)
+        with pytest.raises(ValueError):
+            Engine(seed=-1).rng_stream("lte-silent")
+
     def test_uniform_mean_converges(self):
         draws = Engine(seed=5).rng_stream("check").uniform(size=1_000_000)
         assert abs(draws.mean() - 0.5) < 0.001

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from coexsim.config import ConfigError
@@ -22,6 +22,7 @@ from coexsim.wifi import FAST_FORWARD_CHUNK, DcfStation, ack_airtime_us, frame_a
 from conftest import make_cfg
 
 SEEDS = (1, 2, 5)
+INT64_MAX = 2**63 - 1
 SOFT_SLOPES = (0.5, 2.0, 40.0)
 
 
@@ -40,7 +41,7 @@ def observe(cfg, seed, trace, fast=True):
                      station.data_decode_failures, station.ack_decode_failures),
         "state": (station.cw, station.consecutive_failures, station.pending_k),
         "wifi_intervals": sim.acc.wifi_intervals,
-        "lte_intervals": sim.acc.lte_intervals,
+        "lte_intervals": sim.medium.lte_intervals(),
         "draw_log": station.draw_log,
         "backoff_rng": station.rng.bit_generator.state,
         "decode_rng": (None if station.decode_rng is None
@@ -132,7 +133,7 @@ def assert_run_end_invariants(sim, metrics):
     assert metrics.failures <= decode_failures <= metrics.failures + 1
     assert 0 <= metrics.wifi_airtime_ns <= metrics.duration_ns
     assert 0 <= metrics.lte_airtime_ns <= metrics.duration_ns
-    for intervals in (sim.acc.wifi_intervals, sim.acc.lte_intervals):
+    for intervals in (sim.acc.wifi_intervals, sim.medium.lte_intervals()):
         for t0, t1 in intervals:
             assert t0 <= t1  # a frame that starts exactly at the run end has length 0
         for (_, a1), (b0, _) in zip(intervals, intervals[1:]):
@@ -164,7 +165,21 @@ def test_run_end_invariants(duty, lte_power, mcs, profile, prb, offset, mean_per
     assert_run_end_invariants(sim, sim.run())
 
 
-@settings(max_examples=25, deadline=None)
+@st.composite
+def contention_timing(draw):
+    """(slot_us, cw_min, cw_max) from the whole range RunConfig can accept:
+    any slot, and windows 2^k - 1 whose longest backoff keeps the step's
+    arithmetic within int64 ns.  Half the draws of each stay near 802.11's
+    values, where a short run still sees many cycles."""
+    top = draw(st.integers(0, 10) | st.integers(0, 62))
+    bottom = draw(st.integers(0, top))
+    longest_slots = 2**top + 2  # cw_max slots of backoff, two in DIFS, one after a failure
+    bound = max(1, INT64_MAX // (FAST_FORWARD_CHUNK * NS_PER_US) // longest_slots)
+    slot_us = draw(st.integers(1, min(bound, 400)) | st.integers(1, bound))
+    return slot_us, 2**bottom - 1, 2**top - 1
+
+
+@settings(max_examples=100, deadline=None)
 @given(duty=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
        lte_power=st.floats(min_value=-20.0, max_value=15.0),
        mcs=st.sampled_from([6, 24, 54]),
@@ -172,19 +187,22 @@ def test_run_end_invariants(duty, lte_power, mcs, profile, prb, offset, mean_per
        mean_period_ms=st.sampled_from([5.0, 40.0, 150.0]),
        ed_threshold=st.one_of(st.none(), st.floats(min_value=-70.0, max_value=30.0)),
        retry_limit=st.integers(min_value=0, max_value=9),
-       slot_us=st.sampled_from([9, 20, 300]),
-       cw=st.sampled_from([(15, 1023), (7, 7), (0, 3)]),
+       timing=contention_timing(),
        soft_slope_k=st.sampled_from([0.0, *SOFT_SLOPES]),
        duration=st.floats(min_value=0.01, max_value=0.3),
        seed=st.integers(min_value=0, max_value=2**32))
 def test_fast_path_matches_event_path_on_random_mac_settings(
         duty, lte_power, mcs, profile, mean_period_ms, ed_threshold, retry_limit,
-        slot_us, cw, soft_slope_k, duration, seed):
-    cfg = make_cfg(duty=duty, lte_power=lte_power, mcs=mcs, profile=profile,
-                   mean_period_ms=mean_period_ms, duration=duration,
-                   cca_ed_threshold_dbm=ed_threshold, retry_limit=retry_limit,
-                   slot_us=slot_us, cw_min=cw[0], cw_max=cw[1],
-                   soft_slope_k=soft_slope_k)
+        timing, soft_slope_k, duration, seed):
+    slot_us, cw_min, cw_max = timing
+    try:
+        cfg = make_cfg(duty=duty, lte_power=lte_power, mcs=mcs, profile=profile,
+                       mean_period_ms=mean_period_ms, duration=duration,
+                       cca_ed_threshold_dbm=ed_threshold, retry_limit=retry_limit,
+                       slot_us=slot_us, cw_min=cw_min, cw_max=cw_max,
+                       soft_slope_k=soft_slope_k)
+    except ConfigError:
+        reject()  # just past the int64 bound, which the corner tests cover
     assert_paths_agree(cfg, seed)
 
 
@@ -265,8 +283,6 @@ def test_ten_second_traced_soft_run_writes_the_event_path_text(cfg):
 
 
 # -- the int64 range of the step ---------------------------------------------
-
-INT64_MAX = 2**63 - 1
 
 
 def longest_cycle_ns(w):

@@ -7,7 +7,7 @@ from coexsim.config import LteSettings
 from coexsim.engine import NS_PER_MS, NS_PER_S, Engine
 from coexsim.lte import draw_silent_duration_ns, occupied_band, on_duration_ns
 
-from conftest import make_cfg, run_sim
+from conftest import lte_transitions, make_cfg, run_sim
 
 
 class TestOnDuration:
@@ -91,22 +91,22 @@ def lte_on_time_ns(transitions, t_end):
 class TestScheduleActivity:
     def test_half_duty_on_time_over_ten_seconds(self):
         _, sim = run_sim(make_cfg(duty=0.5), seed=4, include_wifi=False)
-        on_ns = lte_on_time_ns(sim.lte_node.transitions, 10 * NS_PER_S)
+        on_ns = lte_on_time_ns(lte_transitions(sim), 10 * NS_PER_S)
         assert 4.5 * NS_PER_S <= on_ns <= 5.5 * NS_PER_S
 
     def test_full_duty_single_transition(self):
         _, sim = run_sim(make_cfg(duty=1.0), seed=4, include_wifi=False)
-        assert sim.lte_node.transitions == [(0, True)]
-        assert sim.lte_node.on
+        assert lte_transitions(sim) == [(0, True)]
+        assert sim.medium.lte_on
 
     def test_zero_duty_never_transitions(self):
         _, sim = run_sim(make_cfg(duty=0.0), seed=4, include_wifi=False)
-        assert sim.lte_node.transitions == []
+        assert lte_transitions(sim) == []
 
     def test_on_transitions_sit_on_frame_boundaries(self):
         _, sim = run_sim(make_cfg(duty=0.5, duration=30.0), seed=4,
                          include_wifi=False)
-        ons = [t for t, on in sim.lte_node.transitions if on]
+        ons = [t for t, on in lte_transitions(sim) if on]
         assert len(ons) > 100
         assert all(t % (10 * NS_PER_MS) == 0 for t in ons)
 
@@ -117,14 +117,14 @@ class TestScheduleActivity:
         cfg = make_cfg(duty=0.5, mean_period_ms=145.0, silent_spread=0.0,
                        duration=0.4)
         _, sim = run_sim(cfg, seed=4, include_wifi=False)
-        assert sim.lte_node.transitions[:3] == [
+        assert lte_transitions(sim)[:3] == [
             (0, True), (73 * NS_PER_MS, False), (150 * NS_PER_MS, True)]
 
     def test_schedule_is_independent_of_wifi_presence(self):
         cfg = make_cfg(duty=0.5, duration=5.0)
         _, with_wifi = run_sim(cfg, seed=4, include_wifi=True)
         _, without_wifi = run_sim(cfg, seed=4, include_wifi=False)
-        assert with_wifi.lte_node.transitions == without_wifi.lte_node.transitions
+        assert lte_transitions(with_wifi) == lte_transitions(without_wifi)
 
     def test_duty_zero_equals_wifi_only_run(self):
         cfg = make_cfg(duty=0.0, duration=2.0)

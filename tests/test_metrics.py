@@ -100,7 +100,7 @@ class TestAirtimePartition:
     def test_real_run_partition_sums_to_duration(self):
         cfg = make_cfg(duty=0.5, lte_power=-16.0, mcs=6, duration=2.0)
         metrics, sim = run_sim(cfg, seed=6)
-        parts = airtime_partition(sim.acc.wifi_intervals, sim.acc.lte_intervals,
+        parts = airtime_partition(sim.acc.wifi_intervals, sim.medium.lte_intervals(),
                                   metrics.duration_ns)
         assert sum(parts.values()) == metrics.duration_ns
         # The independent sweep agrees with the incremental counters.

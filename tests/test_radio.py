@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coexsim.engine import Engine
-from coexsim.radio import (PerModel, SinrTrace, SpectrumBand, dbm, fspl_db, mw,
-                           noise_floor_dbm, overlap_fraction, packet_outcome,
-                           sinr_db, success_probability)
+from coexsim.radio import (PerModel, SpectrumBand, dbm, fspl_db, mw, noise_floor_dbm,
+                           overlap_fraction, packet_outcome, sinr_db, success_probability)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -124,15 +123,9 @@ class TestSinr:
         for x in (-94.0, -23.2, 0.0, 12.0, 70.8):
             assert dbm(mw(x)) == pytest.approx(x, rel=1e-9)
 
-    def test_link_budget_received_power(self):
-        from coexsim.radio import LinkBudget
 
-        budget = LinkBudget(tx_power_dbm=12.0, path_gain_db=-31.4)
-        assert budget.rx_power_dbm == pytest.approx(-19.4)
-
-
-def flat_trace(sinr, start=0, end=248_000):
-    return SinrTrace([(start, end, sinr)])
+def flat_trace(sinr, duration_ns=248_000):
+    return [(duration_ns, sinr)]
 
 
 class TestPacketOutcome:
@@ -145,8 +138,13 @@ class TestPacketOutcome:
             assert packet_outcome(rate, flat_trace(70.0), self.model, self.rng)
 
     def test_mid_packet_interference_fails_hard_threshold(self):
-        trace = SinrTrace([(0, 100_000, 70.0), (100_000, 248_000, -3.6)])
+        trace = [(100_000, 70.0), (148_000, -3.6)]
         assert not packet_outcome(54, trace, self.model, self.rng)
+
+    def test_hard_rule_reads_the_worst_segment(self):
+        # 54 Mbps needs 25 dB: a dip in the middle segment decides.
+        assert not packet_outcome(54, [(10, 30.0), (20, 24.0), (10, 30.0)], self.model, None)
+        assert packet_outcome(54, [(10, 30.0), (20, 26.0), (10, 30.0)], self.model, None)
 
     def test_capture_asymmetry_at_24_4_db(self):
         # Thresholds: 6 Mbps at 5 dB (clears), 54 Mbps at 25 dB (does not).
@@ -158,9 +156,8 @@ class TestPacketOutcome:
            st.floats(min_value=0.0, max_value=30.0),
            st.sampled_from([6, 12, 24, 54]))
     def test_hard_threshold_is_monotone_in_sinr(self, sinrs, bump, rate):
-        cuts = [i * 10_000 for i in range(len(sinrs) + 1)]
-        lo = SinrTrace([(a, b, s) for a, b, s in zip(cuts, cuts[1:], sinrs)])
-        hi = SinrTrace([(a, b, s + bump) for a, b, s in zip(cuts, cuts[1:], sinrs)])
+        lo = [(10_000, s) for s in sinrs]
+        hi = [(10_000, s + bump) for s in sinrs]
         if packet_outcome(rate, lo, self.model, self.rng):
             assert packet_outcome(rate, hi, self.model, self.rng)
 
@@ -192,23 +189,6 @@ class TestPerModel:
             PerModel(oob_floor_dbc=3.0)
 
 
-class TestSinrTrace:
-    def test_rejects_gapped_segments(self):
-        with pytest.raises(ValueError):
-            SinrTrace([(0, 10, 5.0), (20, 30, 5.0)])
-
-    def test_rejects_empty_or_zero_length(self):
-        with pytest.raises(ValueError):
-            SinrTrace([])
-        with pytest.raises(ValueError):
-            SinrTrace([(10, 10, 1.0)])
-
-    def test_min_over_segments(self):
-        trace = SinrTrace([(0, 10, 5.0), (10, 30, -2.0), (30, 40, 8.0)])
-        assert trace.min_sinr_db() == -2.0
-        assert trace.start_ns == 0 and trace.end_ns == 40
-
-
 class TestSoftRuleOverflow:
     def test_steep_slope_far_below_threshold_fails_without_overflow(self):
         # exp(40 * 25) overflows a float; the packet simply does not decode.
@@ -224,7 +204,7 @@ class TestSoftRuleOverflow:
         bits = []
         for i in range(96):
             sinr = 23.0 + 0.05 * i
-            trace = SinrTrace([(0, 248_000, sinr), (248_000, 2_320_000, sinr + 2.0)])
+            trace = [(248_000, sinr), (2_072_000, sinr + 2.0)]
             bits.append("1" if packet_outcome(54, trace, model, rng) else "0")
         assert "".join(bits) == ("000001110100101000011110110111110101100111011111"
                                  "111111111111111111111111111111111111111111111111")
@@ -236,10 +216,10 @@ class TestSuccessProbability:
         # A 0.25 ms segment counts a quarter of a millisecond, not a whole one.
         model = PerModel(soft_slope_k=2.0)
         sigmoid = 1.0 / (1.0 + math.exp(-2.0 * (26.0 - 25.0)))
-        quarter = SinrTrace([(0, 250_000, 26.0)])
+        quarter = [(250_000, 26.0)]
         assert success_probability(54, quarter, model) == pytest.approx(
             sigmoid ** 0.25, rel=1e-12)
-        split = SinrTrace([(0, 250_000, 26.0), (250_000, 1_250_000, 26.0)])
+        split = [(250_000, 26.0), (1_000_000, 26.0)]
         assert success_probability(54, split, model) == pytest.approx(
             sigmoid ** 1.25, rel=1e-12)
 

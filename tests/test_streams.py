@@ -12,7 +12,7 @@ from coexsim.config import (canonical_for_seed, derive_seed, seed_from_text,
                             serialize_config)
 from coexsim.simulation import Simulation
 
-from conftest import make_cfg
+from conftest import lte_transitions, make_cfg
 
 
 class TestStreamsBuilt:
@@ -38,7 +38,7 @@ class TestDrawsUnchanged:
         metrics = sim.run()
         assert dataclasses.astuple(metrics) == (
             1048500, 700, 0, 0, 193115000, 225000000, 500000000)
-        assert sim.lte_node.transitions == [
+        assert lte_transitions(sim) == [
             (0, True), (75000000, False), (170000000, True), (245000000, False),
             (360000000, True), (435000000, False)]
         assert sim.station.decode_rng.uniform(size=3).tolist() == [

@@ -54,14 +54,6 @@ class TestCcaBusy:
         profile = CcaProfile("strict", -62.0, "full20", True)
         assert cca_busy(profile, -19.4, SpectrumBand(0.0, 18.0), self.wifi_band)
 
-    def test_lte_off_reads_idle(self):
-        profile = CCA_PRESETS["vendor-A"]
-        assert not cca_busy(profile, None, None, self.wifi_band)
-
-    def test_peer_preamble_always_honored(self):
-        profile = CcaProfile("deaf", 30.0, "full20", True)
-        assert cca_busy(profile, None, None, self.wifi_band, peer_preamble=True)
-
     def test_measure_band_changes_integrated_energy(self):
         # 100 PRB leaks ~2.6 dB of its power outside a centered 10 MHz
         # sub-band, so a threshold between the two readings splits the
@@ -142,7 +134,7 @@ class TestDcfMechanics:
         # threshold: no transmission may start inside an on-period.
         cfg = make_cfg(duty=0.5, lte_power=12.0, duration=3.0)
         metrics, sim = run_sim(cfg, seed=8)
-        on_intervals = sim.acc.lte_intervals
+        on_intervals = sim.medium.lte_intervals()
         data_air_ns = 248 * NS_PER_US
         data_starts = [a for a, b in sim.acc.wifi_intervals if b - a == data_air_ns]
         assert data_starts
@@ -155,7 +147,7 @@ class TestDcfMechanics:
         # continue during on-periods and (at MCS 6) survive via capture.
         cfg = make_cfg(duty=0.5, lte_power=-16.0, mcs=6, duration=3.0)
         metrics, sim = run_sim(cfg, seed=8)
-        on_intervals = sim.acc.lte_intervals
+        on_intervals = sim.medium.lte_intervals()
         started_during_on = sum(
             1 for start, _ in sim.acc.wifi_intervals
             if any(a <= start < b for a, b in on_intervals))
