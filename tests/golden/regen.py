@@ -3,9 +3,10 @@
 The files next to this script are the CSV and summary of each of the four
 sweeps on a reduced grid (2 reps, 0.5 s runs, 2-3 values per axis, both MCS
 values and both CCA profiles kept), plus ``coexsim run`` at 0.5 s with its
-event trace: the default config, and two soft-PER configs read from an INI
+event trace: the default config, two soft-PER configs read from an INI
 file (vendor-B, which defers to the low-power LTE, and vendor-A, which does
-not and sends packets that decode under LTE only by chance).
+not and sends packets that decode under LTE only by chance), and three
+backoff-window edge cases (see ``WINDOW_RUNS``).
 ``tests/test_golden.py`` regenerates them into a temporary directory and
 compares them byte for byte.
 
@@ -48,6 +49,27 @@ cca_profile = {profile}
 soft_slope_k = 2
 """
 SOFT_RUNS = {"soft-vendor-b": "vendor-B", "soft-vendor-a": "vendor-A"}
+# Carrier sensing blind to LTE that is always on at full power: every packet
+# collides and climbs the retry ladder.
+FORCED_INI = """\
+[lte]
+duty = 1
+tx_power_dbm = 12
+
+[wifi]
+cca_ed_threshold_dbm = 30
+"""
+# Backoff windows at the edges of how a draw takes its random bits, each run
+# long enough for 70-150 attempts at seed 3: a zero window (no bits) between
+# one-bit windows; 33-bit windows only (a whole 64-bit output each); and
+# 32-bit and 33-bit windows in turn (each wide draw follows one 32-bit draw).
+WINDOW_RUNS = {
+    "window-zero": (FORCED_INI + "cw_min = 0\ncw_max = 1\n", "0.05"),
+    "window-wide": ("[lte]\nduty = 0\n\n[wifi]\nslot_us = 1\n"
+                    "cw_min = 8589934591\ncw_max = 8589934591\n", "300000"),
+    "window-mixed": (FORCED_INI + "slot_us = 1\ncw_min = 4294967295\n"
+                     "cw_max = 8589934591\nretry_limit = 2\n", "300000"),
+}
 
 
 def golden_names() -> list[str]:
@@ -55,7 +77,7 @@ def golden_names() -> list[str]:
     for scenario in SWEEP_GRIDS:
         names += [f"{scenario}.csv", f"{scenario}.summary.csv"]
     names += [RUN_CSV, RUN_TRACE]
-    for name in SOFT_RUNS:
+    for name in [*SOFT_RUNS, *WINDOW_RUNS]:
         names += [f"{name}.csv", f"{name}.trace"]
     return names
 
@@ -75,11 +97,15 @@ def generate(out_dir: Path) -> None:
                  "--summary", str(out_dir / f"{scenario}.summary.csv")])
     run_cli(["run", *RUN_ARGS, "--out", str(out_dir / RUN_CSV),
              "--trace", str(out_dir / RUN_TRACE)])
+    ini_runs = {name: (SOFT_INI.format(profile=profile), RUN_ARGS)
+                for name, profile in SOFT_RUNS.items()}
+    ini_runs.update((name, (text, ["--seed", "3", "--duration", duration]))
+                    for name, (text, duration) in WINDOW_RUNS.items())
     with tempfile.TemporaryDirectory() as tmp:
-        for name, profile in SOFT_RUNS.items():
+        for name, (text, args) in ini_runs.items():
             ini = Path(tmp) / f"{name}.ini"
-            ini.write_text(SOFT_INI.format(profile=profile))
-            run_cli(["run", "--config", str(ini), *RUN_ARGS,
+            ini.write_text(text)
+            run_cli(["run", "--config", str(ini), *args,
                      "--out", str(out_dir / f"{name}.csv"),
                      "--trace", str(out_dir / f"{name}.trace")])
 
