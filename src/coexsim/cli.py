@@ -154,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--duration", type=float, help="seconds per run")
     sweep_p.add_argument("--out", help="CSV output path (default <scenario>_sweep.csv)")
     sweep_p.add_argument("--summary", help="box-stats CSV path")
-    sweep_p.add_argument("--jobs", type=int, help="parallel runs (default and 0: all cores)")
+    sweep_p.add_argument("--jobs", type=int,
+                         help="worker processes, at most one per core and per planned run "
+                              "(default and 0: all cores)")
     sweep_p.add_argument("--grid", action="append", metavar="KEY=V1,V2,...",
                          help="override an axis grid, e.g. --grid duty=0,0.5,1")
     sweep_p.set_defaults(fn=cmd_sweep)

@@ -8,6 +8,7 @@ insertion order and every run is exactly reproducible from its seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 from dataclasses import dataclass, field
@@ -18,6 +19,25 @@ import numpy as np
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
+
+
+def _uint32_words(n: int) -> np.ndarray:
+    """A non-negative int as numpy's SeedSequence splits it: 32-bit words,
+    low word first, as many as it needs (one for 0)."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & 0xFFFF_FFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFF_FFFF)
+    return np.array(words, dtype=np.uint32)
+
+
+@functools.cache
+def _label_words(label: str) -> np.ndarray:
+    """The words of a label's four 64-bit SHA-256 words, as _uint32_words splits them."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return np.concatenate([_uint32_words(int.from_bytes(digest[i:i + 8], "little"))
+                           for i in range(0, 32, 8)])
 
 
 class SchedulingError(Exception):
@@ -99,10 +119,10 @@ class Engine:
         """
         stream = self._streams.get(label)
         if stream is None:
-            digest = hashlib.sha256(label.encode("utf-8")).digest()
-            words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
-            stream = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence([self.seed, *words])))
+            # The words SeedSequence([seed, *label_words]) assembles, given to
+            # it as one array: the same state without converting each int.
+            entropy = np.concatenate((_uint32_words(self.seed), _label_words(label)))
+            stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
             self._streams[label] = stream
         return stream
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -247,15 +248,16 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
             row_keys.append((point, rep, plan_run(cfg, run_text, rep, label),
                              plan_run(baseline_cfg, base_text, rep, f"baseline for {label}")))
 
-    # One chunk holds about 1/16 of a worker's share: few enough round trips
-    # for millisecond runs, small enough that the last chunk's tail stays short
-    # when runs take seconds.
-    pool = (ProcessPoolExecutor(max_workers=jobs)
-            if jobs > 1 and len(plan) > 1 else None)
+    # A fork pool starts all its workers at the first submit, so it gets no
+    # more than there are runs or cores.  One chunk holds about 1/16 of a
+    # worker's share: few enough round trips for millisecond runs, small
+    # enough that the last chunk's tail stays short when runs take seconds.
+    workers = min(jobs, len(plan), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         outcomes = (map(_execute, plan.values()) if pool is None else
                     pool.map(_execute, plan.values(),
-                             chunksize=-(-len(plan) // (16 * jobs))))
+                             chunksize=-(-len(plan) // (16 * workers))))
         # A failing run raises here, and map cancels every chunk not yet started.
         results = dict(zip(plan, outcomes))
 

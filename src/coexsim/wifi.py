@@ -26,7 +26,7 @@ MCS_RATES = tuple(sorted(BITS_PER_SYMBOL))
 BASIC_RATES = (6, 12, 24)
 SERVICE_TAIL_BITS = 16 + 6
 # Most DCF cycles one vectorised step covers; bounds the arrays it builds and
-# the draws it rewinds when the chunk overshoots the medium's next change.
+# the decode draws it rewinds when the chunk overshoots the medium's next change.
 FAST_FORWARD_CHUNK = 4096
 # The trace lines of a stepped cycle, one "%" template per shape, indexed by
 # 3 * (k > 0) + outcome: 0 the ACK decoded, 1 only the data decoded (contention
@@ -127,6 +127,76 @@ def cca_busy(profile: CcaProfile, lte_power_at_sensor_dbm: float, lte_band: Spec
     return in_band_dbm >= profile.ed_threshold_dbm
 
 
+class BackoffStream:
+    """Backoff draws equal to ``rng.integers(0, cw + 1)`` drawn one at a time,
+    for windows cw = 2^b - 1, read from the generator's raw 64-bit outputs.
+
+    numpy splits an output into two 32-bit words, low half first, and keeps
+    the high half pending for the next 32-bit draw.  Over 2^b values its
+    bounded (Lemire) draw never rejects, so a window of 1 <= b <= 32 bits
+    takes the next word's top b bits, a wider one the next unsplit output's
+    top b bits (a pending half stays pending), and b = 0 takes nothing.  The
+    outputs are drawn in blocks, refilled as a function of the stream position
+    alone, so per-window draws and chunked reads leave the generator alike.
+    """
+
+    # Unsplit outputs kept after every draw (the words of a whole step chunk);
+    # a refill adds FAST_FORWARD_CHUNK outputs.
+    RESERVE = FAST_FORWARD_CHUNK // 2
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self._raw = np.empty(0, "<u8")
+        self._w = 0  # next word; odd while a high half is pending
+        self._top_up()
+
+    def draw(self, cw: int) -> int:
+        bits = cw.bit_length()
+        if bits == 0:
+            return 0
+        w = self._w
+        if bits <= 32:
+            k = int(self._words[w]) >> (32 - bits)
+            self._w = w + 1
+        else:
+            # The pending half moves into the spent output's high half, so it
+            # stays the word right before the next unsplit output.
+            j = (w + 1) // 2
+            k = int(self._raw[j]) >> (64 - bits)
+            if w & 1:
+                self._words[2 * j + 1] = self._words[w]
+            self._w = 2 * j + 2 - (w & 1)
+        if self._w > self._limit:
+            self._top_up()
+        return k
+
+    def peek(self, bits: np.ndarray) -> np.ndarray:
+        """The next draws for up to FAST_FORWARD_CHUNK windows of these bit
+        counts, each at most 32, without taking them."""
+        w = self._w
+        if np.count_nonzero(bits) == len(bits):
+            words = self._words[w:w + len(bits)]
+        else:  # a zero window reads the next word and shifts all of it away
+            takes = bits > 0
+            words = self._words[w + np.cumsum(takes) - takes]
+        return words >> (32 - bits)
+
+    def take(self, bits: np.ndarray) -> None:
+        """Take the draws of windows of these bit counts (each at most 32)."""
+        self._w += int(np.count_nonzero(bits))
+        if self._w > self._limit:
+            self._top_up()
+
+    def _top_up(self) -> None:
+        start = self._w // 2  # the first output not wholly spent
+        self._raw = np.concatenate((self._raw[start:], self.rng.bit_generator.random_raw(
+            FAST_FORWARD_CHUNK)), dtype="<u8")
+        self._words = self._raw.view("<u4")
+        self._w -= 2 * start
+        # RESERVE outputs lie past the next unsplit one while _w <= _limit.
+        self._limit = 2 * (len(self._raw) - self.RESERVE)
+
+
 class DcfStation:
     """Saturated DCF transmitter driving the engine; its peer only sends ACKs.
 
@@ -140,8 +210,8 @@ class DcfStation:
     whole cycle that ends before the medium next changes (see
     ``_skip_whole_cycles``).  Counters, intervals, RNG streams and trace
     lines end exactly where the event path leaves them; only the cycle that
-    crosses a change and the cycles that resume a frozen backoff stay on
-    events.
+    crosses a change, the cycles that resume a frozen backoff and those
+    with a window wider than 32 bits stay on events.
     """
 
     name = "wifi-tx"
@@ -157,6 +227,7 @@ class DcfStation:
         self.payload_bytes = params.payload_bytes
         self.acc = acc
         self.rng = engine.rng_stream("wifi-backoff")
+        self.backoff = BackoffStream(self.rng)
         # The hard PER rule decodes without drawing, so it gets no decode stream.
         self.decode_rng = (engine.rng_stream("wifi-decode")
                            if per_model.soft_slope_k != 0.0 else None)
@@ -169,10 +240,13 @@ class DcfStation:
         self.ack_air_ns = ack_airtime_us(self.mcs_mbps, params) * NS_PER_US
         self.ack_rate = ack_rate_mbps(self.mcs_mbps, params)
         # cw after j consecutive failures; cw is always _cw_ladder[min(j, top)].
-        ladder = [params.cw_min]
-        while ladder[-1] < params.cw_max:
-            ladder.append(min(2 * (ladder[-1] + 1) - 1, params.cw_max))
-        self._cw_ladder = np.array(ladder, dtype=np.int64)
+        self._cw_ladder = [params.cw_min]
+        while self._cw_ladder[-1] < params.cw_max:
+            self._cw_ladder.append(min(2 * (self._cw_ladder[-1] + 1) - 1, params.cw_max))
+        bits = [cw.bit_length() for cw in self._cw_ladder]
+        # The step reads windows up to 32 bits and stops before the first wider one.
+        self._narrow_bits = np.minimum(bits, 32)
+        self._wide_rung = next((j for j, b in enumerate(bits) if b > 32), len(bits))
         # Step inputs: the cycle outcomes of each LTE state, and a cycle's
         # data frame and ACK as offsets from the data frame's start.
         self._outcomes: dict[bool, tuple] = {}
@@ -218,9 +292,12 @@ class DcfStation:
                                               self._difs_end)
 
     def _difs_end(self) -> None:
+        """DIFS is over: count down a frozen residual, or a fresh draw from the
+        backoff stream (``rng.integers(0, cw + 1)``'s value, read from the
+        same words the step reads), then transmit at zero."""
         self.difs_completed += 1
         if self.pending_k is None:
-            k = int(self.rng.integers(0, self.cw + 1))
+            k = self.backoff.draw(self.cw)
             if self.draw_log is not None:
                 self.draw_log.append(k)
         else:
@@ -313,11 +390,14 @@ class DcfStation:
         constant.  Under the hard PER rule, or when the data cannot decode,
         every cycle then has the same outcome and the cycles differ only in
         their backoff draws.  Otherwise each cycle draws its data outcome and,
-        if the data decoded, its ACK outcome against fixed odds.  Draws come
-        from one ``integers`` call over the cycles' windows and one
-        ``uniform`` call, which consume the streams exactly as the per-cycle
-        scalar draws do: draw a chunk, count the cycles that fit, then rewind
-        and draw exactly what they used.  A traced run gets the lines the
+        if the data decoded, its ACK outcome against fixed odds.  The backoff
+        draws of a chunk are one slice and one shift of the backoff stream's
+        words, the very words ``_difs_end`` would read; the step takes the
+        words of the cycles that fit, with no rewind and no second draw, and
+        stops before a window wider than 32 bits, whose cycle the events
+        draw.  The decode draws are one ``uniform`` call over the chunk,
+        rewound to what the cycles that fit used.  Both streams end exactly
+        where the per-cycle draws leave them.  A traced run gets the lines the
         events would have written.  If it advanced, the step schedules the
         next contention under the kind of the last cycle's last line, which
         that event then traces.  Returns the time that contention begins.
@@ -357,23 +437,26 @@ class DcfStation:
                 decode_saved = self.decode_rng.bit_generator.state
                 data, ok, failures_before, used = self._drawn_outcomes(m, *odds)
                 failed = ~ok
-            cws = self._cw_ladder[np.minimum(failures_before, top)]
-            saved = self.rng.bit_generator.state
-            ks = self.rng.integers(0, cws + 1)
+            rungs = np.minimum(failures_before, top)
+            bits = self._narrow_bits[rungs]
+            ks = self.backoff.peek(bits)
             ends = now + np.cumsum(ks * self.slot_ns + (base_ns + failed * self.slot_ns))
             n = int(np.searchsorted(ends, horizon))  # cycles ending before it
+            if self._wide_rung <= top:  # the events draw windows over 32 bits
+                wide = np.flatnonzero(rungs >= self._wide_rung)
+                n = min(n, int(wide[0])) if wide.size else n
             if odds is not None:
                 self.decode_rng.bit_generator.state = decode_saved
                 if n:
                     self.decode_rng.uniform(size=int(used[n - 1]))
             if n < m:
-                self.rng.bit_generator.state = saved
                 if n == 0:
                     break
-                ks = self.rng.integers(0, cws[:n] + 1)
+                ks, bits = ks[:n], bits[:n]
                 failures_before, ends = failures_before[:n], ends[:n]
                 if odds is not None:
                     data, ok, failed = data[:n], ok[:n], failed[:n]
+            self.backoff.take(bits)
             if odds is None:
                 delivered, undecoded = n * ack_ok, n * (not data_ok)
                 last_ok, last_data = ack_ok, data_ok
@@ -408,7 +491,7 @@ class DcfStation:
             failures = int(failures_before[-1]) + 1
             self.consecutive_failures = (0 if last_ok or failures >= retry_limit
                                          else failures)
-            self.cw = int(self._cw_ladder[min(self.consecutive_failures, top)])
+            self.cw = self._cw_ladder[min(self.consecutive_failures, top)]
             now = int(ends[-1])
             last_kind = ("ack-result" if last_ok else
                          "cca-sample" if last_data else "ack-timeout")

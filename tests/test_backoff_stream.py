@@ -1,0 +1,73 @@
+"""The station's backoff stream against numpy's bounded draw.
+
+``DcfStation`` reads its backoff draws from raw PCG64 outputs
+(``wifi.BackoffStream``) instead of calling ``Generator.integers``.  For every
+window cw = 2^b - 1, each k must equal ``integers(0, cw + 1)`` drawn one at a
+time from a generator with the same seed, whether the station draws one
+window at a time (the event path) or reads a chunk of windows (the step).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coexsim.engine import Engine
+from coexsim.wifi import FAST_FORWARD_CHUNK, BackoffStream
+
+LABEL = "wifi-backoff"
+# Draws per example: past two refills even when every window is narrow.
+DRAWS = 3 * FAST_FORWARD_CHUNK
+
+
+def oracle_draws(seed, windows):
+    rng = Engine(seed).rng_stream(LABEL)
+    return [int(rng.integers(0, cw + 1)) for cw in windows]
+
+
+def stream_draws(seed, windows, chunk):
+    """Draw each window wider than 32 bits alone, and narrow ones in chunks of
+    up to ``chunk`` windows as the step reads them (one at a time for 0)."""
+    stream = BackoffStream(Engine(seed).rng_stream(LABEL))
+    bits = np.array([cw.bit_length() for cw in windows])
+    ks, i = [], 0
+    while i < len(windows):
+        narrow = i
+        while chunk and narrow < len(windows) and narrow - i < chunk and bits[narrow] <= 32:
+            narrow += 1
+        if narrow > i:
+            ks += stream.peek(bits[i:narrow]).tolist()
+            stream.take(bits[i:narrow])
+            i = narrow
+        else:
+            ks.append(stream.draw(windows[i]))
+            i += 1
+    return ks
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       pattern=st.lists(st.integers(0, 62), min_size=1, max_size=12),
+       chunk=st.sampled_from([0, 1, 7, 300, FAST_FORWARD_CHUNK]))
+def test_draws_equal_numpy_bounded_draws(seed, pattern, chunk):
+    windows = [2**b - 1 for b in (pattern * DRAWS)[:DRAWS]]
+    assert stream_draws(seed, windows, chunk) == oracle_draws(seed, windows)
+
+
+def test_refills_depend_on_the_stream_position_alone():
+    # The same windows read one at a time and in chunks leave the generator
+    # in the same state, so the step and the events cannot tell apart.
+    windows = [2**b - 1 for b in [3, 0, 10, 32, 1] * 2000]
+    states = []
+    for chunk in (0, 5, FAST_FORWARD_CHUNK):
+        rng = Engine(11).rng_stream(LABEL)
+        stream = BackoffStream(rng)
+        bits = np.array([cw.bit_length() for cw in windows])
+        for start in range(0, len(windows), chunk or 1):
+            part = bits[start:start + (chunk or 1)]
+            if chunk:
+                stream.peek(part)
+                stream.take(part)
+            else:
+                stream.draw(windows[start])
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1] == states[2]

@@ -212,3 +212,54 @@ class TestChunkedPool:
         started = log.read_text().splitlines()
         assert str(fail_seed) in started
         assert len(started) < 20  # of 40 planned, which would sleep about 2 s in all
+
+
+class RecordingExecutor:
+    """A ProcessPoolExecutor stand-in that records its size and maps in process."""
+
+    built = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunksize = None
+        RecordingExecutor.built.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, iterable)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(experiments, "Simulation", failing_simulation(fail_seed=None))
+        RecordingExecutor.built = []
+        return RecordingExecutor.built
+
+    @pytest.mark.parametrize("cores, workers, chunksize", [
+        (64, 40, 1),   # one worker per planned run, not 500
+        (4, 4, 1),     # one per core: 40 runs in chunks of ceil(40 / 64)
+        (2, 2, 2),     # ceil(40 / 32)
+        (None, None, None),  # an unknown core count gives one worker: no pool
+    ])
+    def test_workers_capped_by_runs_and_cores(self, pools, monkeypatch, cores, workers,
+                                              chunksize):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        result = run_sweep(chunked_scenario(), master_seed=5, jobs=500)
+        assert len(result.rows) == 40
+        assert [(p.max_workers, p.chunksize) for p in pools] == (
+            [] if workers is None else [(workers, chunksize)])
+
+    def test_one_planned_run_starts_no_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        scenario = Scenario("one", RunConfig(), [("lte.duty", [0.0])], reps=1,
+                            duration_s=0.05)
+        run_sweep(scenario, master_seed=5, jobs=500)
+        assert pools == []

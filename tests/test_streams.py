@@ -5,11 +5,16 @@ never draws from cannot move any draw of the others.
 """
 
 import dataclasses
+import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coexsim.config import (canonical_for_seed, derive_seed, seed_from_text,
                             serialize_config)
+from coexsim.engine import Engine
 from coexsim.simulation import Simulation
 
 from conftest import lte_transitions, make_cfg
@@ -27,6 +32,39 @@ class TestStreamsBuilt:
         sim = Simulation(make_cfg(duty=duty, duration=0.3), seed=3)
         sim.run()
         assert "lte-silent" not in sim.engine._streams
+
+
+def seed_sequence_of_ints(seed, label):
+    """A stream's start state as ``SeedSequence([seed, *label_words])`` gives it."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
+    return np.random.PCG64(np.random.SeedSequence([seed, *words])).state
+
+
+def run_labels():
+    """Every label a run draws from: soft PER builds the decode stream, and a
+    duty strictly between 0 and 1 the LTE silent-period stream."""
+    cfg = make_cfg(duty=0.5, duration=0.05)
+    cfg = dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio, soft_slope_k=2.0))
+    return sorted(Simulation(cfg, seed=1).engine._streams)
+
+
+class TestStreamDerivation:
+    def test_a_run_builds_every_label(self):
+        assert run_labels() == ["lte-silent", "wifi-backoff", "wifi-decode"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_streams_equal_seed_sequence_of_ints(self, seed):
+        for label in run_labels():
+            state = Engine(seed).rng_stream(label).bit_generator.state
+            assert state == seed_sequence_of_ints(seed, label), label
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           label=st.sampled_from(["lte-silent", "wifi-backoff", "wifi-decode"]) | st.text())
+    def test_any_seed_and_label_equal_seed_sequence_of_ints(self, seed, label):
+        state = Engine(seed).rng_stream(label).bit_generator.state
+        assert state == seed_sequence_of_ints(seed, label)
 
 
 class TestDrawsUnchanged:
