@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, fields
 
 from .engine import NS_PER_S, NS_PER_US
 from .lte import PRB_CHOICES
-from .radio import DEFAULT_PER_THRESHOLDS_DB, PerModel, fspl_db
-from .wifi import (BITS_PER_SYMBOL, CCA_PRESETS, FAST_FORWARD_CHUNK, MCS_RATES, CcaProfile,
-                   ack_airtime_us, frame_airtime_us)
+from .radio import DEFAULT_PER_THRESHOLDS_DB, fspl_db
+from .wifi import (BITS_PER_SYMBOL, CCA_PRESETS, FAST_FORWARD_CHUNK, MCS_RATES,
+                   MEASURE_BANDS, CcaProfile, ack_airtime_us, frame_airtime_us)
 
 
 class ConfigError(ValueError):
@@ -129,31 +129,24 @@ class WifiSettings:
             raise _invalid("wifi", "cw_max", "be >= cw_min", self.cw_max)
         if not 0 <= self.retry_limit <= INT64_MAX:
             raise _invalid("wifi", "retry_limit", "be in [0, 2^63 - 1]", self.retry_limit)
-        preset = CCA_PRESETS.get(self.cca_profile)
-        if preset is None:
+        if self.cca_profile not in CCA_PRESETS:
             raise _invalid("wifi", "cca_profile", f"be one of {sorted(CCA_PRESETS)}",
                            self.cca_profile)
-        try:
-            cca = CcaProfile(
-                name=preset.name,
-                ed_threshold_dbm=(preset.ed_threshold_dbm
-                                  if self.cca_ed_threshold_dbm is None
-                                  else self.cca_ed_threshold_dbm),
-                measure_band=self.cca_measure_band or preset.measure_band,
-                mid_packet_abort=(preset.mid_packet_abort
-                                  if self.cca_mid_packet_abort is None
-                                  else self.cca_mid_packet_abort))
-        except ValueError as exc:
-            raise ConfigError(f"wifi.cca_measure_band: {exc}") from exc
-        object.__setattr__(self, "_cca", cca)
+        if self.cca_measure_band and self.cca_measure_band not in MEASURE_BANDS:
+            raise _invalid("wifi", "cca_measure_band", f"be one of {MEASURE_BANDS}",
+                           self.cca_measure_band)
 
     @property
     def difs_us(self) -> int:
         return self.sifs_us + 2 * self.slot_us
 
     def cca(self) -> CcaProfile:
-        """The CCA preset with this section's overrides applied."""
-        return self._cca
+        """The CCA preset with this section's overrides applied field by field;
+        an empty ``cca_measure_band`` keeps the preset's band."""
+        overrides = (self.cca_ed_threshold_dbm, self.cca_measure_band or None,
+                     self.cca_mid_packet_abort)
+        return CcaProfile(*(preset if own is None else own for own, preset
+                            in zip(overrides, CCA_PRESETS[self.cca_profile])))
 
     def dcf_params(self) -> WifiSettings:
         """The DCF timing the analytic goodput reads: these settings themselves."""
@@ -201,11 +194,12 @@ class RadioSettings:
         if not all(abs(db) <= DB_LIMIT for db in thresholds.values()):
             raise _invalid("radio", "per_thresholds",
                            f"give thresholds within +-{DB_LIMIT:g} dB", self.per_thresholds)
-        try:
-            model = PerModel(thresholds, self.soft_slope_k, self.oob_floor_dbc)
-        except ValueError as exc:
-            raise ConfigError(f"radio.per_thresholds: {exc}") from exc
-        object.__setattr__(self, "_per_model", model)
+        ordered = [thresholds[rate] for rate in sorted(thresholds)]
+        if any(b <= a for a, b in zip(ordered, ordered[1:])):
+            raise _invalid("radio", "per_thresholds",
+                           "give thresholds strictly increasing with MCS rate",
+                           self.per_thresholds)
+        object.__setattr__(self, "_thresholds", thresholds)
 
     def _gain(self, override: float | None, distance_m: float) -> float:
         if override is not None:
@@ -218,9 +212,9 @@ class RadioSettings:
                 self._gain(self.gain_lte_to_wifi_rx_db, self.dist_lte_to_wifi_rx_m),
                 self._gain(self.gain_wifi_link_db, self.dist_wifi_tx_to_rx_m))
 
-    def per_model(self) -> PerModel:
-        """The default PER thresholds with this section's overrides applied."""
-        return self._per_model
+    def threshold_db(self, mcs_mbps: int) -> float:
+        """The PER threshold of an MCS: the default, or this section's override."""
+        return self._thresholds[mcs_mbps]
 
 
 @dataclass(frozen=True)
@@ -339,7 +333,8 @@ def resolve_path(path: str) -> tuple[str, str]:
 
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key-value configuration; unknown sections and keys are errors."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section name is empty, so [DEFAULT] is an unknown section like any other.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -74,10 +74,12 @@ class Scenario:
     def override_grid(self, path: str, values: list) -> None:
         """Replace an axis's grid (or add a new axis) for this scenario."""
         if not values:
-            raise SweepError(f"axis {path!r} has an empty grid")
+            raise ConfigError(f"axis {path!r} has an empty grid")
         section_name, field_name = resolve_path(path)
         path = f"{section_name}.{field_name}"
         values = [parse_value(section_name, field_name, str(v)) for v in values]
+        if len(set(values)) < len(values):
+            raise ConfigError(f"axis {path!r} repeats a value in {values}")
         for i, (existing, _) in enumerate(self.axes):
             if existing == path:
                 self.axes[i] = (path, values)

@@ -3,12 +3,17 @@
 Everything here is a pure function over value types; both technologies share
 these primitives.  Powers are dBm, gains dB (negative = loss), frequencies
 relative MHz unless stated otherwise.
+
+A packet decodes by one rule with two settings of the slope k: at k = 0 (the
+hard rule) iff its minimum SINR clears the MCS threshold, with no random
+draw; at k > 0 (the soft rule) with a sigmoid probability per segment, one
+uniform draw per packet deciding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,31 +49,6 @@ class SpectrumBand:
     @property
     def high_mhz(self) -> float:
         return self.center_mhz + self.width_mhz / 2.0
-
-
-@dataclass(frozen=True)
-class PerModel:
-    """Packet-error behavior: per-MCS SINR thresholds plus optional soft transition.
-
-    soft_slope_k = 0 selects the hard rule (success iff min SINR >= threshold).
-    oob_floor_dbc is the out-of-band leakage floor relative to in-band PSD.
-    """
-
-    per_mcs_threshold_db: dict[int, float] = field(
-        default_factory=lambda: dict(DEFAULT_PER_THRESHOLDS_DB))
-    soft_slope_k: float = 0.0
-    oob_floor_dbc: float = -30.0
-
-    def __post_init__(self) -> None:
-        if self.oob_floor_dbc > 0:
-            raise ValueError("oob_floor_dbc must be <= 0")
-        rates = sorted(self.per_mcs_threshold_db)
-        thresholds = [self.per_mcs_threshold_db[r] for r in rates]
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("PER thresholds must be strictly increasing with MCS rate")
-
-    def threshold_db(self, mcs_mbps: int) -> float:
-        return self.per_mcs_threshold_db[mcs_mbps]
 
 
 def fspl_db(distance_m: float, freq_ghz: float) -> float:
@@ -111,22 +91,26 @@ def sinr_db(signal_dbm: float, interferers: list[tuple[float, float]],
     return dbm(mw(signal_dbm) / denominator_mw)
 
 
-def success_probability(mcs_mbps: int, segments: list[tuple[int, float]],
-                        model: PerModel) -> float | None:
-    """Soft-rule probability that the packet decodes; None if it surely fails.
+def success_probability(threshold_db: float, slope_k: float,
+                        segments: list[tuple[int, float]]) -> float | None:
+    """Probability that a packet over these SINR segments decodes; None if it
+    surely fails.
 
     ``segments`` is the SINR over the reception window as consecutive
-    (duration_ns, sinr_db) pieces.  Each decodes independently with
-    probability sigmoid(k * (sinr - threshold)) ** ms, where ms is its length
-    in milliseconds, fractional (a 0.25 ms segment takes the 0.25th power);
-    the packet succeeds iff all segments do.  None means some segment's
-    sigmoid is 0, so the packet fails with no draw.
+    (duration_ns, sinr_db) pieces.  The hard rule (``slope_k == 0``) gives
+    1.0 iff every segment clears ``threshold_db``, else None.  The soft rule
+    decodes each segment independently with probability
+    sigmoid(slope_k * (sinr - threshold)) ** ms, where ms is its length in
+    milliseconds, fractional (a 0.25 ms segment takes the 0.25th power); the
+    packet succeeds iff all segments do.  It gives None when some segment's
+    sigmoid is 0.
     """
-    threshold = model.threshold_db(mcs_mbps)
+    if slope_k == 0.0:
+        return 1.0 if min(sinr for _, sinr in segments) >= threshold_db else None
     log_p = 0.0
     for duration_ns, sinr in segments:
         try:
-            p = 1.0 / (1.0 + math.exp(-model.soft_slope_k * (sinr - threshold)))
+            p = 1.0 / (1.0 + math.exp(-slope_k * (sinr - threshold_db)))
         except OverflowError:  # the sigmoid is below the smallest float
             p = 0.0
         if p <= 0.0:
@@ -135,17 +119,11 @@ def success_probability(mcs_mbps: int, segments: list[tuple[int, float]],
     return math.exp(log_p)
 
 
-def packet_outcome(mcs_mbps: int, segments: list[tuple[int, float]], model: PerModel,
+def packet_outcome(threshold_db: float, slope_k: float, segments: list[tuple[int, float]],
                    rng: np.random.Generator | None) -> bool:
-    """True iff the packet decodes.
-
-    Hard rule (soft_slope_k = 0): success iff the minimum SINR over the
-    segments clears the MCS threshold.  Soft rule: one uniform draw against
-    ``success_probability``, none when that is None.  Deterministic given the
-    rng stream, which only the soft rule draws from (the hard rule accepts
-    None).
+    """True iff the packet decodes: one uniform draw against
+    ``success_probability`` under the soft rule.  The hard rule and a sure
+    failure draw nothing, so the hard rule accepts ``rng=None``.
     """
-    if model.soft_slope_k == 0.0:
-        return min(sinr for _, sinr in segments) >= model.threshold_db(mcs_mbps)
-    p = success_probability(mcs_mbps, segments, model)
-    return p is not None and float(rng.uniform()) < p
+    p = success_probability(threshold_db, slope_k, segments)
+    return p is not None and (slope_k == 0.0 or float(rng.uniform()) < p)

@@ -112,8 +112,8 @@ class Simulation:
 
         self.station = None
         if include_wifi:
-            self.station = DcfStation(self.engine, self.medium, cfg.wifi,
-                                      cfg.radio.per_model(), self.acc)
+            self.station = DcfStation(self.engine, self.medium, cfg.wifi, cfg.radio,
+                                      self.acc)
             self.medium.station = self.station
             self.station.start()
 

@@ -8,22 +8,21 @@ carrier sensing (profile-dependent) and through SINR at decode time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .engine import NS_PER_US, Engine
-from .radio import (PerModel, SpectrumBand, overlap_fraction, packet_outcome,
-                    success_probability)
+from .radio import SpectrumBand, overlap_fraction, packet_outcome, success_probability
 
 if TYPE_CHECKING:
-    from .config import WifiSettings
+    from .config import RadioSettings, WifiSettings
 
 # Legacy OFDM rates: label (Mbps) -> data bits per 4 us symbol.
 BITS_PER_SYMBOL = {6: 24, 9: 36, 12: 48, 18: 72, 24: 96, 36: 144, 48: 192, 54: 216}
 MCS_RATES = tuple(sorted(BITS_PER_SYMBOL))
 BASIC_RATES = (6, 12, 24)
+MEASURE_BANDS = ("full20", "primary10")  # CCA spans: the 20 MHz channel, its center 10 MHz
 SERVICE_TAIL_BITS = 16 + 6
 # Most DCF cycles one vectorised step covers; bounds the arrays it builds and
 # the decode draws it rewinds when the chunk overshoots the medium's next change.
@@ -37,26 +36,20 @@ CYCLE_TEMPLATES = tuple(
     for end in ("ack-result", "ack-result wifi-tx\n%d cca-sample", "ack-timeout"))
 
 
-@dataclass(frozen=True)
-class CcaProfile:
+class CcaProfile(NamedTuple):
     """Vendor carrier-sensing behavior.
 
-    measure_band selects the span over which non-WiFi energy is integrated:
-    the full 20 MHz channel or a 10 MHz sub-band centered on the carrier.
-    mid_packet_abort=True freezes the backoff countdown the instant energy
-    appears (the in-progress slot is voided); False lets the in-progress slot
-    complete and decrement at its boundary, so the station reacts (and may
-    even transmit) only at slot boundaries.
+    measure_band (one of MEASURE_BANDS) selects the span over which non-WiFi
+    energy is integrated: the full 20 MHz channel or a 10 MHz sub-band
+    centered on the carrier.  mid_packet_abort=True freezes the backoff
+    countdown the instant energy appears (the in-progress slot is voided);
+    False lets the in-progress slot complete and decrement at its boundary,
+    so the station reacts (and may even transmit) only at slot boundaries.
     """
 
-    name: str
     ed_threshold_dbm: float
-    measure_band: str  # "full20" | "primary10"
+    measure_band: str
     mid_packet_abort: bool
-
-    def __post_init__(self) -> None:
-        if self.measure_band not in ("full20", "primary10"):
-            raise ValueError(f"unknown measure_band {self.measure_band!r}")
 
 
 # The sensed LTE level at the testbed geometry spans -47.4 dBm (-16 dBm LTE)
@@ -66,10 +59,10 @@ class CcaProfile:
 # sensed level varies with occupied bandwidth (-47.4 dBm at <= 50 PRB down to
 # -49.9 dBm at 100 PRB), so its busy decision flips across the PRB grid.
 CCA_PRESETS = {
-    "vendor-A": CcaProfile("vendor-A", ed_threshold_dbm=-40.0,
-                           measure_band="full20", mid_packet_abort=True),
-    "vendor-B": CcaProfile("vendor-B", ed_threshold_dbm=-48.0,
-                           measure_band="primary10", mid_packet_abort=False),
+    "vendor-A": CcaProfile(ed_threshold_dbm=-40.0, measure_band="full20",
+                           mid_packet_abort=True),
+    "vendor-B": CcaProfile(ed_threshold_dbm=-48.0, measure_band="primary10",
+                           mid_packet_abort=False),
 }
 
 
@@ -217,28 +210,27 @@ class DcfStation:
     name = "wifi-tx"
 
     def __init__(self, engine: Engine, channel, params: WifiSettings,
-                 per_model: PerModel, acc) -> None:
+                 radio: RadioSettings, acc) -> None:
         self.engine = engine
         self.channel = channel
         self.params = params
-        self.mcs_mbps = params.mcs_mbps
+        mcs = params.mcs_mbps
         self.cca = params.cca()
-        self.per_model = per_model
         self.payload_bytes = params.payload_bytes
         self.acc = acc
         self.rng = engine.rng_stream("wifi-backoff")
         self.backoff = BackoffStream(self.rng)
+        self.slope_k = radio.soft_slope_k
         # The hard PER rule decodes without drawing, so it gets no decode stream.
-        self.decode_rng = (engine.rng_stream("wifi-decode")
-                           if per_model.soft_slope_k != 0.0 else None)
+        self.decode_rng = engine.rng_stream("wifi-decode") if self.slope_k != 0.0 else None
 
         self.slot_ns = params.slot_us * NS_PER_US
         self.sifs_ns = params.sifs_us * NS_PER_US
         self.difs_ns = params.difs_us * NS_PER_US
-        self.data_air_ns = frame_airtime_us(self.mcs_mbps, self.payload_bytes,
-                                            params) * NS_PER_US
-        self.ack_air_ns = ack_airtime_us(self.mcs_mbps, params) * NS_PER_US
-        self.ack_rate = ack_rate_mbps(self.mcs_mbps, params)
+        self.data_air_ns = frame_airtime_us(mcs, self.payload_bytes, params) * NS_PER_US
+        self.ack_air_ns = ack_airtime_us(mcs, params) * NS_PER_US
+        self.data_threshold_db = radio.threshold_db(mcs)
+        self.ack_threshold_db = radio.threshold_db(ack_rate_mbps(mcs, params))
         # cw after j consecutive failures; cw is always _cw_ladder[min(j, top)].
         self._cw_ladder = [params.cw_min]
         while self._cw_ladder[-1] < params.cw_max:
@@ -328,9 +320,9 @@ class DcfStation:
     def _tx_end(self) -> None:
         now = self.engine.now
         self.acc.add_wifi(self._tx_start, now)
-        data_ok = packet_outcome(self.mcs_mbps,
+        data_ok = packet_outcome(self.data_threshold_db, self.slope_k,
                                  self.channel.sinr_trace_at_rx(self._tx_start, now),
-                                 self.per_model, self.decode_rng)
+                                 self.decode_rng)
         ack_start = now + self.sifs_ns
         ack_end = ack_start + self.ack_air_ns
         self.state = "ack"
@@ -350,7 +342,7 @@ class DcfStation:
         self.acc.add_wifi(ack_start, ack_end)
         self._ack_window = None
         segments = self.channel.sinr_trace_at_tx(ack_start, ack_end)
-        if packet_outcome(self.ack_rate, segments, self.per_model, self.decode_rng):
+        if packet_outcome(self.ack_threshold_db, self.slope_k, segments, self.decode_rng):
             self._success()
         else:
             self.ack_decode_failures += 1
@@ -514,16 +506,14 @@ class DcfStation:
         window before the change sees the same SINR; the soft rule also
         reads the window's length.
         """
-        data = self.channel.sinr_trace_at_rx(now, now + self.data_air_ns)
-        ack = self.channel.sinr_trace_at_tx(now, now + self.ack_air_ns)
-        if self.decode_rng is None:
-            data_ok = packet_outcome(self.mcs_mbps, data, self.per_model, None)
-            return data_ok, data_ok and packet_outcome(self.ack_rate, ack,
-                                                       self.per_model, None), None
-        p_data = success_probability(self.mcs_mbps, data, self.per_model)
-        odds = (None if p_data is None else
-                (p_data, success_probability(self.ack_rate, ack, self.per_model)))
-        return False, False, odds
+        p_data = success_probability(self.data_threshold_db, self.slope_k,
+                                     self.channel.sinr_trace_at_rx(now, now + self.data_air_ns))
+        p_ack = success_probability(self.ack_threshold_db, self.slope_k,
+                                    self.channel.sinr_trace_at_tx(now, now + self.ack_air_ns))
+        if self.slope_k == 0.0 or p_data is None:
+            data_ok = p_data is not None
+            return data_ok, data_ok and p_ack is not None, None
+        return False, False, (p_data, p_ack)
 
     def _drawn_outcomes(self, m: int, p_data: float, p_ack: float | None):
         """Outcomes of the next ``m`` cycles from one chunk of decode draws.

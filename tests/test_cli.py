@@ -172,6 +172,9 @@ class TestSweepPlanErrors:
         (["--grid", "wifi.mcs_mbps=54.7"], "wifi.mcs_mbps"),
         (["--grid", "lte.nonsense=1"], "lte.nonsense"),
         (["--grid", "lte.tx_power_dbm=nan"], "lte.tx_power_dbm"),
+        # Each row would be written twice and summarised as one group.
+        (["--grid", "lte.duty=0.5,0.5"], "'lte.duty' repeats a value in [0.5, 0.5]"),
+        (["--grid", "lte.duty=50%,0.5"], "'lte.duty' repeats a value in [0.5, 0.5]"),
     ])
     def test_bad_sweep_input_exits_2_before_a_pool_starts(self, monkeypatch, tmp_path,
                                                           capsys, argv, needle):
@@ -217,12 +220,16 @@ class TestRunInputErrors:
         (["baseline", "--duration", "inf"], None, "duration_s"),
         (["baseline", "--mcs", "abc"], None, "mcs_mbps"),
         (["run"], "[lte]\ntx_power_dbm = 12%\n", "tx_power_dbm"),
+        # [DEFAULT] neither vanishes nor fills in the other sections.
+        (["run"], "[DEFAULT]\nduty = 0.3\n", "unknown section [DEFAULT]"),
+        (["run"], "[DEFAULT]\nseed = 3\n[run]\n", "unknown section [DEFAULT]"),
         (["run"], "[lte]\ntx_power_dbm = nan\n", "tx_power_dbm"),
         # Finite values whose link budget overflowed or took log10 of 0.
         (["run"], "[lte]\ntx_power_dbm = 1e308\n", "tx_power_dbm"),
         (["run"], "[radio]\noob_floor_dbc = -4000\n[lte]\ncenter_offset_mhz = 40\n",
          "oob_floor_dbc"),
         (["run"], "[radio]\ndist_lte_to_wifi_tx_m = 1e-300\n", "dist_lte_to_wifi_tx_m"),
+        (["run"], "[wifi]\ncca_measure_band = primary20\n", "wifi.cca_measure_band"),
         # Values whose DCF cycles overflow the step's int64 ns.
         (["run", "--duration", "0.2"], "[lte]\nduty = 1\n[wifi]\ncw_max = 4611686018427387903"
          "\nretry_limit = 100\ncca_ed_threshold_dbm = 30\n", "cw_max"),

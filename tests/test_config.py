@@ -13,7 +13,7 @@ from coexsim.config import (DB_LIMIT, MAGNITUDE_RANGE, ConfigError, LteSettings,
 from coexsim.experiments import Scenario
 from coexsim.lte import PRB_CHOICES
 from coexsim.simulation import Medium
-from coexsim.wifi import CCA_PRESETS, MCS_RATES
+from coexsim.wifi import CCA_PRESETS, MCS_RATES, CcaProfile
 
 
 class TestDefaults:
@@ -93,21 +93,28 @@ class TestParsing:
 
     def test_per_threshold_overrides(self):
         cfg = parse_config("[radio]\nper_thresholds = 54:27, 6:4\n")
-        model = cfg.radio.per_model()
-        assert model.threshold_db(54) == 27.0
-        assert model.threshold_db(6) == 4.0
+        assert cfg.radio.threshold_db(54) == 27.0
+        assert cfg.radio.threshold_db(6) == 4.0
+        assert cfg.radio.threshold_db(24) == 13.0  # the default stays
 
     def test_cca_profile_overrides(self):
         cfg = parse_config("[wifi]\ncca_profile = vendor-B\n"
                            "cca_ed_threshold_dbm = -55\n")
-        profile = cfg.wifi.cca()
-        assert profile.name == "vendor-B"
-        assert profile.ed_threshold_dbm == -55.0
-        assert profile.measure_band == "primary10"
+        assert cfg.wifi.cca() == CcaProfile(ed_threshold_dbm=-55.0, measure_band="primary10",
+                                            mid_packet_abort=False)
 
     def test_unknown_cca_profile(self):
         with pytest.raises(ConfigError, match="cca_profile"):
             parse_config("[wifi]\ncca_profile = vendor-X\n").wifi.cca()
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nduty = 0.3\n",
+                                      "[DEFAULT]\nseed = 3\n[run]\n",
+                                      "[run]\nseed = 2\n[DEFAULT]\nduty = 0.3\n"])
+    def test_default_section_is_unknown(self, text):
+        # configparser would drop a lone [DEFAULT] and copy its keys into
+        # every other section.
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_config(text)
 
 
 class TestRoundTrip:

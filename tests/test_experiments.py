@@ -117,8 +117,13 @@ class TestRunSweep:
         assert lines[0].startswith("scenario,lte.duty,wifi.mcs_mbps,n,thr_median")
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(SweepError):
+        with pytest.raises(ConfigError, match="'lte.duty' has an empty grid"):
             Scenario("bad", RunConfig(), [("lte.duty", [])])
+
+    @pytest.mark.parametrize("values", [[0.5, 0.5], ["50%", "0.5"], [0.0, 0.5, -0.0]])
+    def test_repeated_grid_value_rejected(self, values):
+        with pytest.raises(ConfigError, match=r"'lte.duty' repeats a value in \["):
+            Scenario("bad", RunConfig(), [("lte.duty", values)])
 
     def test_baseline_runs_are_deduplicated(self):
         # duty-0 baselines ignore LTE-side parameters entirely, so sweeping an

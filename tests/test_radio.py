@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coexsim.config import ConfigError, RadioSettings
 from coexsim.engine import Engine
-from coexsim.radio import (PerModel, SpectrumBand, dbm, fspl_db, mw, noise_floor_dbm,
-                           overlap_fraction, packet_outcome, sinr_db, success_probability)
+from coexsim.radio import (DEFAULT_PER_THRESHOLDS_DB, SpectrumBand, dbm, fspl_db, mw,
+                           noise_floor_dbm, overlap_fraction, packet_outcome, sinr_db,
+                           success_probability)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -128,28 +130,30 @@ def flat_trace(sinr, duration_ns=248_000):
     return [(duration_ns, sinr)]
 
 
+T = DEFAULT_PER_THRESHOLDS_DB  # the default threshold of each MCS
+
+
 class TestPacketOutcome:
     def setup_method(self):
-        self.model = PerModel()
         self.rng = Engine(seed=1).rng_stream("decode")
 
     def test_high_sinr_succeeds_for_every_mcs(self):
         for rate in (6, 9, 12, 18, 24, 36, 48, 54):
-            assert packet_outcome(rate, flat_trace(70.0), self.model, self.rng)
+            assert packet_outcome(T[rate], 0.0, flat_trace(70.0), self.rng)
 
     def test_mid_packet_interference_fails_hard_threshold(self):
         trace = [(100_000, 70.0), (148_000, -3.6)]
-        assert not packet_outcome(54, trace, self.model, self.rng)
+        assert not packet_outcome(T[54], 0.0, trace, self.rng)
 
     def test_hard_rule_reads_the_worst_segment(self):
         # 54 Mbps needs 25 dB: a dip in the middle segment decides.
-        assert not packet_outcome(54, [(10, 30.0), (20, 24.0), (10, 30.0)], self.model, None)
-        assert packet_outcome(54, [(10, 30.0), (20, 26.0), (10, 30.0)], self.model, None)
+        assert not packet_outcome(T[54], 0.0, [(10, 30.0), (20, 24.0), (10, 30.0)], None)
+        assert packet_outcome(T[54], 0.0, [(10, 30.0), (20, 26.0), (10, 30.0)], None)
 
     def test_capture_asymmetry_at_24_4_db(self):
         # Thresholds: 6 Mbps at 5 dB (clears), 54 Mbps at 25 dB (does not).
-        assert packet_outcome(6, flat_trace(24.4), self.model, self.rng)
-        assert not packet_outcome(54, flat_trace(24.4), self.model, self.rng)
+        assert packet_outcome(T[6], 0.0, flat_trace(24.4), self.rng)
+        assert not packet_outcome(T[54], 0.0, flat_trace(24.4), self.rng)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-20, max_value=60), min_size=1, max_size=6),
@@ -158,54 +162,64 @@ class TestPacketOutcome:
     def test_hard_threshold_is_monotone_in_sinr(self, sinrs, bump, rate):
         lo = [(10_000, s) for s in sinrs]
         hi = [(10_000, s + bump) for s in sinrs]
-        if packet_outcome(rate, lo, self.model, self.rng):
-            assert packet_outcome(rate, hi, self.model, self.rng)
+        if packet_outcome(T[rate], 0.0, lo, self.rng):
+            assert packet_outcome(T[rate], 0.0, hi, self.rng)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 10**7), st.floats(-300.0, 300.0)),
+                    min_size=1, max_size=8),
+           st.floats(-300.0, 300.0), st.integers(0, 2**32))
+    def test_hard_rule_is_the_minimum_and_draws_nothing(self, segments, threshold, seed):
+        # Oracle for the merged rule at slope 0: the worst segment decides,
+        # and a generator passed in is left as it was.
+        rng = np.random.default_rng(seed)
+        before = rng.bit_generator.state
+        assert packet_outcome(threshold, 0.0, segments, rng) == (
+            min(sinr for _, sinr in segments) >= threshold)
+        assert rng.bit_generator.state == before
 
     def test_soft_model_is_probabilistic_and_seeded(self):
-        model = PerModel(soft_slope_k=2.0)
         rng_a = Engine(seed=3).rng_stream("decode")
         rng_b = Engine(seed=3).rng_stream("decode")
-        outcomes_a = [packet_outcome(54, flat_trace(25.0), model, rng_a)
+        outcomes_a = [packet_outcome(T[54], 2.0, flat_trace(25.0), rng_a)
                       for _ in range(64)]
-        outcomes_b = [packet_outcome(54, flat_trace(25.0), model, rng_b)
+        outcomes_b = [packet_outcome(T[54], 2.0, flat_trace(25.0), rng_b)
                       for _ in range(64)]
         assert outcomes_a == outcomes_b
         assert any(outcomes_a) and not all(outcomes_a)  # at threshold, mixed
 
 
-class TestPerModel:
+class TestPerSettings:
     def test_default_thresholds_strictly_increase_with_rate(self):
-        model = PerModel()
-        rates = sorted(model.per_mcs_threshold_db)
-        thresholds = [model.per_mcs_threshold_db[r] for r in rates]
+        thresholds = [T[r] for r in sorted(T)]
         assert all(b > a for a, b in zip(thresholds, thresholds[1:]))
+        assert RadioSettings().threshold_db(54) == T[54]
 
     def test_non_monotone_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            PerModel({6: 5.0, 9: 5.0, 54: 25.0})
+        # 9 Mbps at 5 dB ties 6 Mbps's default threshold.
+        with pytest.raises(ConfigError, match=r"^radio\.per_thresholds must .*increasing"):
+            RadioSettings(per_thresholds="9:5")
 
     def test_positive_oob_floor_rejected(self):
-        with pytest.raises(ValueError):
-            PerModel(oob_floor_dbc=3.0)
+        with pytest.raises(ConfigError, match=r"^radio\.oob_floor_dbc must be <= 0"):
+            RadioSettings(oob_floor_dbc=3.0)
 
 
 class TestSoftRuleOverflow:
     def test_steep_slope_far_below_threshold_fails_without_overflow(self):
         # exp(40 * 25) overflows a float; the packet simply does not decode.
-        model = PerModel(soft_slope_k=40.0)
         rng = Engine(seed=1).rng_stream("decode")
-        assert not packet_outcome(54, flat_trace(0.0), model, rng)
-        assert packet_outcome(54, flat_trace(60.0), model, rng)
+        assert not packet_outcome(T[54], 40.0, flat_trace(0.0), rng)
+        assert packet_outcome(T[54], 40.0, flat_trace(60.0), rng)
 
     def test_outcomes_at_k2_are_unchanged(self):
         # Outcomes pinned from the formula before the overflow guard existed.
-        model = PerModel(soft_slope_k=2.0)
         rng = np.random.default_rng(2024)
         bits = []
         for i in range(96):
             sinr = 23.0 + 0.05 * i
             trace = [(248_000, sinr), (2_072_000, sinr + 2.0)]
-            bits.append("1" if packet_outcome(54, trace, model, rng) else "0")
+            bits.append("1" if packet_outcome(T[54], 2.0, trace, rng) else "0")
         assert "".join(bits) == ("000001110100101000011110110111110101100111011111"
                                  "111111111111111111111111111111111111111111111111")
         assert rng.integers(0, 1 << 30) == 12559720
@@ -214,25 +228,26 @@ class TestSoftRuleOverflow:
 class TestSuccessProbability:
     def test_segment_decodes_per_fractional_millisecond(self):
         # A 0.25 ms segment counts a quarter of a millisecond, not a whole one.
-        model = PerModel(soft_slope_k=2.0)
         sigmoid = 1.0 / (1.0 + math.exp(-2.0 * (26.0 - 25.0)))
         quarter = [(250_000, 26.0)]
-        assert success_probability(54, quarter, model) == pytest.approx(
+        assert success_probability(T[54], 2.0, quarter) == pytest.approx(
             sigmoid ** 0.25, rel=1e-12)
         split = [(250_000, 26.0), (1_000_000, 26.0)]
-        assert success_probability(54, split, model) == pytest.approx(
+        assert success_probability(T[54], 2.0, split) == pytest.approx(
             sigmoid ** 1.25, rel=1e-12)
 
     def test_sure_failure_is_none(self):
-        model = PerModel(soft_slope_k=40.0)
-        assert success_probability(54, flat_trace(0.0), model) is None
-        assert success_probability(54, flat_trace(60.0), model) == 1.0
+        assert success_probability(T[54], 40.0, flat_trace(0.0)) is None
+        assert success_probability(T[54], 40.0, flat_trace(60.0)) == 1.0
+
+    def test_hard_rule_is_certain_or_none(self):
+        assert success_probability(T[54], 0.0, [(10, 30.0), (20, 25.0)]) == 1.0
+        assert success_probability(T[54], 0.0, [(10, 30.0), (20, 24.9)]) is None
 
     def test_outcome_draws_once_against_the_probability(self):
-        model = PerModel(soft_slope_k=2.0)
         trace = flat_trace(25.5)
-        p = success_probability(54, trace, model)
+        p = success_probability(T[54], 2.0, trace)
         rng, reference = (np.random.default_rng(7) for _ in range(2))
-        outcomes = [packet_outcome(54, trace, model, rng) for _ in range(32)]
+        outcomes = [packet_outcome(T[54], 2.0, trace, rng) for _ in range(32)]
         assert outcomes == [u < p for u in reference.uniform(size=32)]
         assert rng.bit_generator.state == reference.bit_generator.state

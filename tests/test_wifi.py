@@ -51,7 +51,7 @@ class TestCcaBusy:
     wifi_band = SpectrumBand(0.0, 20.0)
 
     def test_high_power_lte_reads_busy_at_minus_62(self):
-        profile = CcaProfile("strict", -62.0, "full20", True)
+        profile = CcaProfile(-62.0, "full20", True)
         assert cca_busy(profile, -19.4, SpectrumBand(0.0, 18.0), self.wifi_band)
 
     def test_measure_band_changes_integrated_energy(self):
@@ -60,8 +60,8 @@ class TestCcaBusy:
         # profiles; a 6 PRB carrier concentrates inside both bands.
         wide = SpectrumBand(0.0, 18.0)
         narrow = SpectrumBand(0.0, 1.08)
-        full20 = CcaProfile("a", -48.5, "full20", True)
-        primary10 = CcaProfile("b", -48.5, "primary10", True)
+        full20 = CcaProfile(-48.5, "full20", True)
+        primary10 = CcaProfile(-48.5, "primary10", True)
         assert cca_busy(full20, -47.4, wide, self.wifi_band)
         assert not cca_busy(primary10, -47.4, wide, self.wifi_band)
         assert cca_busy(full20, -47.4, narrow, self.wifi_band)
