@@ -29,6 +29,28 @@ def lte_transitions(sim) -> list[tuple[int, bool]]:
     return [(t, i % 2 == 0) for i, t in enumerate(sim.medium.lte_times)]
 
 
+def traced_emissions(sim) -> list[tuple[int, int]]:
+    """A traced run's WiFi emissions, data frames and ACKs, as time-ordered
+    (t0, t1) pairs rebuilt from its trace and its station's end state.
+
+    A ``tx-end`` line at t ends a data frame [t - data airtime, t) and an
+    ``ack-result`` line an ACK [t - ACK airtime, t).  A data frame still in
+    the air at the run end, or an ACK begun before it, is cut off there.
+    """
+    station, end = sim.station, sim.duration_ns
+    airtime = {"tx-end": station.data_air_ns, "ack-result": station.ack_air_ns}
+    emissions = []
+    for line in "".join(sim.engine.trace).splitlines():
+        t, kind = line.split(" ", 2)[:2]
+        if kind in airtime:
+            emissions.append((int(t) - airtime[kind], int(t)))
+    if station.state == "tx":
+        emissions.append((station._tx_start, end))
+    elif station._ack_window is not None and station._ack_window[0] < end:
+        emissions.append((station._ack_window[0], min(station._ack_window[1], end)))
+    return emissions
+
+
 def run_sim(cfg: RunConfig, seed: int = 1, **kwargs):
     sim = Simulation(cfg, seed=seed, **kwargs)
     metrics = sim.run()

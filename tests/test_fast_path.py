@@ -19,7 +19,7 @@ from coexsim.engine import NS_PER_S, NS_PER_US
 from coexsim.simulation import Simulation
 from coexsim.wifi import FAST_FORWARD_CHUNK, DcfStation, ack_airtime_us, frame_airtime_us
 
-from conftest import make_cfg
+from conftest import make_cfg, traced_emissions
 
 SEEDS = (1, 2, 5)
 INT64_MAX = 2**63 - 1
@@ -34,13 +34,18 @@ def observe(cfg, seed, trace, fast=True):
         sim.station.draw_log = []
         metrics = sim.run()
     station = sim.station
+    emissions = None
+    if trace:
+        emissions = traced_emissions(sim)
+        assert emissions == sim.acc.wifi_intervals
+        assert metrics.wifi_airtime_ns == sum(t1 - t0 for t0, t1 in emissions)
     return {
         "metrics": metrics,
         "metrics_repr": repr(metrics),  # tells an int from a numpy integer
         "counters": (station.difs_completed, station.backoff_slots_elapsed,
                      station.data_decode_failures, station.ack_decode_failures),
         "state": (station.cw, station.consecutive_failures, station.pending_k),
-        "wifi_intervals": sim.acc.wifi_intervals,
+        "wifi_emissions": emissions,
         "lte_intervals": sim.medium.lte_intervals(),
         "draw_log": station.draw_log,
         "backoff_rng": station.rng.bit_generator.state,
@@ -57,7 +62,7 @@ def assert_paths_agree(cfg, seed):
     traced, untraced = observe(cfg, seed, True), observe(cfg, seed, False)
     for key in events.keys() - {"scheduled"}:
         assert traced[key] == events[key], f"traced {key} differs at seed {seed}"
-    for key in events.keys() - {"scheduled", "trace"}:
+    for key in events.keys() - {"scheduled", "trace", "wifi_emissions"}:
         assert untraced[key] == events[key], f"untraced {key} differs at seed {seed}"
     assert untraced["trace"] == ""
     return events, traced
@@ -133,7 +138,13 @@ def assert_run_end_invariants(sim, metrics):
     assert metrics.failures <= decode_failures <= metrics.failures + 1
     assert 0 <= metrics.wifi_airtime_ns <= metrics.duration_ns
     assert 0 <= metrics.lte_airtime_ns <= metrics.duration_ns
-    for intervals in (sim.acc.wifi_intervals, sim.medium.lte_intervals()):
+    checked = [sim.medium.lte_intervals()]
+    if sim.engine.trace is not None:
+        emissions = traced_emissions(sim)
+        assert emissions == sim.acc.wifi_intervals
+        assert metrics.wifi_airtime_ns == sum(t1 - t0 for t0, t1 in emissions)
+        checked.append(emissions)
+    for intervals in checked:
         for t0, t1 in intervals:
             assert t0 <= t1  # a frame that starts exactly at the run end has length 0
         for (_, a1), (b0, _) in zip(intervals, intervals[1:]):

@@ -9,7 +9,7 @@ from coexsim.radio import SpectrumBand
 from coexsim.wifi import (CCA_PRESETS, CcaProfile, ack_airtime_us, ack_rate_mbps,
                           analytic_goodput_mbps, cca_busy, frame_airtime_us)
 
-from conftest import make_cfg, run_sim
+from conftest import make_cfg, run_sim, traced_emissions
 
 PARAMS = WifiSettings()
 
@@ -105,8 +105,8 @@ class TestDcfMechanics:
 
     def test_ack_begins_exactly_sifs_after_data_end(self):
         cfg = make_cfg(duty=0.0, duration=0.1)
-        metrics, sim = run_sim(cfg, seed=8)
-        intervals = sim.acc.wifi_intervals
+        metrics, sim = run_sim(cfg, seed=8, trace=True)
+        intervals = traced_emissions(sim)
         data_air = 248 * NS_PER_US
         # Intervals alternate data, ack, data, ack, ...
         for (d0, d1), (a0, a1) in zip(intervals[0::2], intervals[1::2]):
@@ -133,10 +133,10 @@ class TestDcfMechanics:
         # 12 dBm LTE reads -19.4 dBm at the sensor, far above vendor-A's
         # threshold: no transmission may start inside an on-period.
         cfg = make_cfg(duty=0.5, lte_power=12.0, duration=3.0)
-        metrics, sim = run_sim(cfg, seed=8)
+        metrics, sim = run_sim(cfg, seed=8, trace=True)
         on_intervals = sim.medium.lte_intervals()
         data_air_ns = 248 * NS_PER_US
-        data_starts = [a for a, b in sim.acc.wifi_intervals if b - a == data_air_ns]
+        data_starts = [a for a, b in traced_emissions(sim) if b - a == data_air_ns]
         assert data_starts
         for start in data_starts:
             # ACKs are exempt from carrier sense; data frames must defer.
@@ -146,10 +146,10 @@ class TestDcfMechanics:
         # -16 dBm LTE reads -47.4 dBm, below vendor-A's -40: transmissions
         # continue during on-periods and (at MCS 6) survive via capture.
         cfg = make_cfg(duty=0.5, lte_power=-16.0, mcs=6, duration=3.0)
-        metrics, sim = run_sim(cfg, seed=8)
+        metrics, sim = run_sim(cfg, seed=8, trace=True)
         on_intervals = sim.medium.lte_intervals()
         started_during_on = sum(
-            1 for start, _ in sim.acc.wifi_intervals
+            1 for start, _ in traced_emissions(sim)
             if any(a <= start < b for a, b in on_intervals))
         assert started_during_on > 0
         assert metrics.failures == 0
