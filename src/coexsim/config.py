@@ -132,7 +132,9 @@ class WifiSettings:
         if self.cca_profile not in CCA_PRESETS:
             raise _invalid("wifi", "cca_profile", f"be one of {sorted(CCA_PRESETS)}",
                            self.cca_profile)
-        if self.cca_measure_band and self.cca_measure_band not in MEASURE_BANDS:
+        if self.cca_measure_band == "":  # empty keeps the preset's band, as unset does
+            object.__setattr__(self, "cca_measure_band", None)
+        if self.cca_measure_band not in (None, *MEASURE_BANDS):
             raise _invalid("wifi", "cca_measure_band", f"be one of {MEASURE_BANDS}",
                            self.cca_measure_band)
 
@@ -141,10 +143,8 @@ class WifiSettings:
         return self.sifs_us + 2 * self.slot_us
 
     def cca(self) -> CcaProfile:
-        """The CCA preset with this section's overrides applied field by field;
-        an empty ``cca_measure_band`` keeps the preset's band."""
-        overrides = (self.cca_ed_threshold_dbm, self.cca_measure_band or None,
-                     self.cca_mid_packet_abort)
+        """The CCA preset with this section's overrides applied field by field."""
+        overrides = (self.cca_ed_threshold_dbm, self.cca_measure_band, self.cca_mid_packet_abort)
         return CcaProfile(*(preset if own is None else own for own, preset
                             in zip(overrides, CCA_PRESETS[self.cca_profile])))
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import NS_PER_S
 
 
@@ -35,9 +33,9 @@ class BoxStats:
 class MetricsAccumulator:
     """Mutable counters filled in by the nodes while a run executes.
 
-    WiFi emissions (data frames and ACKs) arrive one at a time from the event
-    path and as int64 ``(n, 2)`` blocks from the station's fast-forward; both
-    are kept in time order.
+    WiFi airtime is a running sum: the event path adds each data frame and
+    ACK as it ends, the station's fast-forward a whole block of cycles at
+    once, and every emission is cut off at the run end before it is added.
     """
 
     def __init__(self) -> None:
@@ -45,51 +43,21 @@ class MetricsAccumulator:
         self.attempts = 0
         self.failures = 0
         self.drops = 0
-        self._wifi_blocks: list[np.ndarray] = []
-        self._wifi_pairs: list[tuple[int, int]] = []  # pairs after the last block
+        self.wifi_airtime_ns = 0
 
     def add_wifi(self, t0: int, t1: int) -> None:
-        self._wifi_pairs.append((t0, t1))
+        self.wifi_airtime_ns += t1 - t0
 
-    def add_wifi_block(self, block: np.ndarray) -> None:
-        self._flush_wifi_pairs()
-        self._wifi_blocks.append(block)
-
-    def _flush_wifi_pairs(self) -> None:
-        if self._wifi_pairs:
-            self._wifi_blocks.append(_interval_array(self._wifi_pairs))
-            self._wifi_pairs = []
-
-    def _wifi_array(self) -> np.ndarray:
-        """All WiFi emission intervals, time-ordered, as one int64 (n, 2) array."""
-        self._flush_wifi_pairs()
-        return np.concatenate([_interval_array([]), *self._wifi_blocks])
-
-    @property
-    def wifi_intervals(self) -> list[tuple[int, int]]:
-        """Data and ACK emissions as time-ordered (t0, t1) pairs."""
-        return [(t0, t1) for t0, t1 in self._wifi_array().tolist()]
-
-    def finalize(self, duration_ns: int, lte_intervals: list[tuple[int, int]]) -> RunMetrics:
+    def finalize(self, duration_ns: int, lte_airtime_ns: int) -> RunMetrics:
         return RunMetrics(
             delivered_payload_bytes=self.delivered_payload_bytes,
             attempts=self.attempts,
             failures=self.failures,
             drops=self.drops,
-            wifi_airtime_ns=_clipped_ns(self._wifi_array(), duration_ns),
-            lte_airtime_ns=_clipped_ns(_interval_array(lte_intervals), duration_ns),
+            wifi_airtime_ns=self.wifi_airtime_ns,
+            lte_airtime_ns=lte_airtime_ns,
             duration_ns=duration_ns,
         )
-
-
-def _interval_array(pairs) -> np.ndarray:
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-
-
-def _clipped_ns(intervals: np.ndarray, duration_ns: int) -> int:
-    """Summed length of the intervals once each is cut off at the run end."""
-    clipped = np.minimum(intervals, duration_ns)
-    return int(np.maximum(clipped[:, 1] - clipped[:, 0], 0).sum())
 
 
 def throughput_mbps(m: RunMetrics) -> float:

@@ -4,7 +4,7 @@ The medium is two-valued: geometry never changes, so each direction (data
 at the receiver, ACK at the transmitter) has one SINR while the LTE node is
 on and one while it is off.  The run's one record of the LTE schedule is
 ``Medium.lte_times``, the transitions so far with "on" at even indices; the
-LTE state, each packet's SINR window and the run's LTE on-periods all
+LTE state, each packet's SINR window and the run's LTE airtime all
 derive from it.  Construction order matters: the LTE node schedules its t=0 event
 before the station's start event, so a duty>0 run begins with the medium
 already marked busy.
@@ -123,4 +123,5 @@ class Simulation:
         self.engine.run_until(self.duration_ns)
         if self.station is not None:
             self.station.flush(self.duration_ns)
-        return self.acc.finalize(self.duration_ns, self.medium.lte_intervals())
+        lte_airtime_ns = sum(t1 - t0 for t0, t1 in self.medium.lte_intervals())
+        return self.acc.finalize(self.duration_ns, lte_airtime_ns)

@@ -201,7 +201,7 @@ class DcfStation:
     Every run fast-forwards: each contention that starts on an idle medium
     without a residual backoff first advances, in one vectorised step, every
     whole cycle that ends before the medium next changes (see
-    ``_skip_whole_cycles``).  Counters, intervals, RNG streams and trace
+    ``_skip_whole_cycles``).  Counters, airtime, RNG streams and trace
     lines end exactly where the event path leaves them; only the cycle that
     crosses a change, the cycles that resume a frozen backoff and those
     with a window wider than 32 bits stay on events.
@@ -239,12 +239,7 @@ class DcfStation:
         # The step reads windows up to 32 bits and stops before the first wider one.
         self._narrow_bits = np.minimum(bits, 32)
         self._wide_rung = next((j for j, b in enumerate(bits) if b > 32), len(bits))
-        # Step inputs: the cycle outcomes of each LTE state, and a cycle's
-        # data frame and ACK as offsets from the data frame's start.
-        self._outcomes: dict[bool, tuple] = {}
-        ack_start_ns = self.data_air_ns + self.sifs_ns
-        self._emission_offsets = np.array([0, self.data_air_ns, ack_start_ns,
-                                           ack_start_ns + self.ack_air_ns])
+        self._outcomes: dict[bool, tuple] = {}  # the step's cycle outcomes per LTE state
 
         self.state = "blocked"
         self.cw = params.cw_min
@@ -457,16 +452,12 @@ class DcfStation:
                 undecoded = n - int(np.count_nonzero(data))
                 last_ok, last_data = bool(ok[-1]), bool(data[-1])
 
-            tx_start = ends - (tail_ns + failed * self.slot_ns)
-            emissions = (tx_start[:, None] + self._emission_offsets).reshape(-1, 2)
-            if undecoded:  # a data frame that did not decode gets no ACK
-                keep = np.ones((n, 2), dtype=bool)
-                keep[:, 1] = data
-                emissions = emissions[keep.ravel()]
-            self.acc.add_wifi_block(emissions)
+            # A data frame that did not decode gets no ACK.
+            self.acc.wifi_airtime_ns += n * self.data_air_ns + (n - undecoded) * self.ack_air_ns
             if trace is not None:
                 if block is not None:
                     self._trace_cycles(trace, *block, resumed=False)
+                tx_start = ends - (tail_ns + failed * self.slot_ns)
                 block = ends, tx_start, ks, np.broadcast_to(data, n), np.broadcast_to(ok, n)
             if delivered < n:
                 dropped = failed & (failures_before + 1 >= retry_limit)
@@ -550,7 +541,8 @@ class DcfStation:
     def _trace_cycles(self, trace, ends, tx_start, ks, data, ok, resumed) -> None:
         """Append the event path's lines for these cycles as one text chunk, less
         the last line if ``resumed``: the event that resumes contention writes it."""
-        data_end, ack_end = self._emission_offsets[[1, 3]]
+        data_end = self.data_air_ns
+        ack_end = data_end + self.sifs_ns + self.ack_air_ns
         backoff, always = ks > 0, np.ones(len(ends), dtype=bool)
         written = np.column_stack([always, backoff, backoff, always, data, ~ok]).ravel()
         values = np.column_stack([tx_start - ks * self.slot_ns, tx_start, ks, tx_start + data_end,

@@ -103,6 +103,12 @@ class TestParsing:
         assert cfg.wifi.cca() == CcaProfile(ed_threshold_dbm=-55.0, measure_band="primary10",
                                             mid_packet_abort=False)
 
+    def test_empty_measure_band_is_the_default_config(self):
+        # An empty band keeps the preset's, so it is the same config and seed.
+        cfg = parse_config("[wifi]\ncca_measure_band =\n")
+        assert cfg == RunConfig()
+        assert derive_seed(1, cfg, 0) == derive_seed(1, RunConfig(), 0)
+
     def test_unknown_cca_profile(self):
         with pytest.raises(ConfigError, match="cca_profile"):
             parse_config("[wifi]\ncca_profile = vendor-X\n").wifi.cca()
