@@ -103,32 +103,3 @@ def box_stats(samples: list[float]) -> BoxStats:
     outliers = [s for s in ordered if s < lo_fence or s > hi_fence]
     return BoxStats(median, q25, q75, inside[0], inside[-1], outliers)
 
-
-def airtime_partition(wifi_intervals: list[tuple[int, int]],
-                      lte_intervals: list[tuple[int, int]],
-                      duration_ns: int) -> dict[str, int]:
-    """Exact integer-ns split of a run into wifi-only / lte-only / overlap / idle.
-
-    Interval lists must each be sorted and internally non-overlapping (they
-    are, by construction of the run loop).  Intervals are clipped to the run.
-    """
-    deltas: list[tuple[int, int, int]] = []
-    for intervals, which in ((wifi_intervals, 0), (lte_intervals, 1)):
-        for t0, t1 in intervals:
-            t0, t1 = max(t0, 0), min(t1, duration_ns)
-            if t1 > t0:
-                deltas.append((t0, which, 1))
-                deltas.append((t1, which, -1))
-    deltas.sort()
-
-    out = {"wifi_only": 0, "lte_only": 0, "overlap": 0, "idle": 0}
-    keys = (("idle", "lte_only"), ("wifi_only", "overlap"))
-    active = [0, 0]
-    cursor = 0
-    for t, which, delta in deltas:
-        if t > cursor:
-            out[keys[active[0] > 0][active[1] > 0]] += t - cursor
-            cursor = t
-        active[which] += delta
-    out[keys[active[0] > 0][active[1] > 0]] += duration_ns - cursor
-    return out

@@ -24,8 +24,8 @@ MCS_RATES = tuple(sorted(BITS_PER_SYMBOL))
 BASIC_RATES = (6, 12, 24)
 MEASURE_BANDS = ("full20", "primary10")  # CCA spans: the 20 MHz channel, its center 10 MHz
 SERVICE_TAIL_BITS = 16 + 6
-# Most DCF cycles one vectorised step covers; bounds the arrays it builds and
-# the decode draws it rewinds when the chunk overshoots the medium's next change.
+# Most DCF cycles one vectorised chunk of the step covers, and one backoff
+# prefix sums: bounds the arrays they build and so the step's int64 ns sums.
 FAST_FORWARD_CHUNK = 4096
 # The trace lines of a stepped cycle, one "%" template per shape, indexed by
 # 3 * (k > 0) + outcome: 0 the ACK decoded, 1 only the data decoded (contention
@@ -131,6 +131,9 @@ class BackoffStream:
     top b bits (a pending half stays pending), and b = 0 takes nothing.  The
     outputs are drawn in blocks, refilled as a function of the stream position
     alone, so per-window draws and chunked reads leave the generator alike.
+
+    ``stretch`` reads a run of cycles at one window from an int64 prefix sum
+    of their lengths, kept until a refill or a wide draw rewrites the words.
     """
 
     # Unsplit outputs kept after every draw (the words of a whole step chunk);
@@ -145,22 +148,19 @@ class BackoffStream:
 
     def draw(self, cw: int) -> int:
         bits = cw.bit_length()
-        if bits == 0:
-            return 0
-        w = self._w
         if bits <= 32:
-            k = int(self._words[w]) >> (32 - bits)
-            self._w = w + 1
-        else:
-            # The pending half moves into the spent output's high half, so it
-            # stays the word right before the next unsplit output.
-            j = (w + 1) // 2
-            k = int(self._raw[j]) >> (64 - bits)
-            if w & 1:
-                self._words[2 * j + 1] = self._words[w]
-            self._w = 2 * j + 2 - (w & 1)
-        if self._w > self._limit:
-            self._top_up()
+            k = self.peek_one(bits)
+            self.skip(bits > 0)
+            return k
+        # The pending half moves into the spent output's high half, so it
+        # stays the word right before the next unsplit output.
+        w = self._w
+        j = (w + 1) // 2
+        k = int(self._raw[j]) >> (64 - bits)
+        if w & 1:
+            self._words[2 * j + 1] = self._words[w]
+        self._prefix = None
+        self.skip(2 * j + 2 - (w & 1) - w)
         return k
 
     def peek(self, bits: np.ndarray) -> np.ndarray:
@@ -174,11 +174,36 @@ class BackoffStream:
             words = self._words[w + np.cumsum(takes) - takes]
         return words >> (32 - bits)
 
+    def peek_one(self, bits: int) -> int:
+        """The next draw for a window of ``bits``, 0 to 32, without taking it."""
+        return int(self._words[self._w]) >> (32 - bits)
+
     def take(self, bits: np.ndarray) -> None:
         """Take the draws of windows of these bit counts (each at most 32)."""
-        self._w += int(np.count_nonzero(bits))
+        self.skip(int(np.count_nonzero(bits)))
+
+    def skip(self, words: int) -> None:
+        """Take this many words."""
+        self._w += words
         if self._w > self._limit:
             self._top_up()
+
+    def stretch(self, bits: int, base_ns: int, slot_ns: int, span_ns: int, most: int):
+        """Take the draws of the next cycles, each ``base_ns`` plus k slots
+        for a window of ``bits`` (0 to 32), that end before ``span_ns``, as
+        far as the prefix reaches.  A prefix built here sums at most ``most``
+        cycles.  Returns the prefix over those cycles, from the sum before
+        them, and whether it ran out before the span did."""
+        w, prefix, key = self._w, self._prefix, (bits, base_ns, slot_ns)
+        if prefix is None or key != self._key or w - self._at >= len(prefix) - 1:
+            # int64 before the shift: a zero window shifts all 32 bits away.
+            ks = self._words[w:w + most].astype(np.int64) >> (32 - bits)
+            prefix = np.concatenate(([0], np.cumsum(ks * slot_ns + base_ns)))
+            self._prefix, self._key, self._at = prefix, key, w
+        i = w - self._at
+        end = int(prefix.searchsorted(int(prefix[i]) + span_ns))
+        self.skip((end - 1 - i) * (bits > 0))
+        return prefix[i:end], end == len(prefix)
 
     def _top_up(self) -> None:
         start = self._w // 2  # the first output not wholly spent
@@ -186,6 +211,7 @@ class BackoffStream:
             FAST_FORWARD_CHUNK)), dtype="<u8")
         self._words = self._raw.view("<u4")
         self._w -= 2 * start
+        self._prefix = None
         # RESERVE outputs lie past the next unsplit one while _w <= _limit.
         self._limit = 2 * (len(self._raw) - self.RESERVE)
 
@@ -199,12 +225,13 @@ class DcfStation:
     reset after retry_limit consecutive failures.
 
     Every run fast-forwards: each contention that starts on an idle medium
-    without a residual backoff first advances, in one vectorised step, every
-    whole cycle that ends before the medium next changes (see
-    ``_skip_whole_cycles``).  Counters, airtime, RNG streams and trace
-    lines end exactly where the event path leaves them; only the cycle that
-    crosses a change, the cycles that resume a frozen backoff and those
-    with a window wider than 32 bits stay on events.
+    without a residual backoff first advances, in one step, every whole
+    cycle that ends before the medium next changes (``_skip_whole_cycles``):
+    a clean stretch, all delivered, by a prefix search, any other in NumPy
+    chunks.  Counters, airtime, RNG streams and trace lines end exactly
+    where the event path leaves them; only the cycle that crosses a change,
+    the cycles that resume a frozen backoff and those with a window wider
+    than 32 bits stay on events.
     """
 
     name = "wifi-tx"
@@ -371,23 +398,25 @@ class DcfStation:
     def _skip_whole_cycles(self, now: int) -> int:
         """Advance every whole cycle that ends before the medium next changes.
 
-        A cycle is DIFS, backoff, data, SIFS, then the ACK, plus one slot
-        (ACK timeout, or the resume after an undecoded ACK) if it failed.
-        Until the next LTE transition or the run end the SINR at both ends is
-        constant.  Under the hard PER rule, or when the data cannot decode,
-        every cycle then has the same outcome and the cycles differ only in
-        their backoff draws.  Otherwise each cycle draws its data outcome and,
-        if the data decoded, its ACK outcome against fixed odds.  The backoff
-        draws of a chunk are one slice and one shift of the backoff stream's
-        words, the very words ``_difs_end`` would read; the step takes the
-        words of the cycles that fit, with no rewind and no second draw, and
-        stops before a window wider than 32 bits, whose cycle the events
-        draw.  The decode draws are one ``uniform`` call over the chunk,
-        rewound to what the cycles that fit used.  Both streams end exactly
-        where the per-cycle draws leave them.  A traced run gets the lines the
-        events would have written.  If it advanced, the step schedules the
-        next contention under the kind of the last cycle's last line, which
-        that event then traces.  Returns the time that contention begins.
+        A cycle is DIFS, backoff, data, SIFS, then the ACK, plus one slot (ACK
+        timeout, or the resume after an undecoded ACK) if it failed.  Until the
+        next LTE transition or the run end the SINR at both ends is constant.
+        Under the hard PER rule, or when the data cannot decode, every cycle
+        then has the same outcome and the cycles differ only in their backoff
+        draws; ``_skip_clean_cycles`` takes a stretch where that outcome is
+        success.  The chunks below take the rest: failing stretches, and the
+        soft rule's, where each cycle draws its data outcome and, if it
+        decoded, its ACK outcome against fixed odds.  The backoff draws of a
+        chunk are one slice and one shift of the backoff stream's words, the
+        very words ``_difs_end`` would read; the step takes the words of the
+        cycles that fit, with no rewind and no second draw, and stops before a
+        window wider than 32 bits, whose cycle the events draw.  The decode
+        draws are one ``uniform`` call over the chunk, rewound to what the
+        cycles that fit used.  Both streams end exactly where the per-cycle
+        draws leave them.  A traced run gets the lines the events would have
+        written.  If it advanced, the step schedules the next contention under
+        the kind of the last cycle's last line, which that event then traces.
+        Returns the time that contention begins.
         """
         start = now
         horizon = self.channel.quiet_until()
@@ -400,7 +429,9 @@ class DcfStation:
         if outcomes is None:
             outcomes = self._outcomes[self.channel.lte_on] = self._cycle_outcomes(now)
         data_ok, ack_ok, odds = outcomes
-        shortest_ns = base_ns if ack_ok or odds else base_ns + self.slot_ns
+        if odds is None and ack_ok:
+            return self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
+        shortest_ns = base_ns if odds else base_ns + self.slot_ns
         top = len(self._cw_ladder) - 1
         retry_limit = self.params.retry_limit
         trace = self.engine.trace
@@ -409,17 +440,12 @@ class DcfStation:
             m = min((horizon - 1 - now) // shortest_ns, FAST_FORWARD_CHUNK)
             if m == 0:
                 break
-            if odds is None:  # every cycle ends alike: one flag stands for all
-                data, ok, failed = data_ok, ack_ok, not ack_ok
-                # Consecutive failures before each cycle: one success resets
-                # them, a failure counts up and a drop at retry_limit wraps
-                # them to 0.
-                if ack_ok:
-                    failures_before = np.zeros(m, dtype=np.int64)
-                    failures_before[0] = self.consecutive_failures
-                else:
-                    failures_before = ((self.consecutive_failures + np.arange(m))
-                                       % max(retry_limit, 1))
+            if odds is None:  # every cycle fails alike: one flag stands for all
+                data, ok, failed = data_ok, False, True
+                # Consecutive failures before each cycle: a failure counts up
+                # and a drop at retry_limit wraps them to 0.
+                failures_before = ((self.consecutive_failures + np.arange(m))
+                                   % max(retry_limit, 1))
             else:
                 decode_saved = self.decode_rng.bit_generator.state
                 data, ok, failures_before, used = self._drawn_outcomes(m, *odds)
@@ -445,8 +471,8 @@ class DcfStation:
                     data, ok, failed = data[:n], ok[:n], failed[:n]
             self.backoff.take(bits)
             if odds is None:
-                delivered, undecoded = n * ack_ok, n * (not data_ok)
-                last_ok, last_data = ack_ok, data_ok
+                delivered, undecoded = 0, n * (not data_ok)
+                last_ok, last_data = False, data_ok
             else:
                 delivered = int(np.count_nonzero(ok))
                 undecoded = n - int(np.count_nonzero(data))
@@ -486,6 +512,59 @@ class DcfStation:
             self._event = self.engine.schedule(now, last_kind, self.name,
                                                self._start_difs)
         return now
+
+    def _skip_clean_cycles(self, now: int, horizon: int, base_ns: int, tail_ns: int) -> int:
+        """``_skip_whole_cycles`` for a stretch in which every cycle succeeds.
+
+        The first cycle draws at the current window, read here; every later
+        one at cw_min, so the backoff stream's prefix over that window gives
+        how many cycles fit, where they end and their backoff slots, with
+        one search per prefix.  A window wider than 32 bits stays on events.
+        Returns the time the next contention begins."""
+        first_bits = self.cw.bit_length()
+        if first_bits > 32:
+            return now
+        stream, slot_ns = self.backoff, self.slot_ns
+        t = now + base_ns + stream.peek_one(first_bits) * slot_ns
+        if t >= horizon:
+            return now
+        stream.skip(first_bits > 0)
+        logged = self.engine.trace is not None or self.draw_log is not None
+        ends, logged_to, cycles, more = [[t]], now, 1, True
+        bits = self.params.cw_min.bit_length()
+        while more:
+            # Cycles that can still end before the run does, plus one: never 0.
+            most = min(FAST_FORWARD_CHUNK, (self.channel.end_ns - t) // base_ns + 1)
+            prefix, more = stream.stretch(bits, base_ns, slot_ns, horizon - t, most)
+            if logged and len(prefix) > 1:
+                if len(ends) > 1:  # log all but the last cycle, about a prefix at a time
+                    logged_to = self._log_clean_cycles(logged_to, ends, tail_ns, False)
+                    ends = []
+                ends.append(t + (prefix[1:] - prefix[0]))
+            cycles += len(prefix) - 1
+            t += int(prefix[-1]) - int(prefix[0])
+        self.acc.wifi_airtime_ns += cycles * (self.data_air_ns + self.ack_air_ns)
+        self.acc.attempts += cycles
+        self.acc.delivered_payload_bytes += cycles * self.payload_bytes
+        self.difs_completed += cycles
+        self.backoff_slots_elapsed += (t - now - cycles * base_ns) // slot_ns
+        self.consecutive_failures, self.cw = 0, self.params.cw_min
+        if logged:
+            self._log_clean_cycles(logged_to, ends, tail_ns, True)
+        self._event = self.engine.schedule(t, "ack-result", self.name, self._start_difs)
+        return t
+
+    def _log_clean_cycles(self, start: int, ends: list, tail_ns: int, resumed: bool) -> int:
+        """Add clean cycles, from ``start`` to each of ``ends`` (arrays to
+        join), to the draw log and the trace; returns the last end."""
+        ends = np.concatenate(ends)
+        ks = (np.diff(ends, prepend=start) - self.difs_ns - tail_ns) // self.slot_ns
+        if self.draw_log is not None:
+            self.draw_log.extend(ks.tolist())
+        if self.engine.trace is not None:
+            ok = np.ones(len(ends), dtype=bool)
+            self._trace_cycles(self.engine.trace, ends, ends - tail_ns, ks, ok, ok, resumed)
+        return int(ends[-1])
 
     def _cycle_outcomes(self, now: int):
         """(data decoded, ACK decoded, odds) of cycles from ``now`` on.

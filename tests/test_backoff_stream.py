@@ -8,7 +8,8 @@ window at a time (the event path) or reads a chunk of windows (the step).
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coexsim.engine import Engine
@@ -71,3 +72,55 @@ def test_refills_depend_on_the_stream_position_alone():
                 stream.draw(windows[start])
         states.append(rng.bit_generator.state)
     assert states[0] == states[1] == states[2]
+
+
+CYCLE_NS = ((1_000, 7), (300, 1))  # (base_ns, slot_ns) of a prefix's cycles
+
+
+def stretch_ops():
+    """Reads of a stretch of cycles, as (span in cycles of mean length, most
+    per prefix, cycle lengths), between single draws of any window (bits 0
+    to 62): a narrow one leaves a high half pending, a wide one rewrites the
+    words."""
+    stretch = st.tuples(st.integers(0, 5000),
+                        st.sampled_from([1, 7, 300, FAST_FORWARD_CHUNK]),
+                        st.sampled_from(CYCLE_NS))
+    return st.lists(stretch | st.integers(0, 62), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), bits=st.integers(0, 32), ops=stretch_ops())
+@example(seed=5, bits=4, ops=[(20, 300, CYCLE_NS[0]), 3, 40, (20, 7, CYCLE_NS[0]),
+                              (20, 7, CYCLE_NS[1]), (5000, FAST_FORWARD_CHUNK, CYCLE_NS[0]),
+                              1, (20, 7, CYCLE_NS[0])])
+def test_prefix_equals_cycles_of_single_draws(seed, bits, ops):
+    read = BackoffStream(Engine(seed).rng_stream(LABEL))
+    single = BackoffStream(Engine(seed).rng_stream(LABEL))
+    for op in ops:
+        if isinstance(op, int):
+            assert read.draw(2**op - 1) == single.draw(2**op - 1)
+            continue
+        cycles, most, (base_ns, slot_ns) = op
+        span_ns = int(cycles * (base_ns + (2**bits - 1) / 2 * slot_ns)) + 1
+        more = True
+        while more:  # as the station reads it, one prefix after another
+            prefix, more = read.stretch(bits, base_ns, slot_ns, span_ns, most)
+            lengths = [base_ns + single.draw(2**bits - 1) * slot_ns
+                       for _ in range(len(prefix) - 1)]
+            assert np.diff(prefix).tolist() == lengths
+            span_ns -= sum(lengths)
+            assert span_ns > 0
+        # The stretch stopped at the first cycle that does not end before the span.
+        k = single.draw(2**bits - 1)
+        assert read.draw(2**bits - 1) == k and base_ns + k * slot_ns >= span_ns
+    assert read.rng.bit_generator.state == single.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bits", [0, 5, 32])
+def test_a_cycle_that_ends_at_the_span_is_left(bits):
+    base_ns, slot_ns = CYCLE_NS[0]
+    single = BackoffStream(Engine(3).rng_stream(LABEL))
+    ends = np.cumsum([base_ns + single.draw(2**bits - 1) * slot_ns for _ in range(10)])
+    read = BackoffStream(Engine(3).rng_stream(LABEL))
+    prefix, more = read.stretch(bits, base_ns, slot_ns, int(ends[-1]), 100)
+    assert (prefix - prefix[0]).tolist() == [0, *ends[:-1].tolist()] and not more

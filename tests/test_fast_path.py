@@ -361,3 +361,66 @@ def test_step_equals_event_path_at_each_corner_of_its_int64_range(key, cfg):
         with_value(cfg, key, past)
     events, fast = assert_paths_agree(with_value(cfg, key, value), 2)
     assert fast["metrics"].attempts > 4
+
+
+# -- the clean-stretch path --------------------------------------------------
+
+
+def count_clean_stretches(monkeypatch):
+    """Count the calls of the clean-stretch path that advanced, by whether
+    the run was traced."""
+    calls = {True: 0, False: 0}
+    clean = DcfStation._skip_clean_cycles
+
+    def counted(self, now, *args):
+        end = clean(self, now, *args)
+        calls[self.engine.trace is not None] += end > now
+        return end
+
+    monkeypatch.setattr(DcfStation, "_skip_clean_cycles", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [cfg for cfg in MATRIX if cfg.lte.duty == 0.5],
+                         ids=config_id)
+def test_clean_path_runs_in_the_compared_runs(cfg, monkeypatch):
+    # These runs are compared with the event path above, traced and untraced,
+    # so those comparisons cover the clean-stretch path.
+    calls = count_clean_stretches(monkeypatch)
+    for seed in SEEDS:
+        observe(cfg, seed, True)
+        observe(cfg, seed, False)
+    assert calls[True] == calls[False] > len(SEEDS)
+
+
+def test_clean_path_at_the_int64_corner_of_a_fixed_window(monkeypatch):
+    # At duty 0 with cw_min == cw_max every cycle is clean and draws from
+    # one window.  At this slot the widest window RunConfig accepts is the
+    # widest the prefix reads, so k runs up to 2^32 - 1: a prefix sums
+    # cycles of up to 15 days over a run of about 73 years.
+    cfg = make_cfg(duty=0.0, duration=QUARTER_RANGE_S, slot_us=300)
+
+    def fixed_window(bits):
+        return dataclasses.replace(cfg.wifi, cw_min=2**bits - 1, cw_max=2**bits - 1)
+
+    bits = max(b for b in range(64) if fits(fixed_window(b), cfg.duration_s))
+    assert bits == 32
+    with pytest.raises(ConfigError, match="cw_max"):
+        dataclasses.replace(cfg, wifi=fixed_window(bits + 1))
+    calls = count_clean_stretches(monkeypatch)
+    events, fast = assert_paths_agree(dataclasses.replace(cfg, wifi=fixed_window(bits)), 2)
+    assert fast["metrics"].attempts > 1000 and calls[True] == calls[False] > 0
+    assert max(fast["draw_log"]) > 2**31
+
+
+def test_clean_path_logs_a_long_stretch_a_prefix_at_a_time():
+    # An idle run is one clean stretch over several prefixes.  Its trace text
+    # is written about a prefix at a time, which bounds the memory it takes,
+    # and the resuming event writes the last line.
+    cfg = make_cfg(duty=0.0, duration=5.0)
+    events, fast = assert_paths_agree(cfg, 1)
+    assert fast["metrics"].attempts > 3 * FAST_FORWARD_CHUNK
+    sim = Simulation(cfg, seed=1, trace=True)
+    sim.run()
+    cycles_per_chunk = max(chunk.count("difs-end") for chunk in sim.engine.trace)
+    assert cycles_per_chunk <= 2 * FAST_FORWARD_CHUNK + 1

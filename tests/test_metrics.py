@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coexsim.metrics import (BoxStats, RunMetrics, airtime_partition, box_stats,
-                             normalized_throughput, throughput_mbps)
+from coexsim.metrics import (BoxStats, RunMetrics, box_stats, normalized_throughput,
+                             throughput_mbps)
 
-from conftest import make_cfg, run_sim, traced_emissions
+from conftest import airtime_partition, make_cfg, run_sim, traced_emissions
 
 
 def metrics_with(delivered=0, duration_s=10.0):
