@@ -125,7 +125,3 @@ class Engine:
             stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
             self._streams[label] = stream
         return stream
-
-    def trace_lines(self) -> list[str]:
-        """The trace as ``time_ns kind node [detail]`` lines, without newlines."""
-        return "".join(self.trace or ()).splitlines()

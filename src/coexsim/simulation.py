@@ -62,7 +62,7 @@ class Medium:
         return self.lte_on and self.defer_to_lte
 
     def quiet_until(self) -> int:
-        """Time of the medium's next change: the next LTE transition or the run end."""
+        """The next LTE transition or the run end: a step's horizon if the station feels LTE."""
         next_ns = None if self.lte is None else self.lte.next_ns
         return self.end_ns if next_ns is None else min(next_ns, self.end_ns)
 

@@ -225,13 +225,15 @@ class DcfStation:
     reset after retry_limit consecutive failures.
 
     Every run fast-forwards: each contention that starts on an idle medium
-    without a residual backoff first advances, in one step, every whole
-    cycle that ends before the medium next changes (``_skip_whole_cycles``):
-    a clean stretch, all delivered, by a prefix search, any other in NumPy
-    chunks.  Counters, airtime, RNG streams and trace lines end exactly
-    where the event path leaves them; only the cycle that crosses a change,
-    the cycles that resume a frozen backoff and those with a window wider
-    than 32 bits stay on events.
+    first advances, in one step, every whole cycle that ends before the
+    medium next changes (``_skip_whole_cycles``): a clean stretch, all
+    delivered, by a prefix search, any other in NumPy chunks; then the next
+    cycle's DIFS, backoff and transmit start, while they end before it.  An
+    untraced run's LTE that the station neither defers to nor decodes
+    differently under is no change.  Counters, airtime, RNG streams and trace
+    lines end exactly where the event path leaves them; only the rest of the
+    cycle that crosses a change, and cycles with a window wider than 32 bits,
+    stay on events.
     """
 
     name = "wifi-tx"
@@ -266,7 +268,11 @@ class DcfStation:
         # The step reads windows up to 32 bits and stops before the first wider one.
         self._narrow_bits = np.minimum(bits, 32)
         self._wide_rung = next((j for j, b in enumerate(bits) if b > 32), len(bits))
-        self._outcomes: dict[bool, tuple] = {}  # the step's cycle outcomes per LTE state
+        self._outcomes = off, on = self._cycle_outcomes(False), self._cycle_outcomes(True)
+        # An LTE that neither defers the station nor changes how a cycle ends bounds
+        # no untraced step; traced lines must interleave with the LTE node's in order.
+        self._feels_lte = (engine.trace is not None or channel.defer_to_lte or off != on
+                           or off[2] is not None)
 
         self.state = "blocked"
         self.cw = params.cw_min
@@ -296,9 +302,8 @@ class DcfStation:
             self.state = "blocked"
             return
         now = self.engine.now
-        if self.pending_k is None and self._skip_whole_cycles(now) > now:
-            return  # the step scheduled the next contention
-        self._start_difs()
+        if self._skip_whole_cycles(now) == now:
+            self._start_difs()
 
     def _start_difs(self) -> None:
         self.state = "difs"
@@ -306,38 +311,41 @@ class DcfStation:
                                               self._difs_end)
 
     def _difs_end(self) -> None:
-        """DIFS is over: count down a frozen residual, or a fresh draw from the
-        backoff stream (``rng.integers(0, cw + 1)``'s value, read from the
-        same words the step reads), then transmit at zero."""
+        self._start_backoff(self.engine.now, self._take_backoff())
+
+    def _take_backoff(self) -> int:
+        """Count a DIFS that ended and take its backoff: a frozen residual, or a fresh
+        draw (``rng.integers(0, cw + 1)``'s value, from the words the step reads)."""
         self.difs_completed += 1
-        if self.pending_k is None:
+        k, self.pending_k = self.pending_k, None
+        if k is None:
             k = self.backoff.draw(self.cw)
             if self.draw_log is not None:
                 self.draw_log.append(k)
-        else:
-            k = self.pending_k
-            self.pending_k = None
+        return k
+
+    def _start_backoff(self, t0: int, k: int) -> None:
         if k == 0:
-            self._start_tx()
+            self._start_tx(t0)
             return
         self.state = "backoff"
         self._backoff_k = k
-        self._backoff_t0 = self.engine.now
-        self._event = self.engine.schedule_in(k * self.slot_ns, "backoff-slot",
-                                              self.name, self._backoff_done, f"k={k}")
+        self._backoff_t0 = t0
+        self._event = self.engine.schedule(t0 + k * self.slot_ns, "backoff-slot",
+                                           self.name, self._backoff_done, f"k={k}")
 
     def _backoff_done(self) -> None:
         self.backoff_slots_elapsed += self._backoff_k
-        self._start_tx()
+        self._start_tx(self.engine.now)
 
     # -- transmission and acknowledgment ------------------------------------
 
-    def _start_tx(self) -> None:
+    def _start_tx(self, t: int) -> None:
         self.state = "tx"
         self.acc.attempts += 1
-        self._tx_start = self.engine.now
-        self._event = self.engine.schedule_in(self.data_air_ns, "tx-end", self.name,
-                                              self._tx_end)
+        self._tx_start = t
+        self._event = self.engine.schedule(t + self.data_air_ns, "tx-end", self.name,
+                                           self._tx_end)
 
     def _tx_end(self) -> None:
         now = self.engine.now
@@ -396,49 +404,44 @@ class DcfStation:
     # -- fast-forward ---------------------------------------------------------
 
     def _skip_whole_cycles(self, now: int) -> int:
-        """Advance every whole cycle that ends before the medium next changes.
+        """Advance every whole cycle that ends before the medium next changes,
+        then start the one that crosses the change (``_start_crossing_cycle``).
 
         A cycle is DIFS, backoff, data, SIFS, then the ACK, plus one slot (ACK
         timeout, or the resume after an undecoded ACK) if it failed.  Until the
-        next LTE transition or the run end the SINR at both ends is constant.
-        Under the hard PER rule, or when the data cannot decode, every cycle
-        then has the same outcome and the cycles differ only in their backoff
-        draws; ``_skip_clean_cycles`` takes a stretch where that outcome is
-        success.  The chunks below take the rest: failing stretches, and the
-        soft rule's, where each cycle draws its data outcome and, if it
-        decoded, its ACK outcome against fixed odds.  The backoff draws of a
-        chunk are one slice and one shift of the backoff stream's words, the
-        very words ``_difs_end`` would read; the step takes the words of the
-        cycles that fit, with no rewind and no second draw, and stops before a
-        window wider than 32 bits, whose cycle the events draw.  The decode
-        draws are one ``uniform`` call over the chunk, rewound to what the
-        cycles that fit used.  Both streams end exactly where the per-cycle
-        draws leave them.  A traced run gets the lines the events would have
-        written.  If it advanced, the step schedules the next contention under
-        the kind of the last cycle's last line, which that event then traces.
-        Returns the time that contention begins.
+        next LTE transition or the run end the SINR at both ends is constant,
+        and an LTE that ``_feels_lte`` rules out changes nothing.  Under the
+        hard PER rule, or when the data cannot decode, every cycle then has
+        the same outcome and the cycles differ only in their backoff draws;
+        ``_skip_clean_cycles`` takes a stretch where that outcome is success.
+        The chunks below take the rest: failing stretches, and the soft
+        rule's, where each cycle draws its data outcome and, if it decoded,
+        its ACK outcome against fixed odds.  A first cycle that resumes a
+        frozen residual takes no draw.  The backoff draws of a chunk are one
+        slice and one shift of the backoff stream's words, the very words
+        ``_difs_end`` would read; the step takes the words of the cycles that
+        fit, with no rewind and no second draw, and stops before a window
+        wider than 32 bits, whose cycle the events draw.  The decode draws are
+        one ``uniform`` call over the chunk, rewound to what the cycles that
+        fit used.  Both streams end exactly where the per-cycle draws leave
+        them.  A traced run gets the lines the events would have written.
+        Returns the time the station advanced to: ``now`` if it did not.
         """
         start = now
-        horizon = self.channel.quiet_until()
+        horizon = self.channel.quiet_until() if self._feels_lte else self.channel.end_ns
         tail_ns = self.data_air_ns + self.sifs_ns + self.ack_air_ns  # tx start to ACK end
         base_ns = self.difs_ns + tail_ns
-        if now + base_ns >= horizon:
-            return now
-        # The medium's SINRs depend on the LTE state alone.
-        outcomes = self._outcomes.get(self.channel.lte_on)
-        if outcomes is None:
-            outcomes = self._outcomes[self.channel.lte_on] = self._cycle_outcomes(now)
-        data_ok, ack_ok, odds = outcomes
+        data_ok, ack_ok, odds = self._outcomes[self.channel.lte_on]
         if odds is None and ack_ok:
             return self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
         shortest_ns = base_ns if odds else base_ns + self.slot_ns
         top = len(self._cw_ladder) - 1
         retry_limit = self.params.retry_limit
         trace = self.engine.trace
-        block = None  # the last traced chunk's cycles, written once the next one fits
+        block = last_kind = None  # the last traced chunk's cycles, written once the next one fits
         while True:
             m = min((horizon - 1 - now) // shortest_ns, FAST_FORWARD_CHUNK)
-            if m == 0:
+            if m <= 0:  # below 0 for a transition at the run end
                 break
             if odds is None:  # every cycle fails alike: one flag stands for all
                 data, ok, failed = data_ok, False, True
@@ -452,7 +455,12 @@ class DcfStation:
                 failed = ~ok
             rungs = np.minimum(failures_before, top)
             bits = self._narrow_bits[rungs]
+            frozen = self.pending_k
+            if frozen is not None:  # the first cycle resumes it and takes no word
+                bits[0] = 0
             ks = self.backoff.peek(bits)
+            if frozen is not None:
+                ks[0] = frozen
             ends = now + np.cumsum(ks * self.slot_ns + (base_ns + failed * self.slot_ns))
             n = int(np.searchsorted(ends, horizon))  # cycles ending before it
             if self._wide_rung <= top:  # the events draw windows over 32 bits
@@ -470,6 +478,7 @@ class DcfStation:
                 if odds is not None:
                     data, ok, failed = data[:n], ok[:n], failed[:n]
             self.backoff.take(bits)
+            self.pending_k = None
             if odds is None:
                 delivered, undecoded = 0, n * (not data_ok)
                 last_ok, last_data = False, data_ok
@@ -496,7 +505,7 @@ class DcfStation:
             self.data_decode_failures += undecoded
             self.ack_decode_failures += n - delivered - undecoded
             if self.draw_log is not None:
-                self.draw_log.extend(ks.tolist())
+                self.draw_log.extend(ks[frozen is not None:].tolist())
             failures = int(failures_before[-1]) + 1
             self.consecutive_failures = (0 if last_ok or failures >= retry_limit
                                          else failures)
@@ -506,29 +515,24 @@ class DcfStation:
                          "cca-sample" if last_data else "ack-timeout")
             if n < m:
                 break
-        if now > start:
-            if trace is not None:
-                self._trace_cycles(trace, *block, resumed=True)
-            self._event = self.engine.schedule(now, last_kind, self.name,
-                                               self._start_difs)
-        return now
+        log = None if block is None else lambda resumed: self._trace_cycles(trace, *block, resumed)
+        return self._start_crossing_cycle(start, now, horizon, last_kind, log)
 
     def _skip_clean_cycles(self, now: int, horizon: int, base_ns: int, tail_ns: int) -> int:
         """``_skip_whole_cycles`` for a stretch in which every cycle succeeds.
 
-        The first cycle draws at the current window, read here; every later
-        one at cw_min, so the backoff stream's prefix over that window gives
-        how many cycles fit, where they end and their backoff slots, with
-        one search per prefix.  A window wider than 32 bits stays on events.
-        Returns the time the next contention begins."""
-        first_bits = self.cw.bit_length()
-        if first_bits > 32:
-            return now
-        stream, slot_ns = self.backoff, self.slot_ns
-        t = now + base_ns + stream.peek_one(first_bits) * slot_ns
-        if t >= horizon:
-            return now
+        The first cycle resumes a frozen residual or draws at the current
+        window, read here; every later one at cw_min, so the backoff stream's
+        prefix over that window gives how many cycles fit, where they end and
+        their backoff slots, with one search per prefix.  A first window
+        wider than 32 bits stays on events."""
+        stream, slot_ns, frozen = self.backoff, self.slot_ns, self.pending_k
+        first_bits = 0 if frozen is not None else self.cw.bit_length()
+        k = stream.peek_one(first_bits) if frozen is None and first_bits <= 32 else frozen
+        if first_bits > 32 or (t := now + base_ns + k * slot_ns) >= horizon:
+            return self._start_crossing_cycle(now, now, horizon)
         stream.skip(first_bits > 0)
+        self.pending_k = None
         logged = self.engine.trace is not None or self.draw_log is not None
         ends, logged_to, cycles, more = [[t]], now, 1, True
         bits = self.params.cw_min.bit_length()
@@ -538,8 +542,8 @@ class DcfStation:
             prefix, more = stream.stretch(bits, base_ns, slot_ns, horizon - t, most)
             if logged and len(prefix) > 1:
                 if len(ends) > 1:  # log all but the last cycle, about a prefix at a time
-                    logged_to = self._log_clean_cycles(logged_to, ends, tail_ns, False)
-                    ends = []
+                    logged_to = self._log_clean_cycles(logged_to, ends, tail_ns, frozen, False)
+                    ends, frozen = [], None
                 ends.append(t + (prefix[1:] - prefix[0]))
             cycles += len(prefix) - 1
             t += int(prefix[-1]) - int(prefix[0])
@@ -549,37 +553,77 @@ class DcfStation:
         self.difs_completed += cycles
         self.backoff_slots_elapsed += (t - now - cycles * base_ns) // slot_ns
         self.consecutive_failures, self.cw = 0, self.params.cw_min
-        if logged:
-            self._log_clean_cycles(logged_to, ends, tail_ns, True)
-        self._event = self.engine.schedule(t, "ack-result", self.name, self._start_difs)
-        return t
+        log = None if not logged else (
+            lambda resumed: self._log_clean_cycles(logged_to, ends, tail_ns, frozen, resumed))
+        return self._start_crossing_cycle(now, t, horizon, "ack-result", log)
 
-    def _log_clean_cycles(self, start: int, ends: list, tail_ns: int, resumed: bool) -> int:
-        """Add clean cycles, from ``start`` to each of ``ends`` (arrays to
-        join), to the draw log and the trace; returns the last end."""
+    def _log_clean_cycles(self, start, ends, tail_ns, frozen, resumed) -> int:
+        """Add clean cycles, from ``start`` to each of ``ends`` (arrays to join), to the
+        trace and, less a first one's ``frozen`` residual, the draw log; returns the last end."""
         ends = np.concatenate(ends)
         ks = (np.diff(ends, prepend=start) - self.difs_ns - tail_ns) // self.slot_ns
         if self.draw_log is not None:
-            self.draw_log.extend(ks.tolist())
+            self.draw_log.extend(ks[frozen is not None:].tolist())
         if self.engine.trace is not None:
             ok = np.ones(len(ends), dtype=bool)
             self._trace_cycles(self.engine.trace, ends, ends - tail_ns, ks, ok, ok, resumed)
         return int(ends[-1])
 
-    def _cycle_outcomes(self, now: int):
-        """(data decoded, ACK decoded, odds) of cycles from ``now`` on.
+    def _start_crossing_cycle(self, start: int, t: int, horizon: int,
+                              resume_kind: str | None = None, log=None) -> int:
+        """Start the cycle after the whole ones, which end at ``t``: advance its
+        DIFS, draw, backoff and transmit start while each ends before ``horizon``,
+        then schedule the first of its events past it, as the event path leaves
+        it.  One that falls on the horizon the event path schedules later, so it
+        can dispatch after a transition there: its predecessor goes instead, down
+        to the resume at ``t`` under ``resume_kind``.  ``log(resumed)`` writes the
+        whole cycles' lines and draws, less the last line if the resume writes it.
+        Returns the time the station advanced to: ``start`` if nothing."""
+        k, bits = self.pending_k, self.cw.bit_length()
+        if k is None and bits <= 32:
+            k = self.backoff.peek_one(bits)
+        difs_end = t + self.difs_ns
+        tx_start = difs_end + (k or 0) * self.slot_ns
+        # The first event at or past the horizon: 1 difs-end, 2 backoff-slot, 3 tx-end.
+        stage = 1 if k is None or difs_end >= horizon else 2 if tx_start >= horizon else 3
+        if (t, difs_end, tx_start, tx_start + self.data_air_ns)[stage] == horizon:
+            stage -= 2 if stage == 3 and k == 0 else 1
+        if stage < 2 and t == start:
+            return start
+        if log is not None:
+            log(stage == 0)
+        if stage == 0:
+            self._event = self.engine.schedule(t, resume_kind, self.name, self._start_difs)
+            return t
+        if stage == 1:
+            self.state = "difs"
+            self._event = self.engine.schedule(difs_end, "difs-end", self.name, self._difs_end)
+            return t
+        self._take_backoff()
+        trace = self.engine.trace
+        if trace is not None:
+            trace.append(f"{difs_end} difs-end {self.name}\n")
+        if stage == 2:
+            self._start_backoff(difs_end, k)
+            return difs_end
+        if k and trace is not None:
+            trace.append(f"{tx_start} backoff-slot {self.name} k={k}\n")
+        self.backoff_slots_elapsed += k
+        self._start_tx(tx_start)
+        return difs_end
 
-        This holds for every cycle that ends before the medium next changes.
+    def _cycle_outcomes(self, lte_on: bool):
+        """(data decoded, ACK decoded, odds) of the cycles in this LTE state,
+        each frame over one SINR segment of its airtime.
+
         ``odds`` is None when those cycles all end alike (the hard PER rule,
         or data that cannot decode); otherwise it is the soft rule's
-        (p_data, p_ack) to draw against, and the two flags are unused.  Any
-        window before the change sees the same SINR; the soft rule also
-        reads the window's length.
+        (p_data, p_ack) to draw against, and the two flags are unused.
         """
         p_data = success_probability(self.data_threshold_db, self.slope_k,
-                                     self.channel.sinr_trace_at_rx(now, now + self.data_air_ns))
+                                     [(self.data_air_ns, self.channel.sinr_rx[lte_on])])
         p_ack = success_probability(self.ack_threshold_db, self.slope_k,
-                                    self.channel.sinr_trace_at_tx(now, now + self.ack_air_ns))
+                                    [(self.ack_air_ns, self.channel.sinr_tx[lte_on])])
         if self.slope_k == 0.0 or p_data is None:
             data_ok = p_data is not None
             return data_ok, data_ok and p_ack is not None, None

@@ -29,6 +29,11 @@ def lte_transitions(sim) -> list[tuple[int, bool]]:
     return [(t, i % 2 == 0) for i, t in enumerate(sim.medium.lte_times)]
 
 
+def trace_lines(engine) -> list[str]:
+    """An engine's trace as ``time_ns kind node [detail]`` lines, without newlines."""
+    return "".join(engine.trace or ()).splitlines()
+
+
 def traced_emissions(sim) -> list[tuple[int, int]]:
     """A traced run's WiFi emissions, data frames and ACKs, as time-ordered
     (t0, t1) pairs rebuilt from its trace and its station's end state.

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from coexsim.engine import NS_PER_MS, NS_PER_S, Engine, SchedulingError
 
-from conftest import make_cfg, run_sim
+from conftest import make_cfg, run_sim, trace_lines
 
 
 def trace_times(engine):
     """Fire times of the traced events, read back from the trace text."""
-    return [int(line.split(" ", 1)[0]) for line in engine.trace_lines()]
+    return [int(line.split(" ", 1)[0]) for line in trace_lines(engine)]
 
 
 class TestScheduleAndDispatch:
@@ -103,7 +103,7 @@ class TestRunUntil:
         hashes = []
         for _ in range(2):
             _, sim = run_sim(make_cfg(duration=1.0), seed=42, trace=True)
-            text = "\n".join(sim.engine.trace_lines())
+            text = "\n".join(trace_lines(sim.engine))
             hashes.append(hashlib.sha256(text.encode()).hexdigest())
         assert hashes[0] == hashes[1]
 
