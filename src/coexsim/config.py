@@ -21,7 +21,7 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from .engine import NS_PER_S, NS_PER_US
-from .lte import PRB_CHOICES
+from .lte import PRB_CHOICES, on_duration_ns
 from .radio import DEFAULT_PER_THRESHOLDS_DB, fspl_db
 from .wifi import (BITS_PER_SYMBOL, CCA_PRESETS, FAST_FORWARD_CHUNK, MCS_RATES,
                    MEASURE_BANDS, CcaProfile, ack_airtime_us, frame_airtime_us)
@@ -80,6 +80,9 @@ class LteSettings:
             raise _invalid("lte", "duty", "be in [0, 1]", self.duty)
         if self.mean_period_ms <= 0:
             raise _invalid("lte", "mean_period_ms", "be positive", self.mean_period_ms)
+        if self.duty > 0 and on_duration_ns(self) == 0:
+            raise _invalid("lte", "duty", "be 0 or radiate at least 1 ms a period "
+                           "(duty x mean_period_ms, rounded to whole ms)", self.duty)
         if not 0.0 <= self.silent_spread < 1.0:
             raise _invalid("lte", "silent_spread", "be in [0, 1)", self.silent_spread)
         if self.frame_align_ms < 1:
@@ -121,10 +124,10 @@ class WifiSettings:
         for key in ("sifs_us", "preamble_us", "ack_bytes", "mac_overhead_bytes"):
             if getattr(self, key) < 0:
                 raise _invalid("wifi", key, "be >= 0", getattr(self, key))
-        for key in ("cw_min", "cw_max"):
+        for key in ("cw_min", "cw_max"):  # the backoff stream draws at most 32 bits
             cw = getattr(self, key)
-            if cw < 0 or cw & (cw + 1):
-                raise _invalid("wifi", key, "be 2^k - 1", cw)
+            if not 0 <= cw < 2**32 or cw & (cw + 1):
+                raise _invalid("wifi", key, "be 2^k - 1 for k in [0, 32]", cw)
         if self.cw_max < self.cw_min:
             raise _invalid("wifi", "cw_max", "be >= cw_min", self.cw_max)
         if not 0 <= self.retry_limit <= INT64_MAX:

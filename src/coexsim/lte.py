@@ -74,7 +74,7 @@ class LteNode:
         self._align_ns = cfg.frame_align_ms * NS_PER_MS
 
     def start(self) -> None:
-        if self.cfg.duty > 0.0 and self._on_ns > 0:
+        if self._on_ns:  # 0 only at duty 0
             self.next_ns = 0
             self.engine.schedule(0, "lte-on", self.name, self._turn_on)
 

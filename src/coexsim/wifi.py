@@ -122,18 +122,18 @@ def cca_busy(profile: CcaProfile, lte_power_at_sensor_dbm: float, lte_band: Spec
 
 class BackoffStream:
     """Backoff draws equal to ``rng.integers(0, cw + 1)`` drawn one at a time,
-    for windows cw = 2^b - 1, read from the generator's raw 64-bit outputs.
+    for windows cw = 2^b - 1 with b <= 32, read from the generator's raw
+    64-bit outputs.
 
     numpy splits an output into two 32-bit words, low half first, and keeps
     the high half pending for the next 32-bit draw.  Over 2^b values its
     bounded (Lemire) draw never rejects, so a window of 1 <= b <= 32 bits
-    takes the next word's top b bits, a wider one the next unsplit output's
-    top b bits (a pending half stays pending), and b = 0 takes nothing.  The
-    outputs are drawn in blocks, refilled as a function of the stream position
+    takes the next word's top b bits and b = 0 takes nothing.  The outputs
+    are drawn in blocks, refilled as a function of the stream position
     alone, so per-window draws and chunked reads leave the generator alike.
 
     ``stretch`` reads a run of cycles at one window from an int64 prefix sum
-    of their lengths, kept until a refill or a wide draw rewrites the words.
+    of their lengths, kept until a refill rewrites the words.
     """
 
     # Unsplit outputs kept after every draw (the words of a whole step chunk);
@@ -148,19 +148,8 @@ class BackoffStream:
 
     def draw(self, cw: int) -> int:
         bits = cw.bit_length()
-        if bits <= 32:
-            k = self.peek_one(bits)
-            self.skip(bits > 0)
-            return k
-        # The pending half moves into the spent output's high half, so it
-        # stays the word right before the next unsplit output.
-        w = self._w
-        j = (w + 1) // 2
-        k = int(self._raw[j]) >> (64 - bits)
-        if w & 1:
-            self._words[2 * j + 1] = self._words[w]
-        self._prefix = None
-        self.skip(2 * j + 2 - (w & 1) - w)
+        k = self.peek_one(bits)
+        self.skip(bits > 0)
         return k
 
     def peek(self, bits: np.ndarray) -> np.ndarray:
@@ -232,8 +221,7 @@ class DcfStation:
     untraced run's LTE that the station neither defers to nor decodes
     differently under is no change.  Counters, airtime, RNG streams and trace
     lines end exactly where the event path leaves them; only the rest of the
-    cycle that crosses a change, and cycles with a window wider than 32 bits,
-    stay on events.
+    cycle that crosses a change stays on events.
     """
 
     name = "wifi-tx"
@@ -264,10 +252,7 @@ class DcfStation:
         self._cw_ladder = [params.cw_min]
         while self._cw_ladder[-1] < params.cw_max:
             self._cw_ladder.append(min(2 * (self._cw_ladder[-1] + 1) - 1, params.cw_max))
-        bits = [cw.bit_length() for cw in self._cw_ladder]
-        # The step reads windows up to 32 bits and stops before the first wider one.
-        self._narrow_bits = np.minimum(bits, 32)
-        self._wide_rung = next((j for j, b in enumerate(bits) if b > 32), len(bits))
+        self._ladder_bits = np.array([cw.bit_length() for cw in self._cw_ladder])
         self._outcomes = off, on = self._cycle_outcomes(False), self._cycle_outcomes(True)
         # An LTE that neither defers the station nor changes how a cycle ends bounds
         # no untraced step; traced lines must interleave with the LTE node's in order.
@@ -390,11 +375,10 @@ class DcfStation:
     def _failure(self, resume_delay_ns: int) -> None:
         self.acc.failures += 1
         self.consecutive_failures += 1
-        self.cw = min(2 * (self.cw + 1) - 1, self.params.cw_max)
         if self.consecutive_failures >= self.params.retry_limit:
             self.acc.drops += 1
             self.consecutive_failures = 0
-            self.cw = self.params.cw_min
+        self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
         if resume_delay_ns:
             self._event = self.engine.schedule_in(resume_delay_ns, "cca-sample",
                                                   self.name, self._begin_contention)
@@ -420,10 +404,9 @@ class DcfStation:
         frozen residual takes no draw.  The backoff draws of a chunk are one
         slice and one shift of the backoff stream's words, the very words
         ``_difs_end`` would read; the step takes the words of the cycles that
-        fit, with no rewind and no second draw, and stops before a window
-        wider than 32 bits, whose cycle the events draw.  The decode draws are
-        one ``uniform`` call over the chunk, rewound to what the cycles that
-        fit used.  Both streams end exactly where the per-cycle draws leave
+        fit, with no rewind and no second draw.  The decode draws are one
+        ``uniform`` call over the chunk, rewound to what the cycles that fit
+        used.  Both streams end exactly where the per-cycle draws leave
         them.  A traced run gets the lines the events would have written.
         Returns the time the station advanced to: ``now`` if it did not.
         """
@@ -443,18 +426,13 @@ class DcfStation:
             m = min((horizon - 1 - now) // shortest_ns, FAST_FORWARD_CHUNK)
             if m <= 0:  # below 0 for a transition at the run end
                 break
-            if odds is None:  # every cycle fails alike: one flag stands for all
-                data, ok, failed = data_ok, False, True
-                # Consecutive failures before each cycle: a failure counts up
-                # and a drop at retry_limit wraps them to 0.
-                failures_before = ((self.consecutive_failures + np.arange(m))
-                                   % max(retry_limit, 1))
+            if odds is None:  # every cycle fails alike
+                data, ok = np.full(m, data_ok), np.zeros(m, dtype=bool)
             else:
                 decode_saved = self.decode_rng.bit_generator.state
-                data, ok, failures_before, used = self._drawn_outcomes(m, *odds)
-                failed = ~ok
-            rungs = np.minimum(failures_before, top)
-            bits = self._narrow_bits[rungs]
+                data, ok, used = self._drawn_outcomes(m, *odds)
+            failures_before, failed = self._failures_before(ok), ~ok
+            bits = self._ladder_bits[np.minimum(failures_before, top)]
             frozen = self.pending_k
             if frozen is not None:  # the first cycle resumes it and takes no word
                 bits[0] = 0
@@ -463,37 +441,25 @@ class DcfStation:
                 ks[0] = frozen
             ends = now + np.cumsum(ks * self.slot_ns + (base_ns + failed * self.slot_ns))
             n = int(np.searchsorted(ends, horizon))  # cycles ending before it
-            if self._wide_rung <= top:  # the events draw windows over 32 bits
-                wide = np.flatnonzero(rungs >= self._wide_rung)
-                n = min(n, int(wide[0])) if wide.size else n
             if odds is not None:
                 self.decode_rng.bit_generator.state = decode_saved
                 if n:
                     self.decode_rng.uniform(size=int(used[n - 1]))
-            if n < m:
-                if n == 0:
-                    break
-                ks, bits = ks[:n], bits[:n]
-                failures_before, ends = failures_before[:n], ends[:n]
-                if odds is not None:
-                    data, ok, failed = data[:n], ok[:n], failed[:n]
+            if n == 0:
+                break
+            ks, bits, data, ok, failed = ks[:n], bits[:n], data[:n], ok[:n], failed[:n]
+            failures_before, ends = failures_before[:n], ends[:n]
             self.backoff.take(bits)
             self.pending_k = None
-            if odds is None:
-                delivered, undecoded = 0, n * (not data_ok)
-                last_ok, last_data = False, data_ok
-            else:
-                delivered = int(np.count_nonzero(ok))
-                undecoded = n - int(np.count_nonzero(data))
-                last_ok, last_data = bool(ok[-1]), bool(data[-1])
+            delivered = int(np.count_nonzero(ok))
+            undecoded = n - int(np.count_nonzero(data))
 
             # A data frame that did not decode gets no ACK.
             self.acc.wifi_airtime_ns += n * self.data_air_ns + (n - undecoded) * self.ack_air_ns
             if trace is not None:
                 if block is not None:
                     self._trace_cycles(trace, *block, resumed=False)
-                tx_start = ends - (tail_ns + failed * self.slot_ns)
-                block = ends, tx_start, ks, np.broadcast_to(data, n), np.broadcast_to(ok, n)
+                block = ends, ends - (tail_ns + failed * self.slot_ns), ks, data, ok
             if delivered < n:
                 dropped = failed & (failures_before + 1 >= retry_limit)
                 self.acc.drops += int(np.count_nonzero(dropped))
@@ -507,12 +473,10 @@ class DcfStation:
             if self.draw_log is not None:
                 self.draw_log.extend(ks[frozen is not None:].tolist())
             failures = int(failures_before[-1]) + 1
-            self.consecutive_failures = (0 if last_ok or failures >= retry_limit
-                                         else failures)
+            self.consecutive_failures = 0 if ok[-1] or failures >= retry_limit else failures
             self.cw = self._cw_ladder[min(self.consecutive_failures, top)]
             now = int(ends[-1])
-            last_kind = ("ack-result" if last_ok else
-                         "cca-sample" if last_data else "ack-timeout")
+            last_kind = "ack-result" if ok[-1] else "cca-sample" if data[-1] else "ack-timeout"
             if n < m:
                 break
         log = None if block is None else lambda resumed: self._trace_cycles(trace, *block, resumed)
@@ -524,14 +488,12 @@ class DcfStation:
         The first cycle resumes a frozen residual or draws at the current
         window, read here; every later one at cw_min, so the backoff stream's
         prefix over that window gives how many cycles fit, where they end and
-        their backoff slots, with one search per prefix.  A first window
-        wider than 32 bits stays on events."""
+        their backoff slots, with one search per prefix."""
         stream, slot_ns, frozen = self.backoff, self.slot_ns, self.pending_k
-        first_bits = 0 if frozen is not None else self.cw.bit_length()
-        k = stream.peek_one(first_bits) if frozen is None and first_bits <= 32 else frozen
-        if first_bits > 32 or (t := now + base_ns + k * slot_ns) >= horizon:
+        k = stream.peek_one(self.cw.bit_length()) if frozen is None else frozen
+        if (t := now + base_ns + k * slot_ns) >= horizon:
             return self._start_crossing_cycle(now, now, horizon)
-        stream.skip(first_bits > 0)
+        stream.skip(frozen is None and self.cw > 0)
         self.pending_k = None
         logged = self.engine.trace is not None or self.draw_log is not None
         ends, logged_to, cycles, more = [[t]], now, 1, True
@@ -579,13 +541,13 @@ class DcfStation:
         to the resume at ``t`` under ``resume_kind``.  ``log(resumed)`` writes the
         whole cycles' lines and draws, less the last line if the resume writes it.
         Returns the time the station advanced to: ``start`` if nothing."""
-        k, bits = self.pending_k, self.cw.bit_length()
-        if k is None and bits <= 32:
-            k = self.backoff.peek_one(bits)
+        k = self.pending_k
+        if k is None:
+            k = self.backoff.peek_one(self.cw.bit_length())
         difs_end = t + self.difs_ns
-        tx_start = difs_end + (k or 0) * self.slot_ns
+        tx_start = difs_end + k * self.slot_ns
         # The first event at or past the horizon: 1 difs-end, 2 backoff-slot, 3 tx-end.
-        stage = 1 if k is None or difs_end >= horizon else 2 if tx_start >= horizon else 3
+        stage = 1 if difs_end >= horizon else 2 if tx_start >= horizon else 3
         if (t, difs_end, tx_start, tx_start + self.data_air_ns)[stage] == horizon:
             stage -= 2 if stage == 3 and k == 0 else 1
         if stage < 2 and t == start:
@@ -634,8 +596,8 @@ class DcfStation:
 
         Each cycle takes a data draw, then an ACK draw if the data decoded
         and the ACK can (``p_ack`` is None when it surely fails).  Returns
-        per-cycle arrays: data decoded, ACK decoded, consecutive failures
-        before the cycle, and decode draws used through the cycle.
+        per-cycle arrays: data decoded, ACK decoded, and decode draws used
+        through the cycle.
         """
         draws = self.decode_rng.uniform(size=2 * m)
         # A draw starts a cycle unless the cycle before took it for its ACK,
@@ -651,15 +613,20 @@ class DcfStation:
         ok = np.zeros(m, dtype=bool)
         if p_ack is not None:
             ok[data] = draws[starts[data] + 1] < p_ack
-        # A success resets the failure count and a failure counts up,
-        # wrapping to 0 at retry_limit (the drop): the count is the cycles
-        # since the last success, or since the step began, modulo the limit.
-        i = at[:m]
+        return data, ok, starts + 1 + (data & (p_ack is not None))
+
+    def _failures_before(self, ok: np.ndarray) -> np.ndarray:
+        """Consecutive failures before each of these cycles, given which succeeded.
+
+        A success resets the count and a failure counts up, wrapping to 0 at
+        retry_limit (the drop): the count is the cycles since the last
+        success, or since the step began, modulo the limit.
+        """
+        i = np.arange(len(ok))
         last_ok = np.maximum.accumulate(np.where(ok, i, -1))
         previous = np.concatenate(([-1], last_ok[:-1]))
         counted = np.where(previous < 0, self.consecutive_failures + i, i - previous - 1)
-        return (data, ok, counted % max(self.params.retry_limit, 1),
-                starts + 1 + (data & (p_ack is not None)))
+        return counted % max(self.params.retry_limit, 1)
 
     def _trace_cycles(self, trace, ends, tx_start, ks, data, ok, resumed) -> None:
         """Append the event path's lines for these cycles as one text chunk, less

@@ -74,7 +74,7 @@ class TestCriterion1DcfOracle:
             t0 = time.perf_counter()
             metrics, _ = run_sim(cfg, seed=MASTER_SEED)
             wall = time.perf_counter() - t0
-            analytic = analytic_goodput_mbps(rate, 1500, cfg.wifi.dcf_params())
+            analytic = analytic_goodput_mbps(rate, 1500, cfg.wifi)
             err = abs(throughput_mbps(metrics) - analytic) / analytic
             worst_err = max(worst_err, err)
             worst_wall = max(worst_wall, wall)

@@ -243,6 +243,19 @@ class TestRunInputErrors:
         (["run", "--seed", "18446744073709551616"], None, "run.seed"),
         (["run"], "[run]\nseed = 18446744073709551621\n", "run.seed"),
         (["baseline", "--mcs", "54", "--seed", "-1"], None, "run.seed"),
+        # Backoff windows wider than the 32 bits a draw takes: 33-bit windows
+        # only, a 32-bit cw_min under a 33-bit cw_max, and cw_max alone.
+        (["run", "--seed", "3", "--duration", "300000"], "[lte]\nduty = 0\n\n[wifi]\n"
+         "slot_us = 1\ncw_min = 8589934591\ncw_max = 8589934591\n", "wifi.cw_min"),
+        (["run", "--seed", "3", "--duration", "300000"], "[lte]\nduty = 1\ntx_power_dbm = 12"
+         "\n\n[wifi]\ncca_ed_threshold_dbm = 30\nslot_us = 1\ncw_min = 4294967295\n"
+         "cw_max = 8589934591\nretry_limit = 2\n", "wifi.cw_max"),
+        (["run"], "[wifi]\ncw_max = 8589934591\n", "wifi.cw_max"),
+        # An LTE whose active interval rounds to 0 ms would never radiate.
+        (["run"], "[lte]\nduty = 0.002\n", "lte.duty"),
+        (["run"], "[lte]\nduty = 1\nmean_period_ms = 0.4\n", "lte.duty"),
+        # A 32-bit window whose DCF cycles overflow the step's int64 ns.
+        (["run"], "[wifi]\nslot_us = 1000\ncw_max = 4294967295\n", "wifi.cw_max must keep"),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, ini, needle):
         if ini is not None:

@@ -210,10 +210,19 @@ db_value = st.floats(-DB_LIMIT, DB_LIMIT)
 optional_db = st.none() | db_value
 magnitude = st.floats(*MAGNITUDE_RANGE)
 contention_windows = st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted)
+# (duty, mean_period_ms): off, or on for at least 1 ms a period once rounded
+# to whole ms, as the LTE schedule rounds it.
+lte_schedules = st.tuples(st.floats(0.0, 1.0), positive).filter(
+    lambda s: s[0] == 0.0 or math.floor(s[0] * s[1] + 0.5) >= 1)
 
 
 def per_table(thresholds):
     return ", ".join(f"{rate}:{db!r}" for rate, db in zip(MCS_RATES, sorted(thresholds)))
+
+
+def lte_settings(schedule, **kwargs):
+    duty, mean_period_ms = schedule
+    return LteSettings(duty=duty, mean_period_ms=mean_period_ms, **kwargs)
 
 
 def wifi_settings(windows, **kwargs):
@@ -225,7 +234,7 @@ valid_configs = st.builds(
     RunConfig,
     seed=st.integers(0, 2**64 - 1),
     duration_s=positive,
-    lte=st.builds(LteSettings, duty=st.floats(0.0, 1.0), mean_period_ms=positive,
+    lte=st.builds(lte_settings, lte_schedules,
                   silent_spread=st.floats(0.0, 1.0, exclude_max=True),
                   frame_align_ms=st.integers(1, 1000), n_prb=st.sampled_from(PRB_CHOICES),
                   center_offset_mhz=finite, tx_power_dbm=db_value),
@@ -264,6 +273,9 @@ out_of_magnitude = (st.floats(max_value=MAGNITUDE_RANGE[0], exclude_max=True)
 invalid_values = st.one_of(
     st.tuples(st.just(LteSettings), st.just("duty"),
               non_finite | st.floats(max_value=-1e-9) | st.floats(min_value=1.000001)),
+    # A duty above 0 whose active interval rounds to 0 ms at the 150 ms period.
+    st.tuples(st.just(LteSettings), st.just("duty"),
+              st.floats(min_value=0.0, max_value=0.0033, exclude_min=True)),
     st.tuples(st.just(LteSettings), st.just("mean_period_ms"),
               non_finite | st.floats(max_value=0.0)),
     st.tuples(st.just(LteSettings), st.just("silent_spread"),
@@ -286,6 +298,9 @@ invalid_values = st.one_of(
     st.tuples(st.just(WifiSettings), st.sampled_from(["cw_min", "cw_max"]),
               st.integers(max_value=14).filter(lambda cw: cw < 0 or cw & (cw + 1))),
     st.tuples(st.just(WifiSettings), st.just("cw_max"), st.sampled_from([0, 1, 3, 7])),
+    # Windows past the 32 bits a backoff draw takes.
+    st.tuples(st.just(WifiSettings), st.sampled_from(["cw_min", "cw_max"]),
+              st.integers(33, 200).map(lambda k: 2**k - 1)),
     st.tuples(st.just(WifiSettings), st.just("cca_profile"),
               st.text().filter(lambda t: t not in CCA_PRESETS)),
     st.tuples(st.just(WifiSettings), st.just("cca_measure_band"),

@@ -8,6 +8,7 @@ compared traced and untraced, under the hard and the soft PER rule.
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,10 +178,10 @@ def test_run_end_invariants(duty, lte_power, mcs, profile, prb, offset, mean_per
 @st.composite
 def contention_timing(draw):
     """(slot_us, cw_min, cw_max) from the whole range RunConfig can accept:
-    any slot, and windows 2^k - 1 whose longest backoff keeps the step's
-    arithmetic within int64 ns.  Half the draws of each stay near 802.11's
-    values, where a short run still sees many cycles."""
-    top = draw(st.integers(0, 10) | st.integers(0, 62))
+    any slot, and windows 2^k - 1 of at most 32 bits whose longest backoff
+    keeps the step's arithmetic within int64 ns.  Half the draws of each stay
+    near 802.11's values, where a short run still sees many cycles."""
+    top = draw(st.integers(0, 10) | st.integers(0, 32))
     bottom = draw(st.integers(0, top))
     longest_slots = 2**top + 2  # cw_max slots of backoff, two in DIFS, one after a failure
     bound = max(1, INT64_MAX // (FAST_FORWARD_CHUNK * NS_PER_US) // longest_slots)
@@ -230,7 +231,7 @@ def test_step_matches_event_path_when_station_times_hit_lte_transitions():
              mcs=54, profile="vendor-B", lte_power=12.0, soft_slope_k=0.0, seed=3170611280)
     @given(slot_us=st.sampled_from([10, 20, 30]), sifs_us=st.sampled_from([10, 20]),
            preamble_us=st.sampled_from([10, 20, 40]), cw_min=st.sampled_from([0, 1, 15]),
-           mean_period_ms=st.integers(2, 20), duty=st.sampled_from([0.2, 0.5, 0.8]),
+           mean_period_ms=st.integers(3, 20), duty=st.sampled_from([0.2, 0.5, 0.8]),
            mcs=st.sampled_from([6, 54]), profile=st.sampled_from(["vendor-A", "vendor-B"]),
            lte_power=st.sampled_from([-16.0, 12.0]),  # not sensed, and deferred to
            soft_slope_k=st.sampled_from([0.0, 2.0]), seed=st.integers(0, 2**32))
@@ -363,7 +364,7 @@ def corner(cfg, key):
         return value, math.nextafter(value, math.inf)
     ok = lambda v: fits(dataclasses.replace(cfg.wifi, **{key: v}), cfg.duration_s)  # noqa: E731
     if key == "cw_max":
-        bits = max(b for b in range(cfg.wifi.cw_min.bit_length(), 64) if ok(2**b - 1))
+        bits = max(b for b in range(cfg.wifi.cw_min.bit_length(), 33) if ok(2**b - 1))
         return 2**bits - 1, 2**(bits + 1) - 1
     low, high = getattr(cfg.wifi, key), 2**63
     while high - low > 1:
@@ -460,10 +461,13 @@ def test_clean_path_at_the_int64_corner_of_a_fixed_window(monkeypatch):
     def fixed_window(bits):
         return dataclasses.replace(cfg.wifi, cw_min=2**bits - 1, cw_max=2**bits - 1)
 
-    bits = max(b for b in range(64) if fits(fixed_window(b), cfg.duration_s))
+    bits = max(b for b in range(33) if fits(fixed_window(b), cfg.duration_s))
     assert bits == 32
+    # One bit wider is past the int64 bound as well as the 32-bit one.
+    wider = {**dataclasses.asdict(fixed_window(bits)), "cw_max": 2**(bits + 1) - 1}
+    assert not fits(SimpleNamespace(**wider), cfg.duration_s)
     with pytest.raises(ConfigError, match="cw_max"):
-        dataclasses.replace(cfg, wifi=fixed_window(bits + 1))
+        dataclasses.replace(fixed_window(bits), cw_max=wider["cw_max"])
     calls = count_clean_stretches(monkeypatch)
     events, fast = assert_paths_agree(dataclasses.replace(cfg, wifi=fixed_window(bits)), 2)
     assert fast["metrics"].attempts > 1000 and calls[True] == calls[False] > 0

@@ -18,6 +18,12 @@ def test_output_matches_golden_bytes(regenerated, name):
         f"{name} differs from tests/golden/{name}")
 
 
+def test_golden_dir_holds_no_stale_output():
+    # A case dropped from regen.py must take its pinned files with it.
+    pinned = {path.name for path in GOLDEN_DIR.iterdir()} - {"regen.py", "__pycache__"}
+    assert sorted(pinned - set(golden_names())) == []
+
+
 def test_untraced_run_csv_equals_traced(regenerated, tmp_path):
     # Tracing records lines and draws nothing, so the CSV must not tell a
     # traced run from an untraced one.
