@@ -86,6 +86,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = builder()
     if args.config is not None:
         scenario.base = _load_config(args.config)
+        scenario.duration_s = scenario.base.duration_s
     if args.reps is not None:
         scenario.reps = args.reps
     if args.duration is not None:

@@ -8,6 +8,7 @@ occupied band, while off it radiates nothing.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import TYPE_CHECKING
 
@@ -35,18 +36,26 @@ def on_duration_ns(cfg: LteSettings) -> int:
     return _round_ms_to_ns(cfg.duty * cfg.mean_period_ms)
 
 
+def _silent_range_ms(cfg: LteSettings) -> tuple[float, float]:
+    """The uniform's bounds: [(1-spread), (1+spread)] x mean silent time."""
+    if cfg.duty >= 1.0:
+        raise ValueError("duty 1 has no silent period")
+    mean_off_ms = (1.0 - cfg.duty) * cfg.mean_period_ms
+    return (1.0 - cfg.silent_spread) * mean_off_ms, (1.0 + cfg.silent_spread) * mean_off_ms
+
+
+def _silent_ns(drawn_ms: float) -> int:
+    """A silent interval from the uniform's value: whole subframes, at least 1."""
+    return max(math.floor(drawn_ms + 0.5), 1) * NS_PER_MS
+
+
 def draw_silent_duration_ns(cfg: LteSettings, rng: np.random.Generator) -> int:
     """One randomized silent interval, whole subframes, at least 1 ms.
 
     Uniform on [(1-spread), (1+spread)] x mean silent time, so the long-run
     on fraction converges to the configured duty.  Requires duty < 1.
     """
-    if cfg.duty >= 1.0:
-        raise ValueError("duty 1 has no silent period")
-    mean_off_ms = (1.0 - cfg.duty) * cfg.mean_period_ms
-    low = (1.0 - cfg.silent_spread) * mean_off_ms
-    high = (1.0 + cfg.silent_spread) * mean_off_ms
-    return max(_round_ms_to_ns(float(rng.uniform(low, high))), NS_PER_MS)
+    return _silent_ns(float(rng.uniform(*_silent_range_ms(cfg))))
 
 
 def occupied_band(cfg: LteSettings) -> SpectrumBand:
@@ -55,10 +64,13 @@ def occupied_band(cfg: LteSettings) -> SpectrumBand:
 
 
 class LteNode:
-    """Event-driven duty-cycle schedule; notifies the medium at each transition.
+    """Duty-cycle schedule, drawn when the run starts; one pending event
+    notifies the medium at the next transition.
 
     Draws only from its own RNG stream, so the schedule for a given seed is
-    identical whether or not WiFi nodes exist in the run.
+    identical whether or not WiFi nodes exist in the run.  ``times`` holds
+    the transitions up to the first past the run end, "on" at even indices;
+    the medium's ``lte_times`` is the prefix that has happened.
     """
 
     name = "lte"
@@ -69,32 +81,66 @@ class LteNode:
         self.medium = medium
         # Only a duty strictly between 0 and 1 has silent periods to draw.
         self.rng = engine.rng_stream(RNG_LABEL) if 0.0 < cfg.duty < 1.0 else None
-        self.next_ns: int | None = None  # time of the next scheduled transition
+        self.times: list[int] = []
+        self._event = None  # the pending transition event
         self._on_ns = on_duration_ns(cfg)
         self._align_ns = cfg.frame_align_ms * NS_PER_MS
 
+    @property
+    def next_ns(self) -> int | None:
+        """The time of the next transition, or None if there is none."""
+        i = len(self.medium.lte_times)
+        return self.times[i] if i < len(self.times) else None
+
     def start(self) -> None:
         if self._on_ns:  # 0 only at duty 0
-            self.next_ns = 0
-            self.engine.schedule(0, "lte-on", self.name, self._turn_on)
+            self.times = [0] if self.rng is None else self._schedule(self.medium.end_ns)
+            self.arm()
 
-    # Each transition sets the time of the next one before the medium records
-    # it and notifies the station, so a station that contends inside the
-    # callback knows how long the medium stays as it is.  The next transition
-    # is scheduled after the station has reacted, which keeps the station's
-    # events ahead of it when both fall on the same instant.
+    def _schedule(self, end_ns: int) -> list[int]:
+        """The transitions from 0 to the first one past ``end_ns``.
 
-    def _turn_on(self) -> None:
-        now = self.engine.now
-        self.next_ns = now + self._on_ns if self.cfg.duty < 1.0 else None
-        self.medium.lte_switched(now)
-        if self.next_ns is not None:
-            self.engine.schedule(self.next_ns, "lte-off", self.name, self._turn_off)
+        Silent periods are drawn in blocks, one ``uniform`` call each, of the
+        offs that surely fall by ``end_ns``: no period is longer than on, the
+        longest silence and a frame.  So every draw is used, and the stream
+        ends where one draw per off by ``end_ns`` leaves it.
+        """
+        low, high = _silent_range_ms(self.cfg)
+        on, align, times = self._on_ns, self._align_ns, [0]
+        longest_ns = on + _silent_ns(high) + align
+        while (offs := (end_ns - times[-1] - on) // longest_ns + 1) > 0:
+            for drawn_ms in self.rng.uniform(low, high, size=offs).tolist():
+                # The next on waits for a frame boundary, and this one is on one; the
+                # extra wait counts as off-time.
+                t = times[-1]
+                times += [t + on, t + -(-(on + _silent_ns(drawn_ms)) // align) * align]
+        return times + [times[-1] + on] * (times[-1] <= end_ns)  # the off past the end
 
-    def _turn_off(self) -> None:
-        now = self.engine.now
-        silent_ns = draw_silent_duration_ns(self.cfg, self.rng)
-        # Ceiling to the next frame boundary; the extra wait counts as off-time.
-        self.next_ns = -(-(now + silent_ns) // self._align_ns) * self._align_ns
-        self.medium.lte_switched(now)
-        self.engine.schedule(self.next_ns, "lte-on", self.name, self._turn_on)
+    # The medium records a transition, and notifies the station, before the
+    # next one is scheduled: a station that contends inside the callback
+    # knows how long the medium stays as it is, and its events stay ahead
+    # of the node's when both fall on the same instant.
+
+    def arm(self) -> None:
+        """Schedule the event of the next transition, unless one is pending."""
+        t = self.next_ns
+        if self._event is None and t is not None:
+            kind = "lte-off" if len(self.medium.lte_times) % 2 else "lte-on"
+            self._event = self.engine.schedule(t, kind, self.name, self._switch)
+
+    def _switch(self) -> None:
+        self._event = None
+        self.medium.lte_switched(self.engine.now)
+        self.arm()
+
+    def advance_to(self, t: int) -> None:
+        """Record the transitions up to ``t`` that the station has run past on
+        its own, and drop the pending event if it was one; ``arm`` replaces it."""
+        recorded = self.medium.lte_times
+        i = len(recorded)
+        j = bisect.bisect_right(self.times, t, i)
+        if j > i:
+            recorded += self.times[i:j]
+            if self._event is not None:
+                self.engine.cancel(self._event)
+                self._event = None

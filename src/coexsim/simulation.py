@@ -2,12 +2,13 @@
 
 The medium is two-valued: geometry never changes, so each direction (data
 at the receiver, ACK at the transmitter) has one SINR while the LTE node is
-on and one while it is off.  The run's one record of the LTE schedule is
-``Medium.lte_times``, the transitions so far with "on" at even indices; the
-LTE state, each packet's SINR window and the run's LTE airtime all
-derive from it.  Construction order matters: the LTE node schedules its t=0 event
-before the station's start event, so a duty>0 run begins with the medium
-already marked busy.
+on and one while it is off.  ``Medium.lte_times`` records the LTE
+transitions so far, "on" at even indices: the LTE node's events append to it,
+and so does an untraced station that steps past transitions (the LTE node's
+``advance_to``).  The LTE state, each packet's SINR window and the run's LTE
+airtime all derive from it.  Construction order matters: the LTE node draws
+its schedule and schedules its t=0 event before the station's start event, so
+a duty>0 run begins with the medium already marked busy.
 """
 
 from __future__ import annotations

@@ -219,9 +219,11 @@ class DcfStation:
     delivered, by a prefix search, any other in NumPy chunks; then the next
     cycle's DIFS, backoff and transmit start, while they end before it.  An
     untraced run's LTE that the station neither defers to nor decodes
-    differently under is no change.  Counters, airtime, RNG streams and trace
-    lines end exactly where the event path leaves them; only the rest of the
-    cycle that crosses a change stays on events.
+    differently under is no change, and an untraced run settles the cycle
+    that crosses an LTE transition in closed form and steps on, period after
+    period (``_walk_edge``).  Counters, airtime, RNG streams and trace lines
+    end exactly where the event path leaves them; only the rest of a cycle
+    that crosses a change the closed form leaves alone stays on events.
     """
 
     name = "wifi-tx"
@@ -334,10 +336,7 @@ class DcfStation:
 
     def _tx_end(self) -> None:
         now = self.engine.now
-        self.acc.add_wifi(self._tx_start, now)
-        data_ok = packet_outcome(self.data_threshold_db, self.slope_k,
-                                 self.channel.sinr_trace_at_rx(self._tx_start, now),
-                                 self.decode_rng)
+        data_ok = self._data_decodes(self._tx_start, now)
         ack_start = now + self.sifs_ns
         ack_end = ack_start + self.ack_air_ns
         self.state = "ack"
@@ -347,43 +346,60 @@ class DcfStation:
             self._event = self.engine.schedule(ack_end, "ack-result", self.name,
                                                self._ack_result)
         else:
-            self.data_decode_failures += 1
             self._ack_window = None
             self._event = self.engine.schedule(ack_end + self.slot_ns, "ack-timeout",
                                                self.name, self._ack_timeout)
 
+    def _data_decodes(self, t0: int, t1: int) -> bool:
+        """Add a data frame over [t0, t1) to the airtime and decode it."""
+        self.acc.add_wifi(t0, t1)
+        ok = packet_outcome(self.data_threshold_db, self.slope_k,
+                            self.channel.sinr_trace_at_rx(t0, t1), self.decode_rng)
+        self.data_decode_failures += not ok
+        return ok
+
+    def _ack_decodes(self, t0: int, t1: int) -> bool:
+        """Add an ACK over [t0, t1) to the airtime and decode it."""
+        self.acc.add_wifi(t0, t1)
+        ok = packet_outcome(self.ack_threshold_db, self.slope_k,
+                            self.channel.sinr_trace_at_tx(t0, t1), self.decode_rng)
+        self.ack_decode_failures += not ok
+        return ok
+
     def _ack_result(self) -> None:
-        ack_start, ack_end = self._ack_window
-        self.acc.add_wifi(ack_start, ack_end)
-        self._ack_window = None
-        segments = self.channel.sinr_trace_at_tx(ack_start, ack_end)
-        if packet_outcome(self.ack_threshold_db, self.slope_k, segments, self.decode_rng):
+        window, self._ack_window = self._ack_window, None
+        if self._ack_decodes(*window):
             self._success()
         else:
-            self.ack_decode_failures += 1
             self._failure(resume_delay_ns=self.slot_ns)
 
     def _ack_timeout(self) -> None:
         self._failure(resume_delay_ns=0)
 
     def _success(self) -> None:
-        self.acc.delivered_payload_bytes += self.payload_bytes
-        self.cw = self.params.cw_min
-        self.consecutive_failures = 0
+        self._count(True)
         self._begin_contention()
 
     def _failure(self, resume_delay_ns: int) -> None:
-        self.acc.failures += 1
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= self.params.retry_limit:
-            self.acc.drops += 1
-            self.consecutive_failures = 0
-        self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
+        self._count(False)
         if resume_delay_ns:
             self._event = self.engine.schedule_in(resume_delay_ns, "cca-sample",
                                                   self.name, self._begin_contention)
         else:
             self._begin_contention()
+
+    def _count(self, delivered: bool) -> None:
+        """Count a cycle's end: a delivery resets cw, a failure climbs or drops."""
+        if delivered:
+            self.acc.delivered_payload_bytes += self.payload_bytes
+            self.consecutive_failures = 0
+        else:
+            self.acc.failures += 1
+            self.consecutive_failures += 1
+            if self.consecutive_failures >= self.params.retry_limit:
+                self.acc.drops += 1
+                self.consecutive_failures = 0
+        self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
 
     # -- fast-forward ---------------------------------------------------------
 
@@ -397,26 +413,55 @@ class DcfStation:
         and an LTE that ``_feels_lte`` rules out changes nothing.  Under the
         hard PER rule, or when the data cannot decode, every cycle then has
         the same outcome and the cycles differ only in their backoff draws;
-        ``_skip_clean_cycles`` takes a stretch where that outcome is success.
-        The chunks below take the rest: failing stretches, and the soft
-        rule's, where each cycle draws its data outcome and, if it decoded,
-        its ACK outcome against fixed odds.  A first cycle that resumes a
-        frozen residual takes no draw.  The backoff draws of a chunk are one
-        slice and one shift of the backoff stream's words, the very words
-        ``_difs_end`` would read; the step takes the words of the cycles that
-        fit, with no rewind and no second draw.  The decode draws are one
-        ``uniform`` call over the chunk, rewound to what the cycles that fit
-        used.  Both streams end exactly where the per-cycle draws leave
-        them.  A traced run gets the lines the events would have written.
-        Returns the time the station advanced to: ``now`` if it did not.
+        ``_skip_clean_cycles`` takes a stretch where that outcome is success,
+        ``_skip_chunks`` the rest.
+
+        An untraced run walks on: ``_walk_edge`` settles the cycle that
+        crosses a transition, and the step goes on from where contention
+        resumes, up to the first edge it leaves to the events.  The LTE node
+        records the transitions passed (all up to the run end for an LTE the
+        station does not feel), and its event moves past them.  A traced run
+        stops at each transition, so that its lines interleave with the LTE
+        node's in order.  Returns the time the station advanced to: ``now``
+        if it did not.
         """
-        start = now
-        horizon = self.channel.quiet_until() if self._feels_lte else self.channel.end_ns
+        start, lte, end = now, self.channel.lte, self.channel.end_ns
+        walk, walked = self.engine.trace is None and lte is not None, False
         tail_ns = self.data_air_ns + self.sifs_ns + self.ack_air_ns  # tx start to ACK end
         base_ns = self.difs_ns + tail_ns
-        data_ok, ack_ok, odds = self._outcomes[self.channel.lte_on]
-        if odds is None and ack_ok:
-            return self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
+        while True:
+            horizon = self.channel.quiet_until() if self._feels_lte else end
+            data_ok, ack_ok, odds = self._outcomes[self.channel.lte_on]
+            if odds is None and ack_ok:
+                t = self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
+            else:
+                t = self._skip_chunks(now, horizon, base_ns, tail_ns, data_ok, odds)
+            if walk and self._resume[1] is not None:  # untraced: the draw log, in order
+                self._resume[1](False)
+                self._resume = self._resume[0], None
+            if not (walk and horizon < end) or (now := self._walk_edge(t, horizon)) is None:
+                break
+            walked = True
+        if walk and not self._feels_lte:
+            lte.advance_to(end)
+            walked = True
+        if walked:
+            lte.arm()
+        return self._start_crossing_cycle(start, t, horizon, *self._resume)
+
+    def _skip_chunks(self, now: int, horizon: int, base_ns: int, tail_ns: int,
+                     data_ok: bool, odds) -> int:
+        """Advance the whole cycles of a stretch that is not clean, in NumPy chunks.
+
+        Failing cycles all end alike; under the soft rule each draws its data
+        outcome and, if that decoded, its ACK outcome against fixed odds.  A
+        chunk's backoff draws are one slice and shift of the words
+        ``_difs_end`` would read (none for a frozen residual), and its decode
+        draws one ``uniform`` call, rewound to what the cycles that fit used:
+        both streams end where per-cycle draws leave them.  A traced run gets
+        the events' lines.  Returns the end of the last whole cycle;
+        ``_resume`` keeps the kind of its last event and its lines' writer.
+        """
         shortest_ns = base_ns if odds else base_ns + self.slot_ns
         top = len(self._cw_ladder) - 1
         retry_limit = self.params.retry_limit
@@ -479,8 +524,9 @@ class DcfStation:
             last_kind = "ack-result" if ok[-1] else "cca-sample" if data[-1] else "ack-timeout"
             if n < m:
                 break
-        log = None if block is None else lambda resumed: self._trace_cycles(trace, *block, resumed)
-        return self._start_crossing_cycle(start, now, horizon, last_kind, log)
+        self._resume = last_kind, (
+            None if block is None else lambda resumed: self._trace_cycles(trace, *block, resumed))
+        return now
 
     def _skip_clean_cycles(self, now: int, horizon: int, base_ns: int, tail_ns: int) -> int:
         """``_skip_whole_cycles`` for a stretch in which every cycle succeeds.
@@ -488,11 +534,13 @@ class DcfStation:
         The first cycle resumes a frozen residual or draws at the current
         window, read here; every later one at cw_min, so the backoff stream's
         prefix over that window gives how many cycles fit, where they end and
-        their backoff slots, with one search per prefix."""
+        their backoff slots, with one search per prefix.  Returns and keeps
+        what ``_skip_chunks`` does."""
         stream, slot_ns, frozen = self.backoff, self.slot_ns, self.pending_k
         k = stream.peek_one(self.cw.bit_length()) if frozen is None else frozen
         if (t := now + base_ns + k * slot_ns) >= horizon:
-            return self._start_crossing_cycle(now, now, horizon)
+            self._resume = None, None
+            return now
         stream.skip(frozen is None and self.cw > 0)
         self.pending_k = None
         logged = self.engine.trace is not None or self.draw_log is not None
@@ -515,9 +563,9 @@ class DcfStation:
         self.difs_completed += cycles
         self.backoff_slots_elapsed += (t - now - cycles * base_ns) // slot_ns
         self.consecutive_failures, self.cw = 0, self.params.cw_min
-        log = None if not logged else (
+        self._resume = "ack-result", None if not logged else (
             lambda resumed: self._log_clean_cycles(logged_to, ends, tail_ns, frozen, resumed))
-        return self._start_crossing_cycle(now, t, horizon, "ack-result", log)
+        return t
 
     def _log_clean_cycles(self, start, ends, tail_ns, frozen, resumed) -> int:
         """Add clean cycles, from ``start`` to each of ``ends`` (arrays to join), to the
@@ -531,6 +579,59 @@ class DcfStation:
             self._trace_cycles(self.engine.trace, ends, ends - tail_ns, ks, ok, ok, resumed)
         return int(ends[-1])
 
+    def _walk_edge(self, t: int, horizon: int) -> int | None:
+        """Settle the cycle from ``t`` that crosses the LTE transition at
+        ``horizon`` as its events would; return when contention next starts.
+
+        A deferring station is blocked from that LTE-on to the next LTE-off.
+        The onset cuts its DIFS short, freezes its backoff (at once under
+        mid-packet abort or on a slot boundary, else at the next one), or
+        finds a frame in flight or in vendor-B's last slot.  A station that
+        does not defer contends again where the cycle ends.  A frame is
+        decoded over ``Medium._window``'s split, then its ACK or timeout,
+        retry ladder and drop are counted as the events count them.  Returns
+        None, changing nothing, for an edge left to the events: a station
+        event on the transition, a last event at or past the next transition
+        or the run end, or a resume whose DIFS would end on the next one.
+        """
+        channel, slot, defer = self.channel, self.slot_ns, self.channel.defer_to_lte
+        times, i, end = channel.lte.times, len(channel.lte_times), channel.end_ns
+        after = times[i + 1]
+        if not defer:
+            after = min(after, end)
+        elif after > end or after + self.difs_ns == min(times[i + 2], end):
+            return None
+        k = self.pending_k
+        k = self.backoff.peek_one(self.cw.bit_length()) if k is None else k
+        difs_end = t + self.difs_ns
+        tx_start = difs_end + k * slot
+        tx_end = tx_start + self.data_air_ns
+        ack_end = tx_end + self.sifs_ns + self.ack_air_ns
+        last, frozen = ack_end + slot, None  # frozen: (slots counted, residual)
+        if defer and horizon < tx_start:
+            whole, within = divmod(horizon - difs_end, slot)
+            if horizon < difs_end:
+                last, frozen = horizon, (0, self.pending_k)
+            elif self.cca.mid_packet_abort or not within:
+                last, frozen = horizon, (whole, k - whole)
+            elif whole + 1 < k:  # the slot in progress completes
+                last, frozen = difs_end + (whole + 1) * slot, (whole + 1, k - whole - 1)
+        if last >= after or horizon in (difs_end, tx_start, tx_end, ack_end, ack_end + slot):
+            return None
+        channel.lte.advance_to(after if defer else horizon)
+        if frozen is None or horizon > difs_end:  # the DIFS ended
+            self._take_backoff()
+        if frozen is not None:
+            self.backoff_slots_elapsed += frozen[0]
+            self.pending_k = frozen[1]
+            return after
+        self.backoff_slots_elapsed += k
+        self.acc.attempts += 1
+        ok = (self._data_decodes(tx_start, tx_end)
+              and self._ack_decodes(ack_end - self.ack_air_ns, ack_end))
+        self._count(ok)
+        return after if defer else ack_end if ok else ack_end + slot
+
     def _start_crossing_cycle(self, start: int, t: int, horizon: int,
                               resume_kind: str | None = None, log=None) -> int:
         """Start the cycle after the whole ones, which end at ``t``: advance its
@@ -542,8 +643,7 @@ class DcfStation:
         whole cycles' lines and draws, less the last line if the resume writes it.
         Returns the time the station advanced to: ``start`` if nothing."""
         k = self.pending_k
-        if k is None:
-            k = self.backoff.peek_one(self.cw.bit_length())
+        k = self.backoff.peek_one(self.cw.bit_length()) if k is None else k
         difs_end = t + self.difs_ns
         tx_start = difs_end + k * self.slot_ns
         # The first event at or past the horizon: 1 difs-end, 2 backoff-slot, 3 tx-end.

@@ -117,6 +117,22 @@ class TestSweep:
                               "'wifi.mcs_mbps': 54} rep 0")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    def test_config_duration_sets_the_run_length_unless_overridden(self, tmp_path, capsys):
+        ini = tmp_path / "base.ini"
+        ini.write_text("[run]\nduration_s = 0.3\n")
+        grid = ["--reps", "1", "--jobs", "1", "--grid", "lte.tx_power_dbm=12",
+                "--grid", "wifi.tx_power_dbm=17", "--grid", "mcs_mbps=54"]
+        attempts = {}
+        for label, extra in (("ini", []), ("flag", ["--duration", "1.5"])):
+            out = tmp_path / f"{label}.csv"
+            code, _, _ = run_cli(capsys, "sweep", "power", "--config", str(ini),
+                                 "--out", str(out), *grid, *extra)
+            assert code == 0
+            row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+            attempts[label] = int(row["attempts"])
+        # A 54 Mbps run at 50% duty makes about 1,300 attempts a second.
+        assert 100 < attempts["ini"] < 1000 < attempts["flag"] < 3000
+
     def test_ambiguous_grid_key_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "duty", "--out", "-",
                                "--grid", "tx_power_dbm=12,17")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from coexsim.config import ConfigError
 from coexsim.engine import NS_PER_S, NS_PER_US
+from coexsim.experiments import SCENARIOS, run_sweep
 from coexsim.simulation import Simulation
 from coexsim.wifi import FAST_FORWARD_CHUNK, DcfStation, ack_airtime_us, frame_airtime_us
 
@@ -436,9 +437,9 @@ def test_clean_path_runs_in_the_compared_runs(cfg, monkeypatch):
 
 
 # perfbench's `runs` configs at seed 5: the events a 10 s run schedules.
-RUN_EVENTS = [("defaults", make_cfg(), False, 249), ("defaults", make_cfg(), True, 249),
+RUN_EVENTS = [("defaults", make_cfg(), False, 12), ("defaults", make_cfg(), True, 249),
               ("duty0-mcs54", make_cfg(duty=0.0), False, 3),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 131),
+              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 6),
               ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 391)]
 
 
@@ -485,3 +486,65 @@ def test_clean_path_logs_a_long_stretch_a_prefix_at_a_time():
     sim.run()
     cycles_per_chunk = max(chunk.count("difs-end") for chunk in sim.engine.trace)
     assert cycles_per_chunk <= 2 * FAST_FORWARD_CHUNK + 1
+
+
+# -- the walk past LTE transitions -------------------------------------------
+
+
+def count_walked_edges(monkeypatch):
+    """Count the edges an untraced run settled in closed form and the ones it
+    left to the events."""
+    counts = {"settled": 0, "events": 0}
+    walk_edge = DcfStation._walk_edge
+
+    def counted(self, t, horizon):
+        resume = walk_edge(self, t, horizon)
+        counts["events" if resume is None else "settled"] += 1
+        return resume
+
+    monkeypatch.setattr(DcfStation, "_walk_edge", counted)
+    return counts
+
+
+def test_walked_edges_match_the_event_path(monkeypatch):
+    # Short periods, long slots and a SIFS of whole milliseconds put edges
+    # where the closed form must hand over: on-periods shorter than a cycle,
+    # and vendor-B slot boundaries on the LTE-off.  Soft PER draws inside an
+    # edge, and retry limits of 0 and 1 drop a packet there.
+    counts = count_walked_edges(monkeypatch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(duty=st.sampled_from([0.2, 0.5, 0.8]), mean_period_ms=st.integers(5, 40),
+           align_ms=st.sampled_from([1, 10]), profile=st.sampled_from(["vendor-A", "vendor-B"]),
+           lte_power=st.sampled_from([-16.0, -1.0, 12.0]),
+           ed_threshold=st.sampled_from([None, 30.0]),  # 30 dBm: never defers
+           soft_slope_k=st.sampled_from([0.0, 2.0]), retry_limit=st.sampled_from([0, 1, 7]),
+           slot_us=st.sampled_from([9, 20, 1000]), sifs_us=st.sampled_from([16, 1000]),
+           cw_min=st.sampled_from([0, 1, 15]), mcs=st.sampled_from([6, 54]),
+           duration=st.floats(0.05, 0.2), seed=st.integers(0, 2**32))
+    def check(duty, mean_period_ms, align_ms, profile, lte_power, ed_threshold, soft_slope_k,
+              retry_limit, slot_us, sifs_us, cw_min, mcs, duration, seed):
+        cfg = make_cfg(duty=duty, lte_power=lte_power, mcs=mcs, profile=profile,
+                       mean_period_ms=mean_period_ms, duration=duration,
+                       cca_ed_threshold_dbm=ed_threshold, soft_slope_k=soft_slope_k,
+                       retry_limit=retry_limit, slot_us=slot_us, sifs_us=sifs_us,
+                       cw_min=cw_min)
+        cfg = dataclasses.replace(cfg, lte=dataclasses.replace(cfg.lte, frame_align_ms=align_ms))
+        assert_paths_agree(cfg, seed)
+
+    check()
+    assert counts["settled"] > 0 and counts["events"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_walk_keeps_the_bytes_of_each_default_sweep(name):
+    # Every grid point of the full default grid, at 0.5 s and 2 reps, walked
+    # and on the event path.
+    scenario = SCENARIOS[name]()
+    scenario.reps, scenario.duration_s = 2, 0.5
+    walked = run_sweep(scenario, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DcfStation, "_skip_whole_cycles", lambda self, now: now)
+        events = run_sweep(scenario, 1)
+    assert walked.to_csv_text() == events.to_csv_text()
+    assert walked.summary_csv_text() == events.summary_csv_text()

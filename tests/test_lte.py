@@ -1,11 +1,15 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from coexsim.config import LteSettings
+from coexsim.config import ConfigError, LteSettings
 from coexsim.engine import NS_PER_MS, NS_PER_S, Engine
-from coexsim.lte import draw_silent_duration_ns, occupied_band, on_duration_ns
+from coexsim.lte import RNG_LABEL, draw_silent_duration_ns, occupied_band, on_duration_ns
+from coexsim.simulation import Simulation
 
 from conftest import lte_transitions, make_cfg, run_sim
 
@@ -131,6 +135,97 @@ class TestScheduleActivity:
         with_lte, _ = run_sim(cfg, seed=4, include_lte=True)
         without_lte, _ = run_sim(cfg, seed=4, include_lte=False)
         assert with_lte == without_lte
+
+
+def one_draw_at_a_time(cfg, seed, end_ns):
+    """The transitions up to ``end_ns`` and the silent stream's end state, from
+    one ``draw_silent_duration_ns`` call at each off, in time order."""
+    rng = Engine(seed).rng_stream(RNG_LABEL) if 0.0 < cfg.duty < 1.0 else None
+    on_ns, align_ns = on_duration_ns(cfg), cfg.frame_align_ms * NS_PER_MS
+    times, t = [], 0
+    while on_ns and t <= end_ns:
+        times.append(t)
+        if len(times) % 2:  # an on
+            if rng is None:
+                break
+            t += on_ns
+        else:
+            t = -(-(t + draw_silent_duration_ns(cfg, rng)) // align_ns) * align_ns
+    return times, None if rng is None else rng.bit_generator.state
+
+
+class TestScheduleAhead:
+    @settings(max_examples=150, deadline=None)
+    @given(duty=st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.995, 1.0]) | st.floats(0.0, 1.0),
+           mean_period_ms=st.sampled_from([2.0, 3.0, 17.0, 150.0, 1e6, 1e300])
+           | st.floats(1.0, 1e4),
+           spread=st.sampled_from([0.0, 0.5, 0.9]), align_ms=st.sampled_from([1, 10]),
+           duration_ms=st.integers(1, 3000), at_transition=st.booleans(),
+           pick=st.integers(0, 10**6), seed=st.integers(0, 2**64 - 1))
+    def test_block_draws_equal_one_at_a_time_draws(self, duty, mean_period_ms, spread,
+                                                   align_ms, duration_ms, at_transition,
+                                                   pick, seed):
+        try:
+            lte = LteSettings(duty=duty, mean_period_ms=mean_period_ms, silent_spread=spread,
+                              frame_align_ms=align_ms)
+        except ConfigError:
+            reject()  # radiates less than 1 ms a period
+        end_ns = duration_ms * NS_PER_MS
+        if at_transition:  # an on or an off exactly at the run end
+            later = [t for t in one_draw_at_a_time(lte, seed, 3 * NS_PER_S)[0] if t > 0]
+            end_ns = later[pick % len(later)] if later else end_ns
+        cfg = dataclasses.replace(make_cfg(duration=end_ns / NS_PER_S), lte=lte)
+        sim = Simulation(cfg, seed=seed, include_wifi=False)
+        assert sim.duration_ns == end_ns
+        sim.run()
+        times, state = one_draw_at_a_time(lte, seed, end_ns)
+        assert sim.medium.lte_times == times
+        assert (None if sim.lte_node.rng is None else sim.lte_node.rng.bit_generator.state) == state
+
+
+def exact_on_fraction(cfg) -> float:
+    """E[on] / E[period] of the schedule, from its distribution in closed form.
+
+    The on time is fixed.  A silent time of s ms (at least 1) comes from the
+    uniform's mass in [s - 1/2, s + 1/2), the half-up rounding bin, and gives
+    the period ceil((on + s) / align) x align, since every on starts on a frame
+    boundary.
+    """
+    on_ms = on_duration_ns(cfg) // NS_PER_MS
+    if cfg.duty in (0.0, 1.0):
+        return cfg.duty
+    mean_off = (1.0 - cfg.duty) * cfg.mean_period_ms
+    low, high = (1.0 - cfg.silent_spread) * mean_off, (1.0 + cfg.silent_spread) * mean_off
+    align = cfg.frame_align_ms
+
+    def period_ms(silent_ms):
+        return -(-(on_ms + silent_ms) // align) * align
+
+    if high == low:
+        return on_ms / period_ms(max(math.floor(low + 0.5), 1))
+    mean_period = 0.0
+    for s in range(max(math.floor(low + 0.5), 1), math.floor(high + 0.5) + 1):
+        bin_low = -math.inf if s == 1 else s - 0.5
+        mass = max(0.0, min(s + 0.5, high) - max(bin_low, low)) / (high - low)
+        mean_period += mass * period_ms(s)
+    return on_ms / mean_period
+
+
+@pytest.mark.parametrize("duty", [round(0.1 * i, 1) for i in range(11)])
+def test_on_fraction_matches_the_closed_form(duty):
+    # 20 seeds x 100 s of LTE alone, at each duty of the default sweep.  The
+    # mean's tolerance is 4 standard errors of the sample plus the most one
+    # run's partial last period can move its fraction.
+    cfg = make_cfg(duty=duty, duration=100.0)
+    fractions = [Simulation(cfg, seed=seed, include_wifi=False).run().lte_airtime_ns
+                 / (100 * NS_PER_S) for seed in range(20)]
+    expected = exact_on_fraction(cfg.lte)
+    standard_error = float(np.std(fractions, ddof=1)) / math.sqrt(len(fractions))
+    lte = cfg.lte
+    longest_period_ms = (lte.mean_period_ms * (duty + (1 + lte.silent_spread) * (1 - duty))
+                         + lte.frame_align_ms + 1)
+    tolerance = 4 * standard_error + longest_period_ms / 100_000
+    assert abs(float(np.mean(fractions)) - expected) <= tolerance
 
 
 class TestConfigValidation:
