@@ -187,13 +187,20 @@ class RadioSettings:
             raise _invalid("radio", "soft_slope_k", "be >= 0", self.soft_slope_k)
         thresholds = dict(DEFAULT_PER_THRESHOLDS_DB)
         if self.per_thresholds.strip():
+            given = set()
             for pair in self.per_thresholds.split(","):
                 try:
                     rate, db = pair.split(":")
-                    thresholds[int(rate.strip())] = float(db.strip())
+                    rate, db = int(rate.strip()), float(db.strip())
                 except ValueError as exc:
                     raise ConfigError(
                         f"radio.per_thresholds: bad entry {pair.strip()!r}") from exc
+                if rate not in MCS_RATES or rate in given:
+                    raise _invalid("radio", "per_thresholds",
+                                   f"give each rate of {MCS_RATES} at most once",
+                                   self.per_thresholds)
+                given.add(rate)
+                thresholds[rate] = db
         if not all(abs(db) <= DB_LIMIT for db in thresholds.values()):
             raise _invalid("radio", "per_thresholds",
                            f"give thresholds within +-{DB_LIMIT:g} dB", self.per_thresholds)

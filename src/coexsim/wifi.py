@@ -216,14 +216,13 @@ class DcfStation:
     Every run fast-forwards: each contention that starts on an idle medium
     first advances, in one step, every whole cycle that ends before the
     medium next changes (``_skip_whole_cycles``): a clean stretch, all
-    delivered, by a prefix search, any other in NumPy chunks; then the next
-    cycle's DIFS, backoff and transmit start, while they end before it.  An
-    untraced run's LTE that the station neither defers to nor decodes
-    differently under is no change, and an untraced run settles the cycle
-    that crosses an LTE transition in closed form and steps on, period after
-    period (``_walk_edge``).  Counters, airtime, RNG streams and trace lines
-    end exactly where the event path leaves them; only the rest of a cycle
-    that crosses a change the closed form leaves alone stays on events.
+    delivered, by a prefix search, any other in NumPy chunks.  An untraced
+    run's LTE that the station neither defers to nor decodes differently
+    under is no change, and an untraced run settles the cycle that crosses
+    an LTE transition in closed form and steps on, period after period
+    (``_walk_edge``).  Counters, airtime, RNG streams and trace lines end
+    exactly where the event path leaves them; a cycle that crosses a change
+    the closed form leaves alone runs on events from its DIFS.
     """
 
     name = "wifi-tx"
@@ -271,8 +270,6 @@ class DcfStation:
         self._tx_start = 0
         self._ack_window: tuple[int, int] | None = None
 
-        # Introspection for tests; draw_log stays None unless a test enables it.
-        self.draw_log: list[int] | None = None
         self.difs_completed = 0
         self.backoff_slots_elapsed = 0
         self.data_decode_failures = 0
@@ -298,7 +295,15 @@ class DcfStation:
                                               self._difs_end)
 
     def _difs_end(self) -> None:
-        self._start_backoff(self.engine.now, self._take_backoff())
+        k = self._take_backoff()
+        if k == 0:
+            self._start_tx()
+            return
+        self.state = "backoff"
+        self._backoff_k = k
+        self._backoff_t0 = self.engine.now
+        self._event = self.engine.schedule_in(k * self.slot_ns, "backoff-slot", self.name,
+                                              self._backoff_done, f"k={k}")
 
     def _take_backoff(self) -> int:
         """Count a DIFS that ended and take its backoff: a frozen residual, or a fresh
@@ -307,32 +312,20 @@ class DcfStation:
         k, self.pending_k = self.pending_k, None
         if k is None:
             k = self.backoff.draw(self.cw)
-            if self.draw_log is not None:
-                self.draw_log.append(k)
         return k
-
-    def _start_backoff(self, t0: int, k: int) -> None:
-        if k == 0:
-            self._start_tx(t0)
-            return
-        self.state = "backoff"
-        self._backoff_k = k
-        self._backoff_t0 = t0
-        self._event = self.engine.schedule(t0 + k * self.slot_ns, "backoff-slot",
-                                           self.name, self._backoff_done, f"k={k}")
 
     def _backoff_done(self) -> None:
         self.backoff_slots_elapsed += self._backoff_k
-        self._start_tx(self.engine.now)
+        self._start_tx()
 
     # -- transmission and acknowledgment ------------------------------------
 
-    def _start_tx(self, t: int) -> None:
+    def _start_tx(self) -> None:
         self.state = "tx"
         self.acc.attempts += 1
-        self._tx_start = t
-        self._event = self.engine.schedule(t + self.data_air_ns, "tx-end", self.name,
-                                           self._tx_end)
+        self._tx_start = self.engine.now
+        self._event = self.engine.schedule_in(self.data_air_ns, "tx-end", self.name,
+                                              self._tx_end)
 
     def _tx_end(self) -> None:
         now = self.engine.now
@@ -405,7 +398,7 @@ class DcfStation:
 
     def _skip_whole_cycles(self, now: int) -> int:
         """Advance every whole cycle that ends before the medium next changes,
-        then start the one that crosses the change (``_start_crossing_cycle``).
+        and leave the rest to the events.
 
         A cycle is DIFS, backoff, data, SIFS, then the ACK, plus one slot (ACK
         timeout, or the resume after an undecoded ACK) if it failed.  Until the
@@ -422,8 +415,10 @@ class DcfStation:
         records the transitions passed (all up to the run end for an LTE the
         station does not feel), and its event moves past them.  A traced run
         stops at each transition, so that its lines interleave with the LTE
-        node's in order.  Returns the time the station advanced to: ``now``
-        if it did not.
+        node's in order.  If it advanced, the step schedules the next
+        contention where its last whole cycle ends, under the kind of that
+        cycle's last event, which that event then traces.  Returns the time
+        the station advanced to: ``now`` if it did not.
         """
         start, lte, end = now, self.channel.lte, self.channel.end_ns
         walk, walked = self.engine.trace is None and lte is not None, False
@@ -436,18 +431,17 @@ class DcfStation:
                 t = self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
             else:
                 t = self._skip_chunks(now, horizon, base_ns, tail_ns, data_ok, odds)
-            if walk and self._resume[1] is not None:  # untraced: the draw log, in order
-                self._resume[1](False)
-                self._resume = self._resume[0], None
             if not (walk and horizon < end) or (now := self._walk_edge(t, horizon)) is None:
                 break
-            walked = True
+            walked, self._resume = True, "cca-sample"  # contention resumes after the edge
         if walk and not self._feels_lte:
             lte.advance_to(end)
             walked = True
         if walked:
             lte.arm()
-        return self._start_crossing_cycle(start, t, horizon, *self._resume)
+        if t > start:
+            self._event = self.engine.schedule(t, self._resume, self.name, self._start_difs)
+        return t
 
     def _skip_chunks(self, now: int, horizon: int, base_ns: int, tail_ns: int,
                      data_ok: bool, odds) -> int:
@@ -459,14 +453,15 @@ class DcfStation:
         ``_difs_end`` would read (none for a frozen residual), and its decode
         draws one ``uniform`` call, rewound to what the cycles that fit used:
         both streams end where per-cycle draws leave them.  A traced run gets
-        the events' lines.  Returns the end of the last whole cycle;
-        ``_resume`` keeps the kind of its last event and its lines' writer.
+        the events' lines, less the last one, which the resuming event writes.
+        Returns the end of the last whole cycle; if one fit, ``_resume`` keeps
+        the kind of its last event.
         """
         shortest_ns = base_ns if odds else base_ns + self.slot_ns
         top = len(self._cw_ladder) - 1
         retry_limit = self.params.retry_limit
         trace = self.engine.trace
-        block = last_kind = None  # the last traced chunk's cycles, written once the next one fits
+        block = None  # the last traced chunk's cycles, written once the next one fits
         while True:
             m = min((horizon - 1 - now) // shortest_ns, FAST_FORWARD_CHUNK)
             if m <= 0:  # below 0 for a transition at the run end
@@ -515,17 +510,15 @@ class DcfStation:
             self.backoff_slots_elapsed += int(ks.sum())
             self.data_decode_failures += undecoded
             self.ack_decode_failures += n - delivered - undecoded
-            if self.draw_log is not None:
-                self.draw_log.extend(ks[frozen is not None:].tolist())
             failures = int(failures_before[-1]) + 1
             self.consecutive_failures = 0 if ok[-1] or failures >= retry_limit else failures
             self.cw = self._cw_ladder[min(self.consecutive_failures, top)]
             now = int(ends[-1])
-            last_kind = "ack-result" if ok[-1] else "cca-sample" if data[-1] else "ack-timeout"
+            self._resume = "ack-result" if ok[-1] else "cca-sample" if data[-1] else "ack-timeout"
             if n < m:
                 break
-        self._resume = last_kind, (
-            None if block is None else lambda resumed: self._trace_cycles(trace, *block, resumed))
+        if block is not None:
+            self._trace_cycles(trace, *block, resumed=True)
         return now
 
     def _skip_clean_cycles(self, now: int, horizon: int, base_ns: int, tail_ns: int) -> int:
@@ -534,16 +527,15 @@ class DcfStation:
         The first cycle resumes a frozen residual or draws at the current
         window, read here; every later one at cw_min, so the backoff stream's
         prefix over that window gives how many cycles fit, where they end and
-        their backoff slots, with one search per prefix.  Returns and keeps
-        what ``_skip_chunks`` does."""
+        their backoff slots, with one search per prefix.  Traces, returns and
+        keeps what ``_skip_chunks`` does."""
         stream, slot_ns, frozen = self.backoff, self.slot_ns, self.pending_k
         k = stream.peek_one(self.cw.bit_length()) if frozen is None else frozen
         if (t := now + base_ns + k * slot_ns) >= horizon:
-            self._resume = None, None
             return now
         stream.skip(frozen is None and self.cw > 0)
         self.pending_k = None
-        logged = self.engine.trace is not None or self.draw_log is not None
+        logged = self.engine.trace is not None
         ends, logged_to, cycles, more = [[t]], now, 1, True
         bits = self.params.cw_min.bit_length()
         while more:
@@ -552,8 +544,8 @@ class DcfStation:
             prefix, more = stream.stretch(bits, base_ns, slot_ns, horizon - t, most)
             if logged and len(prefix) > 1:
                 if len(ends) > 1:  # log all but the last cycle, about a prefix at a time
-                    logged_to = self._log_clean_cycles(logged_to, ends, tail_ns, frozen, False)
-                    ends, frozen = [], None
+                    logged_to = self._log_clean_cycles(logged_to, ends, tail_ns, False)
+                    ends = []
                 ends.append(t + (prefix[1:] - prefix[0]))
             cycles += len(prefix) - 1
             t += int(prefix[-1]) - int(prefix[0])
@@ -563,20 +555,18 @@ class DcfStation:
         self.difs_completed += cycles
         self.backoff_slots_elapsed += (t - now - cycles * base_ns) // slot_ns
         self.consecutive_failures, self.cw = 0, self.params.cw_min
-        self._resume = "ack-result", None if not logged else (
-            lambda resumed: self._log_clean_cycles(logged_to, ends, tail_ns, frozen, resumed))
+        if logged:
+            self._log_clean_cycles(logged_to, ends, tail_ns, True)
+        self._resume = "ack-result"
         return t
 
-    def _log_clean_cycles(self, start, ends, tail_ns, frozen, resumed) -> int:
+    def _log_clean_cycles(self, start, ends, tail_ns, resumed) -> int:
         """Add clean cycles, from ``start`` to each of ``ends`` (arrays to join), to the
-        trace and, less a first one's ``frozen`` residual, the draw log; returns the last end."""
+        trace; returns the last end."""
         ends = np.concatenate(ends)
         ks = (np.diff(ends, prepend=start) - self.difs_ns - tail_ns) // self.slot_ns
-        if self.draw_log is not None:
-            self.draw_log.extend(ks[frozen is not None:].tolist())
-        if self.engine.trace is not None:
-            ok = np.ones(len(ends), dtype=bool)
-            self._trace_cycles(self.engine.trace, ends, ends - tail_ns, ks, ok, ok, resumed)
+        ok = np.ones(len(ends), dtype=bool)
+        self._trace_cycles(self.engine.trace, ends, ends - tail_ns, ks, ok, ok, resumed)
         return int(ends[-1])
 
     def _walk_edge(self, t: int, horizon: int) -> int | None:
@@ -631,48 +621,6 @@ class DcfStation:
               and self._ack_decodes(ack_end - self.ack_air_ns, ack_end))
         self._count(ok)
         return after if defer else ack_end if ok else ack_end + slot
-
-    def _start_crossing_cycle(self, start: int, t: int, horizon: int,
-                              resume_kind: str | None = None, log=None) -> int:
-        """Start the cycle after the whole ones, which end at ``t``: advance its
-        DIFS, draw, backoff and transmit start while each ends before ``horizon``,
-        then schedule the first of its events past it, as the event path leaves
-        it.  One that falls on the horizon the event path schedules later, so it
-        can dispatch after a transition there: its predecessor goes instead, down
-        to the resume at ``t`` under ``resume_kind``.  ``log(resumed)`` writes the
-        whole cycles' lines and draws, less the last line if the resume writes it.
-        Returns the time the station advanced to: ``start`` if nothing."""
-        k = self.pending_k
-        k = self.backoff.peek_one(self.cw.bit_length()) if k is None else k
-        difs_end = t + self.difs_ns
-        tx_start = difs_end + k * self.slot_ns
-        # The first event at or past the horizon: 1 difs-end, 2 backoff-slot, 3 tx-end.
-        stage = 1 if difs_end >= horizon else 2 if tx_start >= horizon else 3
-        if (t, difs_end, tx_start, tx_start + self.data_air_ns)[stage] == horizon:
-            stage -= 2 if stage == 3 and k == 0 else 1
-        if stage < 2 and t == start:
-            return start
-        if log is not None:
-            log(stage == 0)
-        if stage == 0:
-            self._event = self.engine.schedule(t, resume_kind, self.name, self._start_difs)
-            return t
-        if stage == 1:
-            self.state = "difs"
-            self._event = self.engine.schedule(difs_end, "difs-end", self.name, self._difs_end)
-            return t
-        self._take_backoff()
-        trace = self.engine.trace
-        if trace is not None:
-            trace.append(f"{difs_end} difs-end {self.name}\n")
-        if stage == 2:
-            self._start_backoff(difs_end, k)
-            return difs_end
-        if k and trace is not None:
-            trace.append(f"{tx_start} backoff-slot {self.name} k={k}\n")
-        self.backoff_slots_elapsed += k
-        self._start_tx(tx_start)
-        return difs_end
 
     def _cycle_outcomes(self, lte_on: bool):
         """(data decoded, ACK decoded, odds) of the cycles in this LTE state,

@@ -34,6 +34,14 @@ def trace_lines(engine) -> list[str]:
     return "".join(engine.trace or ()).splitlines()
 
 
+def backoffs(trace: str) -> list[int]:
+    """The K of each ``backoff-slot`` line with a ``k=K`` detail in a trace's
+    text: every countdown that reached 0, in order."""
+    return [int(detail[0][2:]) for _, kind, _, *detail in
+            (line.split(" ") for line in trace.splitlines())
+            if kind == "backoff-slot" and detail]
+
+
 def traced_emissions(sim) -> list[tuple[int, int]]:
     """A traced run's WiFi emissions, data frames and ACKs, as time-ordered
     (t0, t1) pairs rebuilt from its trace and its station's end state.

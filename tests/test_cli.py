@@ -246,6 +246,8 @@ class TestRunInputErrors:
          "oob_floor_dbc"),
         (["run"], "[radio]\ndist_lte_to_wifi_tx_m = 1e-300\n", "dist_lte_to_wifi_tx_m"),
         (["run"], "[wifi]\ncca_measure_band = primary20\n", "wifi.cca_measure_band"),
+        # A threshold for no 802.11a rate is not silently ignored.
+        (["run"], "[radio]\nper_thresholds = 100:40\n", "radio.per_thresholds"),
         # Values whose DCF cycles overflow the step's int64 ns.
         (["run", "--duration", "0.2"], "[lte]\nduty = 1\n[wifi]\ncw_max = 4611686018427387903"
          "\nretry_limit = 100\ncca_ed_threshold_dbm = 30\n", "cw_max"),

@@ -318,7 +318,9 @@ invalid_values = st.one_of(
               non_finite | st.floats(max_value=-1e-9)),
     st.tuples(st.just(RadioSettings), st.just("per_thresholds"), st.sampled_from(
         ["6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30",
-         "54:301", "6:-1e308"])),
+         "54:301", "6:-1e308",
+         # Rates that are no 802.11a rate, and a rate given twice.
+         "100:40", "7:5.5", "6:5, 6:5"])),
     st.tuples(st.just(WifiSettings), st.just("retry_limit"),
               st.integers(max_value=-1) | st.integers(min_value=2**63)),
     st.tuples(st.just(RunConfig), st.just("duration_s"),

@@ -2,7 +2,8 @@
 
 The reference is the same run with ``DcfStation._skip_whole_cycles`` patched
 to advance nothing, which keeps every packet on the event path.  Runs are
-compared traced and untraced, under the hard and the soft PER rule.
+compared traced and untraced, under the hard and the soft PER rule, with the
+station as a run builds it.
 """
 
 import dataclasses
@@ -19,9 +20,10 @@ from coexsim.config import ConfigError
 from coexsim.engine import NS_PER_S, NS_PER_US
 from coexsim.experiments import SCENARIOS, run_sweep
 from coexsim.simulation import Simulation
-from coexsim.wifi import FAST_FORWARD_CHUNK, DcfStation, ack_airtime_us, frame_airtime_us
+from coexsim.wifi import (FAST_FORWARD_CHUNK, BackoffStream, DcfStation, ack_airtime_us,
+                          frame_airtime_us)
 
-from conftest import make_cfg, traced_emissions
+from conftest import backoffs, make_cfg, traced_emissions
 
 SEEDS = (1, 2, 5)
 INT64_MAX = 2**63 - 1
@@ -29,11 +31,20 @@ SOFT_SLOPES = (0.5, 2.0, 40.0)
 
 
 def observe(cfg, seed, trace, fast=True):
+    words = 0
+    skip = BackoffStream.skip
+
+    def counted(stream, n):
+        nonlocal words
+        words += n
+        skip(stream, n)
+
     with pytest.MonkeyPatch.context() as patch:
+        # draw, take and stretch all take their words through skip.
+        patch.setattr(BackoffStream, "skip", counted)
         if not fast:
             patch.setattr(DcfStation, "_skip_whole_cycles", lambda self, now: now)
         sim = Simulation(cfg, seed=seed, trace=trace)
-        sim.station.draw_log = []
         metrics = sim.run()
     station = sim.station
     emissions = None
@@ -48,7 +59,7 @@ def observe(cfg, seed, trace, fast=True):
         "state": (station.cw, station.consecutive_failures, station.pending_k),
         "wifi_emissions": emissions,
         "lte_intervals": sim.medium.lte_intervals(),
-        "draw_log": station.draw_log,
+        "backoff_words": words,
         "backoff_rng": station.rng.bit_generator.state,
         "decode_rng": (None if station.decode_rng is None
                        else station.decode_rng.bit_generator.state),
@@ -123,12 +134,12 @@ def test_soft_per_draws_mixed_outcomes_in_one_step(retry_limit):
 
 
 def test_forced_collisions_cross_the_retry_ladder():
-    fast = observe(FORCED[0], 3, False)
+    fast = observe(FORCED[0], 3, True)
     metrics = fast["metrics"]
     assert metrics.delivered_payload_bytes == 0 and metrics.failures > 7
     assert metrics.attempts - metrics.failures in (0, 1)  # one may be in flight
     assert metrics.drops == metrics.failures // 7
-    assert max(fast["draw_log"]) > 15
+    assert max(backoffs(fast["trace"])) > 15
 
 
 def assert_run_end_invariants(sim, metrics):
@@ -221,13 +232,14 @@ def test_step_matches_event_path_when_station_times_hit_lte_transitions():
     # LTE transitions on whole milliseconds and every MAC time a multiple of
     # 10 us (these payload and ACK sizes take a multiple of 5 OFDM symbols at
     # both MCSs) put station events exactly on transitions.  There the event path
-    # dispatches the station's event after the LTE node's, so the step must
-    # leave such an event to it.
+    # dispatches the station's event after the LTE node's, so the walk must
+    # leave such an edge to the events, and the events the step hands over to
+    # must keep that order.
     ties = []
 
     @settings(max_examples=100, deadline=None)
     # A transmission that starts at the end of its DIFS (k = 0) and ends on
-    # the next LTE-on: the DIFS end is the event to schedule.
+    # the next LTE-on, after the step's last whole cycle.
     @example(slot_us=30, sifs_us=20, preamble_us=40, cw_min=0, mean_period_ms=17, duty=0.2,
              mcs=54, profile="vendor-B", lte_power=12.0, soft_slope_k=0.0, seed=3170611280)
     @given(slot_us=st.sampled_from([10, 20, 30]), sifs_us=st.sampled_from([10, 20]),
@@ -437,10 +449,10 @@ def test_clean_path_runs_in_the_compared_runs(cfg, monkeypatch):
 
 
 # perfbench's `runs` configs at seed 5: the events a 10 s run schedules.
-RUN_EVENTS = [("defaults", make_cfg(), False, 12), ("defaults", make_cfg(), True, 249),
-              ("duty0-mcs54", make_cfg(duty=0.0), False, 3),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 6),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 391)]
+RUN_EVENTS = [("defaults", make_cfg(), False, 17), ("defaults", make_cfg(), True, 417),
+              ("duty0-mcs54", make_cfg(duty=0.0), False, 6),
+              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 9),
+              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 759)]
 
 
 @pytest.mark.parametrize("name,cfg,trace,scheduled", RUN_EVENTS,
@@ -472,7 +484,7 @@ def test_clean_path_at_the_int64_corner_of_a_fixed_window(monkeypatch):
     calls = count_clean_stretches(monkeypatch)
     events, fast = assert_paths_agree(dataclasses.replace(cfg, wifi=fixed_window(bits)), 2)
     assert fast["metrics"].attempts > 1000 and calls[True] == calls[False] > 0
-    assert max(fast["draw_log"]) > 2**31
+    assert max(backoffs(fast["trace"])) > 2**31
 
 
 def test_clean_path_logs_a_long_stretch_a_prefix_at_a_time():

@@ -9,7 +9,7 @@ from coexsim.radio import SpectrumBand
 from coexsim.wifi import (CCA_PRESETS, CcaProfile, ack_airtime_us, ack_rate_mbps,
                           analytic_goodput_mbps, cca_busy, frame_airtime_us)
 
-from conftest import make_cfg, run_sim, traced_emissions
+from conftest import backoffs, make_cfg, run_sim, traced_emissions
 
 PARAMS = WifiSettings()
 
@@ -90,16 +90,16 @@ class TestDcfMechanics:
         from coexsim.simulation import Simulation
 
         # Idle channel: no failures, so every draw comes from [0, cw_min].
-        sim = Simulation(make_cfg(duty=0.0, duration=2.0), seed=8)
-        sim.station.draw_log = idle_draws = []
+        sim = Simulation(make_cfg(duty=0.0, duration=2.0), seed=8, trace=True)
         sim.run()
+        idle_draws = backoffs("".join(sim.engine.trace))
         assert idle_draws and all(0 <= k <= 15 for k in idle_draws)
 
         # Forced-collision regime: windows double but never exceed cw_max.
         sim = Simulation(make_cfg(duty=1.0, lte_power=12.0, duration=1.0,
-                                  cca_ed_threshold_dbm=30.0), seed=8)
-        sim.station.draw_log = retry_draws = []
+                                  cca_ed_threshold_dbm=30.0), seed=8, trace=True)
         sim.run()
+        retry_draws = backoffs("".join(sim.engine.trace))
         assert retry_draws and all(0 <= k <= 1023 for k in retry_draws)
         assert max(retry_draws) > 15  # binary exponential growth kicked in
 
