@@ -58,6 +58,11 @@ class Event:
     fired: bool = False
 
 
+def trace_line(t: int, kind: str, target: str, detail: str) -> str:
+    """One trace line: ``time_ns kind node [detail]`` and a newline."""
+    return f"{t} {kind} {target} {detail}".rstrip() + "\n"
+
+
 class Engine:
     """Single-threaded event loop with a master seed and per-purpose RNG streams."""
 
@@ -94,7 +99,11 @@ class Engine:
         return True
 
     def run_until(self, t_end: int) -> None:
-        """Dispatch all events with fire_time <= t_end in order; clock ends at t_end."""
+        """Dispatch all events with fire_time <= t_end in order; clock ends at t_end.
+
+        A traced run records each event's line, except for an event with an
+        empty kind: a step that resumes contention has written its own lines.
+        """
         if t_end <= self.now:
             raise SchedulingError(f"run_until({t_end}) at clock {self.now}")
         queue = self._queue
@@ -104,9 +113,9 @@ class Engine:
                 continue
             self.now = event.fire_time
             event.fired = True
-            if self.trace is not None:
-                self.trace.append(f"{event.fire_time} {event.kind} {event.target} "
-                                  f"{event.detail}".rstrip() + "\n")
+            if self.trace is not None and event.kind:
+                self.trace.append(trace_line(event.fire_time, event.kind, event.target,
+                                             event.detail))
             event.fn()
         self.now = t_end
 

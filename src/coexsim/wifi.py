@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .engine import NS_PER_US, Engine
+from .engine import NS_PER_US, Engine, trace_line
 from .radio import SpectrumBand, overlap_fraction, packet_outcome, success_probability
 
 if TYPE_CHECKING:
@@ -218,8 +218,8 @@ class DcfStation:
     medium next changes (``_skip_whole_cycles``): a clean stretch, all
     delivered, by a prefix search, any other in NumPy chunks.  An untraced
     run's LTE that the station neither defers to nor decodes differently
-    under is no change, and an untraced run settles the cycle that crosses
-    an LTE transition in closed form and steps on, period after period
+    under is no change, and every run settles the cycle that crosses an
+    LTE transition in closed form and steps on, period after period
     (``_walk_edge``).  Counters, airtime, RNG streams and trace lines end
     exactly where the event path leaves them; a cycle that crosses a change
     the closed form leaves alone runs on events from its DIFS.
@@ -409,19 +409,17 @@ class DcfStation:
         ``_skip_clean_cycles`` takes a stretch where that outcome is success,
         ``_skip_chunks`` the rest.
 
-        An untraced run walks on: ``_walk_edge`` settles the cycle that
-        crosses a transition, and the step goes on from where contention
-        resumes, up to the first edge it leaves to the events.  The LTE node
-        records the transitions passed (all up to the run end for an LTE the
-        station does not feel), and its event moves past them.  A traced run
-        stops at each transition, so that its lines interleave with the LTE
-        node's in order.  If it advanced, the step schedules the next
-        contention where its last whole cycle ends, under the kind of that
-        cycle's last event, which that event then traces.  Returns the time
-        the station advanced to: ``now`` if it did not.
+        The step walks on: ``_walk_edge`` settles the cycle that crosses a
+        transition, and the step goes on from where contention resumes, up to
+        the first edge it leaves to the events.  The LTE node records the
+        transitions passed (all up to the run end for an LTE the station does
+        not feel), and its event moves past them.  Each stretch and each
+        walked edge writes its own trace lines.  If it advanced, the step
+        schedules the next contention where its last whole cycle ends, as an
+        event with no kind, which writes no line.  Returns the time the
+        station advanced to: ``now`` if it did not.
         """
-        start, lte, end = now, self.channel.lte, self.channel.end_ns
-        walk, walked = self.engine.trace is None and lte is not None, False
+        start, lte, end, walked = now, self.channel.lte, self.channel.end_ns, False
         tail_ns = self.data_air_ns + self.sifs_ns + self.ack_air_ns  # tx start to ACK end
         base_ns = self.difs_ns + tail_ns
         while True:
@@ -431,16 +429,16 @@ class DcfStation:
                 t = self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
             else:
                 t = self._skip_chunks(now, horizon, base_ns, tail_ns, data_ok, odds)
-            if not (walk and horizon < end) or (now := self._walk_edge(t, horizon)) is None:
+            if horizon == end or (now := self._walk_edge(t, horizon)) is None:
                 break
-            walked, self._resume = True, "cca-sample"  # contention resumes after the edge
-        if walk and not self._feels_lte:
+            walked = True
+        if lte is not None and not self._feels_lte:
             lte.advance_to(end)
             walked = True
         if walked:
             lte.arm()
         if t > start:
-            self._event = self.engine.schedule(t, self._resume, self.name, self._start_difs)
+            self._event = self.engine.schedule(t, "", self.name, self._start_difs)
         return t
 
     def _skip_chunks(self, now: int, horizon: int, base_ns: int, tail_ns: int,
@@ -453,15 +451,12 @@ class DcfStation:
         ``_difs_end`` would read (none for a frozen residual), and its decode
         draws one ``uniform`` call, rewound to what the cycles that fit used:
         both streams end where per-cycle draws leave them.  A traced run gets
-        the events' lines, less the last one, which the resuming event writes.
-        Returns the end of the last whole cycle; if one fit, ``_resume`` keeps
-        the kind of its last event.
+        the events' lines.  Returns the end of the last whole cycle.
         """
         shortest_ns = base_ns if odds else base_ns + self.slot_ns
         top = len(self._cw_ladder) - 1
         retry_limit = self.params.retry_limit
         trace = self.engine.trace
-        block = None  # the last traced chunk's cycles, written once the next one fits
         while True:
             m = min((horizon - 1 - now) // shortest_ns, FAST_FORWARD_CHUNK)
             if m <= 0:  # below 0 for a transition at the run end
@@ -497,9 +492,8 @@ class DcfStation:
             # A data frame that did not decode gets no ACK.
             self.acc.wifi_airtime_ns += n * self.data_air_ns + (n - undecoded) * self.ack_air_ns
             if trace is not None:
-                if block is not None:
-                    self._trace_cycles(trace, *block, resumed=False)
-                block = ends, ends - (tail_ns + failed * self.slot_ns), ks, data, ok
+                self._trace_cycles(trace, ends, ends - (tail_ns + failed * self.slot_ns), ks,
+                                   data, ok)
             if delivered < n:
                 dropped = failed & (failures_before + 1 >= retry_limit)
                 self.acc.drops += int(np.count_nonzero(dropped))
@@ -514,11 +508,8 @@ class DcfStation:
             self.consecutive_failures = 0 if ok[-1] or failures >= retry_limit else failures
             self.cw = self._cw_ladder[min(self.consecutive_failures, top)]
             now = int(ends[-1])
-            self._resume = "ack-result" if ok[-1] else "cca-sample" if data[-1] else "ack-timeout"
             if n < m:
                 break
-        if block is not None:
-            self._trace_cycles(trace, *block, resumed=True)
         return now
 
     def _skip_clean_cycles(self, now: int, horizon: int, base_ns: int, tail_ns: int) -> int:
@@ -527,26 +518,28 @@ class DcfStation:
         The first cycle resumes a frozen residual or draws at the current
         window, read here; every later one at cw_min, so the backoff stream's
         prefix over that window gives how many cycles fit, where they end and
-        their backoff slots, with one search per prefix.  Traces, returns and
-        keeps what ``_skip_chunks`` does."""
+        their backoff slots, with one search per prefix.  Traces and returns
+        what ``_skip_chunks`` does, a prefix at a time, the first cycle with
+        the first prefix."""
         stream, slot_ns, frozen = self.backoff, self.slot_ns, self.pending_k
         k = stream.peek_one(self.cw.bit_length()) if frozen is None else frozen
         if (t := now + base_ns + k * slot_ns) >= horizon:
             return now
         stream.skip(frozen is None and self.cw > 0)
         self.pending_k = None
-        logged = self.engine.trace is not None
-        ends, logged_to, cycles, more = [[t]], now, 1, True
+        trace, first = self.engine.trace, True  # the first cycle is traced with the first prefix
+        cycles, more = 1, True
         bits = self.params.cw_min.bit_length()
         while more:
             # Cycles that can still end before the run does, plus one: never 0.
             most = min(FAST_FORWARD_CHUNK, (self.channel.end_ns - t) // base_ns + 1)
             prefix, more = stream.stretch(bits, base_ns, slot_ns, horizon - t, most)
-            if logged and len(prefix) > 1:
-                if len(ends) > 1:  # log all but the last cycle, about a prefix at a time
-                    logged_to = self._log_clean_cycles(logged_to, ends, tail_ns, False)
-                    ends = []
-                ends.append(t + (prefix[1:] - prefix[0]))
+            if trace is not None and (first or len(prefix) > 1):
+                bounds = t + (prefix - prefix[0])  # where these cycles start and end
+                if first:
+                    bounds, first = np.concatenate(([now], bounds)), False
+                ks, ok = (np.diff(bounds) - base_ns) // slot_ns, np.ones(len(bounds) - 1, bool)
+                self._trace_cycles(trace, bounds[1:], bounds[1:] - tail_ns, ks, ok, ok)
             cycles += len(prefix) - 1
             t += int(prefix[-1]) - int(prefix[0])
         self.acc.wifi_airtime_ns += cycles * (self.data_air_ns + self.ack_air_ns)
@@ -555,19 +548,7 @@ class DcfStation:
         self.difs_completed += cycles
         self.backoff_slots_elapsed += (t - now - cycles * base_ns) // slot_ns
         self.consecutive_failures, self.cw = 0, self.params.cw_min
-        if logged:
-            self._log_clean_cycles(logged_to, ends, tail_ns, True)
-        self._resume = "ack-result"
         return t
-
-    def _log_clean_cycles(self, start, ends, tail_ns, resumed) -> int:
-        """Add clean cycles, from ``start`` to each of ``ends`` (arrays to join), to the
-        trace; returns the last end."""
-        ends = np.concatenate(ends)
-        ks = (np.diff(ends, prepend=start) - self.difs_ns - tail_ns) // self.slot_ns
-        ok = np.ones(len(ends), dtype=bool)
-        self._trace_cycles(self.engine.trace, ends, ends - tail_ns, ks, ok, ok, resumed)
-        return int(ends[-1])
 
     def _walk_edge(self, t: int, horizon: int) -> int | None:
         """Settle the cycle from ``t`` that crosses the LTE transition at
@@ -579,17 +560,19 @@ class DcfStation:
         finds a frame in flight or in vendor-B's last slot.  A station that
         does not defer contends again where the cycle ends.  A frame is
         decoded over ``Medium._window``'s split, then its ACK or timeout,
-        retry ladder and drop are counted as the events count them.  Returns
-        None, changing nothing, for an edge left to the events: a station
-        event on the transition, a last event at or past the next transition
-        or the run end, or a resume whose DIFS would end on the next one.
+        retry ladder and drop are counted as the events count them.  A traced
+        run gets the lines of the cycle's events and of the transitions
+        passed, in time order.  Returns None, changing nothing, for an edge
+        left to the events: a station event on the transition, a last event
+        at or past the next transition or the run end, or a resume whose DIFS
+        would end on the next one.
         """
         channel, slot, defer = self.channel, self.slot_ns, self.channel.defer_to_lte
         times, i, end = channel.lte.times, len(channel.lte_times), channel.end_ns
         after = times[i + 1]
         if not defer:
             after = min(after, end)
-        elif after > end or after + self.difs_ns == min(times[i + 2], end):
+        elif after >= end or after + self.difs_ns == min(times[i + 2], end):
             return None
         k = self.pending_k
         k = self.backoff.peek_one(self.cw.bit_length()) if k is None else k
@@ -609,18 +592,30 @@ class DcfStation:
         if last >= after or horizon in (difs_end, tx_start, tx_end, ack_end, ack_end + slot):
             return None
         channel.lte.advance_to(after if defer else horizon)
-        if frozen is None or horizon > difs_end:  # the DIFS ended
+        if difs_ended := frozen is None or horizon > difs_end:
             self._take_backoff()
         if frozen is not None:
             self.backoff_slots_elapsed += frozen[0]
             self.pending_k = frozen[1]
-            return after
-        self.backoff_slots_elapsed += k
-        self.acc.attempts += 1
-        ok = (self._data_decodes(tx_start, tx_end)
-              and self._ack_decodes(ack_end - self.ack_air_ns, ack_end))
-        self._count(ok)
-        return after if defer else ack_end if ok else ack_end + slot
+        else:
+            self.backoff_slots_elapsed += k
+            self.acc.attempts += 1
+            data = self._data_decodes(tx_start, tx_end)
+            ok = data and self._ack_decodes(ack_end - self.ack_air_ns, ack_end)
+            self._count(ok)
+        if (trace := self.engine.trace) is not None:
+            lines = [(difs_end, "difs-end", "")] * difs_ended
+            if frozen is not None:  # vendor-B's slot boundary, if the slot went on
+                lines += [(last, "backoff-slot", "")] * (last > horizon)
+            else:
+                lines += [(tx_start, "backoff-slot", f"k={k}")] * (k > 0) + [(tx_end, "tx-end", "")]
+                lines += [(ack_end, "ack-result", "")] * data
+                lines += [(last, "cca-sample" if data else "ack-timeout", "")] * (not ok)
+            lines = [(at, kind, self.name, detail) for at, kind, detail in lines] + [
+                (at, "lte-off" if n % 2 else "lte-on", channel.lte.name, "")
+                for n, at in enumerate(channel.lte_times[i:], i)]  # the transitions passed
+            trace.append("".join(trace_line(*line) for line in sorted(lines)))
+        return after if defer else ack_end if ok else last
 
     def _cycle_outcomes(self, lte_on: bool):
         """(data decoded, ACK decoded, odds) of the cycles in this LTE state,
@@ -676,9 +671,8 @@ class DcfStation:
         counted = np.where(previous < 0, self.consecutive_failures + i, i - previous - 1)
         return counted % max(self.params.retry_limit, 1)
 
-    def _trace_cycles(self, trace, ends, tx_start, ks, data, ok, resumed) -> None:
-        """Append the event path's lines for these cycles as one text chunk, less
-        the last line if ``resumed``: the event that resumes contention writes it."""
+    def _trace_cycles(self, trace, ends, tx_start, ks, data, ok) -> None:
+        """Append the event path's lines for these cycles as one text chunk."""
         data_end = self.data_air_ns
         ack_end = data_end + self.sifs_ns + self.ack_air_ns
         backoff, always = ks > 0, np.ones(len(ends), dtype=bool)
@@ -686,11 +680,8 @@ class DcfStation:
         values = np.column_stack([tx_start - ks * self.slot_ns, tx_start, ks, tx_start + data_end,
                                   tx_start + ack_end, ends]).ravel()[written]
         shapes = 3 * backoff + 2 * ~data + (data & ~ok)
-        templates = [CYCLE_TEMPLATES[s] for s in shapes.tolist()]
-        if resumed:
-            templates[-1] = templates[-1][:templates[-1].rindex("%d")]
-            values = values[:-1]
-        trace.append("".join(templates) % tuple(values.tolist()))
+        trace.append("".join([CYCLE_TEMPLATES[s] for s in shapes.tolist()])
+                     % tuple(values.tolist()))
 
     # -- carrier-sense callbacks from the channel ----------------------------
 

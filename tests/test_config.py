@@ -265,31 +265,49 @@ def run_with_wifi(**kwargs):
     return RunConfig(wifi=WifiSettings(**kwargs))
 
 
-non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# Keys that take a float, each of which rejects every non-finite value.
+FLOAT_KEYS = {
+    LteSettings: ["duty", "mean_period_ms", "silent_spread", "center_offset_mhz", "tx_power_dbm"],
+    WifiSettings: ["tx_power_dbm", "cca_ed_threshold_dbm"],
+    RadioSettings: ["freq_ghz", "wifi_bandwidth_mhz", "dist_lte_to_wifi_tx_m",
+                    "dist_lte_to_wifi_rx_m", "dist_wifi_tx_to_rx_m", "noise_figure_db",
+                    "antenna_gain_dbi", "gain_lte_to_wifi_tx_db", "gain_lte_to_wifi_rx_db",
+                    "gain_wifi_link_db", "oob_floor_dbc", "soft_slope_k"],
+    RunConfig: ["duration_s"],
+}
+# Bad values listed one by one: each is checked on every run, and the
+# property test below draws them among its random cases.
+LISTED_INVALID = (
+    [(cls, key, value) for cls, keys in FLOAT_KEYS.items() for key in keys
+     for value in (math.nan, math.inf, -math.inf)]
+    + [(WifiSettings, "cw_max", cw) for cw in (0, 1, 3, 7)]  # below the default cw_min
+    + [(RadioSettings, "per_thresholds", text) for text in (
+        "6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30", "54:301",
+        "6:-1e308",
+        # Rates that are no 802.11a rate, and a rate given twice.
+        "100:40", "7:5.5", "6:5, 6:5")])
 beyond_db_limit = (st.floats(max_value=-DB_LIMIT, exclude_max=True)
                    | st.floats(min_value=DB_LIMIT, exclude_min=True))
 out_of_magnitude = (st.floats(max_value=MAGNITUDE_RANGE[0], exclude_max=True)
                     | st.floats(min_value=MAGNITUDE_RANGE[1], exclude_min=True))
 invalid_values = st.one_of(
+    st.sampled_from(LISTED_INVALID),
     st.tuples(st.just(LteSettings), st.just("duty"),
-              non_finite | st.floats(max_value=-1e-9) | st.floats(min_value=1.000001)),
+              st.floats(max_value=-1e-9) | st.floats(min_value=1.000001)),
     # A duty above 0 whose active interval rounds to 0 ms at the 150 ms period.
     st.tuples(st.just(LteSettings), st.just("duty"),
               st.floats(min_value=0.0, max_value=0.0033, exclude_min=True)),
-    st.tuples(st.just(LteSettings), st.just("mean_period_ms"),
-              non_finite | st.floats(max_value=0.0)),
+    st.tuples(st.just(LteSettings), st.just("mean_period_ms"), st.floats(max_value=0.0)),
     st.tuples(st.just(LteSettings), st.just("silent_spread"),
-              non_finite | st.floats(max_value=-1e-9) | st.floats(min_value=1.0)),
+              st.floats(max_value=-1e-9) | st.floats(min_value=1.0)),
     st.tuples(st.just(LteSettings), st.just("frame_align_ms"), st.integers(max_value=0)),
     st.tuples(st.just(LteSettings), st.just("n_prb"),
               st.integers().filter(lambda n: n not in PRB_CHOICES)),
-    st.tuples(st.just(LteSettings), st.sampled_from(
-        ["center_offset_mhz", "tx_power_dbm"]), non_finite),
     st.tuples(st.just(LteSettings), st.just("tx_power_dbm"), beyond_db_limit),
     st.tuples(st.just(WifiSettings), st.just("mcs_mbps"),
               st.integers().filter(lambda n: n not in MCS_RATES)),
     st.tuples(st.just(WifiSettings), st.sampled_from(
-        ["tx_power_dbm", "cca_ed_threshold_dbm"]), non_finite | beyond_db_limit),
+        ["tx_power_dbm", "cca_ed_threshold_dbm"]), beyond_db_limit),
     st.tuples(st.just(WifiSettings), st.sampled_from(["payload_bytes", "slot_us"]),
               st.integers(max_value=0)),
     st.tuples(st.just(WifiSettings), st.sampled_from(
@@ -297,7 +315,6 @@ invalid_values = st.one_of(
         st.integers(max_value=-1)),
     st.tuples(st.just(WifiSettings), st.sampled_from(["cw_min", "cw_max"]),
               st.integers(max_value=14).filter(lambda cw: cw < 0 or cw & (cw + 1))),
-    st.tuples(st.just(WifiSettings), st.just("cw_max"), st.sampled_from([0, 1, 3, 7])),
     # Windows past the 32 bits a backoff draw takes.
     st.tuples(st.just(WifiSettings), st.sampled_from(["cw_min", "cw_max"]),
               st.integers(33, 200).map(lambda k: 2**k - 1)),
@@ -308,23 +325,17 @@ invalid_values = st.one_of(
     st.tuples(st.just(RadioSettings), st.sampled_from(
         ["freq_ghz", "wifi_bandwidth_mhz", "dist_lte_to_wifi_tx_m",
          "dist_lte_to_wifi_rx_m", "dist_wifi_tx_to_rx_m"]),
-        non_finite | out_of_magnitude),
+        out_of_magnitude),
     st.tuples(st.just(RadioSettings), st.sampled_from(
         ["noise_figure_db", "antenna_gain_dbi", "gain_lte_to_wifi_tx_db",
-         "gain_lte_to_wifi_rx_db", "gain_wifi_link_db"]), non_finite | beyond_db_limit),
+         "gain_lte_to_wifi_rx_db", "gain_wifi_link_db"]), beyond_db_limit),
     st.tuples(st.just(RadioSettings), st.just("oob_floor_dbc"),
-              non_finite | st.floats(min_value=1e-9) | beyond_db_limit),
-    st.tuples(st.just(RadioSettings), st.just("soft_slope_k"),
-              non_finite | st.floats(max_value=-1e-9)),
-    st.tuples(st.just(RadioSettings), st.just("per_thresholds"), st.sampled_from(
-        ["6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30",
-         "54:301", "6:-1e308",
-         # Rates that are no 802.11a rate, and a rate given twice.
-         "100:40", "7:5.5", "6:5, 6:5"])),
+              st.floats(min_value=1e-9) | beyond_db_limit),
+    st.tuples(st.just(RadioSettings), st.just("soft_slope_k"), st.floats(max_value=-1e-9)),
     st.tuples(st.just(WifiSettings), st.just("retry_limit"),
               st.integers(max_value=-1) | st.integers(min_value=2**63)),
     st.tuples(st.just(RunConfig), st.just("duration_s"),
-              non_finite | st.floats(max_value=4e-10) | st.floats(min_value=1e10)),
+              st.floats(max_value=4e-10) | st.floats(min_value=1e10)),
     # Seeds past 64 bits would alias the runs of other seeds.
     st.tuples(st.just(RunConfig), st.just("seed"),
               st.integers(max_value=-1) | st.integers(min_value=2**64)),
@@ -338,6 +349,11 @@ invalid_values = st.one_of(
     st.tuples(st.just(run_with_wifi), st.sampled_from(
         ["payload_bytes", "ack_bytes", "mac_overhead_bytes"]), st.integers(min_value=10**14)),
 )
+
+
+def assert_config_error(cls, key, value):
+    with pytest.raises(ConfigError, match=key):
+        cls(**{key: value})
 
 
 LINKS = (("dist_lte_to_wifi_tx_m", "gain_lte_to_wifi_tx_db"),
@@ -385,6 +401,10 @@ class TestProperties:
     @settings(max_examples=500, deadline=None)
     @given(invalid_values)
     def test_out_of_range_value_is_a_config_error_naming_its_key(self, case):
-        cls, key, value = case
-        with pytest.raises(ConfigError, match=key):
-            cls(**{key: value})
+        assert_config_error(*case)
+
+    @pytest.mark.parametrize("cls,key,value", LISTED_INVALID,
+                             ids=[f"{cls.__name__}.{key}={value!r}"
+                                  for cls, key, value in LISTED_INVALID])
+    def test_listed_bad_value_is_a_config_error_naming_its_key(self, cls, key, value):
+        assert_config_error(cls, key, value)
