@@ -312,8 +312,8 @@ def parse_value(section: str, key: str, text: str):
     """``text`` as the value of ``[section] key``, in the key's declared type.
 
     INI values, ``--grid`` tokens and the built-in grids (as ``str(value)``)
-    all convert here.  A ``%`` suffix is accepted for ``duty`` alone.  Ranges
-    are checked when the section is built.
+    all convert here.  A ``%`` suffix is accepted for ``duty`` alone.  A
+    nonzero mantissa must not convert to 0.0.  Ranges are checked when built.
     """
     kind = _KEY_TYPES[section].get(key)
     if kind is None:
@@ -322,12 +322,13 @@ def parse_value(section: str, key: str, text: str):
     try:
         if kind is bool:
             return _BOOLS[token.lower()]
-        if key == "duty" and token.endswith("%"):
-            return float(token[:-1]) / 100.0
-        return kind(token)
+        value = float(token[:-1]) / 100.0 if key == "duty" and token.endswith("%") else kind(token)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {text!r} as "
                           f"{kind.__name__}") from exc
+    if value == 0.0 and any(c in "123456789" for c in token.lower().partition("e")[0]):
+        raise ConfigError(f"{section}.{key}: {text!r} is not 0 but converts to 0.0")
+    return value
 
 
 def resolve_path(path: str) -> tuple[str, str]:

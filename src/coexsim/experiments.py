@@ -13,7 +13,7 @@ Normalization divides by the duty-0 run sharing all non-LTE parameters and
 the same rep index, which makes duty-0 rows exactly 1.0.
 
 A sweep is planned in full, and so every config built and checked, before
-any run starts; the runs then go out in chunks over the worker pool.
+any run starts.  Pool workers get the runs when they start, then indices in chunks.
 """
 
 from __future__ import annotations
@@ -93,10 +93,13 @@ class Scenario:
         return list(itertools.product(*(values for _, values in self.axes)))
 
     def config_for(self, point: tuple) -> RunConfig:
-        cfg = dataclasses.replace(self.base, duration_s=self.duration_s)
+        sections: dict[str, dict] = {}  # one replace per section the axes touch
         for (path, _), value in zip(self.axes, point):
-            cfg = set_path(cfg, path, value)
-        return cfg
+            section_name, _, field_name = path.partition(".")
+            sections.setdefault(section_name, {})[field_name] = value
+        return dataclasses.replace(self.base, duration_s=self.duration_s, **{
+            name: dataclasses.replace(getattr(self.base, name), **values)
+            for name, values in sections.items()})
 
 
 def exp_duty_cycle() -> Scenario:
@@ -147,6 +150,18 @@ def _execute(payload: tuple[RunConfig, int, str]) -> RunMetrics:
         return Simulation(cfg, seed=seed).run()
     except Exception as exc:
         raise SweepError(f"run failed at {label}: {exc}") from exc
+
+
+_payloads: list[tuple[RunConfig, int, str]] = []  # a worker's runs, set when it starts
+
+
+def _set_payloads(payloads: list[tuple[RunConfig, int, str]]) -> None:
+    _payloads[:] = payloads
+
+
+def _execute_at(i: int) -> RunMetrics:
+    """A worker's run ``i``: pool tasks carry an index, not a config."""
+    return _execute(_payloads[i])
 
 
 @dataclass
@@ -231,13 +246,13 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
             text = texts[cfg] = serialize_config(canonical_for_seed(cfg))
         return text
 
-    plan: dict[tuple[int, str], tuple[RunConfig, int, str]] = {}  # -> cfg, seed, label
+    runs: dict[tuple[int, str], tuple[RunConfig, int, str]] = {}  # -> cfg, seed, label
     row_keys: list[tuple[tuple, int, tuple[int, str], tuple[int, str]]] = []
 
     def plan_run(cfg: RunConfig, text: str, rep: int, label: str) -> tuple[int, str]:
         key = (rep, text)
-        if key not in plan:
-            plan[key] = (cfg, seed_from_text(master_seed, text, rep), label)
+        if key not in runs:
+            runs[key] = (cfg, seed_from_text(master_seed, text, rep), label)
         return key
 
     for point in scenario.points():
@@ -254,21 +269,23 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
     # more than there are runs or cores.  One chunk holds about 1/16 of a
     # worker's share: few enough round trips for millisecond runs, small
     # enough that the last chunk's tail stays short when runs take seconds.
-    workers = min(jobs, len(plan), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    payloads = list(runs.values())
+    workers = min(jobs, len(runs), os.cpu_count() or 1)
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_set_payloads,
+                                initargs=(payloads,)) if workers > 1 else None)
     with pool or contextlib.nullcontext():
-        outcomes = (map(_execute, plan.values()) if pool is None else
-                    pool.map(_execute, plan.values(),
-                             chunksize=-(-len(plan) // (16 * workers))))
+        outcomes = (map(_execute, payloads) if pool is None else
+                    pool.map(_execute_at, range(len(payloads)),
+                             chunksize=-(-len(runs) // (16 * workers))))
         # A failing run raises here, and map cancels every chunk not yet started.
-        results = dict(zip(plan, outcomes))
+        results = dict(zip(runs, outcomes))
 
     result = SweepResult(scenario.name, axis_names)
     for point, rep, run_key, base_key in row_keys:
         try:
             normalized = normalized_throughput(results[run_key], results[base_key])
         except ValueError as exc:
-            raise SweepError(f"cannot normalize against the {plan[base_key][2]}: "
+            raise SweepError(f"cannot normalize against the {runs[base_key][2]}: "
                              f"{exc}") from exc
-        result.add(point, rep, plan[run_key][1], results[run_key], normalized)
+        result.add(point, rep, runs[run_key][1], results[run_key], normalized)
     return result

@@ -12,8 +12,6 @@ import bisect
 import math
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .engine import NS_PER_MS, Engine
 from .radio import SpectrumBand
 
@@ -26,17 +24,13 @@ PRB_WIDTH_MHZ = 0.18
 RNG_LABEL = "lte-silent"
 
 
-def _round_ms_to_ns(value_ms: float) -> int:
-    # Half-up to whole subframes; all schedule arithmetic stays integer ns.
-    return int(math.floor(value_ms + 0.5)) * NS_PER_MS
-
-
 def on_duration_ns(cfg: LteSettings) -> int:
-    """Fixed active interval: duty x mean period, whole 1 ms subframes."""
-    return _round_ms_to_ns(cfg.duty * cfg.mean_period_ms)
+    """Fixed active interval: duty x mean period, half-up to whole 1 ms
+    subframes; all schedule arithmetic stays integer ns."""
+    return int(math.floor(cfg.duty * cfg.mean_period_ms + 0.5)) * NS_PER_MS
 
 
-def _silent_range_ms(cfg: LteSettings) -> tuple[float, float]:
+def silent_range_ms(cfg: LteSettings) -> tuple[float, float]:
     """The uniform's bounds: [(1-spread), (1+spread)] x mean silent time."""
     if cfg.duty >= 1.0:
         raise ValueError("duty 1 has no silent period")
@@ -47,15 +41,6 @@ def _silent_range_ms(cfg: LteSettings) -> tuple[float, float]:
 def _silent_ns(drawn_ms: float) -> int:
     """A silent interval from the uniform's value: whole subframes, at least 1."""
     return max(math.floor(drawn_ms + 0.5), 1) * NS_PER_MS
-
-
-def draw_silent_duration_ns(cfg: LteSettings, rng: np.random.Generator) -> int:
-    """One randomized silent interval, whole subframes, at least 1 ms.
-
-    Uniform on [(1-spread), (1+spread)] x mean silent time, so the long-run
-    on fraction converges to the configured duty.  Requires duty < 1.
-    """
-    return _silent_ns(float(rng.uniform(*_silent_range_ms(cfg))))
 
 
 def occupied_band(cfg: LteSettings) -> SpectrumBand:
@@ -75,16 +60,13 @@ class LteNode:
 
     name = "lte"
 
-    def __init__(self, engine: Engine, cfg: LteSettings, medium) -> None:
+    def __init__(self, engine: Engine, medium, period: tuple) -> None:
         self.engine = engine
-        self.cfg = cfg
         self.medium = medium
-        # Only a duty strictly between 0 and 1 has silent periods to draw.
-        self.rng = engine.rng_stream(RNG_LABEL) if 0.0 < cfg.duty < 1.0 else None
+        self._on_ns, self._align_ns, self._silent_ms = period  # ns, ns, ms or None
+        self.rng = None if self._silent_ms is None else engine.rng_stream(RNG_LABEL)
         self.times: list[int] = []
         self._event = None  # the pending transition event
-        self._on_ns = on_duration_ns(cfg)
-        self._align_ns = cfg.frame_align_ms * NS_PER_MS
 
     @property
     def next_ns(self) -> int | None:
@@ -105,7 +87,7 @@ class LteNode:
         longest silence and a frame.  So every draw is used, and the stream
         ends where one draw per off by ``end_ns`` leaves it.
         """
-        low, high = _silent_range_ms(self.cfg)
+        low, high = self._silent_ms
         on, align, times = self._on_ns, self._align_ns, [0]
         longest_ns = on + _silent_ns(high) + align
         while (offs := (end_ns - times[-1] - on) // longest_ns + 1) > 0:

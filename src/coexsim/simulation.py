@@ -6,21 +6,83 @@ on and one while it is off.  ``Medium.lte_times`` records the LTE
 transitions so far, "on" at even indices: the LTE node's events append to it,
 and so does an untraced station that steps past transitions (the LTE node's
 ``advance_to``).  The LTE state, each packet's SINR window and the run's LTE
-airtime all derive from it.  Construction order matters: the LTE node draws
-its schedule and schedules its t=0 event before the station's start event, so
-a duty>0 run begins with the medium already marked busy.
+airtime all derive from it; what derives from the config alone is ``plan``'s.
+Construction order matters: the LTE node draws its schedule and schedules its
+t=0 event before the station's start event, so a duty>0 run begins with the
+medium already marked busy.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+from typing import NamedTuple
 
-from .config import RunConfig
-from .engine import NS_PER_S, Engine
-from .lte import LteNode, occupied_band
+import numpy as np
+
+from .config import LteSettings, RadioSettings, RunConfig, WifiSettings
+from .engine import NS_PER_MS, NS_PER_S, NS_PER_US, Engine
+from .lte import LteNode, occupied_band, on_duration_ns, silent_range_ms
 from .metrics import MetricsAccumulator, RunMetrics
-from .radio import SpectrumBand, noise_floor_dbm, overlap_fraction, sinr_db
-from .wifi import DcfStation, cca_busy
+from .radio import SpectrumBand, noise_floor_dbm, overlap_fraction, sinr_db, success_probability
+from .wifi import DcfStation, ack_airtime_us, ack_rate_mbps, cca_busy, frame_airtime_us
+
+
+class Plan(NamedTuple):
+    """What a run's set-up derives from its config alone; ``plan`` builds it."""
+
+    medium: tuple  # defer_to_lte, then sinr_rx and sinr_tx, each (LTE off, LTE on)
+    station: dict  # DcfStation's constants, by attribute name
+    period: tuple  # LteNode's on time and frame alignment (ns), silent range (ms) or None
+
+
+@functools.lru_cache(maxsize=1024)  # bounded: a process may run any number of configs
+def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
+    """What set-up derives from the config alone, once per config and shared by its
+    runs, so arrays are read-only; each run builds its engine, streams and state."""
+    gain_lte_tx, gain_lte_rx, gain_link = radio.link_gains()
+    wifi_band, lte_band = SpectrumBand(0.0, radio.wifi_bandwidth_mhz), occupied_band(lte)
+    noise = noise_floor_dbm(radio.wifi_bandwidth_mhz, radio.noise_figure_db)
+    cca, lte_at_sensor = wifi.cca(), lte.tx_power_dbm + gain_lte_tx
+    defer_to_lte = cca_busy(cca, lte_at_sensor, lte_band, wifi_band, radio.oob_floor_dbc)
+    # Receiver-side interference integrates over the demodulated channel.
+    # The peer's ACK comes at the same configured WiFi power over the
+    # reciprocal link, decoded where the LTE sits 34 cm away.
+    rx_fraction = overlap_fraction(lte_band, wifi_band, radio.oob_floor_dbc)
+    signal = wifi.tx_power_dbm + gain_link
+    clear = sinr_db(signal, [], noise)
+    sinr_rx = (clear, sinr_db(signal, [(lte.tx_power_dbm + gain_lte_rx, rx_fraction)], noise))
+    sinr_tx = (clear, sinr_db(signal, [(lte_at_sensor, rx_fraction)], noise))
+    mcs, slope_k = wifi.mcs_mbps, radio.soft_slope_k
+    data_air_ns = frame_airtime_us(mcs, wifi.payload_bytes, wifi) * NS_PER_US
+    ack_air_ns = ack_airtime_us(mcs, wifi) * NS_PER_US
+    data_threshold_db = radio.threshold_db(mcs)
+    ack_threshold_db = radio.threshold_db(ack_rate_mbps(mcs, wifi))
+    cw_ladder = [wifi.cw_min]  # cw after j consecutive failures is cw_ladder[min(j, top)]
+    while cw_ladder[-1] < wifi.cw_max:
+        cw_ladder.append(min(2 * (cw_ladder[-1] + 1) - 1, wifi.cw_max))
+    ladder_bits = np.array([cw.bit_length() for cw in cw_ladder])
+    ladder_bits.flags.writeable = False
+    # (data decoded, ACK decoded, odds) of a cycle in each LTE state, each frame over
+    # one SINR segment.  odds is None when those cycles all end alike (the hard PER
+    # rule, or data that cannot decode); else the soft rule's (p_data, p_ack).
+    outcomes = []
+    for on in (False, True):
+        p_data = success_probability(data_threshold_db, slope_k, [(data_air_ns, sinr_rx[on])])
+        p_ack = success_probability(ack_threshold_db, slope_k, [(ack_air_ns, sinr_tx[on])])
+        data_ok = p_data is not None
+        outcomes.append((data_ok, data_ok and p_ack is not None, None)
+                        if slope_k == 0.0 or not data_ok else (False, False, (p_data, p_ack)))
+    station = dict(
+        cca=cca, slope_k=slope_k, slot_ns=wifi.slot_us * NS_PER_US,
+        sifs_ns=wifi.sifs_us * NS_PER_US, difs_ns=wifi.difs_us * NS_PER_US,
+        data_air_ns=data_air_ns, ack_air_ns=ack_air_ns, data_threshold_db=data_threshold_db,
+        ack_threshold_db=ack_threshold_db, _cw_ladder=tuple(cw_ladder),
+        _ladder_bits=ladder_bits, _outcomes=tuple(outcomes))
+    # Only a duty strictly between 0 and 1 has silent periods to draw.
+    silent_ms = silent_range_ms(lte) if 0.0 < lte.duty < 1.0 else None
+    return Plan((defer_to_lte, sinr_rx, sinr_tx), station,
+                (on_duration_ns(lte), lte.frame_align_ms * NS_PER_MS, silent_ms))
 
 
 class Medium:
@@ -31,27 +93,8 @@ class Medium:
         self.station: DcfStation | None = None
         self.lte: LteNode | None = None
         self.lte_times: list[int] = []  # LTE transitions so far, "on" at even indices
-
-        r = cfg.radio
-        gain_lte_tx, gain_lte_rx, gain_link = r.link_gains()
-        wifi_band = SpectrumBand(0.0, r.wifi_bandwidth_mhz)
-        lte_band = occupied_band(cfg.lte)
-        noise = noise_floor_dbm(r.wifi_bandwidth_mhz, r.noise_figure_db)
-
-        lte_at_sensor = cfg.lte.tx_power_dbm + gain_lte_tx
-        self.defer_to_lte = cca_busy(cfg.wifi.cca(), lte_at_sensor, lte_band, wifi_band,
-                                     r.oob_floor_dbc)
-
-        # Receiver-side interference integrates over the demodulated channel.
-        # The peer's ACK comes at the same configured WiFi power over the
-        # reciprocal link, decoded where the LTE sits 34 cm away.  Each pair
-        # is (LTE off, LTE on).
-        rx_fraction = overlap_fraction(lte_band, wifi_band, r.oob_floor_dbc)
-        signal = cfg.wifi.tx_power_dbm + gain_link
-        lte_at_rx = cfg.lte.tx_power_dbm + gain_lte_rx
-        clear = sinr_db(signal, [], noise)
-        self.sinr_rx = (clear, sinr_db(signal, [(lte_at_rx, rx_fraction)], noise))
-        self.sinr_tx = (clear, sinr_db(signal, [(lte_at_sensor, rx_fraction)], noise))
+        self.plan = plan(cfg.lte, cfg.wifi, cfg.radio)
+        self.defer_to_lte, self.sinr_rx, self.sinr_tx = self.plan.medium
 
     @property
     def lte_on(self) -> bool:
@@ -105,16 +148,16 @@ class Simulation:
         self.acc = MetricsAccumulator()
         self.duration_ns = int(round(cfg.duration_s * NS_PER_S))
         self.medium = Medium(cfg, self.duration_ns)
+        p = self.medium.plan
 
         self.lte_node = None
         if include_lte:
-            self.lte_node = self.medium.lte = LteNode(self.engine, cfg.lte, self.medium)
+            self.lte_node = self.medium.lte = LteNode(self.engine, self.medium, p.period)
             self.lte_node.start()
 
         self.station = None
         if include_wifi:
-            self.station = DcfStation(self.engine, self.medium, cfg.wifi, cfg.radio,
-                                      self.acc)
+            self.station = DcfStation(self.engine, self.medium, cfg.wifi, p.station, self.acc)
             self.medium.station = self.station
             self.station.start()
 

@@ -12,11 +12,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .engine import NS_PER_US, Engine, trace_line
-from .radio import SpectrumBand, overlap_fraction, packet_outcome, success_probability
+from .engine import Engine, trace_line
+from .radio import SpectrumBand, overlap_fraction, packet_outcome
 
 if TYPE_CHECKING:
-    from .config import RadioSettings, WifiSettings
+    from .config import WifiSettings
 
 # Legacy OFDM rates: label (Mbps) -> data bits per 4 us symbol.
 BITS_PER_SYMBOL = {6: 24, 9: 36, 12: 48, 18: 72, 24: 96, 36: 144, 48: 192, 54: 216}
@@ -131,6 +131,8 @@ class BackoffStream:
     takes the next word's top b bits and b = 0 takes nothing.  The outputs
     are drawn in blocks, refilled as a function of the stream position
     alone, so per-window draws and chunked reads leave the generator alike.
+    The first block holds only the ``most_words`` its reader can read, up to
+    FAST_FORWARD_CHUNK outputs; a read past it refills, and is never short.
 
     ``stretch`` reads a run of cycles at one window from an int64 prefix sum
     of their lengths, kept until a refill rewrites the words.
@@ -140,11 +142,11 @@ class BackoffStream:
     # a refill adds FAST_FORWARD_CHUNK outputs.
     RESERVE = FAST_FORWARD_CHUNK // 2
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    def __init__(self, rng: np.random.Generator, most_words: int = 2 * FAST_FORWARD_CHUNK) -> None:
         self.rng = rng
         self._raw = np.empty(0, "<u8")
         self._w = 0  # next word; odd while a high half is pending
-        self._top_up()
+        self._top_up(min(-(-most_words // 2), FAST_FORWARD_CHUNK))
 
     def draw(self, cw: int) -> int:
         bits = cw.bit_length()
@@ -155,7 +157,7 @@ class BackoffStream:
     def peek(self, bits: np.ndarray) -> np.ndarray:
         """The next draws for up to FAST_FORWARD_CHUNK windows of these bit
         counts, each at most 32, without taking them."""
-        w = self._w
+        w = self._ahead(len(bits))
         if np.count_nonzero(bits) == len(bits):
             words = self._words[w:w + len(bits)]
         else:  # a zero window reads the next word and shifts all of it away
@@ -165,7 +167,8 @@ class BackoffStream:
 
     def peek_one(self, bits: int) -> int:
         """The next draw for a window of ``bits``, 0 to 32, without taking it."""
-        return int(self._words[self._w]) >> (32 - bits)
+        w = self._ahead(1)  # before the words: a refill replaces them
+        return int(self._words[w]) >> (32 - bits)
 
     def take(self, bits: np.ndarray) -> None:
         """Take the draws of windows of these bit counts (each at most 32)."""
@@ -183,7 +186,7 @@ class BackoffStream:
         far as the prefix reaches.  A prefix built here sums at most ``most``
         cycles.  Returns the prefix over those cycles, from the sum before
         them, and whether it ran out before the span did."""
-        w, prefix, key = self._w, self._prefix, (bits, base_ns, slot_ns)
+        w, prefix, key = self._ahead(most), self._prefix, (bits, base_ns, slot_ns)
         if prefix is None or key != self._key or w - self._at >= len(prefix) - 1:
             # int64 before the shift: a zero window shifts all 32 bits away.
             ks = self._words[w:w + most].astype(np.int64) >> (32 - bits)
@@ -194,15 +197,22 @@ class BackoffStream:
         self.skip((end - 1 - i) * (bits > 0))
         return prefix[i:end], end == len(prefix)
 
-    def _top_up(self) -> None:
+    def _ahead(self, n: int) -> int:
+        """The next word, with ``n`` words buffered from it."""
+        if self._w + n > len(self._words):
+            self._top_up()
+        return self._w
+
+    def _top_up(self, outputs: int = FAST_FORWARD_CHUNK) -> None:
         start = self._w // 2  # the first output not wholly spent
         self._raw = np.concatenate((self._raw[start:], self.rng.bit_generator.random_raw(
-            FAST_FORWARD_CHUNK)), dtype="<u8")
+            outputs)), dtype="<u8")
         self._words = self._raw.view("<u4")
         self._w -= 2 * start
         self._prefix = None
-        # RESERVE outputs lie past the next unsplit one while _w <= _limit.
-        self._limit = 2 * (len(self._raw) - self.RESERVE)
+        # RESERVE outputs lie past the next unsplit one while _w <= _limit.  A
+        # smaller first block holds all its reader reads: no position refills it.
+        self._limit = 2 * (len(self._raw) - self.RESERVE * (outputs == FAST_FORWARD_CHUNK))
 
 
 class DcfStation:
@@ -227,34 +237,22 @@ class DcfStation:
 
     name = "wifi-tx"
 
-    def __init__(self, engine: Engine, channel, params: WifiSettings,
-                 radio: RadioSettings, acc) -> None:
+    def __init__(self, engine: Engine, channel, params: WifiSettings, constants: dict,
+                 acc) -> None:
         self.engine = engine
         self.channel = channel
         self.params = params
-        mcs = params.mcs_mbps
-        self.cca = params.cca()
         self.payload_bytes = params.payload_bytes
         self.acc = acc
+        for name, value in constants.items():  # timings, thresholds, cw ladder, outcomes
+            setattr(self, name, value)  # one by one: a __dict__ update slows every read
         self.rng = engine.rng_stream("wifi-backoff")
-        self.backoff = BackoffStream(self.rng)
-        self.slope_k = radio.soft_slope_k
+        # A word at most per cycle, none shorter than DIFS, data, SIFS and ACK; 2 for peeks.
+        self.backoff = BackoffStream(self.rng, channel.end_ns // (
+            self.difs_ns + self.data_air_ns + self.sifs_ns + self.ack_air_ns) + 2)
         # The hard PER rule decodes without drawing, so it gets no decode stream.
         self.decode_rng = engine.rng_stream("wifi-decode") if self.slope_k != 0.0 else None
-
-        self.slot_ns = params.slot_us * NS_PER_US
-        self.sifs_ns = params.sifs_us * NS_PER_US
-        self.difs_ns = params.difs_us * NS_PER_US
-        self.data_air_ns = frame_airtime_us(mcs, self.payload_bytes, params) * NS_PER_US
-        self.ack_air_ns = ack_airtime_us(mcs, params) * NS_PER_US
-        self.data_threshold_db = radio.threshold_db(mcs)
-        self.ack_threshold_db = radio.threshold_db(ack_rate_mbps(mcs, params))
-        # cw after j consecutive failures; cw is always _cw_ladder[min(j, top)].
-        self._cw_ladder = [params.cw_min]
-        while self._cw_ladder[-1] < params.cw_max:
-            self._cw_ladder.append(min(2 * (self._cw_ladder[-1] + 1) - 1, params.cw_max))
-        self._ladder_bits = np.array([cw.bit_length() for cw in self._cw_ladder])
-        self._outcomes = off, on = self._cycle_outcomes(False), self._cycle_outcomes(True)
+        off, on = self._outcomes
         # An LTE that neither defers the station nor changes how a cycle ends bounds
         # no untraced step; traced lines must interleave with the LTE node's in order.
         self._feels_lte = (engine.trace is not None or channel.defer_to_lte or off != on
@@ -265,15 +263,11 @@ class DcfStation:
         self.consecutive_failures = 0
         self.pending_k: int | None = None  # residual backoff surviving a freeze
         self._event = None
-        self._backoff_k = 0
-        self._backoff_t0 = 0
-        self._tx_start = 0
+        self._backoff_k = self._backoff_t0 = self._tx_start = 0
         self._ack_window: tuple[int, int] | None = None
 
-        self.difs_completed = 0
-        self.backoff_slots_elapsed = 0
-        self.data_decode_failures = 0
-        self.ack_decode_failures = 0
+        self.difs_completed = self.backoff_slots_elapsed = 0
+        self.data_decode_failures = self.ack_decode_failures = 0
 
     def start(self) -> None:
         self.engine.schedule(self.engine.now, "cca-sample", self.name,
@@ -616,23 +610,6 @@ class DcfStation:
                 for n, at in enumerate(channel.lte_times[i:], i)]  # the transitions passed
             trace.append("".join(trace_line(*line) for line in sorted(lines)))
         return after if defer else ack_end if ok else last
-
-    def _cycle_outcomes(self, lte_on: bool):
-        """(data decoded, ACK decoded, odds) of the cycles in this LTE state,
-        each frame over one SINR segment of its airtime.
-
-        ``odds`` is None when those cycles all end alike (the hard PER rule,
-        or data that cannot decode); otherwise it is the soft rule's
-        (p_data, p_ack) to draw against, and the two flags are unused.
-        """
-        p_data = success_probability(self.data_threshold_db, self.slope_k,
-                                     [(self.data_air_ns, self.channel.sinr_rx[lte_on])])
-        p_ack = success_probability(self.ack_threshold_db, self.slope_k,
-                                    [(self.ack_air_ns, self.channel.sinr_tx[lte_on])])
-        if self.slope_k == 0.0 or p_data is None:
-            data_ok = p_data is not None
-            return data_ok, data_ok and p_ack is not None, None
-        return False, False, (p_data, p_ack)
 
     def _drawn_outcomes(self, m: int, p_data: float, p_ack: float | None):
         """Outcomes of the next ``m`` cycles from one chunk of decode draws.

@@ -1,8 +1,10 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from coexsim.config import RunConfig
+from coexsim.config import LteSettings, RunConfig
+from coexsim.lte import _silent_ns, silent_range_ms
 from coexsim.simulation import Simulation
 
 
@@ -22,6 +24,16 @@ def make_cfg(duty=0.5, lte_power=12.0, mcs=54, wifi_power=17.0, prb=100,
         wifi=dataclasses.replace(base.wifi, mcs_mbps=mcs, tx_power_dbm=wifi_power,
                                  cca_profile=profile, **wifi_extra),
     )
+
+
+def draw_silent_duration_ns(cfg: LteSettings, rng: np.random.Generator) -> int:
+    """One randomized silent interval, whole subframes, at least 1 ms.
+
+    Uniform on [(1-spread), (1+spread)] x mean silent time, so the long-run
+    on fraction converges to the configured duty.  Requires duty < 1.  The
+    LTE node draws its silent periods in blocks; this is the one-draw reference.
+    """
+    return _silent_ns(float(rng.uniform(*silent_range_ms(cfg))))
 
 
 def lte_transitions(sim) -> list[tuple[int, bool]]:

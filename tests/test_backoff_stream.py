@@ -10,11 +10,15 @@ step).
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from coexsim.config import ConfigError, RunConfig
 from coexsim.engine import Engine
-from coexsim.wifi import FAST_FORWARD_CHUNK, BackoffStream
+from coexsim.simulation import Simulation
+from coexsim.wifi import FAST_FORWARD_CHUNK, BackoffStream, DcfStation
+
+from conftest import make_cfg
 
 LABEL = "wifi-backoff"
 # Draws per example: past two refills even when every window is narrow.
@@ -26,10 +30,10 @@ def oracle_draws(seed, windows):
     return [int(rng.integers(0, cw + 1)) for cw in windows]
 
 
-def stream_draws(seed, windows, chunk):
+def stream_draws(seed, windows, chunk, most_words=2 * FAST_FORWARD_CHUNK):
     """Draw the windows in chunks of up to ``chunk`` windows as the step reads
-    them, or one at a time for 0."""
-    stream = BackoffStream(Engine(seed).rng_stream(LABEL))
+    them, or one at a time for 0, from a first block sized to ``most_words``."""
+    stream = BackoffStream(Engine(seed).rng_stream(LABEL), most_words)
     if not chunk:
         return [stream.draw(cw) for cw in windows]
     bits = np.array([cw.bit_length() for cw in windows])
@@ -40,23 +44,29 @@ def stream_draws(seed, windows, chunk):
     return ks
 
 
-@settings(max_examples=40, deadline=None)
+# First blocks sized to a short run: one output, one pending high half, a few.
+SIZED = (1, 3, 101)
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1),
        pattern=st.lists(st.integers(0, 32), min_size=1, max_size=12),
-       chunk=st.sampled_from([0, 1, 7, 300, FAST_FORWARD_CHUNK]))
-def test_draws_equal_numpy_bounded_draws(seed, pattern, chunk):
+       chunk=st.sampled_from([0, 1, 7, 300, FAST_FORWARD_CHUNK]),
+       most_words=st.sampled_from([2 * FAST_FORWARD_CHUNK, *SIZED]))
+def test_draws_equal_numpy_bounded_draws(seed, pattern, chunk, most_words):
+    # A sized first block is read past: its first refill is a read's, never short.
     windows = [2**b - 1 for b in (pattern * DRAWS)[:DRAWS]]
-    assert stream_draws(seed, windows, chunk) == oracle_draws(seed, windows)
+    assert stream_draws(seed, windows, chunk, most_words) == oracle_draws(seed, windows)
 
 
-def test_refills_depend_on_the_stream_position_alone():
-    # The same windows read one at a time and in chunks leave the generator
-    # in the same state, so the step and the events cannot tell apart.
+def end_states(most_words=2 * FAST_FORWARD_CHUNK):
+    """The generator's state after the same windows are read one at a time and
+    in chunks of 5 and of FAST_FORWARD_CHUNK."""
     windows = [2**b - 1 for b in [3, 0, 10, 32, 1] * 2000]
     states = []
     for chunk in (0, 5, FAST_FORWARD_CHUNK):
         rng = Engine(11).rng_stream(LABEL)
-        stream = BackoffStream(rng)
+        stream = BackoffStream(rng, most_words)
         bits = np.array([cw.bit_length() for cw in windows])
         for start in range(0, len(windows), chunk or 1):
             part = bits[start:start + (chunk or 1)]
@@ -66,7 +76,76 @@ def test_refills_depend_on_the_stream_position_alone():
             else:
                 stream.draw(windows[start])
         states.append(rng.bit_generator.state)
+    return states
+
+
+def test_refills_depend_on_the_stream_position_alone():
+    # The same windows read one at a time and in chunks leave the generator
+    # in the same state, so the step and the events cannot tell apart.
+    states = end_states()
     assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("most_words", SIZED)
+def test_refills_of_a_sized_stream_depend_on_the_stream_position_alone(most_words):
+    # Each read pattern takes every word it reads, so each passes a sized first
+    # block once, and the refills after it follow the position as before.
+    states = end_states(most_words)
+    assert states[0] == states[1] == states[2]
+
+
+def test_a_short_run_draws_a_block_sized_to_it():
+    # A 0.2 s default run takes about 166 words.  Its first block holds one
+    # word per shortest cycle (DIFS, data, SIFS and ACK), not FAST_FORWARD_CHUNK
+    # outputs, and it never refills.
+    sim = Simulation(RunConfig(duration_s=0.2), seed=3)
+    sim.run()
+    ahead = Engine(3).rng_stream(LABEL).bit_generator.random_raw(FAST_FORWARD_CHUNK).tolist()
+    drawn = ahead.index(int(sim.station.rng.bit_generator.random_raw()))  # outputs drawn
+    shortest_ns = (34 + 248 + 16 + 28) * 1_000
+    assert drawn == -(-(sim.duration_ns // shortest_ns + 2) // 2) < FAST_FORWARD_CHUNK
+    assert 150 < sim.station.difs_completed <= 2 * drawn
+
+
+@settings(max_examples=150, deadline=None)
+@given(duty=st.sampled_from([0.0, 0.2, 0.5, 1.0]), lte_power=st.sampled_from([-16.0, 12.0]),
+       mcs=st.sampled_from([6, 54]), profile=st.sampled_from(["vendor-A", "vendor-B"]),
+       mean_period_ms=st.sampled_from([5, 150]), soft_slope_k=st.sampled_from([0.0, 2.0]),
+       ed_threshold=st.sampled_from([None, 30.0]), retry_limit=st.sampled_from([0, 1, 7]),
+       slot_us=st.sampled_from([1, 9]), sifs_us=st.sampled_from([0, 16]),
+       cw_min=st.sampled_from([0, 1, 15]), payload_bytes=st.sampled_from([1, 1500]),
+       ack_bytes=st.sampled_from([0, 14]), duration=st.floats(0.001, 0.3),
+       trace=st.booleans(), events=st.booleans(), seed=st.integers(0, 2**32))
+def test_a_run_reads_no_word_past_its_first_block(duty, lte_power, mcs, profile,
+                                                  mean_period_ms, soft_slope_k, ed_threshold,
+                                                  retry_limit, slot_us, sifs_us, cw_min,
+                                                  payload_bytes, ack_bytes, duration, trace,
+                                                  events, seed):
+    # The bound a run sizes its block by holds on the step, the walk and the
+    # events alike: a block smaller than a refill is the only one drawn.
+    try:
+        cfg = make_cfg(duty=duty, lte_power=lte_power, mcs=mcs, profile=profile,
+                       mean_period_ms=mean_period_ms, duration=duration,
+                       soft_slope_k=soft_slope_k, cca_ed_threshold_dbm=ed_threshold,
+                       retry_limit=retry_limit, slot_us=slot_us, sifs_us=sifs_us,
+                       cw_min=cw_min, payload_bytes=payload_bytes, ack_bytes=ack_bytes,
+                       preamble_us=0, mac_overhead_bytes=0)
+    except ConfigError:
+        reject()
+    blocks = []
+    top_up = BackoffStream._top_up
+
+    def counted(stream, *outputs):
+        blocks.append(outputs)
+        top_up(stream, *outputs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BackoffStream, "_top_up", counted)
+        if events:
+            patch.setattr(DcfStation, "_skip_whole_cycles", lambda self, now: now)
+        Simulation(cfg, seed=seed, trace=trace).run()
+    if blocks[0] != (FAST_FORWARD_CHUNK,):
+        assert len(blocks) == 1
 
 
 CYCLE_NS = ((1_000, 7), (300, 1))  # (base_ns, slot_ns) of a prefix's cycles

@@ -188,6 +188,8 @@ class TestSweepPlanErrors:
         (["--grid", "wifi.mcs_mbps=54.7"], "wifi.mcs_mbps"),
         (["--grid", "lte.nonsense=1"], "lte.nonsense"),
         (["--grid", "lte.tx_power_dbm=nan"], "lte.tx_power_dbm"),
+        # Not 0, but too small for a float: it would run as duty 0.
+        (["--grid", "lte.duty=1e-400"], "lte.duty: '1e-400' is not 0"),
         # Each row would be written twice and summarised as one group.
         (["--grid", "lte.duty=0.5,0.5"], "'lte.duty' repeats a value in [0.5, 0.5]"),
         (["--grid", "lte.duty=50%,0.5"], "'lte.duty' repeats a value in [0.5, 0.5]"),
@@ -240,6 +242,7 @@ class TestRunInputErrors:
         (["run"], "[DEFAULT]\nduty = 0.3\n", "unknown section [DEFAULT]"),
         (["run"], "[DEFAULT]\nseed = 3\n[run]\n", "unknown section [DEFAULT]"),
         (["run"], "[lte]\ntx_power_dbm = nan\n", "tx_power_dbm"),
+        (["run"], "[lte]\nduty = 1e-400%\n", "lte.duty: '1e-400%' is not 0"),
         # Finite values whose link budget overflowed or took log10 of 0.
         (["run"], "[lte]\ntx_power_dbm = 1e308\n", "tx_power_dbm"),
         (["run"], "[radio]\noob_floor_dbc = -4000\n[lte]\ncenter_offset_mhz = 40\n",

@@ -58,6 +58,18 @@ class TestParsing:
     def test_duty_accepts_percent(self):
         assert parse_config("[lte]\nduty = 50%\n").lte.duty == 0.5
 
+    @pytest.mark.parametrize("token", ["0", "0.0", "-0.0", "0e5", "0%", "-0e-400%"])
+    def test_zero_tokens_are_zero(self, token):
+        assert parse_config(f"[lte]\nduty = {token}\n").lte.duty == 0.0
+
+    @pytest.mark.parametrize("key,token", [
+        ("duty", "1e-400"), ("duty", "1e-400%"), ("duty", "-1e-400"), ("duty", "1e-322%"),
+        ("tx_power_dbm", "2.5e-999"), ("center_offset_mhz", "1_0e-400")])
+    def test_nonzero_token_that_converts_to_zero_names_key(self, key, token):
+        # Too small for a float, it would otherwise run as 0.
+        with pytest.raises(ConfigError, match=f"lte.{key}: '{token}' is not 0"):
+            parse_config(f"[lte]\n{key} = {token}\n")
+
     def test_duty_out_of_range_names_key(self):
         with pytest.raises(ConfigError, match="duty"):
             parse_config("[lte]\nduty = 1.3\n")

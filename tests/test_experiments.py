@@ -1,4 +1,5 @@
 import multiprocessing
+import pickle
 import time
 
 import pytest
@@ -220,13 +221,17 @@ class TestChunkedPool:
 
 
 class RecordingExecutor:
-    """A ProcessPoolExecutor stand-in that records its size and maps in process."""
+    """A ProcessPoolExecutor stand-in that records its size and tasks, starts
+    its one worker in process and maps there."""
 
     built = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
         self.chunksize = None
+        self.tasks = None
+        if initializer is not None:
+            initializer(*initargs)
         RecordingExecutor.built.append(self)
 
     def __enter__(self):
@@ -237,7 +242,8 @@ class RecordingExecutor:
 
     def map(self, fn, iterable, chunksize=1):
         self.chunksize = chunksize
-        return map(fn, iterable)
+        self.tasks = list(iterable)
+        return map(fn, self.tasks)
 
 
 class TestPoolSize:
@@ -261,6 +267,16 @@ class TestPoolSize:
         assert len(result.rows) == 40
         assert [(p.max_workers, p.chunksize) for p in pools] == (
             [] if workers is None else [(workers, chunksize)])
+
+    def test_pool_tasks_carry_no_config(self, pools, monkeypatch):
+        # Each worker gets the planned runs once; a task is an index into them.
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        run_sweep(chunked_scenario(), master_seed=5, jobs=2)
+        [pool] = pools
+        assert len(pool.tasks) == 40
+        for task in pool.tasks:
+            assert not isinstance(task, (RunConfig, tuple))
+            assert len(pickle.dumps(task)) < 100
 
     def test_one_planned_run_starts_no_pool(self, pools, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from coexsim.config import ConfigError, LteSettings
 from coexsim.engine import NS_PER_MS, NS_PER_S, Engine
-from coexsim.lte import RNG_LABEL, draw_silent_duration_ns, occupied_band, on_duration_ns
+from coexsim.lte import RNG_LABEL, occupied_band, on_duration_ns
 from coexsim.simulation import Simulation
 
-from conftest import lte_transitions, make_cfg, run_sim
+from conftest import draw_silent_duration_ns, lte_transitions, make_cfg, run_sim
 
 
 class TestOnDuration:
