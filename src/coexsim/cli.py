@@ -29,16 +29,18 @@ def _load_config(path: str | None) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}"
                           ) from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 
 
 def _check_outputs(*paths: str | None) -> None:
     """Raise ConfigError unless each path is stdout or a distinct file we may write."""
     files = [path for path in paths if path is not None and path != "-"]
-    if len({os.path.realpath(path) for path in files}) < len(files):
-        raise ConfigError(f"output paths {', '.join(files)} name the same file twice")
     for path in files:
         parent = os.path.dirname(path) or "."
+        if "\0" in path:  # os.path raises ValueError on it
+            raise ConfigError(f"cannot write {path!r}: embedded null byte")
         if os.path.isdir(path):
             reason = "Is a directory"
         elif not os.path.isdir(parent):
@@ -48,6 +50,8 @@ def _check_outputs(*paths: str | None) -> None:
         else:
             continue
         raise ConfigError(f"cannot write {path}: {reason}")
+    if len({os.path.realpath(path) for path in files}) < len(files):
+        raise ConfigError(f"output paths {', '.join(files)} name the same file twice")
 
 
 def _write(path: str | None, chunks) -> None:

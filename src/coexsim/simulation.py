@@ -78,7 +78,9 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
         sifs_ns=wifi.sifs_us * NS_PER_US, difs_ns=wifi.difs_us * NS_PER_US,
         data_air_ns=data_air_ns, ack_air_ns=ack_air_ns, data_threshold_db=data_threshold_db,
         ack_threshold_db=ack_threshold_db, _cw_ladder=tuple(cw_ladder),
-        _ladder_bits=ladder_bits, _outcomes=tuple(outcomes))
+        _ladder_bits=ladder_bits, _outcomes=tuple(outcomes),
+        _data_clears=tuple(sinr >= data_threshold_db for sinr in sinr_rx),
+        _ack_clears=tuple(sinr >= ack_threshold_db for sinr in sinr_tx))
     # Only a duty strictly between 0 and 1 has silent periods to draw.
     silent_ms = silent_range_ms(lte) if 0.0 < lte.duty < 1.0 else None
     return Plan((defer_to_lte, sinr_rx, sinr_tx), station,
@@ -105,11 +107,6 @@ class Medium:
         """Carrier-sense verdict for the station (its own TX is not sensed)."""
         return self.lte_on and self.defer_to_lte
 
-    def quiet_until(self) -> int:
-        """The next LTE transition or the run end: a step's horizon if the station feels LTE."""
-        next_ns = None if self.lte is None else self.lte.next_ns
-        return self.end_ns if next_ns is None else min(next_ns, self.end_ns)
-
     def lte_switched(self, now: int) -> None:
         """Record an LTE transition at ``now`` and tell a deferring station."""
         self.lte_times.append(now)
@@ -130,6 +127,14 @@ class Medium:
         lo = bisect.bisect_right(times, t0)  # the transitions inside cut the window
         cuts = [t0, *times[lo:bisect.bisect_left(times, t1, lo)], t1]
         return [(b - a, sinr[(lo + j) % 2]) for j, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+
+    def clears(self, t0: int, t1: int, verdicts: tuple[bool, bool]) -> bool:
+        """Whether a hard-rule frame over [t0, t1) decodes, given whether its SINR
+        clears the threshold with LTE off and on: ``_window``'s split, unbuilt."""
+        times, lo = self.lte_times, bisect.bisect_right(self.lte_times, t0)
+        if lo < len(times) and times[lo] < t1:  # a transition inside: both states
+            return verdicts[0] and verdicts[1]
+        return verdicts[lo % 2]
 
     def sinr_trace_at_rx(self, t0: int, t1: int) -> list[tuple[int, float]]:
         return self._window(t0, t1, self.sinr_rx)

@@ -7,6 +7,7 @@ carrier sensing (profile-dependent) and through SINR at decode time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -157,7 +158,9 @@ class BackoffStream:
     def peek(self, bits: np.ndarray) -> np.ndarray:
         """The next draws for up to FAST_FORWARD_CHUNK windows of these bit
         counts, each at most 32, without taking them."""
-        w = self._ahead(len(bits))
+        if self._w + len(bits) > len(self._words):
+            self._top_up()
+        w = self._w
         if np.count_nonzero(bits) == len(bits):
             words = self._words[w:w + len(bits)]
         else:  # a zero window reads the next word and shifts all of it away
@@ -167,8 +170,9 @@ class BackoffStream:
 
     def peek_one(self, bits: int) -> int:
         """The next draw for a window of ``bits``, 0 to 32, without taking it."""
-        w = self._ahead(1)  # before the words: a refill replaces them
-        return int(self._words[w]) >> (32 - bits)
+        if self._w >= len(self._words):  # before the words: a refill replaces them
+            self._top_up()
+        return self._words.item(self._w) >> (32 - bits)
 
     def take(self, bits: np.ndarray) -> None:
         """Take the draws of windows of these bit counts (each at most 32)."""
@@ -180,28 +184,32 @@ class BackoffStream:
         if self._w > self._limit:
             self._top_up()
 
-    def stretch(self, bits: int, base_ns: int, slot_ns: int, span_ns: int, most: int):
-        """Take the draws of the next cycles, each ``base_ns`` plus k slots
-        for a window of ``bits`` (0 to 32), that end before ``span_ns``, as
-        far as the prefix reaches.  A prefix built here sums at most ``most``
-        cycles.  Returns the prefix over those cycles, from the sum before
-        them, and whether it ran out before the span did."""
-        w, prefix, key = self._ahead(most), self._prefix, (bits, base_ns, slot_ns)
+    def stretch(self, bits: int, base_ns: int, slot_ns: int, span_ns: int, most: int,
+                traced: bool = False):
+        """Take the draws of the next cycles, each ``base_ns`` plus k slots for a
+        window of ``bits`` (0 to 32), that end before ``span_ns``, as far as the
+        prefix reaches: one built here sums at most ``most`` cycles, and untraced,
+        ``most`` cycles that all fit are only added up.  Returns how many cycles
+        that is and their length, as Python ints, whether the prefix ran out before
+        the span did, and for traced lines the prefix from the sum before them."""
+        if self._w + most > len(self._words):
+            self._top_up()
+        w, prefix, key = self._w, self._prefix, (bits, base_ns, slot_ns)
         if prefix is None or key != self._key or w - self._at >= len(prefix) - 1:
             # int64 before the shift: a zero window shifts all 32 bits away.
             ks = self._words[w:w + most].astype(np.int64) >> (32 - bits)
-            prefix = np.concatenate(([0], np.cumsum(ks * slot_ns + base_ns)))
+            if not traced and (length := most * base_ns + int(ks.sum()) * slot_ns) < span_ns:
+                self.skip(most * (bits > 0))
+                return most, length, True, None
+            # A memoryview reads Python ints, and bisect searches it without numpy calls.
+            prefix = memoryview(np.concatenate(([0], np.cumsum(ks * slot_ns + base_ns))))
             self._prefix, self._key, self._at = prefix, key, w
         i = w - self._at
-        end = int(prefix.searchsorted(int(prefix[i]) + span_ns))
+        start = prefix[i]
+        end = bisect.bisect_left(prefix, start + span_ns, i)
         self.skip((end - 1 - i) * (bits > 0))
-        return prefix[i:end], end == len(prefix)
-
-    def _ahead(self, n: int) -> int:
-        """The next word, with ``n`` words buffered from it."""
-        if self._w + n > len(self._words):
-            self._top_up()
-        return self._w
+        return (end - 1 - i, prefix[end - 1] - start, end == len(prefix),
+                prefix.obj[i:end] if traced else None)
 
     def _top_up(self, outputs: int = FAST_FORWARD_CHUNK) -> None:
         start = self._w // 2  # the first output not wholly spent
@@ -289,7 +297,12 @@ class DcfStation:
                                               self._difs_end)
 
     def _difs_end(self) -> None:
-        k = self._take_backoff()
+        """Count the DIFS and take its backoff: a frozen residual, or a fresh draw
+        (``rng.integers(0, cw + 1)``'s value, from the words the step reads)."""
+        self.difs_completed += 1
+        k, self.pending_k = self.pending_k, None
+        if k is None:
+            k = self.backoff.draw(self.cw)
         if k == 0:
             self._start_tx()
             return
@@ -298,15 +311,6 @@ class DcfStation:
         self._backoff_t0 = self.engine.now
         self._event = self.engine.schedule_in(k * self.slot_ns, "backoff-slot", self.name,
                                               self._backoff_done, f"k={k}")
-
-    def _take_backoff(self) -> int:
-        """Count a DIFS that ended and take its backoff: a frozen residual, or a fresh
-        draw (``rng.integers(0, cw + 1)``'s value, from the words the step reads)."""
-        self.difs_completed += 1
-        k, self.pending_k = self.pending_k, None
-        if k is None:
-            k = self.backoff.draw(self.cw)
-        return k
 
     def _backoff_done(self) -> None:
         self.backoff_slots_elapsed += self._backoff_k
@@ -338,18 +342,21 @@ class DcfStation:
                                                self.name, self._ack_timeout)
 
     def _data_decodes(self, t0: int, t1: int) -> bool:
-        """Add a data frame over [t0, t1) to the airtime and decode it."""
+        """Add a data frame over [t0, t1) to the airtime and decode it: under the
+        hard rule, from the verdicts of the LTE states it spans."""
         self.acc.add_wifi(t0, t1)
-        ok = packet_outcome(self.data_threshold_db, self.slope_k,
-                            self.channel.sinr_trace_at_rx(t0, t1), self.decode_rng)
+        ok = (self.channel.clears(t0, t1, self._data_clears) if self.decode_rng is None else
+              packet_outcome(self.data_threshold_db, self.slope_k,
+                             self.channel.sinr_trace_at_rx(t0, t1), self.decode_rng))
         self.data_decode_failures += not ok
         return ok
 
     def _ack_decodes(self, t0: int, t1: int) -> bool:
         """Add an ACK over [t0, t1) to the airtime and decode it."""
         self.acc.add_wifi(t0, t1)
-        ok = packet_outcome(self.ack_threshold_db, self.slope_k,
-                            self.channel.sinr_trace_at_tx(t0, t1), self.decode_rng)
+        ok = (self.channel.clears(t0, t1, self._ack_clears) if self.decode_rng is None else
+              packet_outcome(self.ack_threshold_db, self.slope_k,
+                             self.channel.sinr_trace_at_tx(t0, t1), self.decode_rng))
         self.ack_decode_failures += not ok
         return ok
 
@@ -414,11 +421,13 @@ class DcfStation:
         station advanced to: ``now`` if it did not.
         """
         start, lte, end, walked = now, self.channel.lte, self.channel.end_ns, False
+        recorded, times = self.channel.lte_times, lte.times if self._feels_lte and lte else ()
         tail_ns = self.data_air_ns + self.sifs_ns + self.ack_air_ns  # tx start to ACK end
         base_ns = self.difs_ns + tail_ns
         while True:
-            horizon = self.channel.quiet_until() if self._feels_lte else end
-            data_ok, ack_ok, odds = self._outcomes[self.channel.lte_on]
+            i = len(recorded)  # the next LTE transition bounds the step if the station feels it
+            horizon = min(times[i], end) if i < len(times) else end
+            data_ok, ack_ok, odds = self._outcomes[i % 2]
             if odds is None and ack_ok:
                 t = self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
             else:
@@ -527,15 +536,16 @@ class DcfStation:
         while more:
             # Cycles that can still end before the run does, plus one: never 0.
             most = min(FAST_FORWARD_CHUNK, (self.channel.end_ns - t) // base_ns + 1)
-            prefix, more = stream.stretch(bits, base_ns, slot_ns, horizon - t, most)
-            if trace is not None and (first or len(prefix) > 1):
+            n, span_ns, more, prefix = stream.stretch(bits, base_ns, slot_ns, horizon - t, most,
+                                                      trace is not None)
+            if trace is not None and (first or n):
                 bounds = t + (prefix - prefix[0])  # where these cycles start and end
                 if first:
                     bounds, first = np.concatenate(([now], bounds)), False
                 ks, ok = (np.diff(bounds) - base_ns) // slot_ns, np.ones(len(bounds) - 1, bool)
                 self._trace_cycles(trace, bounds[1:], bounds[1:] - tail_ns, ks, ok, ok)
-            cycles += len(prefix) - 1
-            t += int(prefix[-1]) - int(prefix[0])
+            cycles += n
+            t += span_ns
         self.acc.wifi_airtime_ns += cycles * (self.data_air_ns + self.ack_air_ns)
         self.acc.attempts += cycles
         self.acc.delivered_payload_bytes += cycles * self.payload_bytes
@@ -552,14 +562,14 @@ class DcfStation:
         The onset cuts its DIFS short, freezes its backoff (at once under
         mid-packet abort or on a slot boundary, else at the next one), or
         finds a frame in flight or in vendor-B's last slot.  A station that
-        does not defer contends again where the cycle ends.  A frame is
-        decoded over ``Medium._window``'s split, then its ACK or timeout,
-        retry ladder and drop are counted as the events count them.  A traced
-        run gets the lines of the cycle's events and of the transitions
-        passed, in time order.  Returns None, changing nothing, for an edge
-        left to the events: a station event on the transition, a last event
-        at or past the next transition or the run end, or a resume whose DIFS
-        would end on the next one.
+        does not defer contends again where the cycle ends.  The word peeked
+        is taken, a frame decodes over the LTE states it spans, and its ACK or
+        timeout, retry ladder and drop are counted as the events count them.
+        A traced run gets the lines of the cycle's events and of the
+        transitions passed, in time order.  Returns None, changing nothing,
+        for an edge left to the events: a station event on the transition, a
+        last event at or past the next transition or the run end, or a resume
+        whose DIFS would end on the next one.
         """
         channel, slot, defer = self.channel, self.slot_ns, self.channel.defer_to_lte
         times, i, end = channel.lte.times, len(channel.lte_times), channel.end_ns
@@ -586,11 +596,12 @@ class DcfStation:
         if last >= after or horizon in (difs_end, tx_start, tx_end, ack_end, ack_end + slot):
             return None
         channel.lte.advance_to(after if defer else horizon)
-        if difs_ended := frozen is None or horizon > difs_end:
-            self._take_backoff()
+        if difs_ended := frozen is None or horizon > difs_end:  # it takes the k peeked
+            self.difs_completed += 1
+            self.backoff.skip(self.pending_k is None and self.cw > 0)
+        self.pending_k = None if frozen is None else frozen[1]
         if frozen is not None:
             self.backoff_slots_elapsed += frozen[0]
-            self.pending_k = frozen[1]
         else:
             self.backoff_slots_elapsed += k
             self.acc.attempts += 1

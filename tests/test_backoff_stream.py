@@ -161,13 +161,20 @@ def stretch_ops():
     return st.lists(stretch | st.integers(0, 32), min_size=1, max_size=12)
 
 
+EXAMPLE_OPS = [(20, 300, CYCLE_NS[0]), 3, 7, (20, 7, CYCLE_NS[0]), (20, 7, CYCLE_NS[1]),
+               (5000, FAST_FORWARD_CHUNK, CYCLE_NS[0]), 1, (20, 7, CYCLE_NS[0])]
+
+
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), bits=st.integers(0, 32), ops=stretch_ops())
+@given(seed=st.integers(0, 2**64 - 1), bits=st.integers(0, 32), ops=stretch_ops(),
+       traced=st.booleans())
 # The draws of 3 and 7 bits leave a high half pending before the second stretch.
-@example(seed=5, bits=4, ops=[(20, 300, CYCLE_NS[0]), 3, 7, (20, 7, CYCLE_NS[0]),
-                              (20, 7, CYCLE_NS[1]), (5000, FAST_FORWARD_CHUNK, CYCLE_NS[0]),
-                              1, (20, 7, CYCLE_NS[0])])
-def test_prefix_equals_cycles_of_single_draws(seed, bits, ops):
+# Untraced, the 7-cycle blocks and the first 4,096-cycle one all fit and are summed,
+# and a zero window sums blocks that take no word.
+@example(seed=5, bits=4, ops=EXAMPLE_OPS, traced=True)
+@example(seed=5, bits=4, ops=EXAMPLE_OPS, traced=False)
+@example(seed=5, bits=0, ops=EXAMPLE_OPS, traced=False)
+def test_prefix_equals_cycles_of_single_draws(seed, bits, ops, traced):
     read = BackoffStream(Engine(seed).rng_stream(LABEL))
     single = BackoffStream(Engine(seed).rng_stream(LABEL))
     for op in ops:
@@ -178,11 +185,12 @@ def test_prefix_equals_cycles_of_single_draws(seed, bits, ops):
         span_ns = int(cycles * (base_ns + (2**bits - 1) / 2 * slot_ns)) + 1
         more = True
         while more:  # as the station reads it, one prefix after another
-            prefix, more = read.stretch(bits, base_ns, slot_ns, span_ns, most)
-            lengths = [base_ns + single.draw(2**bits - 1) * slot_ns
-                       for _ in range(len(prefix) - 1)]
-            assert np.diff(prefix).tolist() == lengths
-            span_ns -= sum(lengths)
+            n, length, more, prefix = read.stretch(bits, base_ns, slot_ns, span_ns, most,
+                                                   traced)
+            lengths = [base_ns + single.draw(2**bits - 1) * slot_ns for _ in range(n)]
+            assert np.diff(prefix).tolist() == lengths if traced else prefix is None
+            assert type(n) is type(length) is int and length == sum(lengths)
+            span_ns -= length
             assert span_ns > 0
         # The stretch stopped at the first cycle that does not end before the span.
         k = single.draw(2**bits - 1)
@@ -196,5 +204,13 @@ def test_a_cycle_that_ends_at_the_span_is_left(bits):
     single = BackoffStream(Engine(3).rng_stream(LABEL))
     ends = np.cumsum([base_ns + single.draw(2**bits - 1) * slot_ns for _ in range(10)])
     read = BackoffStream(Engine(3).rng_stream(LABEL))
-    prefix, more = read.stretch(bits, base_ns, slot_ns, int(ends[-1]), 100)
+    n, length, more, prefix = read.stretch(bits, base_ns, slot_ns, int(ends[-1]), 100, True)
     assert (prefix - prefix[0]).tolist() == [0, *ends[:-1].tolist()] and not more
+    assert (n, length) == (9, ends[-2])
+    # Untraced, it reads the same cycles and builds no slice of the prefix.  Ten
+    # cycles at most: the tenth ends at the span, so they do not all fit.  Nine
+    # at most all fit: summed, not searched, and the span goes on.
+    for most, goes_on in ((100, False), (10, False), (9, True)):
+        untraced = BackoffStream(Engine(3).rng_stream(LABEL))
+        assert untraced.stretch(bits, base_ns, slot_ns, int(ends[-1]), most) == (
+            n, length, goes_on, None)

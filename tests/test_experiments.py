@@ -255,7 +255,7 @@ class TestPoolSize:
         return RecordingExecutor.built
 
     @pytest.mark.parametrize("cores, workers, chunksize", [
-        (64, 40, 1),   # one worker per planned run, not 500
+        (64, 39, 1),   # one worker per run left after the first, not 500
         (4, 4, 1),     # one per core: 40 runs in chunks of ceil(40 / 64)
         (2, 2, 2),     # ceil(40 / 32)
         (None, None, None),  # an unknown core count gives one worker: no pool
@@ -270,10 +270,11 @@ class TestPoolSize:
 
     def test_pool_tasks_carry_no_config(self, pools, monkeypatch):
         # Each worker gets the planned runs once; a task is an index into them.
+        # The first of the 40 runs in this process, before the pool forks.
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         run_sweep(chunked_scenario(), master_seed=5, jobs=2)
         [pool] = pools
-        assert len(pool.tasks) == 40
+        assert len(pool.tasks) == 39
         for task in pool.tasks:
             assert not isinstance(task, (RunConfig, tuple))
             assert len(pickle.dumps(task)) < 100

@@ -2,16 +2,20 @@
 
 ``Medium.lte_times`` holds the LTE transitions so far, "on" at even indices.
 A window is a list of (duration_ns, sinr_db) segments; the old per-packet
-trace builder stays here as the oracle the windows must equal.
+trace builder stays here as the oracle the windows must equal, and the
+windows are the oracle of the hard rule's per-state verdicts.
 """
 
 import bisect
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coexsim.config import RunConfig
+from coexsim.radio import packet_outcome
 from coexsim.simulation import Medium
+
+from conftest import make_cfg
 
 
 def old_trace(times, t0, t1, on_value, off_value):
@@ -69,3 +73,33 @@ def test_carrier_sense_follows_the_parity_of_the_record():
     for t, busy in ((0, True), (75, False), (150, True)):
         medium.lte_switched(t)
         assert medium.lte_on == medium.busy == busy
+
+
+# Frames that clear the threshold with LTE off and on, off only, or never.
+VERDICT_CFGS = [make_cfg(lte_power=power, mcs=mcs, wifi_power=wifi_power)
+                for power in (-16.0, 12.0) for mcs in (6, 54) for wifi_power in (17.0, -60.0)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(cfg=st.sampled_from(VERDICT_CFGS), ack=st.booleans(), swapped=st.booleans(),
+       times=st.lists(st.integers(0, 2000), unique=True).map(sorted),
+       t0=st.integers(0, 2100), inside=st.integers(0, 4), past=st.integers(0, 100))
+def test_hard_rule_verdicts_equal_packet_outcome_over_the_window(cfg, ack, swapped, times,
+                                                                 t0, inside, past):
+    # A frame over 0, 1 or several transitions, which may fall on its start or
+    # end; swapped, the frame clears with LTE on and not off.
+    later = [t for t in times if t > t0]
+    assume(len(later) >= inside)
+    t1 = (later[inside - 1] if inside else t0) + 1 + past
+    t1 = min(t1, later[inside]) if inside < len(later) else t1
+    medium = Medium(cfg, 10**9)
+    medium.lte_times = times
+    station = medium.plan.station
+    threshold, sinr, clears = ((station["ack_threshold_db"], medium.sinr_tx, station["_ack_clears"])
+                               if ack else (station["data_threshold_db"], medium.sinr_rx,
+                                            station["_data_clears"]))
+    if swapped:
+        sinr, clears = sinr[::-1], clears[::-1]
+    window = medium._window(t0, t1, sinr)
+    assert len(window) == inside + 1
+    assert medium.clears(t0, t1, clears) == packet_outcome(threshold, 0.0, window, None)
