@@ -13,7 +13,7 @@ Normalization divides by the duty-0 run sharing all non-LTE parameters and
 the same rep index, which makes duty-0 rows exactly 1.0.
 
 A sweep is planned in full, and so every config built and checked, before
-any run starts.  Pool workers fork after the first run, then get indices in chunks.
+any run starts.  Pool workers fork warm if runs outnumber them, then get indices in chunks.
 """
 
 from __future__ import annotations
@@ -264,19 +264,21 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
             row_keys.append((point, rep, plan_run(cfg, run_text, rep, label),
                              plan_run(baseline_cfg, base_text, rep, f"baseline for {label}")))
 
-    # The first run goes here, so a pool's workers fork warm (numpy.random loaded, code
-    # run).  A fork pool starts all its workers at the first submit, so it gets no
-    # more than there are runs left or cores.  One chunk holds about 1/16 of a
-    # worker's share: few enough round trips for millisecond runs, small
-    # enough that the last chunk's tail stays short when runs take seconds.
+    # A fork pool starts all its workers at the first submit, so it gets no
+    # more than there are runs or cores.  With more runs than workers, the first
+    # goes here, so the workers fork warm (numpy.random loaded, code run) and
+    # every one still has a run.  One chunk holds about 1/16 of a worker's
+    # share: few enough round trips for millisecond runs, small enough that
+    # the last chunk's tail stays short when runs take seconds.
     # A failing run raises here or in map, which cancels chunks not yet started.
     payloads = list(runs.values())
-    workers = min(jobs, len(runs) - 1, os.cpu_count() or 1)
-    outcomes = [_execute(payloads[0])] if workers > 1 else map(_execute, payloads)
-    if workers > 1:
+    workers = min(jobs, len(runs), os.cpu_count() or 1)
+    here = len(runs) if workers == 1 else int(len(runs) > workers)
+    outcomes = [_execute(payload) for payload in payloads[:here]]
+    if here < len(runs):
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_payloads,
                                  initargs=(payloads,)) as pool:
-            outcomes += pool.map(_execute_at, range(1, len(payloads)),
+            outcomes += pool.map(_execute_at, range(here, len(payloads)),
                                  chunksize=-(-len(runs) // (16 * workers)))
     results = dict(zip(runs, outcomes))
 

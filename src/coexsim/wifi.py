@@ -188,19 +188,16 @@ class BackoffStream:
                 traced: bool = False):
         """Take the draws of the next cycles, each ``base_ns`` plus k slots for a
         window of ``bits`` (0 to 32), that end before ``span_ns``, as far as the
-        prefix reaches: one built here sums at most ``most`` cycles, and untraced,
-        ``most`` cycles that all fit are only added up.  Returns how many cycles
-        that is and their length, as Python ints, whether the prefix ran out before
-        the span did, and for traced lines the prefix from the sum before them."""
+        prefix reaches: one built here sums at most ``most`` cycles.  Returns how
+        many cycles that is and their length, as Python ints, whether the prefix
+        ran out before the span did, and for traced lines the prefix from the sum
+        before them."""
         if self._w + most > len(self._words):
             self._top_up()
         w, prefix, key = self._w, self._prefix, (bits, base_ns, slot_ns)
         if prefix is None or key != self._key or w - self._at >= len(prefix) - 1:
             # int64 before the shift: a zero window shifts all 32 bits away.
             ks = self._words[w:w + most].astype(np.int64) >> (32 - bits)
-            if not traced and (length := most * base_ns + int(ks.sum()) * slot_ns) < span_ns:
-                self.skip(most * (bits > 0))
-                return most, length, True, None
             # A memoryview reads Python ints, and bisect searches it without numpy calls.
             prefix = memoryview(np.concatenate(([0], np.cumsum(ks * slot_ns + base_ns))))
             self._prefix, self._key, self._at = prefix, key, w

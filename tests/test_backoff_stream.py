@@ -169,8 +169,8 @@ EXAMPLE_OPS = [(20, 300, CYCLE_NS[0]), 3, 7, (20, 7, CYCLE_NS[0]), (20, 7, CYCLE
 @given(seed=st.integers(0, 2**64 - 1), bits=st.integers(0, 32), ops=stretch_ops(),
        traced=st.booleans())
 # The draws of 3 and 7 bits leave a high half pending before the second stretch.
-# Untraced, the 7-cycle blocks and the first 4,096-cycle one all fit and are summed,
-# and a zero window sums blocks that take no word.
+# Untraced too: the 7-cycle prefixes and the first 4,096-cycle one all fit, and a
+# zero window's cycles take no word.
 @example(seed=5, bits=4, ops=EXAMPLE_OPS, traced=True)
 @example(seed=5, bits=4, ops=EXAMPLE_OPS, traced=False)
 @example(seed=5, bits=0, ops=EXAMPLE_OPS, traced=False)
@@ -209,7 +209,7 @@ def test_a_cycle_that_ends_at_the_span_is_left(bits):
     assert (n, length) == (9, ends[-2])
     # Untraced, it reads the same cycles and builds no slice of the prefix.  Ten
     # cycles at most: the tenth ends at the span, so they do not all fit.  Nine
-    # at most all fit: summed, not searched, and the span goes on.
+    # at most all fit: the prefix runs out before the span does.
     for most, goes_on in ((100, False), (10, False), (9, True)):
         untraced = BackoffStream(Engine(3).rng_stream(LABEL))
         assert untraced.stretch(bits, base_ns, slot_ns, int(ends[-1]), most) == (

@@ -255,7 +255,7 @@ class TestPoolSize:
         return RecordingExecutor.built
 
     @pytest.mark.parametrize("cores, workers, chunksize", [
-        (64, 39, 1),   # one worker per run left after the first, not 500
+        (64, 40, 1),   # one worker per planned run, not 500
         (4, 4, 1),     # one per core: 40 runs in chunks of ceil(40 / 64)
         (2, 2, 2),     # ceil(40 / 32)
         (None, None, None),  # an unknown core count gives one worker: no pool
@@ -270,7 +270,7 @@ class TestPoolSize:
 
     def test_pool_tasks_carry_no_config(self, pools, monkeypatch):
         # Each worker gets the planned runs once; a task is an index into them.
-        # The first of the 40 runs in this process, before the pool forks.
+        # The first of the 40 runs goes here, before the pool's 2 workers fork.
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         run_sweep(chunked_scenario(), master_seed=5, jobs=2)
         [pool] = pools
@@ -278,6 +278,19 @@ class TestPoolSize:
         for task in pool.tasks:
             assert not isinstance(task, (RunConfig, tuple))
             assert len(pickle.dumps(task)) < 100
+
+    @pytest.mark.parametrize("duties, tasks", [
+        ([0.5], 2),        # one point and its duty-0 baseline: both in the pool
+        ([0.25, 0.5], 2),  # 3 runs: the first here, one for each worker
+    ])
+    def test_a_pool_gets_a_run_for_each_worker(self, pools, monkeypatch, duties, tasks):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        scenario = Scenario("two", RunConfig(), [("lte.duty", duties)], reps=1,
+                            duration_s=0.05)
+        result = run_sweep(scenario, master_seed=5, jobs=2)
+        [pool] = pools
+        assert (pool.max_workers, len(pool.tasks)) == (2, tasks)
+        assert len(result.rows) == len(duties)
 
     def test_one_planned_run_starts_no_pool(self, pools, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
