@@ -102,6 +102,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         scenario.override_grid(path, values.split(","))
     if (args.jobs or 0) < 0:
         raise ConfigError(f"--jobs must be >= 0 (0 uses all cores), got {args.jobs}")
+    if not 0 <= args.seed < 2**64:  # the range of the run seeds it derives
+        raise ConfigError(f"--seed must be in [0, 2^64 - 1], got {args.seed}")
     jobs = args.jobs or os.cpu_count() or 1
     out = args.out or f"{scenario.name}_sweep.csv"
     summary = args.summary or (out if out == "-" else _summary_path(out))

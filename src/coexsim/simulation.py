@@ -63,16 +63,20 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
         cw_ladder.append(min(2 * (cw_ladder[-1] + 1) - 1, wifi.cw_max))
     ladder_bits = np.array([cw.bit_length() for cw in cw_ladder])
     ladder_bits.flags.writeable = False
-    # (data decoded, ACK decoded, odds) of a cycle in each LTE state, each frame over
-    # one SINR segment.  odds is None when those cycles all end alike (the hard PER
-    # rule, or data that cannot decode); else the soft rule's (p_data, p_ack).
+    # (data decoded, ACK decoded, odds, decode draws) of a cycle in each LTE state, each
+    # frame over one SINR segment.  odds is None when those cycles all end alike: the
+    # hard PER rule, data that cannot decode, or soft odds each exactly 1.0 or None (a
+    # sure failure); a soft cycle then draws once per frame sent that can decode.  Else
+    # odds are the soft rule's (p_data, p_ack), drawn in chunks, and draws is None.
     outcomes = []
     for on in (False, True):
         p_data = success_probability(data_threshold_db, slope_k, [(data_air_ns, sinr_rx[on])])
         p_ack = success_probability(ack_threshold_db, slope_k, [(ack_air_ns, sinr_tx[on])])
         data_ok = p_data is not None
-        outcomes.append((data_ok, data_ok and p_ack is not None, None)
-                        if slope_k == 0.0 or not data_ok else (False, False, (p_data, p_ack)))
+        ack_ok = data_ok and p_ack is not None
+        outcomes.append((data_ok, ack_ok, None, (data_ok + ack_ok) * (slope_k != 0.0))
+                        if not data_ok or p_data == 1.0 and p_ack in (None, 1.0)
+                        else (False, False, (p_data, p_ack), None))
     station = dict(
         cca=cca, slope_k=slope_k, slot_ns=wifi.slot_us * NS_PER_US,
         sifs_ns=wifi.sifs_us * NS_PER_US, difs_ns=wifi.difs_us * NS_PER_US,

@@ -259,9 +259,10 @@ class DcfStation:
         self.decode_rng = engine.rng_stream("wifi-decode") if self.slope_k != 0.0 else None
         off, on = self._outcomes
         # An LTE that neither defers the station nor changes how a cycle ends bounds
-        # no untraced step; traced lines must interleave with the LTE node's in order.
+        # no untraced step unless the cycles draw decodes; traced lines must
+        # interleave with the LTE node's in order.
         self._feels_lte = (engine.trace is not None or channel.defer_to_lte or off != on
-                           or off[2] is not None)
+                           or off[3] != 0)
 
         self.state = "blocked"
         self.cw = params.cw_min
@@ -402,10 +403,11 @@ class DcfStation:
         timeout, or the resume after an undecoded ACK) if it failed.  Until the
         next LTE transition or the run end the SINR at both ends is constant,
         and an LTE that ``_feels_lte`` rules out changes nothing.  Under the
-        hard PER rule, or when the data cannot decode, every cycle then has
-        the same outcome and the cycles differ only in their backoff draws;
-        ``_skip_clean_cycles`` takes a stretch where that outcome is success,
-        ``_skip_chunks`` the rest.
+        hard PER rule, when the data cannot decode, or under soft odds that
+        are each 0 or 1, every cycle then has the same outcome and the cycles
+        differ only in their backoff draws; ``_skip_clean_cycles`` takes a
+        stretch where that outcome is success, ``_skip_chunks`` the rest.  A
+        soft run's decode stream then jumps past the draws those cycles take.
 
         The step walks on: ``_walk_edge`` settles the cycle that crosses a
         transition, and the step goes on from where contention resumes, up to
@@ -424,11 +426,14 @@ class DcfStation:
         while True:
             i = len(recorded)  # the next LTE transition bounds the step if the station feels it
             horizon = min(times[i], end) if i < len(times) else end
-            data_ok, ack_ok, odds = self._outcomes[i % 2]
+            data_ok, ack_ok, odds, draws = self._outcomes[i % 2]
+            cycles = self.difs_completed
             if odds is None and ack_ok:
                 t = self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
             else:
                 t = self._skip_chunks(now, horizon, base_ns, tail_ns, data_ok, odds)
+            if draws:  # certain soft odds: skip the decode draws the cycles took
+                self.decode_rng.bit_generator.advance(draws * (self.difs_completed - cycles))
             if horizon == end or (now := self._walk_edge(t, horizon)) is None:
                 break
             walked = True
@@ -445,8 +450,8 @@ class DcfStation:
                      data_ok: bool, odds) -> int:
         """Advance the whole cycles of a stretch that is not clean, in NumPy chunks.
 
-        Failing cycles all end alike; under the soft rule each draws its data
-        outcome and, if that decoded, its ACK outcome against fixed odds.  A
+        Cycles without odds all fail alike; under soft odds each draws its
+        data outcome and, if that decoded, its ACK outcome against them.  A
         chunk's backoff draws are one slice and shift of the words
         ``_difs_end`` would read (none for a frozen residual), and its decode
         draws one ``uniform`` call, rewound to what the cycles that fit used:

@@ -229,6 +229,11 @@ class TestSweepPlanErrors:
                 "'wifi.mcs_mbps': 54} rep 0: injected failure") in err
 
 
+# A sweep of one short run and its baseline, CSV to stdout.
+ONE_RUN_SWEEP = ["sweep", "duty", "--duration", "0.05", "--reps", "1", "--grid", "lte.duty=0.5",
+                 "--out", "-"]
+
+
 class TestRunInputErrors:
     @pytest.mark.parametrize("argv,ini,needle", [
         (["run", "--duration", "nan"], None, "duration_s"),
@@ -264,6 +269,10 @@ class TestRunInputErrors:
         (["run", "--seed", "18446744073709551616"], None, "run.seed"),
         (["run"], "[run]\nseed = 18446744073709551621\n", "run.seed"),
         (["baseline", "--mcs", "54", "--seed", "-1"], None, "run.seed"),
+        # A sweep's master seed: the range of the run seeds it derives.
+        ([*ONE_RUN_SWEEP, "--seed", "-1"], None, "--seed must be in [0, 2^64 - 1], got -1"),
+        ([*ONE_RUN_SWEEP, "--seed", str(2**64)], None, "--seed must be in [0, 2^64 - 1]"),
+        ([*ONE_RUN_SWEEP, "--seed", str(10**29)], None, "--seed must be in [0, 2^64 - 1]"),
         # Backoff windows wider than the 32 bits a draw takes: 33-bit windows
         # only, a 32-bit cw_min under a 33-bit cw_max, and cw_max alone.
         (["run", "--seed", "3", "--duration", "300000"], "[lte]\nduty = 0\n\n[wifi]\n"

@@ -161,5 +161,9 @@ def hostile_argv(draw):
 @example(argv=["run", "--duration", "0.05", "--config", "\x00"])
 @example(argv=["run", "--duration", "0.05", "--out", "a\x00b"])
 @example(argv=["sweep", "duty", "--duration", "0.05", "--reps", "1", "--summary", "\x00"])
+# A sweep's master seed outside 64 bits ran; it is an error naming --seed.
+@example(argv=["sweep", "duty", "--duration", "0.05", "--reps", "1", "--seed", "-1"])
+@example(argv=["sweep", "duty", "--duration", "0.05", "--reps", "1", "--seed", str(2**64)])
+@example(argv=["sweep", "duty", "--duration", "0.05", "--reps", "1", "--seed", str(10**29)])
 def test_hostile_argv_exits_cleanly(argv):
     assert_exits_cleanly(*call_main(argv, b"[lte]\nduty = 0.2\n"))

@@ -15,6 +15,7 @@ from coexsim.experiments import SCENARIOS, run_sweep, set_path
 from coexsim.simulation import Simulation, plan
 
 from conftest import make_cfg
+from test_certain_soft import TRACED_SOFT, ack_fails
 from test_fast_path import FORCED, MATRIX, SEEDS, SOFT, config_id
 
 
@@ -78,3 +79,38 @@ def test_config_for_equals_one_set_path_per_axis(name):
         for (path, _), value in zip(scenario.axes, point):
             chained = set_path(chained, path, value)
         assert repr(scenario.config_for(point)) == repr(chained)
+
+
+UNSENSED = dict(cca_ed_threshold_dbm=30.0)  # no LTE defers the station
+# Per LTE state (off, on): whether its soft odds are certain, then data decoded,
+# ACK decoded and the decode draws a cycle takes; and whether an untraced run
+# feels the LTE, which a certain state leaves as the odds set it.
+CERTAINTY = [
+    ("hard", make_cfg(), ((True, True, True, 0), (True, False, False, 0)), True),
+    ("hard-unfelt", make_cfg(lte_power=-16.0, mcs=6),
+     ((True, True, True, 0), (True, True, True, 0)), False),
+    ("traced-soft", TRACED_SOFT, ((True, True, True, 2), (False, False, False, None)), True),
+    # 3e-11 short of 1.0: drawn, as every cycle draws under the event path.
+    ("k0.5", make_cfg(prb=50, lte_power=-16.0, mcs=54, soft_slope_k=0.5),
+     ((False, False, False, None), (False, False, False, None)), True),
+    # Both states certain and alike, but each cycle draws: the LTE still bounds a step.
+    ("both-certain", make_cfg(lte_power=-16.0, mcs=6, soft_slope_k=2.0),
+     ((True, True, True, 2), (True, True, True, 2)), True),
+    ("data-fails", make_cfg(lte_power=12.0, soft_slope_k=40.0, **UNSENSED),
+     ((True, True, True, 2), (True, False, False, 0)), True),
+    ("ack-fails", ack_fails(make_cfg(lte_power=12.0, soft_slope_k=40.0, **UNSENSED)),
+     ((True, True, True, 2), (True, True, False, 1)), True),
+    ("ack-drawn", ack_fails(make_cfg(lte_power=12.0, soft_slope_k=2.0, **UNSENSED)),
+     ((True, True, True, 2), (False, False, False, None)), True),
+]
+
+
+@pytest.mark.parametrize("cfg,states,feels", [row[1:] for row in CERTAINTY],
+                         ids=[row[0] for row in CERTAINTY])
+def test_plan_marks_each_certain_state_and_its_draws(cfg, states, feels):
+    outcomes = plan(cfg.lte, cfg.wifi, cfg.radio).station["_outcomes"]
+    assert tuple((odds is None, data, ack, draws) for data, ack, odds, draws in outcomes) == states
+    for data, ack, odds, draws in outcomes:
+        if odds is not None:  # drawn: odds short of 1.0, or an ACK that may fail
+            assert odds[0] < 1.0 or odds[1] is not None and odds[1] < 1.0
+    assert Simulation(cfg, seed=1).station._feels_lte is feels
