@@ -12,7 +12,8 @@ import sys
 
 from .config import ConfigError, RunConfig, parse_config
 from .engine import SchedulingError
-from .experiments import SCENARIOS, SweepError, SweepResult, run_sweep, set_path
+from .experiments import (POOL_MIN_SIM_S, SCENARIOS, SweepError, SweepResult, run_sweep,
+                          set_path)
 from .metrics import throughput_mbps
 from .simulation import Simulation
 from .wifi import MCS_RATES, analytic_goodput_mbps
@@ -163,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--summary", help="box-stats CSV path")
     sweep_p.add_argument("--jobs", type=int,
                          help="worker processes, at most one per core and per planned run "
-                              "(default and 0: all cores)")
+                              "(default and 0: all cores); a sweep that plans under "
+                              f"{POOL_MIN_SIM_S:g} simulated s (runs x duration) runs "
+                              "in one process")
     sweep_p.add_argument("--grid", action="append", metavar="KEY=V1,V2,...",
                          help="override an axis grid, e.g. --grid duty=0,0.5,1")
     sweep_p.set_defaults(fn=cmd_sweep)

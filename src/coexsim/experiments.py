@@ -13,7 +13,8 @@ Normalization divides by the duty-0 run sharing all non-LTE parameters and
 the same rep index, which makes duty-0 rows exactly 1.0.
 
 A sweep is planned in full, and so every config built and checked, before
-any run starts.  Pool workers fork warm if runs outnumber them, then get indices in chunks.
+any run starts.  A sweep with little planned work runs in process; otherwise pool
+workers fork warm if runs outnumber them, then get indices in chunks.
 """
 
 from __future__ import annotations
@@ -26,11 +27,18 @@ from dataclasses import dataclass, field
 
 from .config import (ConfigError, RunConfig, canonical_for_seed, parse_value,
                      resolve_path, seed_from_text, serialize_config)
+from .engine import NS_PER_S, NS_PER_US
 from .metrics import RunMetrics, box_stats, normalized_throughput, throughput_mbps
 from .simulation import Simulation
+from .wifi import ack_airtime_us, frame_airtime_us
 
 CSV_METRIC_COLUMNS = ("throughput_mbps", "normalized", "wifi_airtime_frac",
                       "lte_airtime_frac", "attempts", "failures", "drops")
+# A sweep pools its runs only from this many planned simulated seconds (runs x
+# duration).  A 0.2 s run costs about 1 ms of host time per simulated second and a
+# 2-worker pool 13-19 ms to start, map and stop (2 vCPUs), so below it a pool saves
+# at most about its own cost.  The default grids at 0.2 s and 5 reps plan 28-82 s.
+POOL_MIN_SIM_S = 100.0
 
 
 class SweepError(Exception):
@@ -263,16 +271,25 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
             label = f"{point_label} rep {rep}"
             row_keys.append((point, rep, plan_run(cfg, run_text, rep, label),
                              plan_run(baseline_cfg, base_text, rep, f"baseline for {label}")))
+    # A baseline has its run's WiFi settings.  One shorter than DIFS, data, SIFS and
+    # ACK acknowledges no frame, so no row could be normalized against it.
+    cycle_us = max(w.difs_us + frame_airtime_us(w.mcs_mbps, w.payload_bytes, w)
+                   + w.sifs_us + ack_airtime_us(w.mcs_mbps, w)
+                   for w in {cfg.wifi for cfg, _, _ in runs.values()})
+    if round(scenario.duration_s * NS_PER_S) < cycle_us * NS_PER_US:
+        raise ConfigError(f"run.duration_s must be at least one baseline DIFS, data, SIFS "
+                          f"and ACK ({cycle_us} us), got {scenario.duration_s!r}")
 
-    # A fork pool starts all its workers at the first submit, so it gets no
-    # more than there are runs or cores.  With more runs than workers, the first
-    # goes here, so the workers fork warm (numpy.random loaded, code run) and
-    # every one still has a run.  One chunk holds about 1/16 of a worker's
+    # Little planned work runs here.  A fork pool starts all its workers at the first
+    # submit, so it gets no more than there are runs or cores.  With more runs than
+    # workers, the first goes here, so the workers fork warm (numpy.random loaded, code
+    # run) and every one still has a run.  One chunk holds about 1/16 of a worker's
     # share: few enough round trips for millisecond runs, small enough that
     # the last chunk's tail stays short when runs take seconds.
     # A failing run raises here or in map, which cancels chunks not yet started.
     payloads = list(runs.values())
-    workers = min(jobs, len(runs), os.cpu_count() or 1)
+    workers = (min(jobs, len(runs), os.cpu_count() or 1)
+               if len(runs) * scenario.duration_s >= POOL_MIN_SIM_S else 1)
     here = len(runs) if workers == 1 else int(len(runs) > workers)
     outcomes = [_execute(payload) for payload in payloads[:here]]
     if here < len(runs):

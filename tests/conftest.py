@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from coexsim import experiments
 from coexsim.config import LteSettings, RunConfig
 from coexsim.lte import _silent_ns, silent_range_ms
 from coexsim.simulation import Simulation
@@ -117,3 +118,9 @@ def idle_54_run():
     """Shared duty-0 54 Mbps run used by several oracle checks."""
     cfg = make_cfg(duty=0.0, mcs=54)
     return run_sim(cfg, seed=11)
+
+
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Let any sweep start a worker pool, as sweeps with much planned work do."""
+    monkeypatch.setattr(experiments, "POOL_MIN_SIM_S", 0.0)

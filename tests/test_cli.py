@@ -82,7 +82,7 @@ class TestSweep:
         assert summary.exists()
         assert len(summary.read_text().strip().splitlines()) == 1 + 2
 
-    def test_sweep_is_byte_deterministic(self, tmp_path, capsys):
+    def test_sweep_is_byte_deterministic(self, tmp_path, capsys, pool_always):
         texts = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
@@ -116,6 +116,14 @@ class TestSweep:
                               "{'lte.tx_power_dbm': 12.0, 'wifi.tx_power_dbm': -80.0, "
                               "'wifi.mcs_mbps': 54} rep 0")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_a_run_of_one_baseline_cycle_is_no_config_error(self, capsys):
+        # Whether a frame is acknowledged in exactly one cycle depends on the draws.
+        code, _, err = run_cli(capsys, "sweep", "duty", "--out", "-", "--reps", "3",
+                               "--duration", "0.002166", "--jobs", "1",
+                               "--grid", "lte.tx_power_dbm=12")
+        assert code in (0, 3)
+        assert not err.startswith("config error")
 
     def test_config_duration_sets_the_run_length_unless_overridden(self, tmp_path, capsys):
         ini = tmp_path / "base.ini"
@@ -179,6 +187,7 @@ class TestInputErrors:
         assert "cca_mid_packet_abort" in err and "maybe" in err
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestSweepPlanErrors:
     @pytest.mark.parametrize("argv,needle", [
         (["--grid", "lte.duty=0.0,1.5"], "duty"),
@@ -193,6 +202,10 @@ class TestSweepPlanErrors:
         # Each row would be written twice and summarised as one group.
         (["--grid", "lte.duty=0.5,0.5"], "'lte.duty' repeats a value in [0.5, 0.5]"),
         (["--grid", "lte.duty=50%,0.5"], "'lte.duty' repeats a value in [0.5, 0.5]"),
+        # 1 ns short of the 6 Mbps baseline's DIFS, data, SIFS and ACK: no frame
+        # could be acknowledged, so no row could be normalized.
+        (["--duration", "0.002165999"], "run.duration_s must be at least one baseline "
+                                        "DIFS, data, SIFS and ACK (2166 us)"),
     ])
     def test_bad_sweep_input_exits_2_before_a_pool_starts(self, monkeypatch, tmp_path,
                                                           capsys, argv, needle):

@@ -297,7 +297,37 @@ LISTED_INVALID = (
         "6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30", "54:301",
         "6:-1e308",
         # Rates that are no 802.11a rate, and a rate given twice.
-        "100:40", "7:5.5", "6:5, 6:5")])
+        "100:40", "7:5.5", "6:5, 6:5")]
+    # A value just past each bound the property test draws beyond, so that every
+    # key it can draw is checked on every run.
+    + [(cls, key, value) for cls, keys in (
+        (LteSettings, ["tx_power_dbm"]), (WifiSettings, ["tx_power_dbm", "cca_ed_threshold_dbm"]),
+        (RadioSettings, ["noise_figure_db", "antenna_gain_dbi", "gain_lte_to_wifi_tx_db",
+                         "gain_lte_to_wifi_rx_db", "gain_wifi_link_db", "oob_floor_dbc"]))
+       for key in keys for value in (math.nextafter(-DB_LIMIT, -math.inf),
+                                     math.nextafter(DB_LIMIT, math.inf))]
+    + [(RadioSettings, key, value) for key in (
+        "freq_ghz", "wifi_bandwidth_mhz", "dist_lte_to_wifi_tx_m", "dist_lte_to_wifi_rx_m",
+        "dist_wifi_tx_to_rx_m") for value in (math.nextafter(MAGNITUDE_RANGE[0], 0.0),
+                                              math.nextafter(MAGNITUDE_RANGE[1], math.inf))]
+    + [(LteSettings, "duty", value) for value in (-1e-9, 1.000001, 0.0033)]
+    + [(LteSettings, key, value) for key, value in (
+        ("mean_period_ms", 0.0), ("silent_spread", -1e-9), ("silent_spread", 1.0),
+        ("frame_align_ms", 0), ("n_prb", 7))]
+    + [(WifiSettings, key, value) for key, value in (
+        ("mcs_mbps", 7), ("payload_bytes", 0), ("slot_us", 0), ("sifs_us", -1),
+        ("preamble_us", -1), ("ack_bytes", -1), ("mac_overhead_bytes", -1),
+        ("cw_min", -1), ("cw_min", 14), ("cw_min", 2**33 - 1), ("cw_max", -1), ("cw_max", 14),
+        ("cw_max", 2**33 - 1), ("cca_profile", "vendor-C"), ("cca_measure_band", "full10"),
+        ("retry_limit", -1), ("retry_limit", 2**63))]
+    + [(RadioSettings, "oob_floor_dbc", 1e-9), (RadioSettings, "soft_slope_k", -1e-9)]
+    + [(RunConfig, key, value) for key, value in (
+        ("duration_s", 4e-10), ("duration_s", 1e10), ("seed", -1), ("seed", 2**64))]
+    # Past the int64 range of the DCF step after a 10 s run.
+    + [(run_with_wifi, key, value) for key, value in (
+        ("cw_max", 2**38 - 1), ("slot_us", 10**10), ("sifs_us", 10**13),
+        ("preamble_us", 10**13), ("payload_bytes", 10**14), ("ack_bytes", 10**14),
+        ("mac_overhead_bytes", 10**14))])
 beyond_db_limit = (st.floats(max_value=-DB_LIMIT, exclude_max=True)
                    | st.floats(min_value=DB_LIMIT, exclude_min=True))
 out_of_magnitude = (st.floats(max_value=MAGNITUDE_RANGE[0], exclude_max=True)

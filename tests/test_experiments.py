@@ -1,6 +1,7 @@
 import multiprocessing
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -99,7 +100,7 @@ class TestRunSweep:
             assert a["throughput_mbps"] == b["throughput_mbps"]
             assert a["normalized"] == b["normalized"]
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, pool_always):
         serial = run_sweep(tiny_scenario(), master_seed=5, jobs=1).to_csv_text()
         parallel = run_sweep(tiny_scenario(), master_seed=5, jobs=2).to_csv_text()
         assert serial == parallel
@@ -183,6 +184,7 @@ def failing_simulation(fail_seed, log_path=None, delay_s=0.0):
     return FakeSimulation
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestChunkedPool:
     def test_multi_chunk_parallel_equals_serial(self):
         scenario = Scenario("chunked", RunConfig(), [
@@ -246,6 +248,7 @@ class RecordingExecutor:
         return map(fn, self.tasks)
 
 
+@pytest.mark.usefixtures("pool_always")
 class TestPoolSize:
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -298,3 +301,51 @@ class TestPoolSize:
                             duration_s=0.05)
         run_sweep(scenario, master_seed=5, jobs=500)
         assert pools == []
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool started")
+
+
+class TestPoolThreshold:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_a_default_grid_of_short_runs_starts_no_pool(self, monkeypatch, name):
+        # perfbench's sweeps shape: 5 reps of 0.2 s runs plan 28 to 82 simulated s.
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "Simulation", failing_simulation(fail_seed=None))
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        scenario = SCENARIOS[name]()
+        scenario.duration_s = 0.2
+        result = run_sweep(scenario, master_seed=5, jobs=2)
+        assert len(result.rows) == 5 * len(scenario.points())
+
+    @pytest.mark.parametrize("duration, workers", [
+        (2.5, [2]),      # 40 runs plan 100 simulated s: the threshold
+        (2.4999, []),    # just below it
+    ])
+    def test_a_pool_starts_at_the_threshold(self, monkeypatch, duration, workers):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(experiments, "Simulation", failing_simulation(fail_seed=None))
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        RecordingExecutor.built = []
+        scenario = chunked_scenario()
+        scenario.duration_s = duration
+        run_sweep(scenario, master_seed=5, jobs=2)
+        assert [pool.max_workers for pool in RecordingExecutor.built] == workers
+
+    def test_pooled_and_in_process_sweeps_give_the_same_text(self, monkeypatch):
+        pools = []
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        texts = []
+        for threshold in (experiments.POOL_MIN_SIM_S, 0.0):
+            monkeypatch.setattr(experiments, "POOL_MIN_SIM_S", threshold)
+            result = run_sweep(tiny_scenario(), master_seed=5, jobs=2)
+            texts.append((result.to_csv_text(), result.summary_csv_text()))
+        assert pools == [2]
+        assert texts[0] == texts[1]
