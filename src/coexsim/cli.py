@@ -12,7 +12,7 @@ import sys
 
 from .config import ConfigError, RunConfig, parse_config
 from .engine import SchedulingError
-from .experiments import (POOL_MIN_SIM_S, SCENARIOS, SweepError, SweepResult, run_sweep,
+from .experiments import (POOL_MIN_WORK_S, SCENARIOS, SweepError, SweepResult, run_sweep,
                           set_path)
 from .metrics import throughput_mbps
 from .simulation import Simulation
@@ -164,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--summary", help="box-stats CSV path")
     sweep_p.add_argument("--jobs", type=int,
                          help="worker processes, at most one per core and per planned run "
-                              "(default and 0: all cores); a sweep that plans under "
-                              f"{POOL_MIN_SIM_S:g} simulated s (runs x duration) runs "
+                              "(default and 0: all cores); a sweep whose runs x "
+                              f"(duration + 1 s) is under {POOL_MIN_WORK_S:g} s runs "
                               "in one process")
     sweep_p.add_argument("--grid", action="append", metavar="KEY=V1,V2,...",
                          help="override an axis grid, e.g. --grid duty=0,0.5,1")

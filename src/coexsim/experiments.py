@@ -27,18 +27,19 @@ from dataclasses import dataclass, field
 
 from .config import (ConfigError, RunConfig, canonical_for_seed, parse_value,
                      resolve_path, seed_from_text, serialize_config)
-from .engine import NS_PER_S, NS_PER_US
+from .engine import NS_PER_S
 from .metrics import RunMetrics, box_stats, normalized_throughput, throughput_mbps
-from .simulation import Simulation
-from .wifi import ack_airtime_us, frame_airtime_us
+from .simulation import Simulation, plan
 
 CSV_METRIC_COLUMNS = ("throughput_mbps", "normalized", "wifi_airtime_frac",
                       "lte_airtime_frac", "attempts", "failures", "drops")
-# A sweep pools its runs only from this many planned simulated seconds (runs x
-# duration).  A 0.2 s run costs about 1 ms of host time per simulated second and a
-# 2-worker pool 13-19 ms to start, map and stop (2 vCPUs), so below it a pool saves
-# at most about its own cost.  The default grids at 0.2 s and 5 reps plan 28-82 s.
-POOL_MIN_SIM_S = 100.0
+# A sweep pools its runs only from this much planned work, runs x (duration + 1 s),
+# the 1 s standing for a run's set-up and its result's trip back from a worker.
+# Against the in-process loop (2 workers, 2 vCPUs, 9 alternating rounds of 10-800 runs
+# of 0.2, 2 and 10 s): below 300 the pool lost every round, from 300 to 720 about half,
+# and from 750 up it won 7-9 of 9 at each run length (median 0.67-0.80x the time).  It
+# pays only while the second vCPU is free: two processes ran 0.9-2.1x as fast as one.
+POOL_MIN_WORK_S = 750.0
 
 
 class SweepError(Exception):
@@ -273,12 +274,11 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
                              plan_run(baseline_cfg, base_text, rep, f"baseline for {label}")))
     # A baseline has its run's WiFi settings.  One shorter than DIFS, data, SIFS and
     # ACK acknowledges no frame, so no row could be normalized against it.
-    cycle_us = max(w.difs_us + frame_airtime_us(w.mcs_mbps, w.payload_bytes, w)
-                   + w.sifs_us + ack_airtime_us(w.mcs_mbps, w)
-                   for w in {cfg.wifi for cfg, _, _ in runs.values()})
-    if round(scenario.duration_s * NS_PER_S) < cycle_us * NS_PER_US:
+    cycle_ns = max(plan(c.lte, c.wifi, c.radio).station["shortest_cycle_ns"]
+                   for c in {cfg for cfg, _, _ in runs.values()})
+    if round(scenario.duration_s * NS_PER_S) < cycle_ns:
         raise ConfigError(f"run.duration_s must be at least one baseline DIFS, data, SIFS "
-                          f"and ACK ({cycle_us} us), got {scenario.duration_s!r}")
+                          f"and ACK ({cycle_ns} ns), got {scenario.duration_s!r}")
 
     # Little planned work runs here.  A fork pool starts all its workers at the first
     # submit, so it gets no more than there are runs or cores.  With more runs than
@@ -289,7 +289,7 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
     # A failing run raises here or in map, which cancels chunks not yet started.
     payloads = list(runs.values())
     workers = (min(jobs, len(runs), os.cpu_count() or 1)
-               if len(runs) * scenario.duration_s >= POOL_MIN_SIM_S else 1)
+               if len(runs) * (scenario.duration_s + 1.0) >= POOL_MIN_WORK_S else 1)
     here = len(runs) if workers == 1 else int(len(runs) > workers)
     outcomes = [_execute(payload) for payload in payloads[:here]]
     if here < len(runs):

@@ -81,6 +81,7 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
         cca=cca, slope_k=slope_k, slot_ns=wifi.slot_us * NS_PER_US,
         sifs_ns=wifi.sifs_us * NS_PER_US, difs_ns=wifi.difs_us * NS_PER_US,
         data_air_ns=data_air_ns, ack_air_ns=ack_air_ns, data_threshold_db=data_threshold_db,
+        shortest_cycle_ns=(wifi.difs_us + wifi.sifs_us) * NS_PER_US + data_air_ns + ack_air_ns,
         ack_threshold_db=ack_threshold_db, _cw_ladder=tuple(cw_ladder),
         _ladder_bits=ladder_bits, _outcomes=tuple(outcomes),
         _data_clears=tuple(sinr >= data_threshold_db for sinr in sinr_rx),

@@ -253,8 +253,7 @@ class DcfStation:
             setattr(self, name, value)  # one by one: a __dict__ update slows every read
         self.rng = engine.rng_stream("wifi-backoff")
         # A word at most per cycle, none shorter than DIFS, data, SIFS and ACK; 2 for peeks.
-        self.backoff = BackoffStream(self.rng, channel.end_ns // (
-            self.difs_ns + self.data_air_ns + self.sifs_ns + self.ack_air_ns) + 2)
+        self.backoff = BackoffStream(self.rng, channel.end_ns // self.shortest_cycle_ns + 2)
         # The hard PER rule decodes without drawing, so it gets no decode stream.
         self.decode_rng = engine.rng_stream("wifi-decode") if self.slope_k != 0.0 else None
         off, on = self._outcomes

@@ -123,4 +123,4 @@ def idle_54_run():
 @pytest.fixture
 def pool_always(monkeypatch):
     """Let any sweep start a worker pool, as sweeps with much planned work do."""
-    monkeypatch.setattr(experiments, "POOL_MIN_SIM_S", 0.0)
+    monkeypatch.setattr(experiments, "POOL_MIN_WORK_S", 0.0)

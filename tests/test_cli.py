@@ -205,7 +205,7 @@ class TestSweepPlanErrors:
         # 1 ns short of the 6 Mbps baseline's DIFS, data, SIFS and ACK: no frame
         # could be acknowledged, so no row could be normalized.
         (["--duration", "0.002165999"], "run.duration_s must be at least one baseline "
-                                        "DIFS, data, SIFS and ACK (2166 us)"),
+                                        "DIFS, data, SIFS and ACK (2166000 ns)"),
     ])
     def test_bad_sweep_input_exits_2_before_a_pool_starts(self, monkeypatch, tmp_path,
                                                           capsys, argv, needle):

@@ -100,10 +100,20 @@ class TestRunSweep:
             assert a["throughput_mbps"] == b["throughput_mbps"]
             assert a["normalized"] == b["normalized"]
 
-    def test_parallel_equals_serial(self, pool_always):
-        serial = run_sweep(tiny_scenario(), master_seed=5, jobs=1).to_csv_text()
-        parallel = run_sweep(tiny_scenario(), master_seed=5, jobs=2).to_csv_text()
-        assert serial == parallel
+    def test_parallel_equals_serial(self, monkeypatch, pool_always):
+        pools = []
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        serial = run_sweep(tiny_scenario(), master_seed=5, jobs=1)
+        parallel = run_sweep(tiny_scenario(), master_seed=5, jobs=2)
+        assert pools == [2]
+        assert serial.to_csv_text() == parallel.to_csv_text()
+        assert serial.summary_csv_text() == parallel.summary_csv_text()
 
     def test_override_grid_restricts_axis(self):
         scenario = tiny_scenario()
@@ -310,7 +320,7 @@ def no_pool(*args, **kwargs):
 class TestPoolThreshold:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_a_default_grid_of_short_runs_starts_no_pool(self, monkeypatch, name):
-        # perfbench's sweeps shape: 5 reps of 0.2 s runs plan 28 to 82 simulated s.
+        # perfbench's sweeps shape: 5 reps of 0.2 s runs plan 168 to 492 s of work.
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(experiments, "Simulation", failing_simulation(fail_seed=None))
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
@@ -319,33 +329,20 @@ class TestPoolThreshold:
         result = run_sweep(scenario, master_seed=5, jobs=2)
         assert len(result.rows) == 5 * len(scenario.points())
 
-    @pytest.mark.parametrize("duration, workers", [
-        (2.5, [2]),      # 40 runs plan 100 simulated s: the threshold
-        (2.4999, []),    # just below it
+    @pytest.mark.parametrize("reps, duration, workers", [
+        (10, 17.75, [2]),      # 40 runs x (17.75 + 1 s) is 750 s: the threshold
+        (10, 17.7499, []),     # just below it
+        (158, 0.2, [2]),       # 632 runs x 1.2 s is 758 s
+        (155, 0.2, []),        # 620 runs: 744 s
+        (18, 10.0, [2]),       # 72 runs x 11 s is 792 s
+        (17, 10.0, []),        # 68 runs: 748 s
     ])
-    def test_a_pool_starts_at_the_threshold(self, monkeypatch, duration, workers):
+    def test_a_pool_starts_at_the_threshold(self, monkeypatch, reps, duration, workers):
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(experiments, "Simulation", failing_simulation(fail_seed=None))
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         RecordingExecutor.built = []
         scenario = chunked_scenario()
-        scenario.duration_s = duration
+        scenario.reps, scenario.duration_s = reps, duration
         run_sweep(scenario, master_seed=5, jobs=2)
         assert [pool.max_workers for pool in RecordingExecutor.built] == workers
-
-    def test_pooled_and_in_process_sweeps_give_the_same_text(self, monkeypatch):
-        pools = []
-
-        def counting_pool(*args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            return ProcessPoolExecutor(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-        texts = []
-        for threshold in (experiments.POOL_MIN_SIM_S, 0.0):
-            monkeypatch.setattr(experiments, "POOL_MIN_SIM_S", threshold)
-            result = run_sweep(tiny_scenario(), master_seed=5, jobs=2)
-            texts.append((result.to_csv_text(), result.summary_csv_text()))
-        assert pools == [2]
-        assert texts[0] == texts[1]
