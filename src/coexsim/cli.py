@@ -10,10 +10,9 @@ import dataclasses
 import os
 import sys
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import WIFI_ONLY, ConfigError, RunConfig, parse_config, parse_value
 from .engine import SchedulingError
-from .experiments import (POOL_MIN_WORK_S, SCENARIOS, SweepError, SweepResult, run_sweep,
-                          set_path)
+from .experiments import POOL_MIN_WORK_S, SCENARIOS, SweepError, SweepResult, run_sweep
 from .metrics import throughput_mbps
 from .simulation import Simulation
 from .wifi import MCS_RATES, analytic_goodput_mbps
@@ -123,10 +122,10 @@ def _summary_path(out: str) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    base = set_path(dataclasses.replace(RunConfig(), seed=args.seed, duration_s=args.duration),
-                    "lte.duty", 0.0)
+    base = RunConfig(seed=args.seed, duration_s=args.duration, lte=WIFI_ONLY)
     rates = MCS_RATES if args.mcs == "all" else args.mcs.split(",")
-    configs = [set_path(base, "wifi.mcs_mbps", rate) for rate in rates]
+    configs = [dataclasses.replace(base, wifi=dataclasses.replace(
+        base.wifi, mcs_mbps=parse_value("wifi", "mcs_mbps", str(rate)))) for rate in rates]
     print(f"{'mcs_mbps':>8} {'analytic_mbps':>14} {'simulated_mbps':>15} {'rel_err':>9}")
     worst = 0.0
     for cfg in configs:

@@ -389,16 +389,20 @@ def serialize_config(cfg: RunConfig) -> str:
     return out.getvalue()
 
 
+# A WiFi-only run's LTE: at duty 0 the node never acts, so no other setting counts.
+WIFI_ONLY = LteSettings(duty=0.0)
+
+
 def canonical_for_seed(cfg: RunConfig) -> RunConfig:
     """Identity for seed derivation: a duty-0 run is a WiFi-only run.
 
-    At duty 0 the LTE node never acts, so its parameters are erased to
-    defaults.  This both de-duplicates baseline runs across grid points and
+    At duty 0 the LTE node never acts, so its settings are erased to
+    ``WIFI_ONLY``.  This both de-duplicates baseline runs across grid points and
     makes every duty-0 row share its baseline's seed exactly.
     """
     cfg = dataclasses.replace(cfg, seed=0)
     if cfg.lte.duty == 0:
-        cfg = dataclasses.replace(cfg, lte=LteSettings(duty=0.0))
+        cfg = dataclasses.replace(cfg, lte=WIFI_ONLY)
     return cfg
 
 
@@ -406,8 +410,3 @@ def seed_from_text(master_seed: int, text: str, rep: int) -> int:
     """Stable per-run seed from (master seed, canonical config text, repetition)."""
     digest = hashlib.sha256(f"{master_seed}|{rep}|{text}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-def derive_seed(master_seed: int, cfg: RunConfig, rep: int) -> int:
-    """Stable per-run seed from (master seed, canonical config, repetition)."""
-    return seed_from_text(master_seed, serialize_config(canonical_for_seed(cfg)), rep)

@@ -25,7 +25,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .config import (ConfigError, RunConfig, canonical_for_seed, parse_value,
+from .config import (WIFI_ONLY, ConfigError, RunConfig, canonical_for_seed, parse_value,
                      resolve_path, seed_from_text, serialize_config)
 from .engine import NS_PER_S
 from .metrics import RunMetrics, box_stats, normalized_throughput, throughput_mbps
@@ -44,20 +44,6 @@ POOL_MIN_WORK_S = 750.0
 
 class SweepError(Exception):
     """A run inside a sweep aborted; the message names the grid point."""
-
-
-def set_path(cfg: RunConfig, path: str, value) -> RunConfig:
-    """Return a copy of cfg with the grid path (``section.field`` or a bare field) set.
-
-    The value is converted from ``str(value)`` to the field's declared type,
-    like an INI value, so e.g. a grid value of 0 lands in a float field as 0.0
-    (keeping canonical texts stable).
-    """
-    section_name, field_name = resolve_path(path)
-    section = dataclasses.replace(
-        getattr(cfg, section_name),
-        **{field_name: parse_value(section_name, field_name, str(value))})
-    return dataclasses.replace(cfg, **{section_name: section})
 
 
 @dataclass
@@ -93,9 +79,6 @@ class Scenario:
                 self.axes[i] = (path, values)
                 return
         self.axes.append((path, values))
-
-    def axis_names_list(self) -> list[str]:
-        return [path for path, _ in self.axes]
 
     def points(self) -> list[tuple]:
         return list(itertools.product(*(values for _, values in self.axes)))
@@ -237,7 +220,7 @@ def _fmt(value) -> str:
 def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResult:
     """Execute reps x grid runs plus duty-0 baselines; deterministic output.
 
-    Baseline runs are de-duplicated by canonical config, so grid points that
+    A baseline is its run's config with the WiFi-only LTE, so grid points that
     differ only in LTE parameters share one baseline per rep.  Each distinct
     config is serialized once, and every config is built, and so checked,
     before the first run, so a bad grid value is a config error, not a failed
@@ -245,7 +228,7 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
     """
     if scenario.reps < 1:
         raise ConfigError(f"reps must be >= 1, got {scenario.reps}")
-    axis_names = scenario.axis_names_list()
+    axis_names = [path for path, _ in scenario.axes]
     texts: dict[RunConfig, str] = {}  # config -> canonical text for its seed
 
     def canonical_text(cfg: RunConfig) -> str:
@@ -265,7 +248,7 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
 
     for point in scenario.points():
         cfg = scenario.config_for(point)
-        baseline_cfg = set_path(cfg, "lte.duty", 0.0)
+        baseline_cfg = dataclasses.replace(cfg, lte=WIFI_ONLY)
         run_text, base_text = canonical_text(cfg), canonical_text(baseline_cfg)
         point_label = str(dict(zip(axis_names, point)))
         for rep in range(scenario.reps):

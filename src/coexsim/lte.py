@@ -53,9 +53,9 @@ class LteNode:
     notifies the medium at the next transition.
 
     Draws only from its own RNG stream, so the schedule for a given seed is
-    identical whether or not WiFi nodes exist in the run.  ``times`` holds
-    the transitions up to the first past the run end, "on" at even indices;
-    the medium's ``lte_times`` is the prefix that has happened.
+    identical whether or not WiFi nodes exist in the run.  ``times`` is the
+    one record of the LTE schedule: the transitions up to the first past the
+    run end, "on" at even indices.  The first ``passed`` have happened.
     """
 
     name = "lte"
@@ -66,13 +66,8 @@ class LteNode:
         self._on_ns, self._align_ns, self._silent_ms = period  # ns, ns, ms or None
         self.rng = None if self._silent_ms is None else engine.rng_stream(RNG_LABEL)
         self.times: list[int] = []
+        self.passed = 0  # transitions that have happened
         self._event = None  # the pending transition event
-
-    @property
-    def next_ns(self) -> int | None:
-        """The time of the next transition, or None if there is none."""
-        i = len(self.medium.lte_times)
-        return self.times[i] if i < len(self.times) else None
 
     def start(self) -> None:
         if self._on_ns:  # 0 only at duty 0
@@ -98,31 +93,30 @@ class LteNode:
                 times += [t + on, t + -(-(on + _silent_ns(drawn_ms)) // align) * align]
         return times + [times[-1] + on] * (times[-1] <= end_ns)  # the off past the end
 
-    # The medium records a transition, and notifies the station, before the
-    # next one is scheduled: a station that contends inside the callback
+    # The node counts a transition, and the medium notifies the station, before
+    # the next one is scheduled: a station that contends inside the callback
     # knows how long the medium stays as it is, and its events stay ahead
     # of the node's when both fall on the same instant.
 
     def arm(self) -> None:
         """Schedule the event of the next transition, unless one is pending."""
-        t = self.next_ns
-        if self._event is None and t is not None:
-            kind = "lte-off" if len(self.medium.lte_times) % 2 else "lte-on"
-            self._event = self.engine.schedule(t, kind, self.name, self._switch)
+        if self._event is None and self.passed < len(self.times):
+            kind = "lte-off" if self.passed % 2 else "lte-on"
+            self._event = self.engine.schedule(self.times[self.passed], kind, self.name,
+                                               self._switch)
 
     def _switch(self) -> None:
         self._event = None
+        self.passed += 1
         self.medium.lte_switched(self.engine.now)
         self.arm()
 
     def advance_to(self, t: int) -> None:
-        """Record the transitions up to ``t`` that the station has run past on
+        """Count the transitions up to ``t`` that the station has run past on
         its own, and drop the pending event if it was one; ``arm`` replaces it."""
-        recorded = self.medium.lte_times
-        i = len(recorded)
-        j = bisect.bisect_right(self.times, t, i)
-        if j > i:
-            recorded += self.times[i:j]
+        j = bisect.bisect_right(self.times, t, self.passed)
+        if j > self.passed:
+            self.passed = j
             if self._event is not None:
                 self.engine.cancel(self._event)
                 self._event = None

@@ -2,11 +2,12 @@
 
 The medium is two-valued: geometry never changes, so each direction (data
 at the receiver, ACK at the transmitter) has one SINR while the LTE node is
-on and one while it is off.  ``Medium.lte_times`` records the LTE
-transitions so far, "on" at even indices: the LTE node's events append to it,
-and so does an untraced station that steps past transitions (the LTE node's
-``advance_to``).  The LTE state, each packet's SINR window and the run's LTE
-airtime all derive from it; what derives from the config alone is ``plan``'s.
+on and one while it is off.  The LTE node's ``times`` is the one record of
+the LTE schedule, "on" at even indices, and its ``passed`` counts the
+transitions so far: the node's events count up, and so does a station that
+steps past transitions (the node's ``advance_to``).  The LTE state, each
+packet's SINR window and the run's LTE airtime all derive from the transitions
+passed; what derives from the config alone is ``plan``'s.
 Construction order matters: the LTE node draws its schedule and schedules its
 t=0 event before the station's start event, so a duty>0 run begins with the
 medium already marked busy.
@@ -93,19 +94,18 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
 
 
 class Medium:
-    """Shared channel: the LTE schedule so far, carrier sense and SINR windows."""
+    """Shared channel: carrier sense and SINR windows over the LTE transitions passed."""
 
     def __init__(self, cfg: RunConfig, end_ns: int) -> None:
         self.end_ns = end_ns
         self.station: DcfStation | None = None
-        self.lte: LteNode | None = None
-        self.lte_times: list[int] = []  # LTE transitions so far, "on" at even indices
+        self.lte: LteNode | None = None  # the run's, set once it is built
         self.plan = plan(cfg.lte, cfg.wifi, cfg.radio)
         self.defer_to_lte, self.sinr_rx, self.sinr_tx = self.plan.medium
 
     @property
     def lte_on(self) -> bool:
-        return len(self.lte_times) % 2 == 1
+        return self.lte.passed % 2 == 1
 
     @property
     def busy(self) -> bool:
@@ -113,8 +113,7 @@ class Medium:
         return self.lte_on and self.defer_to_lte
 
     def lte_switched(self, now: int) -> None:
-        """Record an LTE transition at ``now`` and tell a deferring station."""
-        self.lte_times.append(now)
+        """Tell a deferring station of the LTE transition at ``now``."""
         if self.defer_to_lte and self.station is not None:
             if self.lte_on:
                 self.station.busy_onset(now)
@@ -123,21 +122,23 @@ class Medium:
 
     def lte_intervals(self) -> list[tuple[int, int]]:
         """The LTE on-periods so far as (t0, t1) pairs; one still open ends at the run end."""
-        times = self.lte_times + [self.end_ns] * (len(self.lte_times) % 2)
+        n = self.lte.passed
+        times = self.lte.times[:n] + [self.end_ns] * (n % 2)
         return list(zip(times[0::2], times[1::2]))
 
     def _window(self, t0: int, t1: int, sinr: tuple[float, float]) -> list[tuple[int, float]]:
         """SINR over [t0, t1) as (duration_ns, sinr_db) segments, one per LTE state."""
-        times = self.lte_times
-        lo = bisect.bisect_right(times, t0)  # the transitions inside cut the window
-        cuts = [t0, *times[lo:bisect.bisect_left(times, t1, lo)], t1]
+        times, n = self.lte.times, self.lte.passed
+        lo = bisect.bisect_right(times, t0, 0, n)  # the transitions inside cut the window
+        cuts = [t0, *times[lo:bisect.bisect_left(times, t1, lo, n)], t1]
         return [(b - a, sinr[(lo + j) % 2]) for j, (a, b) in enumerate(zip(cuts, cuts[1:]))]
 
     def clears(self, t0: int, t1: int, verdicts: tuple[bool, bool]) -> bool:
         """Whether a hard-rule frame over [t0, t1) decodes, given whether its SINR
         clears the threshold with LTE off and on: ``_window``'s split, unbuilt."""
-        times, lo = self.lte_times, bisect.bisect_right(self.lte_times, t0)
-        if lo < len(times) and times[lo] < t1:  # a transition inside: both states
+        times, n = self.lte.times, self.lte.passed
+        lo = bisect.bisect_right(times, t0, 0, n)
+        if lo < n and times[lo] < t1:  # a transition inside: both states
             return verdicts[0] and verdicts[1]
         return verdicts[lo % 2]
 
@@ -152,7 +153,7 @@ class Simulation:
     """One closed, seeded run; repeated construction reproduces it bit-exactly."""
 
     def __init__(self, cfg: RunConfig, seed: int | None = None, trace: bool = False,
-                 include_wifi: bool = True, include_lte: bool = True) -> None:
+                 include_wifi: bool = True) -> None:
         self.cfg = cfg
         self.engine = Engine(cfg.seed if seed is None else seed, trace=trace)
         self.acc = MetricsAccumulator()
@@ -160,10 +161,8 @@ class Simulation:
         self.medium = Medium(cfg, self.duration_ns)
         p = self.medium.plan
 
-        self.lte_node = None
-        if include_lte:
-            self.lte_node = self.medium.lte = LteNode(self.engine, self.medium, p.period)
-            self.lte_node.start()
+        self.lte_node = self.medium.lte = LteNode(self.engine, self.medium, p.period)
+        self.lte_node.start()
 
         self.station = None
         if include_wifi:

@@ -410,7 +410,7 @@ class DcfStation:
 
         The step walks on: ``_walk_edge`` settles the cycle that crosses a
         transition, and the step goes on from where contention resumes, up to
-        the first edge it leaves to the events.  The LTE node records the
+        the first edge it leaves to the events.  The LTE node counts the
         transitions passed (all up to the run end for an LTE the station does
         not feel), and its event moves past them.  Each stretch and each
         walked edge writes its own trace lines.  If it advanced, the step
@@ -419,11 +419,11 @@ class DcfStation:
         station advanced to: ``now`` if it did not.
         """
         start, lte, end, walked = now, self.channel.lte, self.channel.end_ns, False
-        recorded, times = self.channel.lte_times, lte.times if self._feels_lte and lte else ()
+        times = lte.times if self._feels_lte else ()
         tail_ns = self.data_air_ns + self.sifs_ns + self.ack_air_ns  # tx start to ACK end
         base_ns = self.difs_ns + tail_ns
         while True:
-            i = len(recorded)  # the next LTE transition bounds the step if the station feels it
+            i = lte.passed  # the next LTE transition bounds the step if the station feels it
             horizon = min(times[i], end) if i < len(times) else end
             data_ok, ack_ok, odds, draws = self._outcomes[i % 2]
             cycles = self.difs_completed
@@ -436,7 +436,7 @@ class DcfStation:
             if horizon == end or (now := self._walk_edge(t, horizon)) is None:
                 break
             walked = True
-        if lte is not None and not self._feels_lte:
+        if not self._feels_lte:
             lte.advance_to(end)
             walked = True
         if walked:
@@ -573,7 +573,7 @@ class DcfStation:
         whose DIFS would end on the next one.
         """
         channel, slot, defer = self.channel, self.slot_ns, self.channel.defer_to_lte
-        times, i, end = channel.lte.times, len(channel.lte_times), channel.end_ns
+        times, i, end = channel.lte.times, channel.lte.passed, channel.end_ns
         after = times[i + 1]
         if not defer:
             after = min(after, end)
@@ -619,7 +619,7 @@ class DcfStation:
                 lines += [(last, "cca-sample" if data else "ack-timeout", "")] * (not ok)
             lines = [(at, kind, self.name, detail) for at, kind, detail in lines] + [
                 (at, "lte-off" if n % 2 else "lte-on", channel.lte.name, "")
-                for n, at in enumerate(channel.lte_times[i:], i)]  # the transitions passed
+                for n, at in enumerate(times[i:channel.lte.passed], i)]  # the transitions passed
             trace.append("".join(trace_line(*line) for line in sorted(lines)))
         return after if defer else ack_end if ok else last
 

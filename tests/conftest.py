@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coexsim import experiments
-from coexsim.config import LteSettings, RunConfig
+from coexsim.config import (LteSettings, RunConfig, canonical_for_seed, seed_from_text,
+                            serialize_config)
 from coexsim.lte import _silent_ns, silent_range_ms
 from coexsim.simulation import Simulation
 
@@ -37,9 +38,26 @@ def draw_silent_duration_ns(cfg: LteSettings, rng: np.random.Generator) -> int:
     return _silent_ns(float(rng.uniform(*silent_range_ms(cfg))))
 
 
+def derive_seed(master_seed: int, cfg: RunConfig, rep: int) -> int:
+    """Stable per-run seed from (master seed, canonical config, repetition): the
+    seed a sweep gives the run."""
+    return seed_from_text(master_seed, serialize_config(canonical_for_seed(cfg)), rep)
+
+
 def lte_transitions(sim) -> list[tuple[int, bool]]:
     """The run's LTE transitions so far as (time_ns, now_on) pairs."""
-    return [(t, i % 2 == 0) for i, t in enumerate(sim.medium.lte_times)]
+    return [(t, i % 2 == 0) for i, t in enumerate(sim.lte_node.times[:sim.lte_node.passed])]
+
+
+def observe(cfg: RunConfig, seed: int, trace: bool):
+    """What a run shows: its metrics, trace text and LTE on-periods, and the end
+    states of its backoff and decode streams."""
+    sim = Simulation(cfg, seed=seed, trace=trace)
+    metrics = sim.run()
+    station = sim.station
+    return (repr(metrics), "".join(sim.engine.trace or ()), sim.medium.lte_intervals(),
+            station.rng.bit_generator.state,
+            None if station.decode_rng is None else station.decode_rng.bit_generator.state)
 
 
 def trace_lines(engine) -> list[str]:

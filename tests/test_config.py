@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from coexsim.config import (DB_LIMIT, MAGNITUDE_RANGE, ConfigError, LteSettings,
                             RadioSettings, RunConfig, WifiSettings, canonical_for_seed,
-                            derive_seed, parse_config, serialize_config)
+                            parse_config, serialize_config)
 from coexsim.experiments import Scenario
 from coexsim.lte import PRB_CHOICES
 from coexsim.simulation import Medium
 from coexsim.wifi import CCA_PRESETS, MCS_RATES, CcaProfile
+
+from conftest import derive_seed
 
 
 class TestDefaults:

@@ -6,11 +6,13 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from coexsim import experiments
-from coexsim.config import ConfigError, RunConfig, derive_seed
+from coexsim.config import ConfigError, RunConfig
 from coexsim.experiments import (SCENARIOS, Scenario, SweepError, exp_center_freq,
                                  exp_duty_cycle, exp_prb_sweep, exp_tx_power,
-                                 run_sweep, set_path)
+                                 run_sweep)
 from coexsim.metrics import RunMetrics
+
+from conftest import derive_seed
 
 
 def tiny_scenario(reps=2, duration=0.3):
@@ -49,18 +51,24 @@ class TestScenarioBuilders:
         assert set(SCENARIOS) == {"duty", "power", "prb", "freq"}
 
 
+def grid_config(path, value):
+    """The defaults with one grid axis set to ``value``, as a sweep sets it."""
+    scenario = Scenario("one", RunConfig(), [(path, [value])])
+    return scenario.config_for(scenario.points()[0])
+
+
 class TestSetPath:
     def test_coerces_to_declared_type(self):
-        cfg = set_path(RunConfig(), "lte.duty", 0)
+        cfg = grid_config("lte.duty", 0)
         assert cfg.lte.duty == 0.0 and isinstance(cfg.lte.duty, float)
-        cfg = set_path(RunConfig(), "lte.n_prb", 50)
+        cfg = grid_config("lte.n_prb", 50)
         assert cfg.lte.n_prb == 50
 
     def test_unresolvable_path_rejected(self):
         with pytest.raises(ConfigError):
-            set_path(RunConfig(), "lte.nonsense", 1)
+            grid_config("lte.nonsense", 1)
         with pytest.raises(ConfigError):
-            set_path(RunConfig(), "nowhere.duty", 1)
+            grid_config("nowhere.duty", 1)
 
 
 class TestRunSweep:
@@ -152,13 +160,13 @@ class TestSetPathBool:
     @pytest.mark.parametrize("token,expected", [("false", False), ("true", True),
                                                 ("False", False), ("1", True)])
     def test_bool_tokens_are_parsed(self, token, expected):
-        cfg = set_path(RunConfig(), "wifi.cca_mid_packet_abort", token)
+        cfg = grid_config("wifi.cca_mid_packet_abort", token)
         assert cfg.wifi.cca_mid_packet_abort is expected
         assert cfg.wifi.cca().mid_packet_abort is expected
 
     def test_bad_bool_token_is_a_config_error(self):
         with pytest.raises(ConfigError, match="cca_mid_packet_abort"):
-            set_path(RunConfig(), "wifi.cca_mid_packet_abort", "maybe")
+            grid_config("wifi.cca_mid_packet_abort", "maybe")
 
 
 # Pool workers must inherit a Simulation patched in the test process.

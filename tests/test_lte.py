@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from coexsim.config import ConfigError, LteSettings
+from coexsim.config import WIFI_ONLY, ConfigError, LteSettings
 from coexsim.engine import NS_PER_MS, NS_PER_S, Engine
-from coexsim.lte import RNG_LABEL, occupied_band, on_duration_ns
+from coexsim.lte import PRB_CHOICES, RNG_LABEL, occupied_band, on_duration_ns
 from coexsim.simulation import Simulation
+from coexsim.wifi import CCA_PRESETS, MCS_RATES
 
-from conftest import draw_silent_duration_ns, lte_transitions, make_cfg, run_sim
+from conftest import draw_silent_duration_ns, lte_transitions, make_cfg, observe, run_sim
 
 
 class TestOnDuration:
@@ -130,11 +131,23 @@ class TestScheduleActivity:
         _, without_wifi = run_sim(cfg, seed=4, include_wifi=False)
         assert lte_transitions(with_wifi) == lte_transitions(without_wifi)
 
-    def test_duty_zero_equals_wifi_only_run(self):
-        cfg = make_cfg(duty=0.0, duration=2.0)
-        with_lte, _ = run_sim(cfg, seed=4, include_lte=True)
-        without_lte, _ = run_sim(cfg, seed=4, include_lte=False)
-        assert with_lte == without_lte
+    @settings(max_examples=100, deadline=None)
+    @given(power=st.floats(-30.0, 30.0), prb=st.sampled_from(PRB_CHOICES),
+           offset=st.floats(-30.0, 30.0), period=st.floats(1.0, 1e4),
+           spread=st.floats(0.0, 0.9), align=st.integers(1, 20),
+           mcs=st.sampled_from(MCS_RATES), profile=st.sampled_from(sorted(CCA_PRESETS)),
+           soft_slope_k=st.sampled_from([0.0, 0.5, 40.0]), trace=st.booleans(),
+           seed=st.integers(0, 2**64 - 1))
+    def test_duty_zero_ignores_every_other_lte_setting(self, power, prb, offset, period,
+                                                       spread, align, mcs, profile,
+                                                       soft_slope_k, trace, seed):
+        # A sweep's baselines are WiFi-only runs: a silent LTE is no LTE at all.
+        lte = LteSettings(duty=0.0, mean_period_ms=period, silent_spread=spread,
+                          frame_align_ms=align, n_prb=prb, center_offset_mhz=offset,
+                          tx_power_dbm=power)
+        cfg = make_cfg(mcs=mcs, profile=profile, soft_slope_k=soft_slope_k, duration=0.3)
+        wifi_only = observe(dataclasses.replace(cfg, lte=WIFI_ONLY), seed, trace)
+        assert observe(dataclasses.replace(cfg, lte=lte), seed, trace) == wifi_only
 
 
 def one_draw_at_a_time(cfg, seed, end_ns):
@@ -179,7 +192,7 @@ class TestScheduleAhead:
         assert sim.duration_ns == end_ns
         sim.run()
         times, state = one_draw_at_a_time(lte, seed, end_ns)
-        assert sim.medium.lte_times == times
+        assert sim.lte_node.times[:sim.lte_node.passed] == times
         assert (None if sim.lte_node.rng is None else sim.lte_node.rng.bit_generator.state) == state
 
 

@@ -1,9 +1,10 @@
-"""The medium's SINR windows and carrier sense, derived from its one LTE record.
+"""The medium's SINR windows and carrier sense, derived from the one LTE record.
 
-``Medium.lte_times`` holds the LTE transitions so far, "on" at even indices.
-A window is a list of (duration_ns, sinr_db) segments; the old per-packet
-trace builder stays here as the oracle the windows must equal, and the
-windows are the oracle of the hard rule's per-state verdicts.
+The LTE node's ``times`` holds its schedule, "on" at even indices, and the
+medium reads only its first ``passed``: the transitions so far.  A window is
+a list of (duration_ns, sinr_db) segments; the old per-packet trace builder
+stays here as the oracle the windows must equal, and the windows are the
+oracle of the hard rule's per-state verdicts.
 """
 
 import bisect
@@ -12,6 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coexsim.config import RunConfig
+from coexsim.engine import Engine
+from coexsim.lte import LteNode
 from coexsim.radio import packet_outcome
 from coexsim.simulation import Medium
 
@@ -38,6 +41,16 @@ def old_trace(times, t0, t1, on_value, off_value):
     return segments
 
 
+def scheduled_medium(cfg, times, passed=None):
+    """A medium whose LTE node has drawn ``times``, of which the first ``passed``
+    (all by default) have happened."""
+    medium = Medium(cfg, 10**9)
+    medium.lte = LteNode(Engine(0), medium, medium.plan.period)
+    medium.lte.times = times
+    medium.lte.passed = len(times) if passed is None else passed
+    return medium
+
+
 def lte_on_at(times, t):
     """The schedule's state at ``t``: on after an odd number of transitions."""
     return bisect.bisect_right(times, t) % 2 == 1
@@ -49,8 +62,7 @@ def lte_on_at(times, t):
        direction=st.sampled_from(["rx", "tx"]))
 def test_window_segments_follow_the_schedule(times, t0, length, direction):
     t1 = t0 + length
-    medium = Medium(RunConfig(), 10**9)
-    medium.lte_times = times
+    medium = scheduled_medium(RunConfig(), times)
     off, on = getattr(medium, f"sinr_{direction}")
     window = getattr(medium, f"sinr_trace_at_{direction}")(t0, t1)
 
@@ -68,9 +80,11 @@ def test_window_segments_follow_the_schedule(times, t0, length, direction):
 
 
 def test_carrier_sense_follows_the_parity_of_the_record():
-    medium = Medium(RunConfig(), 10**9)  # 12 dBm LTE: vendor-A defers to it
+    # 12 dBm LTE: vendor-A defers to it
+    medium = scheduled_medium(RunConfig(), [0, 75, 150], passed=0)
     assert medium.defer_to_lte and not medium.busy
     for t, busy in ((0, True), (75, False), (150, True)):
+        medium.lte.advance_to(t)
         medium.lte_switched(t)
         assert medium.lte_on == medium.busy == busy
 
@@ -92,8 +106,7 @@ def test_hard_rule_verdicts_equal_packet_outcome_over_the_window(cfg, ack, swapp
     assume(len(later) >= inside)
     t1 = (later[inside - 1] if inside else t0) + 1 + past
     t1 = min(t1, later[inside]) if inside < len(later) else t1
-    medium = Medium(cfg, 10**9)
-    medium.lte_times = times
+    medium = scheduled_medium(cfg, times)
     station = medium.plan.station
     threshold, sinr, clears = ((station["ack_threshold_db"], medium.sinr_tx, station["_ack_clears"])
                                if ack else (station["data_threshold_db"], medium.sinr_rx,
@@ -103,3 +116,21 @@ def test_hard_rule_verdicts_equal_packet_outcome_over_the_window(cfg, ack, swapp
     window = medium._window(t0, t1, sinr)
     assert len(window) == inside + 1
     assert medium.clears(t0, t1, clears) == packet_outcome(threshold, 0.0, window, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=st.sampled_from(VERDICT_CFGS),
+       times=st.lists(st.integers(0, 2000), unique=True).map(sorted),
+       passed=st.integers(0, 50), t0=st.integers(0, 2100), length=st.integers(1, 2100))
+def test_the_medium_reads_only_the_transitions_passed(cfg, times, passed, t0, length):
+    # The node's schedule runs ahead of the run: what has not happened cuts no window.
+    passed, t1 = min(passed, len(times)), t0 + length
+    medium = scheduled_medium(cfg, times, passed)
+    happened = scheduled_medium(cfg, times[:passed])
+    station = medium.plan.station
+    for sinr, clears in ((medium.sinr_rx, station["_data_clears"]),
+                         (medium.sinr_tx, station["_ack_clears"])):
+        assert medium._window(t0, t1, sinr) == happened._window(t0, t1, sinr)
+        assert medium.clears(t0, t1, clears) == happened.clears(t0, t1, clears)
+    assert medium.lte_on == happened.lte_on
+    assert medium.lte_intervals() == happened.lte_intervals()

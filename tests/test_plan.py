@@ -11,20 +11,13 @@ import numpy as np
 import pytest
 
 from coexsim import experiments
-from coexsim.experiments import SCENARIOS, run_sweep, set_path
+from coexsim.config import WIFI_ONLY, parse_value, resolve_path
+from coexsim.experiments import SCENARIOS, run_sweep
 from coexsim.simulation import Simulation, plan
 
-from conftest import make_cfg
+from conftest import make_cfg, observe
 from test_certain_soft import TRACED_SOFT, ack_fails
 from test_fast_path import FORCED, MATRIX, SEEDS, SOFT, config_id
-
-
-def observe(cfg, seed, trace):
-    sim = Simulation(cfg, seed=seed, trace=trace)
-    metrics = sim.run()
-    station = sim.station
-    return (metrics, "".join(sim.engine.trace or ()), station.rng.bit_generator.state,
-            None if station.decode_rng is None else station.decode_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("cfg", MATRIX + FORCED + SOFT[::3], ids=config_id)
@@ -40,24 +33,42 @@ def test_a_shared_plan_gives_the_run_of_a_fresh_one(cfg):
             assert observe(cfg, seed, trace) == fresh, f"seed {seed}, trace {trace}"
 
 
+# At 2 reps, the runs a grid makes and the configs it serializes: each grid point
+# and, per WiFi setting, one WiFi-only baseline.  The duty grid's 82 runs a rep
+# include its 12 dBm duty-0 points, which are their own baselines, so it serializes
+# its 88 points only; the power grid's 24 points add 4 baselines.
+PLANNED = {"duty": (164, 88), "power": (56, 28)}
+
+
 def test_a_sweep_builds_each_plan_once(monkeypatch):
-    scenario = SCENARIOS["duty"]()
-    scenario.reps, scenario.duration_s = 2, 0.05
-    configs = []
-    execute = experiments._execute
+    payloads, planned, serialized = [], [], []
+    for name, log in (("_execute", payloads), ("canonical_for_seed", planned),
+                      ("serialize_config", serialized)):
+        def recorded(arg, log=log, original=getattr(experiments, name)):
+            log.append(arg)
+            return original(arg)
 
-    def recorded(payload):
-        configs.append(payload[0])
-        return execute(payload)
-
-    monkeypatch.setattr(experiments, "_execute", recorded)
-    plan.cache_clear()
-    run_sweep(scenario, 1, jobs=1)
-    distinct = {(cfg.lte, cfg.wifi, cfg.radio) for cfg in configs}
-    info = plan.cache_info()
-    assert len(configs) == 164 > len(distinct) > 1  # 82 runs a rep
-    # Planning looks each config up once, for its shortest cycle, then each run does.
-    assert (info.misses, info.hits) == (len(distinct), len(configs))
+        monkeypatch.setattr(experiments, name, recorded)
+    for name, (runs, texts) in PLANNED.items():
+        scenario = SCENARIOS[name]()
+        scenario.reps, scenario.duration_s = 2, 0.05
+        for log in (payloads, planned, serialized):
+            log.clear()
+        plan.cache_clear()
+        run_sweep(scenario, 1, jobs=1)
+        configs = [cfg for cfg, _, _ in payloads]
+        distinct = {(cfg.lte, cfg.wifi, cfg.radio) for cfg in configs}
+        info = plan.cache_info()
+        assert len(configs) == runs > len(distinct) > 1
+        # Planning looks each config up once, for its shortest cycle, then each run does.
+        assert (info.misses, info.hits) == (len(distinct), len(configs))
+        # Each distinct config is serialized once, and a baseline is its point's
+        # config with the WiFi-only LTE.
+        points = {scenario.config_for(point) for point in scenario.points()}
+        assert len(serialized) == len(planned) == len(set(planned)) == texts
+        assert set(planned) == points | {dataclasses.replace(cfg, lte=WIFI_ONLY) for cfg in points}
+        assert all(cfg.lte == WIFI_ONLY for cfg, _, label in payloads
+                   if label.startswith("baseline for"))
 
 
 def test_plan_arrays_are_read_only():
@@ -68,6 +79,15 @@ def test_plan_arrays_are_read_only():
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def set_path(cfg, path, value):
+    """``cfg`` with one grid path set, ``str(value)`` converted as an INI value is."""
+    section_name, field_name = resolve_path(path)
+    section = dataclasses.replace(
+        getattr(cfg, section_name),
+        **{field_name: parse_value(section_name, field_name, str(value))})
+    return dataclasses.replace(cfg, **{section_name: section})
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

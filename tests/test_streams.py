@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coexsim.config import (canonical_for_seed, derive_seed, seed_from_text,
-                            serialize_config)
+from coexsim.config import canonical_for_seed, seed_from_text, serialize_config
 from coexsim.engine import Engine
 from coexsim.simulation import Simulation
 
-from conftest import lte_transitions, make_cfg
+from conftest import derive_seed, lte_transitions, make_cfg
 
 
 class TestStreamsBuilt:
