@@ -75,7 +75,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_outputs(args.out, args.trace)
     sim = Simulation(cfg, trace=args.trace is not None)
     result = SweepResult("run", [])
-    result.add((), 0, cfg.seed, sim.run(), normalized="")
+    result.add({}, 0, cfg.seed, sim.run(), normalized="")
     _write(args.out, [result.to_csv_text()])
     if args.trace is not None:
         _write(args.trace, sim.engine.trace)
@@ -117,8 +117,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _summary_path(out: str) -> str:
-    stem, dot, ext = out.rpartition(".")
-    return f"{stem}.summary.{ext}" if dot else f"{out}.summary"
+    """``.summary`` before the output's extension, if its file name has one."""
+    stem, ext = os.path.splitext(out)
+    return f"{stem}.summary{ext}"
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:

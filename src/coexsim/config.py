@@ -15,9 +15,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import io
 import math
-import typing
 from dataclasses import dataclass, field, fields
 
 from .engine import NS_PER_S, NS_PER_US
@@ -140,6 +138,19 @@ class WifiSettings:
         if self.cca_measure_band not in (None, *MEASURE_BANDS):
             raise _invalid("wifi", "cca_measure_band", f"be one of {MEASURE_BANDS}",
                            self.cca_measure_band)
+        # The parts of the longest DCF cycle, by the key that sets each, for the
+        # range RunConfig checks: computed once per section, not once per config.
+        data_us = frame_airtime_us(self.mcs_mbps, self.payload_bytes, self) - self.preamble_us
+        ack_us = ack_airtime_us(self.mcs_mbps, self) - self.preamble_us
+        object.__setattr__(self, "_cycle_parts_us", {
+            "cw_max" if self.cw_max > self.slot_us else "slot_us":
+                (self.cw_max + 3) * self.slot_us,
+            "sifs_us": 2 * self.sifs_us,
+            "preamble_us": 2 * self.preamble_us,
+            "payload_bytes" if self.payload_bytes >= self.mac_overhead_bytes
+            else "mac_overhead_bytes": data_us,
+            "ack_bytes": ack_us,
+        })
 
     @property
     def difs_us(self) -> int:
@@ -253,23 +264,13 @@ class RunConfig:
         two slots), data, SIFS, ACK and the slot after a failure.  Past the
         bound, the error names the key that sets the largest part of it.
         """
-        w = self.wifi
-        data_us = frame_airtime_us(w.mcs_mbps, w.payload_bytes, w) - w.preamble_us
-        ack_us = ack_airtime_us(w.mcs_mbps, w) - w.preamble_us
-        parts_us = {
-            "cw_max" if w.cw_max > w.slot_us else "slot_us": (w.cw_max + 3) * w.slot_us,
-            "sifs_us": 2 * w.sifs_us,
-            "preamble_us": 2 * w.preamble_us,
-            "payload_bytes" if w.payload_bytes >= w.mac_overhead_bytes
-            else "mac_overhead_bytes": data_us,
-            "ack_bytes": ack_us,
-        }
+        parts_us = self.wifi._cycle_parts_us
         scale = FAST_FORWARD_CHUNK * NS_PER_US
         if scale * sum(parts_us.values()) + end_ns <= INT64_MAX:
             return
-        parts_us["duration_s"] = end_ns / scale
+        parts_us = {**parts_us, "duration_s": end_ns / scale}
         key = max(parts_us, key=parts_us.get)
-        section, settings = ("run", self) if key == "duration_s" else ("wifi", w)
+        section, settings = ("run", self) if key == "duration_s" else ("wifi", self.wifi)
         raise _invalid(section, key, f"keep {FAST_FORWARD_CHUNK} of the longest DCF cycles "
                        "past the run end within 2^63 - 1 ns", getattr(settings, key))
 
@@ -280,14 +281,11 @@ _GRID_SECTIONS = ("lte", "wifi", "radio")
 
 
 def _scalar_types(cls) -> dict[str, type]:
-    """Declared type of each scalar field, with ``| None`` taken off."""
-    out = {}
-    for key, hint in typing.get_type_hints(cls).items():
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        kind = args[0] if args else hint
-        if kind in (bool, int, float, str):
-            out[key] = kind
-    return out
+    """Declared type of each scalar field, with ``| None`` taken off, read from the
+    annotations' text (this module postpones their evaluation)."""
+    kinds = {kind.__name__: kind for kind in (bool, int, float, str)}
+    hints = {key: hint.removesuffix(" | None") for key, hint in cls.__annotations__.items()}
+    return {key: kinds[hint] for key, hint in hints.items() if hint in kinds}
 
 
 # Resolved once per class: a conversion is a dict lookup, not a type-hint walk.
@@ -369,28 +367,36 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form: every key, fixed order; re-parsing round-trips."""
-    out = io.StringIO()
-    out.write("[run]\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"duration_s = {cfg.duration_s!r}\n")
+    return run_text(cfg.seed, cfg.duration_s) + "".join(
+        section_text(name, getattr(cfg, name)) for name in _GRID_SECTIONS)
+
+
+def run_text(seed: int, duration_s: float) -> str:
+    """The ``[run]`` section of ``serialize_config``."""
+    return f"[run]\nseed = {seed}\nduration_s = {duration_s!r}\n"
+
+
+def section_text(name: str, section) -> str:
+    """One settings section of ``serialize_config``, from the blank line before it."""
     superseded = {dist for dist, gain in _GEOMETRY_CONFLICTS
-                  if getattr(cfg.radio, gain) is not None}
-    for name in _GRID_SECTIONS:
-        section = getattr(cfg, name)
-        out.write(f"\n[{name}]\n")
-        for f in fields(section):
-            value = getattr(section, f.name)
-            if value is None or (name == "radio" and f.name in superseded):
-                continue  # an explicit gain supersedes its distance key
-            if isinstance(value, float):
-                out.write(f"{f.name} = {value!r}\n")
-            else:
-                out.write(f"{f.name} = {value}\n")
-    return out.getvalue()
+                  if getattr(section, gain) is not None} if name == "radio" else ()
+    lines = [f"\n[{name}]\n"]
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if value is None or f.name in superseded:
+            continue  # an explicit gain supersedes its distance key
+        lines.append(f"{f.name} = {value!r}\n" if isinstance(value, float)
+                     else f"{f.name} = {value}\n")
+    return "".join(lines)
 
 
 # A WiFi-only run's LTE: at duty 0 the node never acts, so no other setting counts.
 WIFI_ONLY = LteSettings(duty=0.0)
+
+
+def lte_for_seed(lte: LteSettings) -> LteSettings:
+    """The LTE settings a run's seed derives from: ``WIFI_ONLY`` at duty 0."""
+    return WIFI_ONLY if lte.duty == 0 else lte
 
 
 def canonical_for_seed(cfg: RunConfig) -> RunConfig:
@@ -400,10 +406,7 @@ def canonical_for_seed(cfg: RunConfig) -> RunConfig:
     ``WIFI_ONLY``.  This both de-duplicates baseline runs across grid points and
     makes every duty-0 row share its baseline's seed exactly.
     """
-    cfg = dataclasses.replace(cfg, seed=0)
-    if cfg.lte.duty == 0:
-        cfg = dataclasses.replace(cfg, lte=WIFI_ONLY)
-    return cfg
+    return dataclasses.replace(cfg, seed=0, lte=lte_for_seed(cfg.lte))
 
 
 def seed_from_text(master_seed: int, text: str, rep: int) -> int:

@@ -25,9 +25,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .config import (WIFI_ONLY, ConfigError, RunConfig, canonical_for_seed, parse_value,
-                     resolve_path, seed_from_text, serialize_config)
-from .engine import NS_PER_S
+from .config import (WIFI_ONLY, ConfigError, RunConfig, lte_for_seed, parse_value,
+                     resolve_path, run_text, section_text, seed_from_text)
+from .engine import NS_PER_S, Seed, stream_words
 from .metrics import RunMetrics, box_stats, normalized_throughput, throughput_mbps
 from .simulation import Simulation, plan
 
@@ -83,14 +83,41 @@ class Scenario:
     def points(self) -> list[tuple]:
         return list(itertools.product(*(values for _, values in self.axes)))
 
-    def config_for(self, point: tuple) -> RunConfig:
-        sections: dict[str, dict] = {}  # one replace per section the axes touch
-        for (path, _), value in zip(self.axes, point):
-            section_name, _, field_name = path.partition(".")
-            sections.setdefault(section_name, {})[field_name] = value
-        return dataclasses.replace(self.base, duration_s=self.duration_s, **{
-            name: dataclasses.replace(getattr(self.base, name), **values)
-            for name, values in sections.items()})
+    def grid(self) -> list[tuple[tuple, RunConfig, str, RunConfig, str]]:
+        """Each point with its config and its baseline's, the point's with the
+        WiFi-only LTE, each followed by its canonical text for the seed,
+        ``serialize_config(canonical_for_seed(cfg))``.
+
+        Each distinct section is built, and so checked, and written once: a
+        point's configs share its sections, and its texts join theirs.
+        """
+        head, wifi_only = run_text(0, self.duration_s), section_text("lte", WIFI_ONLY)
+        axes = {name: [(i, path.partition(".")[2]) for i, (path, _) in enumerate(self.axes)
+                       if path.partition(".")[0] == name] for name in ("lte", "wifi", "radio")}
+        built: dict[tuple, tuple] = {}  # (section name, its axis values) -> section, key, text
+
+        def section(name: str, point: tuple) -> tuple:
+            key = (name, *[point[i] for i, _ in axes[name]])
+            if key not in built:
+                value = dataclasses.replace(getattr(self.base, name),
+                                            **{attr: point[i] for i, attr in axes[name]})
+                for_seed = lte_for_seed(value) if name == "lte" else value
+                built[key] = value, key, (wifi_only if for_seed is WIFI_ONLY
+                                          else section_text(name, for_seed))
+            return built[key]
+
+        out, baselines = [], {}
+        for point in self.points():
+            (lte, _, lte_text), (wifi, wifi_key, wifi_text), (radio, radio_key, radio_text) = (
+                section(name, point) for name in ("lte", "wifi", "radio"))
+            cfg = RunConfig(self.base.seed, self.duration_s, lte, wifi, radio)
+            baseline = baselines.get((wifi_key, radio_key))
+            if baseline is None:
+                baseline = baselines[wifi_key, radio_key] = (
+                    dataclasses.replace(cfg, lte=WIFI_ONLY),
+                    head + wifi_only + wifi_text + radio_text)
+            out.append((point, cfg, head + lte_text + wifi_text + radio_text, *baseline))
+        return out
 
 
 def exp_duty_cycle() -> Scenario:
@@ -134,19 +161,24 @@ SCENARIOS = {"duty": exp_duty_cycle, "power": exp_tx_power,
              "prb": exp_prb_sweep, "freq": exp_center_freq}
 
 
-def _execute(payload: tuple[RunConfig, int, str]) -> RunMetrics:
+def _execute(payload: tuple[RunConfig, Seed, tuple]) -> RunMetrics:
     """One sweep run; a failure names its own grid point, also from a worker."""
-    cfg, seed, label = payload
+    cfg, seed, where = payload
     try:
         return Simulation(cfg, seed=seed).run()
     except Exception as exc:
-        raise SweepError(f"run failed at {label}: {exc}") from exc
+        raise SweepError(f"run failed at {_run_label(*where)}: {exc}") from exc
 
 
-_payloads: list[tuple[RunConfig, int, str]] = []  # a worker's runs, set when it starts
+def _run_label(axis_names: list[str], point: tuple, rep: int, baseline: bool) -> str:
+    """A run as an error names it: its grid point and rep, or whose baseline it is."""
+    return f"{'baseline for ' * baseline}{dict(zip(axis_names, point))} rep {rep}"
 
 
-def _set_payloads(payloads: list[tuple[RunConfig, int, str]]) -> None:
+_payloads: list[tuple[RunConfig, Seed, tuple]] = []  # a worker's runs, set when it starts
+
+
+def _set_payloads(payloads: list[tuple[RunConfig, Seed, tuple]]) -> None:
     _payloads[:] = payloads
 
 
@@ -161,12 +193,16 @@ class SweepResult:
     axis_names: list[str]
     rows: list[dict] = field(default_factory=list)
 
-    def add(self, point: tuple, rep: int, seed: int, metrics: RunMetrics,
+    def axis_cells(self, point: tuple) -> dict[str, str]:
+        return {axis: _fmt(value) for axis, value in zip(self.axis_names, point)}
+
+    def add(self, cells: dict[str, str], rep: int, seed: int, metrics: RunMetrics,
             normalized: float | str) -> None:
-        """Append one run's row; ``normalized`` is "" for a run with no baseline."""
+        """Append one run's row, its point as ``axis_cells`` gives it; ``normalized``
+        is "" for a run with no baseline."""
         self.rows.append({
             "scenario": self.scenario,
-            **{axis: _fmt(value) for axis, value in zip(self.axis_names, point)},
+            **cells,
             "rep": rep,
             "seed": seed,
             "throughput_mbps": throughput_mbps(metrics),
@@ -221,47 +257,40 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
     """Execute reps x grid runs plus duty-0 baselines; deterministic output.
 
     A baseline is its run's config with the WiFi-only LTE, so grid points that
-    differ only in LTE parameters share one baseline per rep.  Each distinct
-    config is serialized once, and every config is built, and so checked,
-    before the first run, so a bad grid value is a config error, not a failed
-    run.
+    differ only in LTE parameters share one baseline per rep.  A run is its
+    canonical text and rep, and the first point to plan it names it in errors.
+    Every config is built, and so checked, before the first run, so a bad grid
+    value is a config error, not a failed run.  The seed words of every stream
+    the runs draw from are computed per label, in one batch for the sweep.
     """
     if scenario.reps < 1:
         raise ConfigError(f"reps must be >= 1, got {scenario.reps}")
     axis_names = [path for path, _ in scenario.axes]
-    texts: dict[RunConfig, str] = {}  # config -> canonical text for its seed
-
-    def canonical_text(cfg: RunConfig) -> str:
-        text = texts.get(cfg)
-        if text is None:
-            text = texts[cfg] = serialize_config(canonical_for_seed(cfg))
-        return text
-
-    runs: dict[tuple[int, str], tuple[RunConfig, int, str]] = {}  # -> cfg, seed, label
-    row_keys: list[tuple[tuple, int, tuple[int, str], tuple[int, str]]] = []
-
-    def plan_run(cfg: RunConfig, text: str, rep: int, label: str) -> tuple[int, str]:
-        key = (rep, text)
-        if key not in runs:
-            runs[key] = (cfg, seed_from_text(master_seed, text, rep), label)
-        return key
-
-    for point in scenario.points():
-        cfg = scenario.config_for(point)
-        baseline_cfg = dataclasses.replace(cfg, lte=WIFI_ONLY)
-        run_text, base_text = canonical_text(cfg), canonical_text(baseline_cfg)
-        point_label = str(dict(zip(axis_names, point)))
+    result = SweepResult(scenario.name, axis_names)
+    firsts: dict[str, tuple[RunConfig, tuple, bool]] = {}  # text -> cfg, point, baseline?
+    runs: dict[tuple[str, int], int] = {}  # (text, rep) -> index, in the order planned
+    row_keys: list[tuple[dict, int, int, int]] = []  # axis cells, rep, run, baseline
+    for point, cfg, text, baseline_cfg, baseline_text in scenario.grid():
+        firsts.setdefault(text, (cfg, point, False))
+        firsts.setdefault(baseline_text, (baseline_cfg, point, True))
+        cells = result.axis_cells(point)
         for rep in range(scenario.reps):
-            label = f"{point_label} rep {rep}"
-            row_keys.append((point, rep, plan_run(cfg, run_text, rep, label),
-                             plan_run(baseline_cfg, base_text, rep, f"baseline for {label}")))
+            row_keys.append((cells, rep, runs.setdefault((text, rep), len(runs)),
+                             runs.setdefault((baseline_text, rep), len(runs))))
+    plans = {text: plan(cfg.lte, cfg.wifi, cfg.radio) for text, (cfg, _, _) in firsts.items()}
     # A baseline has its run's WiFi settings.  One shorter than DIFS, data, SIFS and
     # ACK acknowledges no frame, so no row could be normalized against it.
-    cycle_ns = max(plan(c.lte, c.wifi, c.radio).station["shortest_cycle_ns"]
-                   for c in {cfg for cfg, _, _ in runs.values()})
+    cycle_ns = max(p.station["shortest_cycle_ns"] for p in plans.values())
     if round(scenario.duration_s * NS_PER_S) < cycle_ns:
         raise ConfigError(f"run.duration_s must be at least one baseline DIFS, data, SIFS "
                           f"and ACK ({cycle_ns} ns), got {scenario.duration_s!r}")
+    seeds = [seed_from_text(master_seed, text, rep) for text, rep in runs]
+    words = {label: stream_words(seeds, label)
+             for label in {label for p in plans.values() for label in p.streams}}
+    payloads = []
+    for j, ((text, rep), seed) in enumerate(zip(runs, seeds)):
+        cfg, point, baseline = firsts[text]
+        payloads.append((cfg, Seed(seed, words, j), (axis_names, point, rep, baseline)))
 
     # Little planned work runs here.  A fork pool starts all its workers at the first
     # submit, so it gets no more than there are runs or cores.  With more runs than
@@ -270,7 +299,6 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
     # share: few enough round trips for millisecond runs, small enough that
     # the last chunk's tail stays short when runs take seconds.
     # A failing run raises here or in map, which cancels chunks not yet started.
-    payloads = list(runs.values())
     workers = (min(jobs, len(runs), os.cpu_count() or 1)
                if len(runs) * (scenario.duration_s + 1.0) >= POOL_MIN_WORK_S else 1)
     here = len(runs) if workers == 1 else int(len(runs) > workers)
@@ -280,14 +308,12 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
                                  initargs=(payloads,)) as pool:
             outcomes += pool.map(_execute_at, range(here, len(payloads)),
                                  chunksize=-(-len(runs) // (16 * workers)))
-    results = dict(zip(runs, outcomes))
 
-    result = SweepResult(scenario.name, axis_names)
-    for point, rep, run_key, base_key in row_keys:
+    for cells, rep, run, baseline in row_keys:
         try:
-            normalized = normalized_throughput(results[run_key], results[base_key])
+            normalized = normalized_throughput(outcomes[run], outcomes[baseline])
         except ValueError as exc:
-            raise SweepError(f"cannot normalize against the {runs[base_key][2]}: "
-                             f"{exc}") from exc
-        result.add(point, rep, runs[run_key][1], results[run_key], normalized)
+            raise SweepError(f"cannot normalize against the "
+                             f"{_run_label(*payloads[baseline][2])}: {exc}") from exc
+        result.add(cells, rep, seeds[run], outcomes[run], normalized)
     return result

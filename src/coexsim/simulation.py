@@ -23,10 +23,11 @@ import numpy as np
 
 from .config import LteSettings, RadioSettings, RunConfig, WifiSettings
 from .engine import NS_PER_MS, NS_PER_S, NS_PER_US, Engine
-from .lte import LteNode, occupied_band, on_duration_ns, silent_range_ms
+from .lte import RNG_LABEL, LteNode, occupied_band, on_duration_ns, silent_range_ms
 from .metrics import MetricsAccumulator, RunMetrics
 from .radio import SpectrumBand, noise_floor_dbm, overlap_fraction, sinr_db, success_probability
-from .wifi import DcfStation, ack_airtime_us, ack_rate_mbps, cca_busy, frame_airtime_us
+from .wifi import (BACKOFF_LABEL, DECODE_LABEL, DcfStation, ack_airtime_us, ack_rate_mbps,
+                   cca_busy, frame_airtime_us)
 
 
 class Plan(NamedTuple):
@@ -35,6 +36,7 @@ class Plan(NamedTuple):
     medium: tuple  # defer_to_lte, then sinr_rx and sinr_tx, each (LTE off, LTE on)
     station: dict  # DcfStation's constants, by attribute name
     period: tuple  # LteNode's on time and frame alignment (ns), silent range (ms) or None
+    streams: tuple  # the labels of the RNG streams a run draws from
 
 
 @functools.lru_cache(maxsize=1024)  # bounded: a process may run any number of configs
@@ -90,7 +92,9 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
     # Only a duty strictly between 0 and 1 has silent periods to draw.
     silent_ms = silent_range_ms(lte) if 0.0 < lte.duty < 1.0 else None
     return Plan((defer_to_lte, sinr_rx, sinr_tx), station,
-                (on_duration_ns(lte), lte.frame_align_ms * NS_PER_MS, silent_ms))
+                (on_duration_ns(lte), lte.frame_align_ms * NS_PER_MS, silent_ms),
+                (RNG_LABEL,) * (silent_ms is not None) + (BACKOFF_LABEL,)
+                + (DECODE_LABEL,) * (slope_k != 0.0))
 
 
 class Medium:

@@ -25,6 +25,7 @@ MCS_RATES = tuple(sorted(BITS_PER_SYMBOL))
 BASIC_RATES = (6, 12, 24)
 MEASURE_BANDS = ("full20", "primary10")  # CCA spans: the 20 MHz channel, its center 10 MHz
 SERVICE_TAIL_BITS = 16 + 6
+BACKOFF_LABEL, DECODE_LABEL = "wifi-backoff", "wifi-decode"  # the station's RNG streams
 # Most DCF cycles one vectorised chunk of the step covers, and one backoff
 # prefix sums: bounds the arrays they build and so the step's int64 ns sums.
 FAST_FORWARD_CHUNK = 4096
@@ -251,11 +252,11 @@ class DcfStation:
         self.acc = acc
         for name, value in constants.items():  # timings, thresholds, cw ladder, outcomes
             setattr(self, name, value)  # one by one: a __dict__ update slows every read
-        self.rng = engine.rng_stream("wifi-backoff")
+        self.rng = engine.rng_stream(BACKOFF_LABEL)
         # A word at most per cycle, none shorter than DIFS, data, SIFS and ACK; 2 for peeks.
         self.backoff = BackoffStream(self.rng, channel.end_ns // self.shortest_cycle_ns + 2)
         # The hard PER rule decodes without drawing, so it gets no decode stream.
-        self.decode_rng = engine.rng_stream("wifi-decode") if self.slope_k != 0.0 else None
+        self.decode_rng = engine.rng_stream(DECODE_LABEL) if self.slope_k != 0.0 else None
         off, on = self._outcomes
         # An LTE that neither defers the station nor changes how a cycle ends bounds
         # no untraced step unless the cycles draw decodes; traced lines must

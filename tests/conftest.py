@@ -44,6 +44,18 @@ def derive_seed(master_seed: int, cfg: RunConfig, rep: int) -> int:
     return seed_from_text(master_seed, serialize_config(canonical_for_seed(cfg)), rep)
 
 
+def config_for(scenario, point: tuple) -> RunConfig:
+    """A grid point's config, one replace per section its axes touch: the reference
+    for the configs ``Scenario.grid`` builds from shared sections."""
+    sections: dict[str, dict] = {}
+    for (path, _), value in zip(scenario.axes, point):
+        section_name, _, field_name = path.partition(".")
+        sections.setdefault(section_name, {})[field_name] = value
+    return dataclasses.replace(scenario.base, duration_s=scenario.duration_s, **{
+        name: dataclasses.replace(getattr(scenario.base, name), **values)
+        for name, values in sections.items()})
+
+
 def lte_transitions(sim) -> list[tuple[int, bool]]:
     """The run's LTE transitions so far as (time_ns, now_on) pairs."""
     return [(t, i % 2 == 0) for i, t in enumerate(sim.lte_node.times[:sim.lte_node.passed])]

@@ -82,6 +82,24 @@ class TestSweep:
         assert summary.exists()
         assert len(summary.read_text().strip().splitlines()) == 1 + 2
 
+    @pytest.mark.parametrize("out,summary", [
+        ("duty.csv", "duty.summary.csv"),
+        ("out.v1/sweep", "out.v1/sweep.summary"),  # a dot in a directory name
+        (".hidden", ".hidden.summary"),
+        ("sweep", "sweep.summary"),
+    ])
+    def test_default_summary_path_puts_summary_before_the_extension(
+            self, tmp_path, monkeypatch, capsys, out, summary):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.v1").mkdir()
+        code, _, _ = run_cli(capsys, "sweep", "power", "--reps", "1", "--duration", "0.05",
+                             "--jobs", "1", "--grid", "lte.tx_power_dbm=12",
+                             "--grid", "wifi.tx_power_dbm=17", "--grid", "mcs_mbps=54",
+                             "--out", out)
+        assert code == 0
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                      if p.is_file()) == sorted([out, summary])
+
     def test_sweep_is_byte_deterministic(self, tmp_path, capsys, pool_always):
         texts = []
         for name in ("a.csv", "b.csv"):

@@ -211,7 +211,7 @@ class TestGridTokensParseLikeIniValues:
         def from_grid():
             scenario = Scenario("grid", RunConfig(), [], reps=1)
             scenario.override_grid(f"{section}.{key}", [text])
-            cfg = scenario.config_for(scenario.points()[0])
+            cfg = scenario.grid()[0][1]
             return getattr(getattr(cfg, section), key)
 
         for text in TOKENS:

@@ -12,7 +12,7 @@ from coexsim.experiments import (SCENARIOS, Scenario, SweepError, exp_center_fre
                                  run_sweep)
 from coexsim.metrics import RunMetrics
 
-from conftest import derive_seed
+from conftest import config_for, derive_seed
 
 
 def tiny_scenario(reps=2, duration=0.3):
@@ -54,7 +54,7 @@ class TestScenarioBuilders:
 def grid_config(path, value):
     """The defaults with one grid axis set to ``value``, as a sweep sets it."""
     scenario = Scenario("one", RunConfig(), [(path, [value])])
-    return scenario.config_for(scenario.points()[0])
+    return scenario.grid()[0][1]
 
 
 class TestSetPath:
@@ -220,7 +220,7 @@ class TestChunkedPool:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_run_is_named_by_its_own_grid_point(self, monkeypatch, jobs):
         scenario = chunked_scenario()
-        fail_seed = derive_seed(5, scenario.config_for((0.5,)), 3)
+        fail_seed = derive_seed(5, config_for(scenario, (0.5,)), 3)
         # Duty 0.5 rep 3 is planned 24th: the second run of its chunk.
         monkeypatch.setattr(experiments, "Simulation", failing_simulation(fail_seed))
         with pytest.raises(SweepError, match=r"\{'lte.duty': 0.5\} rep 3: injected"):
@@ -230,7 +230,7 @@ class TestChunkedPool:
     def test_leftover_chunks_are_not_run(self, monkeypatch, tmp_path):
         scenario = chunked_scenario()
         log = tmp_path / "runs.log"
-        fail_seed = derive_seed(5, scenario.config_for((0.0,)), 0)  # the first run
+        fail_seed = derive_seed(5, config_for(scenario, (0.0,)), 0)  # the first run
         monkeypatch.setattr(experiments, "Simulation",
                             failing_simulation(fail_seed, log, delay_s=0.05))
         with pytest.raises(SweepError):

@@ -2,20 +2,27 @@
 
 ``simulation.plan`` is cached per (lte, wifi, radio) settings and shared by
 every run of a config.  A run built on a plan that other runs used must be
-the run built on a fresh one, and a sweep must build each plan once.
+the run built on a fresh one, and a sweep must build each plan once.  A
+sweep plans its grid from section texts, and each point's text must be the
+canonical text of its config.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coexsim import experiments
-from coexsim.config import WIFI_ONLY, parse_value, resolve_path
+from coexsim.config import (WIFI_ONLY, canonical_for_seed, parse_value, resolve_path,
+                            serialize_config)
 from coexsim.experiments import SCENARIOS, run_sweep
+from coexsim.lte import PRB_CHOICES
 from coexsim.simulation import Simulation, plan
+from coexsim.wifi import CCA_PRESETS, MCS_RATES
 
-from conftest import make_cfg, observe
+from conftest import config_for, make_cfg, observe
 from test_certain_soft import TRACED_SOFT, ack_fails
 from test_fast_path import FORCED, MATRIX, SEEDS, SOFT, config_id
 
@@ -33,42 +40,119 @@ def test_a_shared_plan_gives_the_run_of_a_fresh_one(cfg):
             assert observe(cfg, seed, trace) == fresh, f"seed {seed}, trace {trace}"
 
 
-# At 2 reps, the runs a grid makes and the configs it serializes: each grid point
-# and, per WiFi setting, one WiFi-only baseline.  The duty grid's 82 runs a rep
-# include its 12 dBm duty-0 points, which are their own baselines, so it serializes
-# its 88 points only; the power grid's 24 points add 4 baselines.
-PLANNED = {"duty": (164, 88), "power": (56, 28)}
+# At 2 reps, the runs a grid makes, the configs it plans and the sections it writes.
+# Its configs are each grid point and, per WiFi setting, one WiFi-only baseline.  The
+# duty grid's 82 runs a rep include its 12 dBm duty-0 points, which are their own
+# baselines, so it plans its 88 points only; the power grid's 24 points add 4
+# baselines.  The duty grid writes 40 LTE sections (a duty-0 one is written as the
+# WiFi-only LTE), 2 WiFi, 1 radio and the WiFi-only LTE; the power grid 6, 4, 1 and 1.
+PLANNED = {"duty": (164, 88, 44), "power": (56, 28, 12)}
 
 
 def test_a_sweep_builds_each_plan_once(monkeypatch):
-    payloads, planned, serialized = [], [], []
-    for name, log in (("_execute", payloads), ("canonical_for_seed", planned),
-                      ("serialize_config", serialized)):
-        def recorded(arg, log=log, original=getattr(experiments, name)):
-            log.append(arg)
-            return original(arg)
+    payloads, written = [], []
+    for name, log in (("_execute", payloads), ("section_text", written)):
+        def recorded(*args, log=log, original=getattr(experiments, name)):
+            log.append(args)
+            return original(*args)
 
         monkeypatch.setattr(experiments, name, recorded)
-    for name, (runs, texts) in PLANNED.items():
+    for name, (runs, texts, sections) in PLANNED.items():
         scenario = SCENARIOS[name]()
         scenario.reps, scenario.duration_s = 2, 0.05
-        for log in (payloads, planned, serialized):
+        for log in (payloads, written):
             log.clear()
         plan.cache_clear()
         run_sweep(scenario, 1, jobs=1)
-        configs = [cfg for cfg, _, _ in payloads]
+        configs = [cfg for (cfg, _, _), in payloads]
         distinct = {(cfg.lte, cfg.wifi, cfg.radio) for cfg in configs}
         info = plan.cache_info()
         assert len(configs) == runs > len(distinct) > 1
         # Planning looks each config up once, for its shortest cycle, then each run does.
         assert (info.misses, info.hits) == (len(distinct), len(configs))
-        # Each distinct config is serialized once, and a baseline is its point's
-        # config with the WiFi-only LTE.
-        points = {scenario.config_for(point) for point in scenario.points()}
-        assert len(serialized) == len(planned) == len(set(planned)) == texts
-        assert set(planned) == points | {dataclasses.replace(cfg, lte=WIFI_ONLY) for cfg in points}
-        assert all(cfg.lte == WIFI_ONLY for cfg, _, label in payloads
-                   if label.startswith("baseline for"))
+        # No config is serialized whole: each distinct section is written once, and a
+        # point's texts join its sections' texts.
+        assert len(written) == len(set(written)) == sections
+        # Each distinct config is planned once, and a baseline is its point's config
+        # with the WiFi-only LTE.
+        points = {config_for(scenario, point) for point in scenario.points()}
+        planned = [(cfg, baseline) for _, cfg, _, baseline, _ in scenario.grid()]
+        assert {cfg for cfg, _ in planned} == points
+        assert {baseline for _, baseline in planned} == {
+            dataclasses.replace(cfg, lte=WIFI_ONLY) for cfg in points}
+        assert len(points | {baseline for _, baseline in planned}) == texts
+        baselines = [cfg for (cfg, _, where), in payloads
+                     if experiments._run_label(*where).startswith("baseline for")]
+        assert all(cfg.lte == WIFI_ONLY for cfg in baselines)
+
+
+def assert_grid_texts(scenario):
+    """Each point's config is its reference config, its baseline that with the
+    WiFi-only LTE, and each text is the config's canonical text for its seed."""
+    grid = scenario.grid()
+    assert [point for point, *_ in grid] == scenario.points()
+    for point, cfg, text, baseline, baseline_text in grid:
+        assert cfg == config_for(scenario, point)
+        assert baseline == dataclasses.replace(cfg, lte=WIFI_ONLY)
+        assert text == serialize_config(canonical_for_seed(cfg))
+        assert baseline_text == serialize_config(canonical_for_seed(baseline))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_grid_texts_are_the_canonical_texts(name):
+    scenario = SCENARIOS[name]()
+    scenario.reps, scenario.duration_s = 5, 0.2
+    assert_grid_texts(scenario)
+
+
+# --grid values per path, as tokens: distances and their gains, a preset's
+# override that may be unset (""), and each kind of key.
+GRID_TOKENS = {
+    "lte.duty": st.sampled_from(["0", "0.1", "0.5", "50%", "1"]),
+    "lte.tx_power_dbm": st.floats(-40, 30).map(repr),
+    "lte.n_prb": st.sampled_from([str(n) for n in PRB_CHOICES]),
+    "lte.mean_period_ms": st.sampled_from(["150", "80.5"]),
+    "wifi.mcs_mbps": st.sampled_from([str(r) for r in MCS_RATES]),
+    "wifi.cca_profile": st.sampled_from(sorted(CCA_PRESETS)),
+    "wifi.cca_measure_band": st.sampled_from(["", "full20", "primary10"]),
+    "wifi.cca_mid_packet_abort": st.sampled_from(["true", "off"]),
+    "wifi.cca_ed_threshold_dbm": st.floats(-90, 0).map(repr),
+    "radio.soft_slope_k": st.sampled_from(["0", "0.5", "2"]),
+    "radio.dist_lte_to_wifi_rx_m": st.floats(0.1, 10).map(repr),
+    "radio.gain_lte_to_wifi_rx_db": st.floats(-90, 0).map(repr),
+    "radio.dist_wifi_tx_to_rx_m": st.floats(0.1, 10).map(repr),
+    "radio.gain_wifi_link_db": st.floats(-90, 0).map(repr),
+    "radio.per_thresholds": st.sampled_from(["", "6:4, 54:26"]),
+}
+
+
+@st.composite
+def overridden_scenarios(draw):
+    scenario = SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))]()
+    if draw(st.booleans()):  # a base whose explicit gain supersedes its distance key
+        scenario.base = dataclasses.replace(scenario.base, radio=dataclasses.replace(
+            scenario.base.radio, gain_lte_to_wifi_rx_db=-20.0))
+    scenario.duration_s = draw(st.sampled_from([0.2, 10.0, 1e-3]))
+    for path in draw(st.lists(st.sampled_from(sorted(GRID_TOKENS)), max_size=3, unique=True)):
+        tokens = draw(st.lists(GRID_TOKENS[path], min_size=1, max_size=3,
+                               unique_by=lambda t, p=path: parse_value(*p.split("."), t)))
+        scenario.override_grid(path, tokens)
+    return scenario
+
+
+def test_a_gain_axis_supersedes_its_distance_key():
+    scenario = SCENARIOS["power"]()
+    scenario.override_grid("radio.gain_wifi_link_db", ["-40", "-50.5"])
+    assert_grid_texts(scenario)
+    for _, _, text, _, baseline_text in scenario.grid():
+        assert "gain_wifi_link_db" in text and "dist_wifi_tx_to_rx_m" not in text
+        assert "dist_wifi_tx_to_rx_m" not in baseline_text
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=overridden_scenarios())
+def test_grid_texts_under_grid_overrides_are_the_canonical_texts(scenario):
+    assert_grid_texts(scenario)
 
 
 def test_plan_arrays_are_read_only():
@@ -99,7 +183,7 @@ def test_config_for_equals_one_set_path_per_axis(name):
         chained = dataclasses.replace(scenario.base, duration_s=scenario.duration_s)
         for (path, _), value in zip(scenario.axes, point):
             chained = set_path(chained, path, value)
-        assert repr(scenario.config_for(point)) == repr(chained)
+        assert repr(config_for(scenario, point)) == repr(chained)
 
 
 UNSENSED = dict(cca_ed_threshold_dbm=30.0)  # no LTE defers the station

@@ -6,14 +6,17 @@ never draws from cannot move any draw of the others.
 
 import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coexsim import experiments
 from coexsim.config import canonical_for_seed, seed_from_text, serialize_config
-from coexsim.engine import Engine
+from coexsim.engine import Engine, Seed, stream_words
+from coexsim.experiments import SCENARIOS, run_sweep
 from coexsim.simulation import Simulation
 
 from conftest import derive_seed, lte_transitions, make_cfg
@@ -64,6 +67,78 @@ class TestStreamDerivation:
     def test_any_seed_and_label_equal_seed_sequence_of_ints(self, seed, label):
         state = Engine(seed).rng_stream(label).bit_generator.state
         assert state == seed_sequence_of_ints(seed, label)
+
+
+RUN_LABELS = ["lte-silent", "wifi-backoff", "wifi-decode"]  # as run_labels() gives them
+# One-word and two-word seeds, with each bound of each length.
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+seed_batches = st.lists(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**32 - 1)
+                        | st.integers(0, 2**64 - 1), max_size=50)
+
+
+class TestStreamWords:
+    @settings(max_examples=50, deadline=None)
+    @given(seeds=seed_batches | st.just(EDGE_SEEDS),
+           label=st.sampled_from(RUN_LABELS) | st.text())
+    def test_each_row_gives_the_seed_sequence_state(self, seeds, label):
+        words = stream_words(seeds, label)
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for j, seed in enumerate(seeds):
+            state = Engine(Seed(seed, {label: words}, j)).rng_stream(label).bit_generator.state
+            assert state == seed_sequence_of_ints(seed, label), seed
+
+    def test_an_engine_builds_a_stream_from_its_words(self):
+        zeros = np.zeros((1, 4), dtype=np.uint64)
+        from_words = Engine(Seed(5, {"wifi-backoff": zeros}, 0))
+        assert from_words.seed == 5
+        assert (from_words.rng_stream("wifi-backoff").bit_generator.state
+                != Engine(5).rng_stream("wifi-backoff").bit_generator.state)
+        # A label without words keeps the seed's own stream.
+        assert (from_words.rng_stream("lte-silent").bit_generator.state
+                == Engine(5).rng_stream("lte-silent").bit_generator.state)
+
+    def test_a_seed_pickles_with_its_words(self):
+        # A pool that does not fork sends the planned runs, Seeds included, pickled.
+        seed = Seed(2**40 + 3, {"wifi-backoff": stream_words([7, 2**40 + 3], "wifi-backoff")}, 1)
+        copy = pickle.loads(pickle.dumps(seed))
+        assert (type(copy), copy, copy.index) == (Seed, seed, 1)
+        assert (Engine(copy).rng_stream("wifi-backoff").bit_generator.state
+                == seed_sequence_of_ints(2**40 + 3, "wifi-backoff"))
+
+
+def test_every_sweep_run_is_its_standalone_run(monkeypatch):
+    """Each run of a sweep, soft PER included, draws the streams that
+    ``Simulation(cfg, seed=seed)`` draws, every one from its batch's words."""
+    sims = []
+
+    class Recorded(Simulation):
+        def __init__(self, cfg, seed):
+            super().__init__(cfg, seed=seed)
+            sims.append((cfg, seed, self))
+
+        def run(self):
+            self.metrics = super().run()
+            return self.metrics
+
+    monkeypatch.setattr(experiments, "Simulation", Recorded)
+    scenario = SCENARIOS["duty"]()
+    scenario.reps, scenario.duration_s = 2, 0.3
+    for path, values in (("lte.duty", [0, 0.5, 1]), ("lte.tx_power_dbm", [-6]),
+                         ("wifi.mcs_mbps", [54]), ("radio.soft_slope_k", [0, 2])):
+        scenario.override_grid(path, values)
+    result = run_sweep(scenario, master_seed=4, jobs=1)
+    # 6 points at 2 reps; the duty-0 points are the baselines of the others.
+    assert len(result.rows) == len(sims) == 12
+    built = set()
+    for cfg, seed, sim in sims:
+        standalone = Simulation(cfg, seed=int(seed))
+        assert standalone.run() == sim.metrics
+        streams = sim.engine._streams
+        assert set(streams) <= set(seed.words)  # no stream falls back to its SeedSequence
+        assert {label: rng.bit_generator.state for label, rng in streams.items()} == {
+            label: rng.bit_generator.state for label, rng in standalone.engine._streams.items()}
+        built |= set(streams)
+    assert built == set(RUN_LABELS)
 
 
 class TestDrawsUnchanged:
