@@ -12,9 +12,10 @@ import sys
 
 from .config import WIFI_ONLY, ConfigError, RunConfig, parse_config, parse_value
 from .engine import SchedulingError
-from .experiments import POOL_MIN_WORK_S, SCENARIOS, SweepError, SweepResult, run_sweep
+from .experiments import (POOL_MIN_WORK_S, SCENARIOS, SweepError, SweepResult,
+                          check_one_cycle, run_sweep)
 from .metrics import throughput_mbps
-from .simulation import Simulation
+from .simulation import Simulation, plan
 from .wifi import MCS_RATES, analytic_goodput_mbps
 
 
@@ -127,6 +128,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     rates = MCS_RATES if args.mcs == "all" else args.mcs.split(",")
     configs = [dataclasses.replace(base, wifi=dataclasses.replace(
         base.wifi, mcs_mbps=parse_value("wifi", "mcs_mbps", str(rate)))) for rate in rates]
+    mcs = [cfg.wifi.mcs_mbps for cfg in configs]
+    if len(set(mcs)) < len(mcs):
+        raise ConfigError(f"wifi.mcs_mbps repeats a rate in {mcs}")
+    check_one_cycle(args.duration, [plan(cfg.lte, cfg.wifi, cfg.radio) for cfg in configs])
     print(f"{'mcs_mbps':>8} {'analytic_mbps':>14} {'simulated_mbps':>15} {'rel_err':>9}")
     worst = 0.0
     for cfg in configs:

@@ -128,15 +128,16 @@ class _Words(ISeedSequence):
 class Seed(int):
     """A master seed and the PCG64 seed words of its streams: row ``index`` of
     ``words[label]``, a batch ``stream_words`` computed.  An Engine builds those
-    streams from the words, the same streams the plain seed gives it."""
+    streams from the words, the same streams the plain seed gives it.  A sweep
+    also hands its run the plan it looked up for the run's config."""
 
-    def __new__(cls, seed: int, words: dict[str, np.ndarray], index: int) -> Seed:
+    def __new__(cls, seed: int, words: dict[str, np.ndarray], index: int, plan=None) -> Seed:
         self = super().__new__(cls, seed)
-        self.words, self.index = words, index
+        self.words, self.index, self.plan = words, index, plan
         return self
 
     def __reduce__(self):
-        return Seed, (int(self), self.words, self.index)
+        return Seed, (int(self), self.words, self.index, self.plan)
 
 
 class SchedulingError(Exception):

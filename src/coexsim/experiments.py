@@ -253,6 +253,15 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def check_one_cycle(duration_s: float, plans) -> None:
+    """Raise ConfigError unless runs of ``duration_s`` hold the longest of these plans'
+    DIFS, data, SIFS and ACK: a shorter baseline acknowledges no frame."""
+    cycle_ns = max(p.station["shortest_cycle_ns"] for p in plans)
+    if round(duration_s * NS_PER_S) < cycle_ns:
+        raise ConfigError(f"run.duration_s must be at least one baseline DIFS, data, SIFS "
+                          f"and ACK ({cycle_ns} ns), got {duration_s!r}")
+
+
 def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResult:
     """Execute reps x grid runs plus duty-0 baselines; deterministic output.
 
@@ -278,19 +287,15 @@ def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResul
             row_keys.append((cells, rep, runs.setdefault((text, rep), len(runs)),
                              runs.setdefault((baseline_text, rep), len(runs))))
     plans = {text: plan(cfg.lte, cfg.wifi, cfg.radio) for text, (cfg, _, _) in firsts.items()}
-    # A baseline has its run's WiFi settings.  One shorter than DIFS, data, SIFS and
-    # ACK acknowledges no frame, so no row could be normalized against it.
-    cycle_ns = max(p.station["shortest_cycle_ns"] for p in plans.values())
-    if round(scenario.duration_s * NS_PER_S) < cycle_ns:
-        raise ConfigError(f"run.duration_s must be at least one baseline DIFS, data, SIFS "
-                          f"and ACK ({cycle_ns} ns), got {scenario.duration_s!r}")
+    check_one_cycle(scenario.duration_s, plans.values())  # a baseline has its run's WiFi
     seeds = [seed_from_text(master_seed, text, rep) for text, rep in runs]
     words = {label: stream_words(seeds, label)
              for label in {label for p in plans.values() for label in p.streams}}
     payloads = []
     for j, ((text, rep), seed) in enumerate(zip(runs, seeds)):
         cfg, point, baseline = firsts[text]
-        payloads.append((cfg, Seed(seed, words, j), (axis_names, point, rep, baseline)))
+        payloads.append((cfg, Seed(seed, words, j, plans[text]),
+                         (axis_names, point, rep, baseline)))
 
     # Little planned work runs here.  A fork pool starts all its workers at the first
     # submit, so it gets no more than there are runs or cores.  With more runs than

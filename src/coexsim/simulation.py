@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import LteSettings, RadioSettings, RunConfig, WifiSettings
-from .engine import NS_PER_MS, NS_PER_S, NS_PER_US, Engine
+from .engine import NS_PER_MS, NS_PER_S, NS_PER_US, Engine, Seed
 from .lte import RNG_LABEL, LteNode, occupied_band, on_duration_ns, silent_range_ms
 from .metrics import MetricsAccumulator, RunMetrics
 from .radio import SpectrumBand, noise_floor_dbm, overlap_fraction, sinr_db, success_probability
@@ -100,11 +100,11 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
 class Medium:
     """Shared channel: carrier sense and SINR windows over the LTE transitions passed."""
 
-    def __init__(self, cfg: RunConfig, end_ns: int) -> None:
+    def __init__(self, cfg: RunConfig, end_ns: int, run_plan: Plan | None = None) -> None:
         self.end_ns = end_ns
         self.station: DcfStation | None = None
         self.lte: LteNode | None = None  # the run's, set once it is built
-        self.plan = plan(cfg.lte, cfg.wifi, cfg.radio)
+        self.plan = run_plan or plan(cfg.lte, cfg.wifi, cfg.radio)
         self.defer_to_lte, self.sinr_rx, self.sinr_tx = self.plan.medium
 
     @property
@@ -162,7 +162,8 @@ class Simulation:
         self.engine = Engine(cfg.seed if seed is None else seed, trace=trace)
         self.acc = MetricsAccumulator()
         self.duration_ns = int(round(cfg.duration_s * NS_PER_S))
-        self.medium = Medium(cfg, self.duration_ns)
+        # A sweep's seed carries the plan it looked up, which spares hashing the config.
+        self.medium = Medium(cfg, self.duration_ns, seed.plan if isinstance(seed, Seed) else None)
         p = self.medium.plan
 
         self.lte_node = self.medium.lte = LteNode(self.engine, self.medium, p.period)

@@ -235,10 +235,11 @@ class DcfStation:
     delivered, by a prefix search, any other in NumPy chunks.  An untraced
     run's LTE that the station neither defers to nor decodes differently
     under is no change, and every run settles the cycle that crosses an
-    LTE transition in closed form and steps on, period after period
-    (``_walk_edge``).  Counters, airtime, RNG streams and trace lines end
-    exactly where the event path leaves them; a cycle that crosses a change
-    the closed form leaves alone runs on events from its DIFS.
+    LTE transition in closed form and steps on, period after period, to the
+    cycle the run end cuts, which it settles too (``_walk_edge``).  Counters,
+    airtime, RNG streams and trace lines end exactly where the event path
+    leaves them; a cycle that crosses a change the closed form leaves alone
+    runs on events from its DIFS.
     """
 
     name = "wifi-tx"
@@ -271,6 +272,7 @@ class DcfStation:
         self._event = None
         self._backoff_k = self._backoff_t0 = self._tx_start = 0
         self._ack_window: tuple[int, int] | None = None
+        self._at_end = ""  # trace lines the walk settled at the run end
 
         self.difs_completed = self.backoff_slots_elapsed = 0
         self.data_decode_failures = self.ack_decode_failures = 0
@@ -411,19 +413,22 @@ class DcfStation:
 
         The step walks on: ``_walk_edge`` settles the cycle that crosses a
         transition, and the step goes on from where contention resumes, up to
+        the cycle the run end cuts, which ``_walk_edge`` settles too, or to
         the first edge it leaves to the events.  The LTE node counts the
         transitions passed (all up to the run end for an LTE the station does
         not feel), and its event moves past them.  Each stretch and each
-        walked edge writes its own trace lines.  If it advanced, the step
-        schedules the next contention where its last whole cycle ends, as an
-        event with no kind, which writes no line.  Returns the time the
-        station advanced to: ``now`` if it did not.
+        walked edge writes its own trace lines.  If it advanced to an edge
+        left to the events, the step schedules the next contention where its
+        last whole cycle ends, as an event with no kind, which writes no line;
+        once it reaches the run end it schedules nothing.  Returns the time the
+        station advanced to: ``now`` if it did not, the run end if it reached it.
         """
-        start, lte, end, walked = now, self.channel.lte, self.channel.end_ns, False
+        start = t = now
+        lte, end, walked = self.channel.lte, self.channel.end_ns, False
         times = lte.times if self._feels_lte else ()
         tail_ns = self.data_air_ns + self.sifs_ns + self.ack_air_ns  # tx start to ACK end
         base_ns = self.difs_ns + tail_ns
-        while True:
+        while now is not None and now < end:  # None: an edge left to the events
             i = lte.passed  # the next LTE transition bounds the step if the station feels it
             horizon = min(times[i], end) if i < len(times) else end
             data_ok, ack_ok, odds, draws = self._outcomes[i % 2]
@@ -434,17 +439,12 @@ class DcfStation:
                 t = self._skip_chunks(now, horizon, base_ns, tail_ns, data_ok, odds)
             if draws:  # certain soft odds: skip the decode draws the cycles took
                 self.decode_rng.bit_generator.advance(draws * (self.difs_completed - cycles))
-            if horizon == end or (now := self._walk_edge(t, horizon)) is None:
-                break
-            walked = True
-        if not self._feels_lte:
-            lte.advance_to(end)
-            walked = True
+            walked |= (now := self._walk_edge(t, horizon)) is not None
         if walked:
             lte.arm()
-        if t > start:
+        if now is None and t > start:
             self._event = self.engine.schedule(t, "", self.name, self._start_difs)
-        return t
+        return t if now is None else end
 
     def _skip_chunks(self, now: int, horizon: int, base_ns: int, tail_ns: int,
                      data_ok: bool, odds) -> int:
@@ -558,7 +558,9 @@ class DcfStation:
 
     def _walk_edge(self, t: int, horizon: int) -> int | None:
         """Settle the cycle from ``t`` that crosses the LTE transition at
-        ``horizon`` as its events would; return when contention next starts.
+        ``horizon``, or that the run end at ``horizon`` cuts, as its events
+        would; return when contention next starts, at or past the run end
+        once the station is done.
 
         A deferring station is blocked from that LTE-on to the next LTE-off.
         The onset cuts its DIFS short, freezes its backoff (at once under
@@ -566,19 +568,21 @@ class DcfStation:
         finds a frame in flight or in vendor-B's last slot.  A station that
         does not defer contends again where the cycle ends.  The word peeked
         is taken, a frame decodes over the LTE states it spans, and its ACK or
-        timeout, retry ladder and drop are counted as the events count them.
-        A traced run gets the lines of the cycle's events and of the
-        transitions passed, in time order.  Returns None, changing nothing,
-        for an edge left to the events: a station event on the transition, a
-        last event at or past the next transition or the run end, or a resume
-        whose DIFS would end on the next one.
+        timeout, retry ladder and drop are counted as the events count them,
+        each only if it falls at or before the run end; a frame or an ACK
+        still in the air there is left for ``flush``.  A traced run gets the
+        lines of the cycle's events and of the transitions passed, in time
+        order, and ``flush`` writes those at the run end after its line.
+        Returns None, changing nothing, for an edge left to the events: a
+        station event on the transition, or on the run end with a transition
+        there, a last event at or past the next transition before the run
+        end, or a resume whose DIFS would end on the next transition.
         """
         channel, slot, defer = self.channel, self.slot_ns, self.channel.defer_to_lte
         times, i, end = channel.lte.times, channel.lte.passed, channel.end_ns
-        after = times[i + 1]
-        if not defer:
-            after = min(after, end)
-        elif after >= end or after + self.difs_ns == min(times[i + 2], end):
+        edge = horizon < end or self._feels_lte and i < len(times) and times[i] == end
+        after = min(times[i + 1], end) if horizon < end else end
+        if defer and after < end and after + self.difs_ns == times[i + 2] <= end:
             return None
         k = self.pending_k
         k = self.backoff.peek_one(self.cw.bit_length()) if k is None else k
@@ -587,7 +591,7 @@ class DcfStation:
         tx_end = tx_start + self.data_air_ns
         ack_end = tx_end + self.sifs_ns + self.ack_air_ns
         last, frozen = ack_end + slot, None  # frozen: (slots counted, residual)
-        if defer and horizon < tx_start:
+        if edge and defer and horizon < tx_start:
             whole, within = divmod(horizon - difs_end, slot)
             if horizon < difs_end:
                 last, frozen = horizon, (0, self.pending_k)
@@ -595,21 +599,33 @@ class DcfStation:
                 last, frozen = horizon, (whole, k - whole)
             elif whole + 1 < k:  # the slot in progress completes
                 last, frozen = difs_end + (whole + 1) * slot, (whole + 1, k - whole - 1)
-        if last >= after or horizon in (difs_end, tx_start, tx_end, ack_end, ack_end + slot):
+        events = (difs_end, tx_start, tx_end, ack_end, ack_end + slot)
+        if last >= after < end or edge and (  # a station event on a transition
+                horizon in events or times[i + 1] == end and end in (*events, last)):
             return None
         channel.lte.advance_to(after if defer else horizon)
-        if difs_ended := frozen is None or horizon > difs_end:  # it takes the k peeked
-            self.difs_completed += 1
+        # Events at or before the run end happen: it may cut the cycle anywhere.
+        if difs_ended := (frozen is None or horizon > difs_end) and difs_end <= end:
+            self.difs_completed += 1  # it takes the k peeked
             self.backoff.skip(self.pending_k is None and self.cw > 0)
-        self.pending_k = None if frozen is None else frozen[1]
+            self.pending_k = None
+        data = ok = False
         if frozen is not None:
-            self.backoff_slots_elapsed += frozen[0]
-        else:
+            if last <= end:
+                self.backoff_slots_elapsed += frozen[0]
+                self.pending_k = frozen[1]
+        elif tx_start <= end:
             self.backoff_slots_elapsed += k
             self.acc.attempts += 1
-            data = self._data_decodes(tx_start, tx_end)
-            ok = data and self._ack_decodes(ack_end - self.ack_air_ns, ack_end)
-            self._count(ok)
+            if tx_end <= end:
+                data = self._data_decodes(tx_start, tx_end)
+                if (ack_end if data else last) <= end:
+                    ok = data and self._ack_decodes(ack_end - self.ack_air_ns, ack_end)
+                    self._count(ok)
+        if after == end:  # what ``flush`` reads: a frame or an ACK in the air at the run end
+            self.state = "tx" if frozen is None and tx_start <= end < tx_end else "blocked"
+            self._tx_start = tx_start
+            self._ack_window = (ack_end - self.ack_air_ns, ack_end) if data and ack_end > end else None
         if (trace := self.engine.trace) is not None:
             lines = [(difs_end, "difs-end", "")] * difs_ended
             if frozen is not None:  # vendor-B's slot boundary, if the slot went on
@@ -618,10 +634,12 @@ class DcfStation:
                 lines += [(tx_start, "backoff-slot", f"k={k}")] * (k > 0) + [(tx_end, "tx-end", "")]
                 lines += [(ack_end, "ack-result", "")] * data
                 lines += [(last, "cca-sample" if data else "ack-timeout", "")] * (not ok)
-            lines = [(at, kind, self.name, detail) for at, kind, detail in lines] + [
-                (at, "lte-off" if n % 2 else "lte-on", channel.lte.name, "")
-                for n, at in enumerate(times[i:channel.lte.passed], i)]  # the transitions passed
-            trace.append("".join(trace_line(*line) for line in sorted(lines)))
+            lines = [(at, kind, self.name, detail) for at, kind, detail in lines if at <= end]
+            lines = sorted(lines + [(at, "lte-off" if n % 2 else "lte-on", channel.lte.name, "")
+                                    for n, at in enumerate(times[i:channel.lte.passed], i)])
+            cut = bisect.bisect_left(lines, (end,))  # lines at the run end follow its line
+            trace.append("".join(trace_line(*line) for line in lines[:cut]))
+            self._at_end += "".join(trace_line(*line) for line in lines[cut:])
         return after if defer else ack_end if ok else last
 
     def _drawn_outcomes(self, m: int, p_data: float, p_ack: float | None):
@@ -719,7 +737,10 @@ class DcfStation:
     # -- end of run -----------------------------------------------------------
 
     def flush(self, t_end_ns: int) -> None:
-        """Account in-flight emissions when the run is cut off at t_end."""
+        """Account in-flight emissions when the run is cut off at t_end, and write
+        the lines of walked events at t_end, which follow the run-end line."""
+        if self._at_end:
+            self.engine.trace.append(self._at_end)
         if self.state == "tx":
             self.acc.add_wifi(self._tx_start, t_end_ns)
         elif self._ack_window is not None and self._ack_window[0] < t_end_ns:

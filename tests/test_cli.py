@@ -273,6 +273,10 @@ class TestRunInputErrors:
         (["baseline", "--duration", "-1"], None, "duration_s"),
         (["baseline", "--duration", "inf"], None, "duration_s"),
         (["baseline", "--mcs", "abc"], None, "mcs_mbps"),
+        # A baseline too short for one DIFS, data, SIFS and ACK, and a rate run twice.
+        (["baseline", "--duration", "0.002"], None, "run.duration_s must be at least one"),
+        (["baseline", "--duration", "0.0001", "--mcs", "6"], None, "(2166000 ns)"),
+        (["baseline", "--mcs", "6,6"], None, "wifi.mcs_mbps repeats a rate in [6, 6]"),
         (["run"], "[lte]\ntx_power_dbm = 12%\n", "tx_power_dbm"),
         # [DEFAULT] neither vanishes nor fills in the other sections.
         (["run"], "[DEFAULT]\nduty = 0.3\n", "unknown section [DEFAULT]"),

@@ -458,10 +458,10 @@ def test_clean_path_runs_in_the_compared_runs(cfg, monkeypatch):
 
 
 # perfbench's `runs` configs at seed 5: the events a 10 s run schedules.
-RUN_EVENTS = [("defaults", make_cfg(), False, 17), ("defaults", make_cfg(), True, 17),
-              ("duty0-mcs54", make_cfg(duty=0.0), False, 6),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 9),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 9)]
+RUN_EVENTS = [("defaults", make_cfg(), False, 11), ("defaults", make_cfg(), True, 11),
+              ("duty0-mcs54", make_cfg(duty=0.0), False, 2),
+              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 5),
+              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 5)]
 
 
 @pytest.mark.parametrize("name,cfg,trace,scheduled", RUN_EVENTS,
@@ -570,3 +570,175 @@ def test_walk_keeps_the_bytes_of_each_default_sweep(name):
         events = run_sweep(scenario, 1)
     assert walked.to_csv_text() == events.to_csv_text()
     assert walked.summary_csv_text() == events.summary_csv_text()
+
+
+# -- the cycle the run end cuts ------------------------------------------------
+
+
+def cut_marks(trace: str, station) -> dict[str, list[int]]:
+    """Where a traced run's phases begin and end, by kind: each line's time (a
+    backoff-slot line without k is vendor-B's slot boundary), and each ACK's
+    start, SIFS after a tx-end."""
+    marks: dict[str, list[int]] = {}
+    for t, kind, _, *detail in (line.split(" ") for line in trace.splitlines()):
+        kind = "slot-boundary" if kind == "backoff-slot" and not detail else kind
+        marks.setdefault(kind, []).append(int(t))
+        if kind == "tx-end":
+            marks.setdefault("ack-start", []).append(int(t) + station.sifs_ns)
+    return marks
+
+
+def cut_phase(trace: str, station, end: int) -> str:
+    """Where ``end`` falls in a traced run's cycles: on a station event, or in the
+    phase the next one ends (DIFS, backoff, data, SIFS, ACK, failure slot)."""
+    names = {"difs-end": "difs", "backoff-slot": "backoff", "tx-end": "data",
+             "ack-timeout": "no ack", "cca-sample": "failure slot"}
+    for t, kind, node, *detail in (line.split(" ") for line in trace.splitlines()):
+        if node != station.name or int(t) < end:
+            continue
+        if int(t) == end:
+            return f"on {kind}"
+        if kind == "ack-result":
+            return "sifs" if end < int(t) - station.ack_air_ns else "ack"
+        if kind == "ack-timeout" and end >= int(t) - station.slot_ns:
+            return "failure slot"
+        return "slot boundary" if kind == "backoff-slot" and not detail else names[kind]
+    return "none"
+
+
+CUT_PHASES = {"difs", "backoff", "data", "sifs", "ack", "no ack", "failure slot",
+              "slot boundary", "on difs-end", "on backoff-slot", "on tx-end",
+              "on ack-result", "on ack-timeout", "on cca-sample", "frozen residual"}
+
+
+# Configs for the examples below, as ``check`` takes them: an idle channel; LTE
+# that the station does not sense and that makes data frames fail; vendor-B at an
+# LTE it defers to, which lands on its backoff slots; vendor-A, whose mid-packet
+# abort freezes a residual, and which defers to an LTE its frames decode under.
+IDLE = dict(duty=0.0, mean_period_ms=10, profile="vendor-A", lte_power=12.0, ed_threshold=None,
+            soft_slope_k=0.0, retry_limit=7, mcs=54, cw_min=15, seed=1)
+UNSENSED = dict(IDLE, duty=0.2, mean_period_ms=3, profile="vendor-B", lte_power=-1.0,
+                ed_threshold=30.0, seed=60)
+SLOTTED = dict(IDLE, duty=0.5, mean_period_ms=3, profile="vendor-B", lte_power=3.3, mcs=6, seed=40)
+ABORTING = dict(IDLE, duty=0.5, mean_period_ms=3, seed=0)
+DECODING = dict(IDLE, duty=0.2, mean_period_ms=5, lte_power=-1.0, mcs=6, seed=151)
+
+
+def test_cut_cycle_at_the_run_end_matches_the_event_path():
+    # Runs cut at a mark of a reference run or near one: in each phase of a
+    # cycle and exactly on each boundary, near LTE transitions, with frozen
+    # residuals, vendor-B slot boundaries and mid-packet aborts, for stations
+    # that defer and ones that do not, under the hard rule and soft odds that
+    # are certain or drawn.  At LTE 3.3 dBm and 6 Mbps a station that does not
+    # defer sends data that decodes and gets ACKs that do not.  The examples pin
+    # each phase.
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    # A last stretch whose horizon is the run end: its cut cycle ran on events
+    # from its DIFS.
+    @example(**IDLE, mark="tx-end", nth=20, shift=-100_000)
+    # A deferring station whose last LTE-on lasts past the run end: its crossing
+    # cycle ran on events.
+    @example(**dict(IDLE, duty=0.5), mark="lte-on", nth=2, shift=1000)
+    # Inside the backoff, SIFS and ACK, and exactly on each boundary.
+    @example(**IDLE, mark="backoff-slot", nth=20, shift=-1)
+    @example(**IDLE, mark="ack-start", nth=20, shift=-1)
+    @example(**IDLE, mark="ack-result", nth=20, shift=-1)
+    @example(**IDLE, mark="difs-end", nth=20, shift=0)
+    @example(**IDLE, mark="tx-end", nth=20, shift=0)
+    @example(**IDLE, mark="ack-result", nth=20, shift=0)
+    @example(**UNSENSED, mark="backoff-slot", nth=0, shift=0)
+    # After data that did not decode, before its timeout slot and on its end; on
+    # the slot after an ACK that did not decode, and inside it.
+    @example(**UNSENSED, mark="ack-timeout", nth=0, shift=-9001)
+    @example(**UNSENSED, mark="ack-timeout", nth=0, shift=0)
+    @example(**UNSENSED, mark="cca-sample", nth=1, shift=0)
+    @example(**UNSENSED, mark="cca-sample", nth=1, shift=-1)
+    # Just before vendor-B's slot boundary after an LTE-on, and exactly on it.
+    @example(**SLOTTED, mark="slot-boundary", nth=0, shift=-1)
+    @example(**SLOTTED, mark="slot-boundary", nth=0, shift=0)
+    # In the DIFS of a cycle that resumes a residual frozen by a mid-packet abort.
+    @example(**ABORTING, mark="lte-off", nth=2, shift=10_000)
+    # A transition on the run end, whose line follows the run-end line: an
+    # LTE-on, an LTE-off, one with an ACK in the air, and two with a station
+    # event there too, which the events order.
+    @example(**dict(IDLE, duty=0.5), mark="lte-on", nth=2, shift=0)
+    @example(**dict(IDLE, duty=0.5), mark="lte-off", nth=2, shift=0)
+    @example(**DECODING, mark="lte-off", nth=6, shift=0)
+    @example(**dict(UNSENSED, mcs=6, seed=54), mark="lte-off", nth=2, shift=0)
+    @example(**UNSENSED, mark="lte-off", nth=6, shift=0)
+    @given(duty=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+           mean_period_ms=st.sampled_from([3, 10, 40]),
+           profile=st.sampled_from(["vendor-A", "vendor-B"]),
+           lte_power=st.sampled_from([-16.0, -1.0, 3.3, 12.0]),
+           ed_threshold=st.sampled_from([None, 30.0]),  # 30 dBm: never defers
+           soft_slope_k=st.sampled_from([0.0, 0.5, 2.0]),  # hard, drawn, certain off LTE
+           retry_limit=st.sampled_from([0, 1, 7]), mcs=st.sampled_from([6, 54]),
+           cw_min=st.sampled_from([0, 15]), seed=st.integers(0, 2**32),
+           mark=st.sampled_from(["difs-end", "backoff-slot", "slot-boundary", "tx-end",
+                                 "ack-start", "ack-result", "ack-timeout", "cca-sample",
+                                 "lte-on", "lte-off"]),
+           nth=st.integers(0, 200),
+           shift=st.sampled_from([0, 1, -1]) | st.integers(-20_000, 20_000)
+           | st.integers(-3 * 10**6, 3 * 10**6))
+    def check(duty, mean_period_ms, profile, lte_power, ed_threshold, soft_slope_k,
+              retry_limit, mcs, cw_min, seed, mark, nth, shift):
+        cfg = make_cfg(duty=duty, lte_power=lte_power, mcs=mcs, profile=profile,
+                       mean_period_ms=mean_period_ms, duration=0.03,
+                       cca_ed_threshold_dbm=ed_threshold, soft_slope_k=soft_slope_k,
+                       retry_limit=retry_limit, cw_min=cw_min)
+        cfg = dataclasses.replace(cfg, lte=dataclasses.replace(cfg.lte, frame_align_ms=1))
+        sim = Simulation(cfg, seed=seed, trace=True)
+        sim.run()
+        trace, station = "".join(sim.engine.trace), sim.station
+        marks = cut_marks(trace, station)
+        times = marks.get(mark) or [t for kind in marks for t in marks[kind]]
+        end = min(max(times[nth % len(times)] + shift, 1), sim.duration_ns)
+        events, _ = assert_paths_agree(dataclasses.replace(cfg, duration_s=end / NS_PER_S), seed)
+        seen.add(cut_phase(trace, station, end))
+        if events["state"][2] is not None:
+            seen.add("frozen residual")
+
+    check()
+    assert CUT_PHASES <= seen, CUT_PHASES - seen
+
+
+def cycle_marks(station, t):
+    """The times of the events of a cycle from ``t``: DIFS end, backoff end, data
+    end, ACK end and the slot after it."""
+    k = station.pending_k
+    k = station.backoff.peek_one(station.cw.bit_length()) if k is None else k
+    tx_start = t + station.difs_ns + k * station.slot_ns
+    ack_end = tx_start + station.data_air_ns + station.sifs_ns + station.ack_air_ns
+    return (t + station.difs_ns, tx_start, tx_start + station.data_air_ns, ack_end,
+            ack_end + station.slot_ns)
+
+
+def test_default_grids_leave_no_edge_at_the_run_end_to_the_events(monkeypatch):
+    # At the sweeps' 0.2 s the run end cuts a cycle of every run whose station
+    # contends.  The walk settles it, and hands a cycle over to the events
+    # only for a station event on an LTE transition before the run end (a tie).
+    counts = dict.fromkeys(("contending runs", "settled at the run end", "tie", "other"), 0)
+    walk_edge, flush = DcfStation._walk_edge, DcfStation.flush
+
+    def counted(self, t, horizon):
+        marks, end = cycle_marks(self, t), self.channel.end_ns
+        resume = walk_edge(self, t, horizon)
+        if resume is None:
+            counts["tie" if horizon < end and horizon in marks else "other"] += 1
+        counts["settled at the run end"] += resume is not None and resume >= end
+        return resume
+
+    def flushed(self, t_end_ns):
+        counts["contending runs"] += self.difs_completed > 0
+        flush(self, t_end_ns)
+
+    monkeypatch.setattr(DcfStation, "_walk_edge", counted)
+    monkeypatch.setattr(DcfStation, "flush", flushed)
+    for name in sorted(SCENARIOS):
+        scenario = SCENARIOS[name]()
+        scenario.reps, scenario.duration_s = 2, 0.2
+        run_sweep(scenario, 1)
+    assert counts["other"] == 0
+    assert counts["settled at the run end"] + counts["tie"] >= counts["contending runs"] > 400
