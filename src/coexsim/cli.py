@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -145,6 +146,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser serves every call in a process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coexsim",

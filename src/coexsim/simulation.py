@@ -61,10 +61,8 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
     ack_air_ns = ack_airtime_us(mcs, wifi) * NS_PER_US
     data_threshold_db = radio.threshold_db(mcs)
     ack_threshold_db = radio.threshold_db(ack_rate_mbps(mcs, wifi))
-    cw_ladder = [wifi.cw_min]  # cw after j consecutive failures is cw_ladder[min(j, top)]
-    while cw_ladder[-1] < wifi.cw_max:
-        cw_ladder.append(min(2 * (cw_ladder[-1] + 1) - 1, wifi.cw_max))
-    ladder_bits = np.array([cw.bit_length() for cw in cw_ladder])
+    # The cw after j consecutive failures, each a bit wider: cw_ladder[min(j, top)].
+    ladder_bits = np.arange(wifi.cw_min.bit_length(), wifi.cw_max.bit_length() + 1)
     ladder_bits.flags.writeable = False
     # (data decoded, ACK decoded, odds, decode draws) of a cycle in each LTE state, each
     # frame over one SINR segment.  odds is None when those cycles all end alike: the
@@ -85,8 +83,9 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
         sifs_ns=wifi.sifs_us * NS_PER_US, difs_ns=wifi.difs_us * NS_PER_US,
         data_air_ns=data_air_ns, ack_air_ns=ack_air_ns, data_threshold_db=data_threshold_db,
         shortest_cycle_ns=(wifi.difs_us + wifi.sifs_us) * NS_PER_US + data_air_ns + ack_air_ns,
-        ack_threshold_db=ack_threshold_db, _cw_ladder=tuple(cw_ladder),
-        _ladder_bits=ladder_bits, _outcomes=tuple(outcomes),
+        ack_threshold_db=ack_threshold_db, _ladder_bits=ladder_bits,
+        _cw_ladder=tuple(2**b - 1 for b in ladder_bits.tolist()),
+        _retry_period=max(wifi.retry_limit, 1), _outcomes=tuple(outcomes),
         _data_clears=tuple(sinr >= data_threshold_db for sinr in sinr_rx),
         _ack_clears=tuple(sinr >= ack_threshold_db for sinr in sinr_tx))
     # Only a duty strictly between 0 and 1 has silent periods to draw.

@@ -122,6 +122,14 @@ def cca_busy(profile: CcaProfile, lte_power_at_sensor_dbm: float, lte_band: Spec
     return in_band_dbm >= profile.ed_threshold_dbm
 
 
+def _cycle_sums(ks: np.ndarray, base_ns: int, slot_ns: int) -> memoryview:
+    """The int64 prefix sum from 0 of cycles of ``base_ns`` plus ``ks`` slots, summed
+    in place, as a memoryview: bisect searches its Python ints without numpy calls."""
+    ks *= slot_ns
+    ks += base_ns
+    return memoryview(np.concatenate(([0], ks.cumsum())))
+
+
 class BackoffStream:
     """Backoff draws equal to ``rng.integers(0, cw + 1)`` drawn one at a time,
     for windows cw = 2^b - 1 with b <= 32, read from the generator's raw
@@ -136,8 +144,8 @@ class BackoffStream:
     The first block holds only the ``most_words`` its reader can read, up to
     FAST_FORWARD_CHUNK outputs; a read past it refills, and is never short.
 
-    ``stretch`` reads a run of cycles at one window from an int64 prefix sum
-    of their lengths, kept until a refill rewrites the words.
+    ``stretch`` reads a run of cycles from an int64 prefix sum of their
+    lengths, at one window or at a retry ladder's windows from a phase.
     """
 
     # Unsplit outputs kept after every draw (the words of a whole step chunk);
@@ -185,29 +193,32 @@ class BackoffStream:
         if self._w > self._limit:
             self._top_up()
 
-    def stretch(self, bits: int, base_ns: int, slot_ns: int, span_ns: int, most: int,
-                traced: bool = False):
-        """Take the draws of the next cycles, each ``base_ns`` plus k slots for a
-        window of ``bits`` (0 to 32), that end before ``span_ns``, as far as the
-        prefix reaches: one built here sums at most ``most`` cycles.  Returns how
-        many cycles that is and their length, as Python ints, whether the prefix
-        ran out before the span did, and for traced lines the prefix from the sum
-        before them."""
+    def stretch(self, ladder: np.ndarray, period: int, phase: int, base_ns: int, slot_ns: int,
+                span_ns: int, most: int, traced: bool = False):
+        """Take the draws of the next cycles that end before ``span_ns``, as far as the
+        prefix reaches: one built here sums at most ``most`` cycles.  Cycle j is
+        ``base_ns`` plus k slots for a window of ``ladder[min((phase + j) % period,
+        top)]`` bits (0 to 32).  Returns how many cycles that is and their length,
+        as Python ints, whether the prefix ran out before the span did, and for
+        traced lines the prefix from the sum before them."""
         if self._w + most > len(self._words):
             self._top_up()
-        w, prefix, key = self._w, self._prefix, (bits, base_ns, slot_ns)
-        if prefix is None or key != self._key or w - self._at >= len(prefix) - 1:
-            # int64 before the shift: a zero window shifts all 32 bits away.
-            ks = self._words[w:w + most].astype(np.int64) >> (32 - bits)
-            # A memoryview reads Python ints, and bisect searches it without numpy calls.
-            prefix = memoryview(np.concatenate(([0], np.cumsum(ks * slot_ns + base_ns))))
-            self._prefix, self._key, self._at = prefix, key, w
-        i = w - self._at
+        w, prefix, bits = self._w, self._prefix, ladder.item(0)
+        if period > 1:  # a ladder's windows: a prefix for this read alone
+            bits = ladder[np.minimum(np.arange(phase, phase + most) % period, len(ladder) - 1)]
+            prefix, i = _cycle_sums(self.peek(bits), base_ns, slot_ns), 0
+        else:  # one window: its prefix is kept until a refill rewrites the words
+            key = (bits, base_ns, slot_ns)
+            if prefix is None or key != self._key or w - self._at >= len(prefix) - 1:
+                # int64 before the shift: a zero window shifts all 32 bits away.
+                ks = self._words[w:w + most].astype(np.int64) >> (32 - bits)
+                self._prefix, self._key, self._at = _cycle_sums(ks, base_ns, slot_ns), key, w
+            prefix, i = self._prefix, w - self._at
         start = prefix[i]
         end = bisect.bisect_left(prefix, start + span_ns, i)
-        self.skip((end - 1 - i) * (bits > 0))
-        return (end - 1 - i, prefix[end - 1] - start, end == len(prefix),
-                prefix.obj[i:end] if traced else None)
+        n = end - 1 - i
+        self.skip(n * (bits > 0) if period == 1 else int(np.count_nonzero(bits[:n])))
+        return n, prefix[end - 1] - start, end == len(prefix), prefix.obj[i:end] if traced else None
 
     def _top_up(self, outputs: int = FAST_FORWARD_CHUNK) -> None:
         start = self._w // 2  # the first output not wholly spent
@@ -231,15 +242,15 @@ class DcfStation:
 
     Every run fast-forwards: each contention that starts on an idle medium
     first advances, in one step, every whole cycle that ends before the
-    medium next changes (``_skip_whole_cycles``): a clean stretch, all
-    delivered, by a prefix search, any other in NumPy chunks.  An untraced
-    run's LTE that the station neither defers to nor decodes differently
-    under is no change, and every run settles the cycle that crosses an
-    LTE transition in closed form and steps on, period after period, to the
-    cycle the run end cuts, which it settles too (``_walk_edge``).  Counters,
-    airtime, RNG streams and trace lines end exactly where the event path
-    leaves them; a cycle that crosses a change the closed form leaves alone
-    runs on events from its DIFS.
+    medium next changes (``_skip_whole_cycles``): a stretch whose cycles all
+    end alike by a prefix search, one whose decodes are drawn in NumPy
+    chunks.  An untraced run's LTE that the station neither defers to nor
+    decodes differently under is no change, and every run settles the cycle
+    that crosses an LTE transition in closed form and steps on, period after
+    period, to the cycle the run end cuts, which it settles too
+    (``_walk_edge``).  Counters, airtime, RNG streams and trace lines end
+    exactly where the event path leaves them; a cycle that crosses a change
+    the closed form leaves alone runs on events from its DIFS.
     """
 
     name = "wifi-tx"
@@ -406,10 +417,10 @@ class DcfStation:
         next LTE transition or the run end the SINR at both ends is constant,
         and an LTE that ``_feels_lte`` rules out changes nothing.  Under the
         hard PER rule, when the data cannot decode, or under soft odds that
-        are each 0 or 1, every cycle then has the same outcome and the cycles
-        differ only in their backoff draws; ``_skip_clean_cycles`` takes a
-        stretch where that outcome is success, ``_skip_chunks`` the rest.  A
-        soft run's decode stream then jumps past the draws those cycles take.
+        are each 0 or 1, every cycle then has the same outcome, and the cycles
+        differ only in their backoff draws: ``_skip_clean_cycles`` takes such
+        a stretch, ``_skip_chunks`` drawn odds.  A soft run's decode stream
+        then jumps past the draws those cycles take.
 
         The step walks on: ``_walk_edge`` settles the cycle that crosses a
         transition, and the step goes on from where contention resumes, up to
@@ -426,17 +437,13 @@ class DcfStation:
         start = t = now
         lte, end, walked = self.channel.lte, self.channel.end_ns, False
         times = lte.times if self._feels_lte else ()
-        tail_ns = self.data_air_ns + self.sifs_ns + self.ack_air_ns  # tx start to ACK end
-        base_ns = self.difs_ns + tail_ns
         while now is not None and now < end:  # None: an edge left to the events
             i = lte.passed  # the next LTE transition bounds the step if the station feels it
             horizon = min(times[i], end) if i < len(times) else end
             data_ok, ack_ok, odds, draws = self._outcomes[i % 2]
             cycles = self.difs_completed
-            if odds is None and ack_ok:
-                t = self._skip_clean_cycles(now, horizon, base_ns, tail_ns)
-            else:
-                t = self._skip_chunks(now, horizon, base_ns, tail_ns, data_ok, odds)
+            t = (self._skip_chunks(now, horizon, odds) if odds else
+                 self._skip_clean_cycles(now, horizon, data_ok, ack_ok))
             if draws:  # certain soft odds: skip the decode draws the cycles took
                 self.decode_rng.bit_generator.advance(draws * (self.difs_completed - cycles))
             walked |= (now := self._walk_edge(t, horizon)) is not None
@@ -446,32 +453,28 @@ class DcfStation:
             self._event = self.engine.schedule(t, "", self.name, self._start_difs)
         return t if now is None else end
 
-    def _skip_chunks(self, now: int, horizon: int, base_ns: int, tail_ns: int,
-                     data_ok: bool, odds) -> int:
-        """Advance the whole cycles of a stretch that is not clean, in NumPy chunks.
+    def _skip_chunks(self, now: int, horizon: int, odds) -> int:
+        """Advance the whole cycles of a stretch under drawn soft odds, in NumPy chunks.
 
-        Cycles without odds all fail alike; under soft odds each draws its
-        data outcome and, if that decoded, its ACK outcome against them.  A
-        chunk's backoff draws are one slice and shift of the words
-        ``_difs_end`` would read (none for a frozen residual), and its decode
-        draws one ``uniform`` call, rewound to what the cycles that fit used:
-        both streams end where per-cycle draws leave them.  A traced run gets
-        the events' lines.  Returns the end of the last whole cycle.
+        Each cycle draws its data outcome and, if that decoded, its ACK outcome
+        against the odds.  A chunk's backoff draws are one slice and shift of
+        the words ``_difs_end`` would read (none for a frozen residual), and its
+        decode draws one ``uniform`` call, rewound to what the cycles that fit
+        used: both streams end where per-cycle draws leave them.  A traced run
+        gets the events' lines.  Returns the end of the last whole cycle.
         """
-        shortest_ns = base_ns if odds else base_ns + self.slot_ns
-        top = len(self._cw_ladder) - 1
-        retry_limit = self.params.retry_limit
-        trace = self.engine.trace
+        top, period, trace = len(self._cw_ladder) - 1, self._retry_period, self.engine.trace
+        base_ns, tail_ns = self.shortest_cycle_ns, self.shortest_cycle_ns - self.difs_ns
         while True:
-            m = min((horizon - 1 - now) // shortest_ns, FAST_FORWARD_CHUNK)
+            m = min((horizon - 1 - now) // base_ns, FAST_FORWARD_CHUNK)
             if m <= 0:  # below 0 for a transition at the run end
                 break
-            if odds is None:  # every cycle fails alike
-                data, ok = np.full(m, data_ok), np.zeros(m, dtype=bool)
-            else:
-                decode_saved = self.decode_rng.bit_generator.state
-                data, ok, used = self._drawn_outcomes(m, *odds)
-            failures_before, failed = self._failures_before(ok), ~ok
+            decode_saved = self.decode_rng.bit_generator.state
+            data, ok, used = self._drawn_outcomes(m, *odds)
+            # Failures before each cycle: since the last success, or the start and those before.
+            i, failed, start = np.arange(m), ~ok, -1 - self.consecutive_failures
+            last_ok = np.concatenate(([start], np.maximum.accumulate(np.where(ok, i, start))[:-1]))
+            failures_before = (i - last_ok - 1) % period
             bits = self._ladder_bits[np.minimum(failures_before, top)]
             frozen = self.pending_k
             if frozen is not None:  # the first cycle resumes it and takes no word
@@ -481,12 +484,10 @@ class DcfStation:
                 ks[0] = frozen
             ends = now + np.cumsum(ks * self.slot_ns + (base_ns + failed * self.slot_ns))
             n = int(np.searchsorted(ends, horizon))  # cycles ending before it
-            if odds is not None:
-                self.decode_rng.bit_generator.state = decode_saved
-                if n:
-                    self.decode_rng.uniform(size=int(used[n - 1]))
+            self.decode_rng.bit_generator.state = decode_saved
             if n == 0:
                 break
+            self.decode_rng.uniform(size=int(used[n - 1]))
             ks, bits, data, ok, failed = ks[:n], bits[:n], data[:n], ok[:n], failed[:n]
             failures_before, ends = failures_before[:n], ends[:n]
             self.backoff.take(bits)
@@ -499,9 +500,7 @@ class DcfStation:
             if trace is not None:
                 self._trace_cycles(trace, ends, ends - (tail_ns + failed * self.slot_ns), ks,
                                    data, ok)
-            if delivered < n:
-                dropped = failed & (failures_before + 1 >= retry_limit)
-                self.acc.drops += int(np.count_nonzero(dropped))
+            self.acc.drops += int(np.count_nonzero(failed & (failures_before + 1 == period)))
             self.acc.attempts += n
             self.acc.delivered_payload_bytes += delivered * self.payload_bytes
             self.acc.failures += n - delivered
@@ -509,51 +508,63 @@ class DcfStation:
             self.backoff_slots_elapsed += int(ks.sum())
             self.data_decode_failures += undecoded
             self.ack_decode_failures += n - delivered - undecoded
-            failures = int(failures_before[-1]) + 1
-            self.consecutive_failures = 0 if ok[-1] or failures >= retry_limit else failures
+            self.consecutive_failures = 0 if ok[-1] else (int(failures_before[-1]) + 1) % period
             self.cw = self._cw_ladder[min(self.consecutive_failures, top)]
             now = int(ends[-1])
             if n < m:
                 break
         return now
 
-    def _skip_clean_cycles(self, now: int, horizon: int, base_ns: int, tail_ns: int) -> int:
-        """``_skip_whole_cycles`` for a stretch in which every cycle succeeds.
+    def _skip_clean_cycles(self, now: int, horizon: int, data_ok: bool, ack_ok: bool) -> int:
+        """``_skip_whole_cycles`` for a stretch whose cycles all end alike: each
+        delivered (clean), or each failed, a slot longer.
 
         The first cycle resumes a frozen residual or draws at the current
-        window, read here; every later one at cw_min, so the backoff stream's
-        prefix over that window gives how many cycles fit, where they end and
-        their backoff slots, with one search per prefix.  Traces and returns
-        what ``_skip_chunks`` does, a prefix at a time, the first cycle with
-        the first prefix."""
+        window, read here.  Cycle j after it draws at the ladder's window for
+        (f0 + j) mod R failures, f0 the failures before the stretch and R 1 if
+        clean, else ``max(retry_limit, 1)``, as a drop restarts the count.  So
+        one prefix search of the backoff stream gives how many cycles fit and
+        their slots, and the counts follow in closed form.  Traces and returns
+        what ``_skip_chunks`` does, a prefix at a time."""
         stream, slot_ns, frozen = self.backoff, self.slot_ns, self.pending_k
+        cycle_ns = self.shortest_cycle_ns + (not ack_ok) * slot_ns  # DIFS, data, SIFS, ACK, a slot
         k = stream.peek_one(self.cw.bit_length()) if frozen is None else frozen
-        if (t := now + base_ns + k * slot_ns) >= horizon:
+        if (t := now + cycle_ns + k * slot_ns) >= horizon:
             return now
         stream.skip(frozen is None and self.cw > 0)
         self.pending_k = None
-        trace, first = self.engine.trace, True  # the first cycle is traced with the first prefix
-        cycles, more = 1, True
-        bits = self.params.cw_min.bit_length()
+        # A prefix sums the cycles that can end before its reach, plus one.  One window's
+        # is kept, so it reaches the run end; the ladder's of a failing stretch, the horizon.
+        period, reach = (1, self.channel.end_ns) if ack_ok else (self._retry_period, horizon)
+        f0, trace, first, cycles, more = self.consecutive_failures, self.engine.trace, True, 1, True
         while more:
-            # Cycles that can still end before the run does, plus one: never 0.
-            most = min(FAST_FORWARD_CHUNK, (self.channel.end_ns - t) // base_ns + 1)
-            n, span_ns, more, prefix = stream.stretch(bits, base_ns, slot_ns, horizon - t, most,
-                                                      trace is not None)
+            n, span_ns, more, prefix = stream.stretch(
+                self._ladder_bits, period, (f0 + cycles) % period, cycle_ns, slot_ns, horizon - t,
+                min(FAST_FORWARD_CHUNK, (reach - t) // cycle_ns + 1), trace is not None)
             if trace is not None and (first or n):
                 bounds = t + (prefix - prefix[0])  # where these cycles start and end
-                if first:
+                if first:  # the first cycle is traced with the first prefix
                     bounds, first = np.concatenate(([now], bounds)), False
-                ks, ok = (np.diff(bounds) - base_ns) // slot_ns, np.ones(len(bounds) - 1, bool)
-                self._trace_cycles(trace, bounds[1:], bounds[1:] - tail_ns, ks, ok, ok)
+                ends, ok = bounds[1:], np.full(len(bounds) - 1, ack_ok)
+                self._trace_cycles(trace, ends, ends - (cycle_ns - self.difs_ns),
+                                   (np.diff(bounds) - cycle_ns) // slot_ns, ok | data_ok, ok)
             cycles += n
             t += span_ns
-        self.acc.wifi_airtime_ns += cycles * (self.data_air_ns + self.ack_air_ns)
+        # A data frame that did not decode gets no ACK.
+        self.acc.wifi_airtime_ns += cycles * (self.data_air_ns + data_ok * self.ack_air_ns)
         self.acc.attempts += cycles
-        self.acc.delivered_payload_bytes += cycles * self.payload_bytes
         self.difs_completed += cycles
-        self.backoff_slots_elapsed += (t - now - cycles * base_ns) // slot_ns
-        self.consecutive_failures, self.cw = 0, self.params.cw_min
+        self.backoff_slots_elapsed += (t - now - cycles * cycle_ns) // slot_ns
+        if ack_ok:
+            self.acc.delivered_payload_bytes += cycles * self.payload_bytes
+            self.consecutive_failures, self.cw = 0, self._cw_ladder[0]
+        else:
+            self.acc.failures += cycles
+            self.acc.drops += (f0 + cycles) // period - f0 // period  # each wrap of the count
+            self.data_decode_failures += cycles * (not data_ok)
+            self.ack_decode_failures += cycles * data_ok
+            self.consecutive_failures = (f0 + cycles) % period
+            self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
         return t
 
     def _walk_edge(self, t: int, horizon: int) -> int | None:
@@ -665,19 +676,6 @@ class DcfStation:
         if p_ack is not None:
             ok[data] = draws[starts[data] + 1] < p_ack
         return data, ok, starts + 1 + (data & (p_ack is not None))
-
-    def _failures_before(self, ok: np.ndarray) -> np.ndarray:
-        """Consecutive failures before each of these cycles, given which succeeded.
-
-        A success resets the count and a failure counts up, wrapping to 0 at
-        retry_limit (the drop): the count is the cycles since the last
-        success, or since the step began, modulo the limit.
-        """
-        i = np.arange(len(ok))
-        last_ok = np.maximum.accumulate(np.where(ok, i, -1))
-        previous = np.concatenate(([-1], last_ok[:-1]))
-        counted = np.where(previous < 0, self.consecutive_failures + i, i - previous - 1)
-        return counted % max(self.params.retry_limit, 1)
 
     def _trace_cycles(self, trace, ends, tx_start, ks, data, ok) -> None:
         """Append the event path's lines for these cycles as one text chunk."""

@@ -149,62 +149,115 @@ def test_a_run_reads_no_word_past_its_first_block(duty, lte_power, mcs, profile,
 
 
 CYCLE_NS = ((1_000, 7), (300, 1))  # (base_ns, slot_ns) of a prefix's cycles
+# Window patterns: one window, and retry ladders of 2 and 7 failures, of 40 (past
+# the ladder's top), and of the largest retry limit, which no run wraps.
+PERIODS = (1, 2, 7, 40, 2**63 - 1)
+
+
+def window(ladder, period, phase, j):
+    """The bits of cycle j of a stretch over a window pattern, as the station's
+    ladder gives them: ``ladder[min((phase + j) % period, top)]``."""
+    return ladder[min((phase + j) % period, len(ladder) - 1)]
+
+
+def ladders():
+    """Retry ladders as a plan builds them: windows of ``bottom`` bits, one bit
+    wider after each failure up to ``top`` (0 to 32)."""
+    return st.integers(0, 32).flatmap(
+        lambda top: st.integers(0, top).map(lambda bottom: tuple(range(bottom, top + 1))))
 
 
 def stretch_ops():
-    """Reads of a stretch of cycles, as (span in cycles of mean length, most
-    per prefix, cycle lengths), between single draws of any window (bits 0
-    to 32), which may leave a high half pending."""
+    """Reads of a stretch of cycles, as (span in cycles of mean length at their
+    windows, most per prefix, cycle lengths, pattern period, phase), between single draws of
+    any window (bits 0 to 32), which may leave a high half pending."""
     stretch = st.tuples(st.integers(0, 5000),
                         st.sampled_from([1, 7, 300, FAST_FORWARD_CHUNK]),
-                        st.sampled_from(CYCLE_NS))
+                        st.sampled_from(CYCLE_NS), st.sampled_from(PERIODS),
+                        st.integers(0, 10**6))
     return st.lists(stretch | st.integers(0, 32), min_size=1, max_size=12)
 
 
-EXAMPLE_OPS = [(20, 300, CYCLE_NS[0]), 3, 7, (20, 7, CYCLE_NS[0]), (20, 7, CYCLE_NS[1]),
-               (5000, FAST_FORWARD_CHUNK, CYCLE_NS[0]), 1, (20, 7, CYCLE_NS[0])]
+def counting_words(stream):
+    """Count the words a stream takes from here on, in a one-item list."""
+    taken, skip = [0], stream.skip
+
+    def counted(words):
+        taken[0] += words
+        skip(words)
+
+    stream.skip = counted
+    return taken
+
+
+C0, C1 = CYCLE_NS
+EXAMPLE_OPS = [(20, 300, C0, 1, 0), 3, 7, (20, 7, C0, 1, 0), (20, 7, C1, 1, 0),
+               (5000, FAST_FORWARD_CHUNK, C0, 1, 0), 1, (20, 7, C0, 1, 0)]
+# Ladder patterns from several phases, before and across a refill; the last one's
+# phase is past the ladder's top.
+LADDER_OPS = [(20, 300, C0, 7, 0), 3, (20, 7, C0, 7, 5), (40, 7, C1, 2, 1),
+              (5000, FAST_FORWARD_CHUNK, C1, 7, 6), (5000, FAST_FORWARD_CHUNK, C1, 40, 39), 1,
+              (20, 7, C0, 2**63 - 1, 30)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), bits=st.integers(0, 32), ops=stretch_ops(),
+@given(seed=st.integers(0, 2**64 - 1), ladder=ladders(), ops=stretch_ops(),
        traced=st.booleans())
 # The draws of 3 and 7 bits leave a high half pending before the second stretch.
 # Untraced too: the 7-cycle prefixes and the first 4,096-cycle one all fit, and a
 # zero window's cycles take no word.
-@example(seed=5, bits=4, ops=EXAMPLE_OPS, traced=True)
-@example(seed=5, bits=4, ops=EXAMPLE_OPS, traced=False)
-@example(seed=5, bits=0, ops=EXAMPLE_OPS, traced=False)
-def test_prefix_equals_cycles_of_single_draws(seed, bits, ops, traced):
+@example(seed=5, ladder=(4,), ops=EXAMPLE_OPS, traced=True)
+@example(seed=5, ladder=(4,), ops=EXAMPLE_OPS, traced=False)
+@example(seed=5, ladder=(0,), ops=EXAMPLE_OPS, traced=False)
+# A ladder from 15 to 1,023, and one from a zero window, which takes no word.
+@example(seed=5, ladder=tuple(range(4, 11)), ops=LADDER_OPS, traced=True)
+@example(seed=5, ladder=tuple(range(4, 11)), ops=LADDER_OPS, traced=False)
+@example(seed=5, ladder=tuple(range(0, 11)), ops=LADDER_OPS, traced=True)
+@example(seed=5, ladder=tuple(range(0, 11)), ops=LADDER_OPS, traced=False)
+def test_prefix_equals_cycles_of_single_draws(seed, ladder, ops, traced):
     read = BackoffStream(Engine(seed).rng_stream(LABEL))
     single = BackoffStream(Engine(seed).rng_stream(LABEL))
+    read_words, single_words = counting_words(read), counting_words(single)
+    bits = np.array(ladder)
     for op in ops:
         if isinstance(op, int):
             assert read.draw(2**op - 1) == single.draw(2**op - 1)
             continue
-        cycles, most, (base_ns, slot_ns) = op
-        span_ns = int(cycles * (base_ns + (2**bits - 1) / 2 * slot_ns)) + 1
+        cycles, most, (base_ns, slot_ns), period, phase = op
+        phase %= period
+        span_ns = int(sum(base_ns + (2**window(ladder, period, phase, j) - 1) / 2 * slot_ns
+                          for j in range(cycles))) + 1
         more = True
         while more:  # as the station reads it, one prefix after another
-            n, length, more, prefix = read.stretch(bits, base_ns, slot_ns, span_ns, most,
-                                                   traced)
-            lengths = [base_ns + single.draw(2**bits - 1) * slot_ns for _ in range(n)]
+            n, length, more, prefix = read.stretch(bits, period, phase, base_ns, slot_ns,
+                                                   span_ns, most, traced)
+            lengths = [base_ns + single.draw(2**window(ladder, period, phase, j) - 1) * slot_ns
+                       for j in range(n)]
             assert np.diff(prefix).tolist() == lengths if traced else prefix is None
             assert type(n) is type(length) is int and length == sum(lengths)
+            assert read_words == single_words
             span_ns -= length
+            phase = (phase + n) % period
             assert span_ns > 0
         # The stretch stopped at the first cycle that does not end before the span.
-        k = single.draw(2**bits - 1)
-        assert read.draw(2**bits - 1) == k and base_ns + k * slot_ns >= span_ns
+        cw = 2**window(ladder, period, phase, 0) - 1
+        k = single.draw(cw)
+        assert read.draw(cw) == k and base_ns + k * slot_ns >= span_ns
     assert read.rng.bit_generator.state == single.rng.bit_generator.state
 
 
-@pytest.mark.parametrize("bits", [0, 5, 32])
-def test_a_cycle_that_ends_at_the_span_is_left(bits):
+@pytest.mark.parametrize("ladder,period,phase", [((0,), 1, 0), ((5,), 1, 0), ((32,), 1, 0),
+                                                 ((0, 1, 2, 3), 7, 5)],
+                         ids=["0", "5", "32", "ladder 0-3, period 7, phase 5"])
+def test_a_cycle_that_ends_at_the_span_is_left(ladder, period, phase):
     base_ns, slot_ns = CYCLE_NS[0]
     single = BackoffStream(Engine(3).rng_stream(LABEL))
-    ends = np.cumsum([base_ns + single.draw(2**bits - 1) * slot_ns for _ in range(10)])
+    ends = np.cumsum([base_ns + single.draw(2**window(ladder, period, phase, j) - 1) * slot_ns
+                      for j in range(10)])
     read = BackoffStream(Engine(3).rng_stream(LABEL))
-    n, length, more, prefix = read.stretch(bits, base_ns, slot_ns, int(ends[-1]), 100, True)
+    bits = np.array(ladder)
+    n, length, more, prefix = read.stretch(bits, period, phase, base_ns, slot_ns,
+                                           int(ends[-1]), 100, True)
     assert (prefix - prefix[0]).tolist() == [0, *ends[:-1].tolist()] and not more
     assert (n, length) == (9, ends[-2])
     # Untraced, it reads the same cycles and builds no slice of the prefix.  Ten
@@ -212,5 +265,5 @@ def test_a_cycle_that_ends_at_the_span_is_left(bits):
     # at most all fit: the prefix runs out before the span does.
     for most, goes_on in ((100, False), (10, False), (9, True)):
         untraced = BackoffStream(Engine(3).rng_stream(LABEL))
-        assert untraced.stretch(bits, base_ns, slot_ns, int(ends[-1]), most) == (
+        assert untraced.stretch(bits, period, phase, base_ns, slot_ns, int(ends[-1]), most) == (
             n, length, goes_on, None)

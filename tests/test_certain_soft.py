@@ -2,7 +2,7 @@
 
 Under the soft rule a cycle in an LTE state whose odds are each exactly 1.0
 or a sure failure ends alike every time, so the step takes it through the
-clean-stretch path or the failing branch of ``_skip_chunks`` and moves the
+stretch routine that hard-rule stretches take, clean or failing, and moves the
 ``wifi-decode`` stream on with one ``bit_generator.advance`` by the draws
 the cycles would have taken.  The event path still draws every frame, so
 comparing the two checks the jump as well as the outcomes.
@@ -50,22 +50,18 @@ def test_advance_leaves_the_state_uniform_draws_leave(seed, before, n):
 def count_certain_stretches(monkeypatch):
     """Count the stretches of soft runs that start in a certain state, by kind."""
     counts = dict.fromkeys(("clean", "frozen", "failing", "one draw"), 0)
-    clean, chunks = DcfStation._skip_clean_cycles, DcfStation._skip_chunks
+    stretch = DcfStation._skip_clean_cycles
 
-    def counted_clean(self, now, *args):
-        if self.decode_rng is not None:
+    def counted(self, now, horizon, data_ok, ack_ok):
+        if self.decode_rng is not None and ack_ok:
             counts["clean"] += 1
             counts["frozen"] += self.pending_k is not None
-        return clean(self, now, *args)
-
-    def counted_chunks(self, now, horizon, base_ns, tail_ns, data_ok, odds):
-        if self.decode_rng is not None and odds is None:
+        elif self.decode_rng is not None:
             counts["failing"] += 1
             counts["one draw"] += data_ok
-        return chunks(self, now, horizon, base_ns, tail_ns, data_ok, odds)
+        return stretch(self, now, horizon, data_ok, ack_ok)
 
-    monkeypatch.setattr(DcfStation, "_skip_clean_cycles", counted_clean)
-    monkeypatch.setattr(DcfStation, "_skip_chunks", counted_chunks)
+    monkeypatch.setattr(DcfStation, "_skip_clean_cycles", counted)
     return counts
 
 

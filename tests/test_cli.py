@@ -12,6 +12,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_one_parser_serves_a_process_as_fresh_ones_do(capsys):
+    # main builds its parser once per process.  An argument error, then a run
+    # and a sweep give the exit codes and output bytes that each gives from a
+    # parser built for it alone.
+    calls = [["run", "--seed", "x"], ["run", "--duration", "0.05", "--seed", "4"],
+             ["sweep", "duty", "--out", "-", "--reps", "1", "--duration", "0.05", "--jobs", "1",
+              "--grid", "duty=0,0.5", "--grid", "lte.tx_power_dbm=12", "--grid", "mcs_mbps=54"]]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits on a bad argument
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    cli.build_parser.cache_clear()
+    shared = outcomes(fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "invalid int value: 'x'" in shared[0][2] and shared[2][1].count("\n") > 3
+    assert shared == outcomes(fresh=True)
+
+
 class TestRun:
     def test_default_run_emits_header_and_row(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--duration", "0.2")

@@ -742,3 +742,81 @@ def test_default_grids_leave_no_edge_at_the_run_end_to_the_events(monkeypatch):
         run_sweep(scenario, 1)
     assert counts["other"] == 0
     assert counts["settled at the run end"] + counts["tie"] >= counts["contending runs"] > 400
+
+
+# -- stretches in which every cycle fails ----------------------------------------
+
+# Links whose cycles fail: every frame lost on a dead link, in both LTE states;
+# under the LTE, the data lost at the testbed geometry, or the data decoded and
+# the ACK lost with the LTE far from the receiver and next to the transmitter.
+FAILING_LINKS = {"dead": dict(gain_wifi_link_db=-150.0), "data lost": {},
+                 "ack lost": dict(gain_lte_to_wifi_rx_db=-150.0, gain_lte_to_wifi_tx_db=-10.0)}
+FAILING_CASES = ({f"phase {f0} of {period}" for period in range(1, 8) for f0 in range(period)}
+                 | {f"retry limit {limit}" for limit in range(8)}
+                 | {f"cw_min {cw_min}" for cw_min in (0, 1, 15)}
+                 | {"mid-ladder after a period", "frozen residual", "ack timeout",
+                    "ack undecoded", "traced", "untraced"})
+
+
+def count_failing_stretches(monkeypatch):
+    """Name the cases of the all-failing stretches that advanced."""
+    seen = set()
+    stretch = DcfStation._skip_clean_cycles
+
+    def counted(self, now, horizon, data_ok, ack_ok):
+        f0, frozen = self.consecutive_failures, self.pending_k
+        end = stretch(self, now, horizon, data_ok, ack_ok)
+        if not ack_ok and end > now:
+            seen.update({f"phase {f0} of {self._retry_period}",
+                         f"retry limit {self.params.retry_limit}",
+                         f"cw_min {self.params.cw_min}",
+                         "ack undecoded" if data_ok else "ack timeout",
+                         "untraced" if self.engine.trace is None else "traced"})
+            seen.update({"frozen residual"} if frozen is not None else ())
+            seen.update({"mid-ladder after a period"} if f0 and self.channel.lte.passed else ())
+        return end
+
+    monkeypatch.setattr(DcfStation, "_skip_clean_cycles", counted)
+    return seen
+
+
+# A dead link under a deferring vendor-A: short periods, each resuming the ladder.
+DEAD = dict(link="dead", defer=True, profile="vendor-A", duty=0.5, mean_period_ms=3, cw_min=15,
+            duration=0.2)
+
+
+def test_all_failing_stretches_match_the_event_path(monkeypatch):
+    # An all-failing stretch is one prefix search over the retry ladder's
+    # windows from its start phase.  A dead link fails in both LTE states, so
+    # its stretches start anywhere on the ladder after an earlier period, and a
+    # station that defers resumes a frozen residual there; under an LTE it does
+    # not sense, the other links lose the data, or only the ACK.
+    seen = count_failing_stretches(monkeypatch)
+
+    @settings(max_examples=300, deadline=None)
+    # Every start phase of each retry ladder, and frozen residuals.
+    @example(**DEAD, retry_limit=2, seed=1)
+    @example(**DEAD, retry_limit=3, seed=1)
+    @example(**DEAD, retry_limit=4, seed=1)
+    @example(**DEAD, retry_limit=5, seed=1)
+    @example(**DEAD, retry_limit=6, seed=1)
+    @example(**DEAD, retry_limit=7, seed=20)
+    # The data lost and only the ACK lost under an unsensed LTE, from a zero window.
+    @example(**dict(DEAD, link="data lost", defer=False, cw_min=0), retry_limit=1, seed=2)
+    @example(**dict(DEAD, link="ack lost", defer=False, cw_min=1), retry_limit=0, seed=2)
+    @given(link=st.sampled_from(sorted(FAILING_LINKS)), defer=st.booleans(),
+           profile=st.sampled_from(["vendor-A", "vendor-B"]),
+           duty=st.sampled_from([0.5, 0.8, 1.0]), mean_period_ms=st.sampled_from([3, 10, 40]),
+           retry_limit=st.integers(0, 7), cw_min=st.sampled_from([0, 1, 15]),
+           duration=st.floats(0.02, 0.2), seed=st.integers(0, 2**32))
+    def check(link, defer, profile, duty, mean_period_ms, retry_limit, cw_min, duration, seed):
+        cfg = make_cfg(duty=duty, lte_power=12.0, profile=profile,
+                       mean_period_ms=mean_period_ms, duration=duration,
+                       cca_ed_threshold_dbm=None if defer else 30.0,
+                       retry_limit=retry_limit, cw_min=cw_min)
+        cfg = dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio,
+                                                                 **FAILING_LINKS[link]))
+        assert_paths_agree(cfg, seed)
+
+    check()
+    assert FAILING_CASES <= seen, FAILING_CASES - seen

@@ -165,6 +165,20 @@ def test_plan_arrays_are_read_only():
             array[0] = 0
 
 
+@pytest.mark.parametrize("cw_min,cw_max", [(0, 0), (0, 1), (0, 1023), (15, 1023), (15, 15),
+                                           (1, 2**32 - 1), (2**32 - 1, 2**32 - 1)])
+def test_the_retry_ladder_doubles_each_window_up_to_cw_max(cw_min, cw_max):
+    # Binary exponential backoff: after a failure cw becomes 2 (cw + 1) - 1, at
+    # most cw_max, and the backoff stream reads each window's bit count.
+    cfg = make_cfg(cw_min=cw_min, cw_max=cw_max, duration=0.01)
+    station = plan(cfg.lte, cfg.wifi, cfg.radio).station
+    ladder = [cw_min]
+    while ladder[-1] < cw_max:
+        ladder.append(min(2 * (ladder[-1] + 1) - 1, cw_max))
+    assert station["_cw_ladder"] == tuple(ladder)
+    assert station["_ladder_bits"].tolist() == [cw.bit_length() for cw in ladder]
+
+
 def set_path(cfg, path, value):
     """``cfg`` with one grid path set, ``str(value)`` converted as an INI value is."""
     section_name, field_name = resolve_path(path)
