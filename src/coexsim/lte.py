@@ -49,13 +49,15 @@ def occupied_band(cfg: LteSettings) -> SpectrumBand:
 
 
 class LteNode:
-    """Duty-cycle schedule, drawn when the run starts; one pending event
-    notifies the medium at the next transition.
+    """Duty-cycle schedule, drawn when the node is built; one pending event,
+    once armed, notifies the medium at the next transition.
 
     Draws only from its own RNG stream, so the schedule for a given seed is
     identical whether or not WiFi nodes exist in the run.  ``times`` is the
     one record of the LTE schedule: the transitions up to the first past the
-    run end, "on" at even indices.  The first ``passed`` have happened.
+    run end, "on" at even indices.  The first ``passed`` have happened.  A
+    station counts those it walks past: the node arms only where the station
+    hands a cycle to the events, or in a run without one.
     """
 
     name = "lte"
@@ -65,14 +67,11 @@ class LteNode:
         self.medium = medium
         self._on_ns, self._align_ns, self._silent_ms = period  # ns, ns, ms or None
         self.rng = None if self._silent_ms is None else engine.rng_stream(RNG_LABEL)
-        self.times: list[int] = []
+        self.times: list[int] = []  # none at duty 0
+        if self._on_ns:
+            self.times = [0] if self.rng is None else self._schedule(medium.end_ns)
         self.passed = 0  # transitions that have happened
         self._event = None  # the pending transition event
-
-    def start(self) -> None:
-        if self._on_ns:  # 0 only at duty 0
-            self.times = [0] if self.rng is None else self._schedule(self.medium.end_ns)
-            self.arm()
 
     def _schedule(self, end_ns: int) -> list[int]:
         """The transitions from 0 to the first one past ``end_ns``.
@@ -83,20 +82,21 @@ class LteNode:
         ends where one draw per off by ``end_ns`` leaves it.
         """
         low, high = self._silent_ms
-        on, align, times = self._on_ns, self._align_ns, [0]
+        on, align, times, t = self._on_ns, self._align_ns, [0], 0
         longest_ns = on + _silent_ns(high) + align
-        while (offs := (end_ns - times[-1] - on) // longest_ns + 1) > 0:
+        while (offs := (end_ns - t - on) // longest_ns + 1) > 0:
             for drawn_ms in self.rng.uniform(low, high, size=offs).tolist():
-                # The next on waits for a frame boundary, and this one is on one; the
-                # extra wait counts as off-time.
-                t = times[-1]
-                times += [t + on, t + -(-(on + _silent_ns(drawn_ms)) // align) * align]
-        return times + [times[-1] + on] * (times[-1] <= end_ns)  # the off past the end
+                # An off, then the next on (``_silent_ns`` inline: no draw is negative),
+                # which waits for a frame boundary; the extra wait counts as off-time.
+                times += (t + on, t := t + -(-(on + (int(drawn_ms + 0.5) or 1) * NS_PER_MS)
+                                             // align) * align)
+        return times + [t + on] * (t <= end_ns)  # the off past the end
 
     # The node counts a transition, and the medium notifies the station, before
     # the next one is scheduled: a station that contends inside the callback
     # knows how long the medium stays as it is, and its events stay ahead
-    # of the node's when both fall on the same instant.
+    # of the node's when both fall on the same instant (as do a station's that
+    # starts at an LTE-off; one that starts at 0 arms the node first).
 
     def arm(self) -> None:
         """Schedule the event of the next transition, unless one is pending."""

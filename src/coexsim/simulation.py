@@ -8,9 +8,9 @@ transitions so far: the node's events count up, and so does a station that
 steps past transitions (the node's ``advance_to``).  The LTE state, each
 packet's SINR window and the run's LTE airtime all derive from the transitions
 passed; what derives from the config alone is ``plan``'s.
-Construction order matters: the LTE node draws its schedule and schedules its
-t=0 event before the station's start event, so a duty>0 run begins with the
-medium already marked busy.
+The walk starts the run: ``run`` starts the station at its first idle instant,
+0 or a deferring station's first LTE-off, and the LTE node arms only where the
+station hands a cycle to the events, or in a run without a station.
 """
 
 from __future__ import annotations
@@ -78,14 +78,17 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
         outcomes.append((data_ok, ack_ok, None, (data_ok + ack_ok) * (slope_k != 0.0))
                         if not data_ok or p_data == 1.0 and p_ack in (None, 1.0)
                         else (False, False, (p_data, p_ack), None))
+    ladder, period = tuple(2**b - 1 for b in ladder_bits.tolist()), max(wifi.retry_limit, 1)
+    shortest_ns = (wifi.difs_us + wifi.sifs_us) * NS_PER_US + data_air_ns + ack_air_ns
+    # A retry period of failing cycles on average: each a slot longer, and half its window.
+    slots = 2 * period + sum(ladder[:period]) + max(period - len(ladder), 0) * ladder[-1]
     station = dict(
         cca=cca, slope_k=slope_k, slot_ns=wifi.slot_us * NS_PER_US,
         sifs_ns=wifi.sifs_us * NS_PER_US, difs_ns=wifi.difs_us * NS_PER_US,
         data_air_ns=data_air_ns, ack_air_ns=ack_air_ns, data_threshold_db=data_threshold_db,
-        shortest_cycle_ns=(wifi.difs_us + wifi.sifs_us) * NS_PER_US + data_air_ns + ack_air_ns,
-        ack_threshold_db=ack_threshold_db, _ladder_bits=ladder_bits,
-        _cw_ladder=tuple(2**b - 1 for b in ladder_bits.tolist()),
-        _retry_period=max(wifi.retry_limit, 1), _outcomes=tuple(outcomes),
+        shortest_cycle_ns=shortest_ns, ack_threshold_db=ack_threshold_db, _outcomes=tuple(outcomes),
+        _ladder_bits=ladder_bits, _cw_ladder=ladder, _retry_period=period,
+        _failing_period_ns=period * shortest_ns + slots * wifi.slot_us * NS_PER_US // 2,
         _data_clears=tuple(sinr >= data_threshold_db for sinr in sinr_rx),
         _ack_clears=tuple(sinr >= ack_threshold_db for sinr in sinr_tx))
     # Only a duty strictly between 0 and 1 has silent periods to draw.
@@ -122,12 +125,6 @@ class Medium:
                 self.station.busy_onset(now)
             else:
                 self.station.busy_cleared(now)
-
-    def lte_intervals(self) -> list[tuple[int, int]]:
-        """The LTE on-periods so far as (t0, t1) pairs; one still open ends at the run end."""
-        n = self.lte.passed
-        times = self.lte.times[:n] + [self.end_ns] * (n % 2)
-        return list(zip(times[0::2], times[1::2]))
 
     def _window(self, t0: int, t1: int, sinr: tuple[float, float]) -> list[tuple[int, float]]:
         """SINR over [t0, t1) as (duration_ns, sinr_db) segments, one per LTE state."""
@@ -166,19 +163,23 @@ class Simulation:
         p = self.medium.plan
 
         self.lte_node = self.medium.lte = LteNode(self.engine, self.medium, p.period)
-        self.lte_node.start()
 
         self.station = None
         if include_wifi:
             self.station = DcfStation(self.engine, self.medium, cfg.wifi, p.station, self.acc)
             self.medium.station = self.station
-            self.station.start()
+        else:
+            self.lte_node.arm()
 
         self.engine.schedule(self.duration_ns, "run-end", "engine", lambda: None)
 
     def run(self) -> RunMetrics:
+        if self.station is not None:
+            self.station.start()
         self.engine.run_until(self.duration_ns)
         if self.station is not None:
             self.station.flush(self.duration_ns)
-        lte_airtime_ns = sum(t1 - t0 for t0, t1 in self.medium.lte_intervals())
+        # The LTE airtime: each off less its on, and an on still open runs to the end.
+        times, n = self.lte_node.times, self.lte_node.passed
+        lte_airtime_ns = sum(times[1:n:2]) - sum(times[0:n:2]) + self.duration_ns * (n % 2)
         return self.acc.finalize(self.duration_ns, lte_airtime_ns)

@@ -289,8 +289,22 @@ class DcfStation:
         self.data_decode_failures = self.ack_decode_failures = 0
 
     def start(self) -> None:
-        self.engine.schedule(self.engine.now, "cca-sample", self.name,
-                             self._begin_contention, "start")
+        """Contend from the first idle instant, 0 or the first LTE-off for a station that
+        defers (none at duty 1), with the transitions up to it counted and, traced, their
+        lines and the start line.  A start after 0 is an event with no kind."""
+        lte, times, end = self.channel.lte, self.channel.lte.times, self.channel.end_ns
+        t = (times[1:2] or [end + 1])[0] if self.channel.defer_to_lte and times else 0
+        lte.passed = bisect.bisect_right(times, min(t, end))
+        if (trace := self.engine.trace) is not None:
+            off = trace_line(t, "lte-off", lte.name, "") * (lte.passed == 2)
+            trace.append(trace_line(0, "lte-on", lte.name, "") * bool(times)
+                         + trace_line(0, "cca-sample", self.name, "start") + off * (t < end))
+            self._at_end = off * (t == end)  # after the run-end line
+        if t == 0 and self._skip_whole_cycles(0) == 0:
+            lte.arm()  # as the LTE-on at 0 would, before the station's events
+            self._start_difs()
+        elif 0 < t < end:
+            self.engine.schedule(t, "", self.name, self._begin_contention)
 
     # -- contention ---------------------------------------------------------
 
@@ -301,6 +315,7 @@ class DcfStation:
         now = self.engine.now
         if self._skip_whole_cycles(now) == now:
             self._start_difs()
+            self.channel.lte.arm()
 
     def _start_difs(self) -> None:
         self.state = "difs"
@@ -418,7 +433,7 @@ class DcfStation:
         and an LTE that ``_feels_lte`` rules out changes nothing.  Under the
         hard PER rule, when the data cannot decode, or under soft odds that
         are each 0 or 1, every cycle then has the same outcome, and the cycles
-        differ only in their backoff draws: ``_skip_clean_cycles`` takes such
+        differ only in their backoff draws: ``_skip_alike_cycles`` takes such
         a stretch, ``_skip_chunks`` drawn odds.  A soft run's decode stream
         then jumps past the draws those cycles take.
 
@@ -426,16 +441,16 @@ class DcfStation:
         transition, and the step goes on from where contention resumes, up to
         the cycle the run end cuts, which ``_walk_edge`` settles too, or to
         the first edge it leaves to the events.  The LTE node counts the
-        transitions passed (all up to the run end for an LTE the station does
-        not feel), and its event moves past them.  Each stretch and each
-        walked edge writes its own trace lines.  If it advanced to an edge
-        left to the events, the step schedules the next contention where its
-        last whole cycle ends, as an event with no kind, which writes no line;
-        once it reaches the run end it schedules nothing.  Returns the time the
-        station advanced to: ``now`` if it did not, the run end if it reached it.
+        transitions passed (all up to the run end once the station is done).
+        Each stretch and each walked edge writes its own trace lines.  At an
+        edge left to the events the node arms, and the step schedules the next
+        contention where its last whole cycle ends, as an event with no kind
+        that writes no line, if it advanced (else its caller arms the node).
+        Returns the time the station advanced to: ``now`` if it did not, the
+        run end if it reached it, after which it schedules nothing.
         """
         start = t = now
-        lte, end, walked = self.channel.lte, self.channel.end_ns, False
+        lte, end = self.channel.lte, self.channel.end_ns
         times = lte.times if self._feels_lte else ()
         while now is not None and now < end:  # None: an edge left to the events
             i = lte.passed  # the next LTE transition bounds the step if the station feels it
@@ -443,13 +458,12 @@ class DcfStation:
             data_ok, ack_ok, odds, draws = self._outcomes[i % 2]
             cycles = self.difs_completed
             t = (self._skip_chunks(now, horizon, odds) if odds else
-                 self._skip_clean_cycles(now, horizon, data_ok, ack_ok))
+                 self._skip_alike_cycles(now, horizon, data_ok, ack_ok))
             if draws:  # certain soft odds: skip the decode draws the cycles took
                 self.decode_rng.bit_generator.advance(draws * (self.difs_completed - cycles))
-            walked |= (now := self._walk_edge(t, horizon)) is not None
-        if walked:
-            lte.arm()
+            now = self._walk_edge(t, horizon)
         if now is None and t > start:
+            lte.arm()
             self._event = self.engine.schedule(t, "", self.name, self._start_difs)
         return t if now is None else end
 
@@ -515,7 +529,7 @@ class DcfStation:
                 break
         return now
 
-    def _skip_clean_cycles(self, now: int, horizon: int, data_ok: bool, ack_ok: bool) -> int:
+    def _skip_alike_cycles(self, now: int, horizon: int, data_ok: bool, ack_ok: bool) -> int:
         """``_skip_whole_cycles`` for a stretch whose cycles all end alike: each
         delivered (clean), or each failed, a slot longer.
 
@@ -533,14 +547,16 @@ class DcfStation:
             return now
         stream.skip(frozen is None and self.cw > 0)
         self.pending_k = None
-        # A prefix sums the cycles that can end before its reach, plus one.  One window's
-        # is kept, so it reaches the run end; the ladder's of a failing stretch, the horizon.
-        period, reach = (1, self.channel.end_ns) if ack_ok else (self._retry_period, horizon)
+        # A prefix sums the cycles that can end before its reach, plus one: one window's is kept,
+        # so it reaches the run end; a ladder's the horizon, capped at its mean periods there + 2.
+        period, reach, mean_ns = ((1, self.channel.end_ns, cycle_ns) if ack_ok else
+                                  (self._retry_period, horizon, self._failing_period_ns))
         f0, trace, first, cycles, more = self.consecutive_failures, self.engine.trace, True, 1, True
         while more:
             n, span_ns, more, prefix = stream.stretch(
                 self._ladder_bits, period, (f0 + cycles) % period, cycle_ns, slot_ns, horizon - t,
-                min(FAST_FORWARD_CHUNK, (reach - t) // cycle_ns + 1), trace is not None)
+                min(FAST_FORWARD_CHUNK, (reach - t) // cycle_ns + 1,
+                    ((reach - t) // mean_ns + 3) * period), trace is not None)
             if trace is not None and (first or n):
                 bounds = t + (prefix - prefix[0])  # where these cycles start and end
                 if first:  # the first cycle is traced with the first prefix
@@ -582,8 +598,8 @@ class DcfStation:
         timeout, retry ladder and drop are counted as the events count them,
         each only if it falls at or before the run end; a frame or an ACK
         still in the air there is left for ``flush``.  A traced run gets the
-        lines of the cycle's events and of the transitions passed, in time
-        order, and ``flush`` writes those at the run end after its line.
+        lines of the cycle's events and of the transitions passed, a last one on
+        the run end too, in time order; ``flush`` writes those at the run end.
         Returns None, changing nothing, for an edge left to the events: a
         station event on the transition, or on the run end with a transition
         there, a last event at or past the next transition before the run
@@ -633,6 +649,8 @@ class DcfStation:
                 if (ack_end if data else last) <= end:
                     ok = data and self._ack_decodes(ack_end - self.ack_air_ns, ack_end)
                     self._count(ok)
+        if (resume := after if defer else ack_end if ok else last) >= end:
+            channel.lte.advance_to(end)  # a transition on the run end happens too, after its line
         if after == end:  # what ``flush`` reads: a frame or an ACK in the air at the run end
             self.state = "tx" if frozen is None and tx_start <= end < tx_end else "blocked"
             self._tx_start = tx_start
@@ -651,7 +669,7 @@ class DcfStation:
             cut = bisect.bisect_left(lines, (end,))  # lines at the run end follow its line
             trace.append("".join(trace_line(*line) for line in lines[:cut]))
             self._at_end += "".join(trace_line(*line) for line in lines[cut:])
-        return after if defer else ack_end if ok else last
+        return resume
 
     def _drawn_outcomes(self, m: int, p_data: float, p_ack: float | None):
         """Outcomes of the next ``m`` cycles from one chunk of decode draws.

@@ -61,13 +61,20 @@ def lte_transitions(sim) -> list[tuple[int, bool]]:
     return [(t, i % 2 == 0) for i, t in enumerate(sim.lte_node.times[:sim.lte_node.passed])]
 
 
+def lte_intervals(medium) -> list[tuple[int, int]]:
+    """The LTE on-periods so far as (t0, t1) pairs; one still open ends at the run end."""
+    n = medium.lte.passed
+    times = medium.lte.times[:n] + [medium.end_ns] * (n % 2)
+    return list(zip(times[0::2], times[1::2]))
+
+
 def observe(cfg: RunConfig, seed: int, trace: bool):
     """What a run shows: its metrics, trace text and LTE on-periods, and the end
     states of its backoff and decode streams."""
     sim = Simulation(cfg, seed=seed, trace=trace)
     metrics = sim.run()
     station = sim.station
-    return (repr(metrics), "".join(sim.engine.trace or ()), sim.medium.lte_intervals(),
+    return (repr(metrics), "".join(sim.engine.trace or ()), lte_intervals(sim.medium),
             station.rng.bit_generator.state,
             None if station.decode_rng is None else station.decode_rng.bit_generator.state)
 

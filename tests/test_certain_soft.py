@@ -50,7 +50,7 @@ def test_advance_leaves_the_state_uniform_draws_leave(seed, before, n):
 def count_certain_stretches(monkeypatch):
     """Count the stretches of soft runs that start in a certain state, by kind."""
     counts = dict.fromkeys(("clean", "frozen", "failing", "one draw"), 0)
-    stretch = DcfStation._skip_clean_cycles
+    stretch = DcfStation._skip_alike_cycles
 
     def counted(self, now, horizon, data_ok, ack_ok):
         if self.decode_rng is not None and ack_ok:
@@ -61,7 +61,7 @@ def count_certain_stretches(monkeypatch):
             counts["one draw"] += data_ok
         return stretch(self, now, horizon, data_ok, ack_ok)
 
-    monkeypatch.setattr(DcfStation, "_skip_clean_cycles", counted)
+    monkeypatch.setattr(DcfStation, "_skip_alike_cycles", counted)
     return counts
 
 

@@ -23,7 +23,7 @@ from coexsim.simulation import Simulation
 from coexsim.wifi import (FAST_FORWARD_CHUNK, BackoffStream, DcfStation, ack_airtime_us,
                           frame_airtime_us)
 
-from conftest import backoffs, make_cfg, traced_emissions
+from conftest import backoffs, lte_intervals, make_cfg, traced_emissions
 
 SEEDS = (1, 2, 5)
 INT64_MAX = 2**63 - 1
@@ -58,7 +58,7 @@ def observe(cfg, seed, trace, fast=True):
                      station.data_decode_failures, station.ack_decode_failures),
         "state": (station.cw, station.consecutive_failures, station.pending_k),
         "wifi_emissions": emissions,
-        "lte_intervals": sim.medium.lte_intervals(),
+        "lte_intervals": lte_intervals(sim.medium),
         "backoff_words": words,
         "backoff_rng": station.rng.bit_generator.state,
         "decode_rng": (None if station.decode_rng is None
@@ -157,7 +157,8 @@ def assert_run_end_invariants(sim, metrics):
     assert metrics.failures <= decode_failures <= metrics.failures + 1
     assert 0 <= metrics.wifi_airtime_ns <= metrics.duration_ns
     assert 0 <= metrics.lte_airtime_ns <= metrics.duration_ns
-    checked = [sim.medium.lte_intervals()]
+    checked = [lte_intervals(sim.medium)]
+    assert metrics.lte_airtime_ns == sum(t1 - t0 for t0, t1 in checked[0])
     if sim.engine.trace is not None:
         emissions = traced_emissions(sim)
         assert metrics.wifi_airtime_ns == sum(t1 - t0 for t0, t1 in emissions)
@@ -429,14 +430,14 @@ def count_clean_stretches(monkeypatch):
     """Count the calls of the clean-stretch path that advanced, by whether
     the run was traced."""
     calls = {True: 0, False: 0}
-    clean = DcfStation._skip_clean_cycles
+    clean = DcfStation._skip_alike_cycles
 
     def counted(self, now, *args):
         end = clean(self, now, *args)
         calls[self.engine.trace is not None] += end > now
         return end
 
-    monkeypatch.setattr(DcfStation, "_skip_clean_cycles", counted)
+    monkeypatch.setattr(DcfStation, "_skip_alike_cycles", counted)
     return calls
 
 
@@ -457,11 +458,12 @@ def test_clean_path_runs_in_the_compared_runs(cfg, monkeypatch):
         assert calls[True] == calls[False] > len(SEEDS)
 
 
-# perfbench's `runs` configs at seed 5: the events a 10 s run schedules.
-RUN_EVENTS = [("defaults", make_cfg(), False, 11), ("defaults", make_cfg(), True, 11),
-              ("duty0-mcs54", make_cfg(duty=0.0), False, 2),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 5),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 5)]
+# perfbench's `runs` configs at seed 5: the events a 10 s run schedules.  A
+# run that walks from its start at 0 to its end schedules only its run-end.
+RUN_EVENTS = [("defaults", make_cfg(), False, 9), ("defaults", make_cfg(), True, 9),
+              ("duty0-mcs54", make_cfg(duty=0.0), False, 1),
+              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 1),
+              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 1)]
 
 
 @pytest.mark.parametrize("name,cfg,trace,scheduled", RUN_EVENTS,
@@ -761,7 +763,7 @@ FAILING_CASES = ({f"phase {f0} of {period}" for period in range(1, 8) for f0 in 
 def count_failing_stretches(monkeypatch):
     """Name the cases of the all-failing stretches that advanced."""
     seen = set()
-    stretch = DcfStation._skip_clean_cycles
+    stretch = DcfStation._skip_alike_cycles
 
     def counted(self, now, horizon, data_ok, ack_ok):
         f0, frozen = self.consecutive_failures, self.pending_k
@@ -776,7 +778,7 @@ def count_failing_stretches(monkeypatch):
             seen.update({"mid-ladder after a period"} if f0 and self.channel.lte.passed else ())
         return end
 
-    monkeypatch.setattr(DcfStation, "_skip_clean_cycles", counted)
+    monkeypatch.setattr(DcfStation, "_skip_alike_cycles", counted)
     return seen
 
 
@@ -820,3 +822,105 @@ def test_all_failing_stretches_match_the_event_path(monkeypatch):
 
     check()
     assert FAILING_CASES <= seen, FAILING_CASES - seen
+
+
+# -- the start of a run ---------------------------------------------------------
+
+# 12 dBm LTE, which vendor-A and vendor-B defer to unless their threshold is 30 dBm.
+# At duty 0.5 of 150 ms the first LTE-off is at 75 ms.
+DEFERS = dict(lte_power=12.0)
+DOES_NOT_DEFER = dict(lte_power=12.0, cca_ed_threshold_dbm=30.0)
+FIRST_OFF_NS = 75_000_000
+# At duty 0.1 of 10 ms the LTE is on for the first 1 ms, at -16 dBm, which vendor-A
+# does not sense and under which 6 Mbps frames decode.  A cycle of exactly 1 ms (no
+# backoff at cw_min 0) ends its ACK on the first LTE-off; a DIFS of 1 ms (slots of
+# 400 us) ends there.
+TIED = dict(duty=0.1, mean_period_ms=10.0, lte_power=-16.0, mcs=6, duration=0.05)
+TIED_CYCLE = dict(TIED, slot_us=10, sifs_us=10, preamble_us=10, payload_bytes=604,
+                  ack_bytes=56, cw_min=0)
+TIED_DIFS = dict(TIED, slot_us=400, sifs_us=200)
+# Each case's config and whether its station defers to the LTE.
+START_CASES = {
+    "duty 0": (dict(duty=0.0, duration=0.05), True),
+    "duty 1, defers": (dict(duty=1.0, duration=0.05, **DEFERS), True),
+    "duty 1, does not defer": (dict(duty=1.0, duration=0.05, **DOES_NOT_DEFER), False),
+    **{f"first LTE-off {where} the run end, {name}": (
+        dict(duty=0.5, duration=(FIRST_OFF_NS + shift) / NS_PER_S, **extra), defers)
+       for where, shift in (("1 ns before", 1), ("on", 0), ("1 ns past", -1))
+       for name, extra, defers in (("defers", DEFERS, True),
+                                   ("does not defer", DOES_NOT_DEFER, False))},
+    "first cycle ends on the first LTE-off": (TIED_CYCLE, False),
+    "first DIFS ends on the first LTE-off": (TIED_DIFS, False),
+    "vendor-B, defers": (dict(duty=0.5, duration=0.3, profile="vendor-B", **DEFERS), True),
+    "vendor-B, does not defer": (dict(duty=0.5, duration=0.3, profile="vendor-B",
+                                      **DOES_NOT_DEFER), False),
+}
+
+
+@pytest.mark.parametrize("soft_slope_k", [0.0, 2.0], ids=["hard", "soft"])
+@pytest.mark.parametrize("case", sorted(START_CASES))
+def test_the_start_matches_the_event_path(case, soft_slope_k):
+    # The walk starts a run at its first idle instant, 0 or a deferring station's
+    # first LTE-off, and counts the transitions before it; the event path starts
+    # there too.  A traced run's first lines are those the LTE node's events and a
+    # start event wrote: an LTE-off on the run end follows the run-end line.
+    settings_, defers = START_CASES[case]
+    cfg = make_cfg(**settings_, soft_slope_k=soft_slope_k)
+    sim, end = Simulation(cfg), round(cfg.duration_s * NS_PER_S)
+    assert sim.medium.defer_to_lte == defers and sim.duration_ns == end
+    start = 0 if not defers or cfg.lte.duty == 0 else (
+        FIRST_OFF_NS if cfg.lte.duty < 1 and FIRST_OFF_NS <= end else None)
+    lines = ["0 lte-on lte"] * (cfg.lte.duty > 0) + ["0 cca-sample wifi-tx start"]
+    if start:
+        lines += ([f"{start} lte-off lte"] if start < end else
+                  [f"{end} run-end engine", f"{start} lte-off lte"])
+    for seed in SEEDS:
+        events, fast = assert_paths_agree(cfg, seed)
+        head = "".join(line + "\n" for line in lines)
+        assert events["trace"].startswith(head)
+        if start is not None and start + sim.station.difs_ns <= end:
+            first = next(line for line in events["trace"][len(head):].splitlines()
+                         if " wifi-tx" in line)
+            assert first == f"{start + sim.station.difs_ns} difs-end wifi-tx"
+        else:  # no station event by the run end
+            assert events["trace"] == head + f"{end} run-end engine\n" * (start != end)
+    if "ends on the first LTE-off" in case:
+        # The tie dispatches the LTE-off first: it was armed at 0, before the station's events.
+        kind = "ack-result" if "cycle" in case else "difs-end"
+        assert f"1000000 lte-off lte\n1000000 {kind} wifi-tx\n" in events["trace"]
+
+
+def test_a_walk_to_the_run_end_schedules_its_run_end_and_a_later_start(monkeypatch):
+    # Every untraced run of the four default grids at 0.2 s whose station walks from
+    # its first contention to the run end schedules its run-end, and an event to
+    # start it if that is after 0 (a first LTE-off); the LTE node schedules nothing.
+    first_walks, counts = {}, dict.fromkeys(("at 0", "after 0", "never", "handed over"), 0)
+    skip, run = DcfStation._skip_whole_cycles, Simulation.run
+
+    def walk(self, now):
+        advanced_to = skip(self, now)
+        first_walks.setdefault(self, (now, advanced_to))
+        return advanced_to
+
+    def counted(self):
+        metrics = run(self)
+        start, advanced_to = first_walks.pop(self.station, (None, None))
+        if start is None:  # a deferring station under an LTE-on past the run end
+            assert self.engine._seq == 1
+            counts["never"] += 1
+        elif advanced_to == self.duration_ns:
+            assert self.engine._seq == 1 + (start > 0)
+            counts["after 0" if start else "at 0"] += 1
+        else:
+            counts["handed over"] += 1
+        return metrics
+
+    monkeypatch.setattr(DcfStation, "_skip_whole_cycles", walk)
+    monkeypatch.setattr(Simulation, "run", counted)
+    for name in sorted(SCENARIOS):
+        scenario = SCENARIOS[name]()
+        scenario.reps, scenario.duration_s = 2, 0.2
+        run_sweep(scenario, 1)
+    # Nearly every run walks to its end; the rest hand a tie on a transition to the events.
+    assert min(counts["at 0"], counts["after 0"]) > 100 and counts["never"] > 0
+    assert counts["handed over"] < 20

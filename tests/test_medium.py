@@ -18,7 +18,7 @@ from coexsim.lte import LteNode
 from coexsim.radio import packet_outcome
 from coexsim.simulation import Medium
 
-from conftest import make_cfg
+from conftest import lte_intervals, make_cfg
 
 
 def old_trace(times, t0, t1, on_value, off_value):
@@ -133,4 +133,4 @@ def test_the_medium_reads_only_the_transitions_passed(cfg, times, passed, t0, le
         assert medium._window(t0, t1, sinr) == happened._window(t0, t1, sinr)
         assert medium.clears(t0, t1, clears) == happened.clears(t0, t1, clears)
     assert medium.lte_on == happened.lte_on
-    assert medium.lte_intervals() == happened.lte_intervals()
+    assert lte_intervals(medium) == lte_intervals(happened)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from coexsim.metrics import (BoxStats, RunMetrics, box_stats, normalized_throughput,
                              throughput_mbps)
 
-from conftest import airtime_partition, make_cfg, run_sim, traced_emissions
+from conftest import airtime_partition, lte_intervals, make_cfg, run_sim, traced_emissions
 
 
 def metrics_with(delivered=0, duration_s=10.0):
@@ -100,7 +100,7 @@ class TestAirtimePartition:
     def test_real_run_partition_sums_to_duration(self):
         cfg = make_cfg(duty=0.5, lte_power=-16.0, mcs=6, duration=2.0)
         metrics, sim = run_sim(cfg, seed=6, trace=True)
-        parts = airtime_partition(traced_emissions(sim), sim.medium.lte_intervals(),
+        parts = airtime_partition(traced_emissions(sim), lte_intervals(sim.medium),
                                   metrics.duration_ns)
         assert sum(parts.values()) == metrics.duration_ns
         # The independent sweep agrees with the incremental counters.

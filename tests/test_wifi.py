@@ -9,7 +9,7 @@ from coexsim.radio import SpectrumBand
 from coexsim.wifi import (CCA_PRESETS, CcaProfile, ack_airtime_us, ack_rate_mbps,
                           analytic_goodput_mbps, cca_busy, frame_airtime_us)
 
-from conftest import backoffs, make_cfg, run_sim, traced_emissions
+from conftest import backoffs, lte_intervals, make_cfg, run_sim, traced_emissions
 
 PARAMS = WifiSettings()
 
@@ -134,7 +134,7 @@ class TestDcfMechanics:
         # threshold: no transmission may start inside an on-period.
         cfg = make_cfg(duty=0.5, lte_power=12.0, duration=3.0)
         metrics, sim = run_sim(cfg, seed=8, trace=True)
-        on_intervals = sim.medium.lte_intervals()
+        on_intervals = lte_intervals(sim.medium)
         data_air_ns = 248 * NS_PER_US
         data_starts = [a for a, b in traced_emissions(sim) if b - a == data_air_ns]
         assert data_starts
@@ -147,7 +147,7 @@ class TestDcfMechanics:
         # continue during on-periods and (at MCS 6) survive via capture.
         cfg = make_cfg(duty=0.5, lte_power=-16.0, mcs=6, duration=3.0)
         metrics, sim = run_sim(cfg, seed=8, trace=True)
-        on_intervals = sim.medium.lte_intervals()
+        on_intervals = lte_intervals(sim.medium)
         started_during_on = sum(
             1 for start, _ in traced_emissions(sim)
             if any(a <= start < b for a, b in on_intervals))
