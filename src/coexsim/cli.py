@@ -81,7 +81,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write(args.out, [result.to_csv_text()])
     if args.trace is not None:
         _write(args.trace, sim.engine.trace)
-        sim.engine.trace = None  # freed now: the run's nodes refer to each other, so not at return
     return 0
 
 

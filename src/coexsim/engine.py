@@ -152,10 +152,8 @@ class Event:
     seq: int        # insertion counter, unique per run
     kind: str       # e.g. lte-on, lte-off, difs-end, backoff-slot, tx-end, ack-timeout, run-end
     target: str     # node identifier
-    fn: Callable[[], None] = field(repr=False)
+    fn: Callable[[], None] | None = field(repr=False)  # None once it cannot fire
     detail: str = ""
-    cancelled: bool = False
-    fired: bool = False
 
 
 def trace_line(t: int, kind: str, target: str, detail: str) -> str:
@@ -193,14 +191,14 @@ class Engine:
         return self.schedule(self.now + delay_ns, kind, target, fn, detail)
 
     def cancel(self, event: Event) -> bool:
-        """True iff the event had not yet fired and now never will."""
-        if event.fired or event.cancelled:
+        """True iff the event could still fire and now never will."""
+        if event.fn is None:
             return False
-        event.cancelled = True
+        event.fn = None
         return True
 
     def run_until(self, t_end: int) -> None:
-        """Dispatch all events with fire_time <= t_end in order; clock ends at t_end.
+        """Dispatch the events with fire_time <= t_end in order, drop the rest; clock ends at t_end.
 
         A traced run records each event's line, except for an event with an
         empty kind: a step that resumes contention has written its own lines.
@@ -210,15 +208,18 @@ class Engine:
         queue = self._queue
         while queue and queue[0][0] <= t_end:
             _, _, event = heapq.heappop(queue)
-            if event.cancelled:
+            fn, event.fn = event.fn, None
+            if fn is None:
                 continue
             self.now = event.fire_time
-            event.fired = True
             if self.trace is not None and event.kind:
                 self.trace.append(trace_line(event.fire_time, event.kind, event.target,
                                              event.detail))
-            event.fn()
+            fn()
         self.now = t_end
+        for _, _, event in queue:
+            event.fn = None
+        queue.clear()
 
     def rng_stream(self, label: str) -> np.random.Generator:
         """Deterministic generator derived from (master seed, label).

@@ -50,7 +50,8 @@ def occupied_band(cfg: LteSettings) -> SpectrumBand:
 
 class LteNode:
     """Duty-cycle schedule, drawn when the node is built; one pending event,
-    once armed, notifies the medium at the next transition.
+    once armed, counts the next transition by the run end and tells the
+    station that armed it.
 
     Draws only from its own RNG stream, so the schedule for a given seed is
     identical whether or not WiFi nodes exist in the run.  ``times`` is the
@@ -62,14 +63,13 @@ class LteNode:
 
     name = "lte"
 
-    def __init__(self, engine: Engine, medium, period: tuple) -> None:
-        self.engine = engine
-        self.medium = medium
+    def __init__(self, engine: Engine, end_ns: int, period: tuple) -> None:
+        self.engine, self.end_ns = engine, end_ns
         self._on_ns, self._align_ns, self._silent_ms = period  # ns, ns, ms or None
         self.rng = None if self._silent_ms is None else engine.rng_stream(RNG_LABEL)
         self.times: list[int] = []  # none at duty 0
         if self._on_ns:
-            self.times = [0] if self.rng is None else self._schedule(medium.end_ns)
+            self.times = [0] if self.rng is None else self._schedule(end_ns)
         self.passed = 0  # transitions that have happened
         self._event = None  # the pending transition event
 
@@ -92,24 +92,27 @@ class LteNode:
                                              // align) * align)
         return times + [t + on] * (t <= end_ns)  # the off past the end
 
-    # The node counts a transition, and the medium notifies the station, before
+    # The node counts a transition, and the event tells the station, before
     # the next one is scheduled: a station that contends inside the callback
     # knows how long the medium stays as it is, and its events stay ahead
     # of the node's when both fall on the same instant (as do a station's that
     # starts at an LTE-off; one that starts at 0 arms the node first).
 
-    def arm(self) -> None:
-        """Schedule the event of the next transition, unless one is pending."""
-        if self._event is None and self.passed < len(self.times):
-            kind = "lte-off" if self.passed % 2 else "lte-on"
-            self._event = self.engine.schedule(self.times[self.passed], kind, self.name,
-                                               self._switch)
+    def arm(self, station=None) -> None:
+        """Schedule the event of the next transition, if it falls by the run end and
+        none is pending; the station given, if any, learns of the transition."""
+        n = self.passed
+        if self._event is None and n < len(self.times) and self.times[n] <= self.end_ns:
+            # A lambda, not a partial: the callback's module names its layer in profiles.
+            self._event = self.engine.schedule(self.times[n], "lte-off" if n % 2 else "lte-on",
+                                               self.name, lambda: self._switch(station))
 
-    def _switch(self) -> None:
+    def _switch(self, station) -> None:
         self._event = None
         self.passed += 1
-        self.medium.lte_switched(self.engine.now)
-        self.arm()
+        if station is not None:
+            station.lte_switched(self.engine.now)
+        self.arm(station)
 
     def advance_to(self, t: int) -> None:
         """Count the transitions up to ``t`` that the station has run past on

@@ -11,6 +11,9 @@ passed; what derives from the config alone is ``plan``'s.
 The walk starts the run: ``run`` starts the station at its first idle instant,
 0 or a deferring station's first LTE-off, and the LTE node arms only where the
 station hands a cycle to the events, or in a run without a station.
+References point one way (simulation, station, medium, LTE node, engine): the
+LTE node's event holds the station it tells, and an event drops its callback
+once it cannot fire, so a finished run is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import LteSettings, RadioSettings, RunConfig, WifiSettings
-from .engine import NS_PER_MS, NS_PER_S, NS_PER_US, Engine, Seed
+from .engine import NS_PER_MS, NS_PER_S, NS_PER_US, Engine
 from .lte import RNG_LABEL, LteNode, occupied_band, on_duration_ns, silent_range_ms
 from .metrics import MetricsAccumulator, RunMetrics
 from .radio import SpectrumBand, noise_floor_dbm, overlap_fraction, sinr_db, success_probability
@@ -102,12 +105,9 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
 class Medium:
     """Shared channel: carrier sense and SINR windows over the LTE transitions passed."""
 
-    def __init__(self, cfg: RunConfig, end_ns: int, run_plan: Plan | None = None) -> None:
-        self.end_ns = end_ns
-        self.station: DcfStation | None = None
-        self.lte: LteNode | None = None  # the run's, set once it is built
-        self.plan = run_plan or plan(cfg.lte, cfg.wifi, cfg.radio)
-        self.defer_to_lte, self.sinr_rx, self.sinr_tx = self.plan.medium
+    def __init__(self, run_plan: Plan, lte: LteNode) -> None:
+        self.plan, self.lte, self.end_ns = run_plan, lte, lte.end_ns
+        self.defer_to_lte, self.sinr_rx, self.sinr_tx = run_plan.medium
 
     @property
     def lte_on(self) -> bool:
@@ -117,14 +117,6 @@ class Medium:
     def busy(self) -> bool:
         """Carrier-sense verdict for the station (its own TX is not sensed)."""
         return self.lte_on and self.defer_to_lte
-
-    def lte_switched(self, now: int) -> None:
-        """Tell a deferring station of the LTE transition at ``now``."""
-        if self.defer_to_lte and self.station is not None:
-            if self.lte_on:
-                self.station.busy_onset(now)
-            else:
-                self.station.busy_cleared(now)
 
     def _window(self, t0: int, t1: int, sinr: tuple[float, float]) -> list[tuple[int, float]]:
         """SINR over [t0, t1) as (duration_ns, sinr_db) segments, one per LTE state."""
@@ -159,15 +151,13 @@ class Simulation:
         self.acc = MetricsAccumulator()
         self.duration_ns = int(round(cfg.duration_s * NS_PER_S))
         # A sweep's seed carries the plan it looked up, which spares hashing the config.
-        self.medium = Medium(cfg, self.duration_ns, seed.plan if isinstance(seed, Seed) else None)
-        p = self.medium.plan
-
-        self.lte_node = self.medium.lte = LteNode(self.engine, self.medium, p.period)
+        p = getattr(seed, "plan", None) or plan(cfg.lte, cfg.wifi, cfg.radio)
+        self.lte_node = LteNode(self.engine, self.duration_ns, p.period)
+        self.medium = Medium(p, self.lte_node)
 
         self.station = None
         if include_wifi:
             self.station = DcfStation(self.engine, self.medium, cfg.wifi, p.station, self.acc)
-            self.medium.station = self.station
         else:
             self.lte_node.arm()
 

@@ -301,7 +301,7 @@ class DcfStation:
                          + trace_line(0, "cca-sample", self.name, "start") + off * (t < end))
             self._at_end = off * (t == end)  # after the run-end line
         if t == 0 and self._skip_whole_cycles(0) == 0:
-            lte.arm()  # as the LTE-on at 0 would, before the station's events
+            lte.arm(self)  # as the LTE-on at 0 would, before the station's events
             self._start_difs()
         elif 0 < t < end:
             self.engine.schedule(t, "", self.name, self._begin_contention)
@@ -315,7 +315,7 @@ class DcfStation:
         now = self.engine.now
         if self._skip_whole_cycles(now) == now:
             self._start_difs()
-            self.channel.lte.arm()
+            self.channel.lte.arm(self)
 
     def _start_difs(self) -> None:
         self.state = "difs"
@@ -463,7 +463,7 @@ class DcfStation:
                 self.decode_rng.bit_generator.advance(draws * (self.difs_completed - cycles))
             now = self._walk_edge(t, horizon)
         if now is None and t > start:
-            lte.arm()
+            lte.arm(self)
             self._event = self.engine.schedule(t, "", self.name, self._start_difs)
         return t if now is None else end
 
@@ -707,7 +707,11 @@ class DcfStation:
         trace.append("".join([CYCLE_TEMPLATES[s] for s in shapes.tolist()])
                      % tuple(values.tolist()))
 
-    # -- carrier-sense callbacks from the channel ----------------------------
+    # -- carrier sense: a deferring station at the LTE node's transitions -----
+
+    def lte_switched(self, now: int) -> None:
+        if self.channel.defer_to_lte:
+            (self.busy_onset if self.channel.lte_on else self.busy_cleared)(now)
 
     def busy_onset(self, now: int) -> None:
         """Deferral-grade energy appeared on the medium."""

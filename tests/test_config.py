@@ -12,7 +12,7 @@ from coexsim.config import (DB_LIMIT, MAGNITUDE_RANGE, ConfigError, LteSettings,
                             parse_config, serialize_config)
 from coexsim.experiments import Scenario
 from coexsim.lte import PRB_CHOICES
-from coexsim.simulation import Medium
+from coexsim.simulation import plan
 from coexsim.wifi import CCA_PRESETS, MCS_RATES, CcaProfile
 
 from conftest import derive_seed
@@ -425,8 +425,8 @@ def corner_configs():
 
 def test_link_budget_is_finite_at_every_corner_of_the_bounds():
     for cfg in corner_configs():
-        medium = Medium(cfg, 1)
-        assert all(map(math.isfinite, (*medium.sinr_rx, *medium.sinr_tx))), cfg
+        _, sinr_rx, sinr_tx = plan(cfg.lte, cfg.wifi, cfg.radio).medium
+        assert all(map(math.isfinite, (*sinr_rx, *sinr_tx))), cfg
 
 
 class TestProperties:

@@ -69,6 +69,18 @@ class TestCancel:
         assert engine.cancel(handle) is False
 
 
+class TestHandlesAfterTheRun:
+    @pytest.mark.parametrize("fate", ["fired", "cancelled", "past t_end"])
+    def test_a_handle_holds_no_callback_once_the_run_is_over(self, fate):
+        engine = Engine(seed=1)
+        handle = engine.schedule(20 if fate == "past t_end" else 5, "x", "n", lambda: None)
+        if fate == "cancelled":
+            engine.cancel(handle)
+        engine.run_until(10)
+        assert handle.fn is None and not engine._queue
+        assert engine.cancel(handle) is False
+
+
 class TestRunUntil:
     def test_empty_queue_advances_clock(self):
         engine = Engine(seed=1)

@@ -17,7 +17,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from coexsim.config import ConfigError
-from coexsim.engine import NS_PER_S, NS_PER_US
+from coexsim.engine import NS_PER_S, NS_PER_US, Engine
 from coexsim.experiments import SCENARIOS, run_sweep
 from coexsim.simulation import Simulation
 from coexsim.wifi import (FAST_FORWARD_CHUNK, BackoffStream, DcfStation, ack_airtime_us,
@@ -458,9 +458,10 @@ def test_clean_path_runs_in_the_compared_runs(cfg, monkeypatch):
         assert calls[True] == calls[False] > len(SEEDS)
 
 
-# perfbench's `runs` configs at seed 5: the events a 10 s run schedules.  A
-# run that walks from its start at 0 to its end schedules only its run-end.
-RUN_EVENTS = [("defaults", make_cfg(), False, 9), ("defaults", make_cfg(), True, 9),
+# perfbench's `runs` configs at seed 5: the events a 10 s run schedules, none
+# past its end.  A run that walks from its start at 0 to its end schedules
+# only its run-end.
+RUN_EVENTS = [("defaults", make_cfg(), False, 8), ("defaults", make_cfg(), True, 8),
               ("duty0-mcs54", make_cfg(duty=0.0), False, 1),
               ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 1),
               ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 1)]
@@ -473,6 +474,34 @@ def test_events_a_ten_second_run_schedules(name, cfg, trace, scheduled):
     sim = Simulation(cfg, seed=5, trace=trace)
     sim.run()
     assert sim.engine._seq == scheduled
+
+
+def test_no_lte_event_is_scheduled_past_the_run_end(monkeypatch):
+    # Every run of the default grids at 0.2 s, the runs above, and runs without
+    # a station, whose LTE node arms itself at each transition.
+    scheduled = {}  # engine -> (fire_time, kind, target) of each event it scheduled
+    schedule = Engine.schedule
+
+    def spy(engine, fire_time, kind, target, fn, detail=""):
+        scheduled.setdefault(engine, []).append((fire_time, kind, target))
+        return schedule(engine, fire_time, kind, target, fn, detail)
+
+    monkeypatch.setattr(Engine, "schedule", spy)
+    for name in sorted(SCENARIOS):
+        scenario = SCENARIOS[name]()
+        scenario.duration_s = 0.2
+        run_sweep(scenario, 1)
+    for _, cfg, trace, _ in RUN_EVENTS:
+        Simulation(cfg, seed=5, trace=trace).run()
+    for duty, seed in itertools.product((0.3, 0.5), SEEDS):
+        Simulation(make_cfg(duty=duty, duration=1.0), seed=seed, include_wifi=False).run()
+    late, armed = [], 0
+    for events in scheduled.values():
+        (end,) = [t for t, kind, _ in events if kind == "run-end"]
+        lte = [(t, kind) for t, kind, target in events if target == "lte"]
+        late += [(t, kind, end) for t, kind in lte if t > end]
+        armed += bool(lte)
+    assert late == [] and armed > 2 * len(SEEDS)  # more than the runs without a station
 
 
 def test_clean_path_at_the_int64_corner_of_a_fixed_window(monkeypatch):

@@ -16,7 +16,7 @@ from coexsim.config import RunConfig
 from coexsim.engine import Engine
 from coexsim.lte import LteNode
 from coexsim.radio import packet_outcome
-from coexsim.simulation import Medium
+from coexsim.simulation import Medium, plan
 
 from conftest import lte_intervals, make_cfg
 
@@ -44,8 +44,8 @@ def old_trace(times, t0, t1, on_value, off_value):
 def scheduled_medium(cfg, times, passed=None):
     """A medium whose LTE node has drawn ``times``, of which the first ``passed``
     (all by default) have happened."""
-    medium = Medium(cfg, 10**9)
-    medium.lte = LteNode(Engine(0), medium, medium.plan.period)
+    run_plan = plan(cfg.lte, cfg.wifi, cfg.radio)
+    medium = Medium(run_plan, LteNode(Engine(0), 10**9, run_plan.period))
     medium.lte.times = times
     medium.lte.passed = len(times) if passed is None else passed
     return medium
@@ -85,7 +85,6 @@ def test_carrier_sense_follows_the_parity_of_the_record():
     assert medium.defer_to_lte and not medium.busy
     for t, busy in ((0, True), (75, False), (150, True)):
         medium.lte.advance_to(t)
-        medium.lte_switched(t)
         assert medium.lte_on == medium.busy == busy
 
 
