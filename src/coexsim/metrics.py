@@ -33,9 +33,8 @@ class BoxStats:
 class MetricsAccumulator:
     """Mutable counters filled in by the nodes while a run executes.
 
-    WiFi airtime is a running sum: the event path adds each data frame and
-    ACK as it ends, the station's fast-forward a whole block of cycles at
-    once, and every emission is cut off at the run end before it is added.
+    WiFi airtime is set once, from the counters, when the station closes the
+    run (``DcfStation.flush``); a run without a station has none.
     """
 
     def __init__(self) -> None:
@@ -44,9 +43,6 @@ class MetricsAccumulator:
         self.failures = 0
         self.drops = 0
         self.wifi_airtime_ns = 0
-
-    def add_wifi(self, t0: int, t1: int) -> None:
-        self.wifi_airtime_ns += t1 - t0
 
     def finalize(self, duration_ns: int, lte_airtime_ns: int) -> RunMetrics:
         return RunMetrics(

@@ -83,15 +83,12 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
                         else (False, False, (p_data, p_ack), None))
     ladder, period = tuple(2**b - 1 for b in ladder_bits.tolist()), max(wifi.retry_limit, 1)
     shortest_ns = (wifi.difs_us + wifi.sifs_us) * NS_PER_US + data_air_ns + ack_air_ns
-    # A retry period of failing cycles on average: each a slot longer, and half its window.
-    slots = 2 * period + sum(ladder[:period]) + max(period - len(ladder), 0) * ladder[-1]
     station = dict(
         cca=cca, slope_k=slope_k, slot_ns=wifi.slot_us * NS_PER_US,
         sifs_ns=wifi.sifs_us * NS_PER_US, difs_ns=wifi.difs_us * NS_PER_US,
         data_air_ns=data_air_ns, ack_air_ns=ack_air_ns, data_threshold_db=data_threshold_db,
         shortest_cycle_ns=shortest_ns, ack_threshold_db=ack_threshold_db, _outcomes=tuple(outcomes),
         _ladder_bits=ladder_bits, _cw_ladder=ladder, _retry_period=period,
-        _failing_period_ns=period * shortest_ns + slots * wifi.slot_us * NS_PER_US // 2,
         _data_clears=tuple(sinr >= data_threshold_db for sinr in sinr_rx),
         _ack_clears=tuple(sinr >= ack_threshold_db for sinr in sinr_tx))
     # Only a duty strictly between 0 and 1 has silent periods to draw.
@@ -134,19 +131,12 @@ class Medium:
             return verdicts[0] and verdicts[1]
         return verdicts[lo % 2]
 
-    def sinr_trace_at_rx(self, t0: int, t1: int) -> list[tuple[int, float]]:
-        return self._window(t0, t1, self.sinr_rx)
-
-    def sinr_trace_at_tx(self, t0: int, t1: int) -> list[tuple[int, float]]:
-        return self._window(t0, t1, self.sinr_tx)
-
 
 class Simulation:
     """One closed, seeded run; repeated construction reproduces it bit-exactly."""
 
     def __init__(self, cfg: RunConfig, seed: int | None = None, trace: bool = False,
                  include_wifi: bool = True) -> None:
-        self.cfg = cfg
         self.engine = Engine(cfg.seed if seed is None else seed, trace=trace)
         self.acc = MetricsAccumulator()
         self.duration_ns = int(round(cfg.duration_s * NS_PER_S))

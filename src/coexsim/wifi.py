@@ -368,21 +368,21 @@ class DcfStation:
                                                self.name, self._ack_timeout)
 
     def _data_decodes(self, t0: int, t1: int) -> bool:
-        """Add a data frame over [t0, t1) to the airtime and decode it: under the
-        hard rule, from the verdicts of the LTE states it spans."""
-        self.acc.add_wifi(t0, t1)
-        ok = (self.channel.clears(t0, t1, self._data_clears) if self.decode_rng is None else
+        """Decode a data frame over [t0, t1): under the hard rule, from the verdicts
+        of the LTE states it spans."""
+        channel = self.channel
+        ok = (channel.clears(t0, t1, self._data_clears) if self.decode_rng is None else
               packet_outcome(self.data_threshold_db, self.slope_k,
-                             self.channel.sinr_trace_at_rx(t0, t1), self.decode_rng))
+                             channel._window(t0, t1, channel.sinr_rx), self.decode_rng))
         self.data_decode_failures += not ok
         return ok
 
     def _ack_decodes(self, t0: int, t1: int) -> bool:
-        """Add an ACK over [t0, t1) to the airtime and decode it."""
-        self.acc.add_wifi(t0, t1)
-        ok = (self.channel.clears(t0, t1, self._ack_clears) if self.decode_rng is None else
+        """Decode an ACK over [t0, t1)."""
+        channel = self.channel
+        ok = (channel.clears(t0, t1, self._ack_clears) if self.decode_rng is None else
               packet_outcome(self.ack_threshold_db, self.slope_k,
-                             self.channel.sinr_trace_at_tx(t0, t1), self.decode_rng))
+                             channel._window(t0, t1, channel.sinr_tx), self.decode_rng))
         self.ack_decode_failures += not ok
         return ok
 
@@ -509,8 +509,6 @@ class DcfStation:
             delivered = int(np.count_nonzero(ok))
             undecoded = n - int(np.count_nonzero(data))
 
-            # A data frame that did not decode gets no ACK.
-            self.acc.wifi_airtime_ns += n * self.data_air_ns + (n - undecoded) * self.ack_air_ns
             if trace is not None:
                 self._trace_cycles(trace, ends, ends - (tail_ns + failed * self.slot_ns), ks,
                                    data, ok)
@@ -548,15 +546,13 @@ class DcfStation:
         stream.skip(frozen is None and self.cw > 0)
         self.pending_k = None
         # A prefix sums the cycles that can end before its reach, plus one: one window's is kept,
-        # so it reaches the run end; a ladder's the horizon, capped at its mean periods there + 2.
-        period, reach, mean_ns = ((1, self.channel.end_ns, cycle_ns) if ack_ok else
-                                  (self._retry_period, horizon, self._failing_period_ns))
+        # so it reaches the run end; a ladder's the horizon.
+        period, reach = (1, self.channel.end_ns) if ack_ok else (self._retry_period, horizon)
         f0, trace, first, cycles, more = self.consecutive_failures, self.engine.trace, True, 1, True
         while more:
             n, span_ns, more, prefix = stream.stretch(
                 self._ladder_bits, period, (f0 + cycles) % period, cycle_ns, slot_ns, horizon - t,
-                min(FAST_FORWARD_CHUNK, (reach - t) // cycle_ns + 1,
-                    ((reach - t) // mean_ns + 3) * period), trace is not None)
+                min(FAST_FORWARD_CHUNK, (reach - t) // cycle_ns + 1), trace is not None)
             if trace is not None and (first or n):
                 bounds = t + (prefix - prefix[0])  # where these cycles start and end
                 if first:  # the first cycle is traced with the first prefix
@@ -566,8 +562,6 @@ class DcfStation:
                                    (np.diff(bounds) - cycle_ns) // slot_ns, ok | data_ok, ok)
             cycles += n
             t += span_ns
-        # A data frame that did not decode gets no ACK.
-        self.acc.wifi_airtime_ns += cycles * (self.data_air_ns + data_ok * self.ack_air_ns)
         self.acc.attempts += cycles
         self.difs_completed += cycles
         self.backoff_slots_elapsed += (t - now - cycles * cycle_ns) // slot_ns
@@ -757,11 +751,15 @@ class DcfStation:
     # -- end of run -----------------------------------------------------------
 
     def flush(self, t_end_ns: int) -> None:
-        """Account in-flight emissions when the run is cut off at t_end, and write
-        the lines of walked events at t_end, which follow the run-end line."""
+        """Write the lines of walked events at t_end, which follow the run-end line, and
+        set the WiFi airtime: a data frame per attempt, an ACK per delivery or ACK decode
+        failure, and a frame or an ACK still in the air cut off at t_end."""
         if self._at_end:
             self.engine.trace.append(self._at_end)
-        if self.state == "tx":
-            self.acc.add_wifi(self._tx_start, t_end_ns)
+        acc, cut = self.acc, 0
+        if self.state == "tx":  # the attempts count it whole: take off what is past t_end
+            cut = t_end_ns - self._tx_start - self.data_air_ns
         elif self._ack_window is not None and self._ack_window[0] < t_end_ns:
-            self.acc.add_wifi(self._ack_window[0], min(self._ack_window[1], t_end_ns))
+            cut = min(self._ack_window[1], t_end_ns) - self._ack_window[0]
+        acks = acc.delivered_payload_bytes // self.payload_bytes + self.ack_decode_failures
+        acc.wifi_airtime_ns = acc.attempts * self.data_air_ns + acks * self.ack_air_ns + cut

@@ -151,7 +151,7 @@ def test_forced_collisions_cross_the_retry_ladder():
 
 def assert_run_end_invariants(sim, metrics):
     station = sim.station
-    delivered = metrics.delivered_payload_bytes // sim.cfg.wifi.payload_bytes
+    delivered = metrics.delivered_payload_bytes // station.payload_bytes
     assert metrics.attempts - delivered - metrics.failures in (0, 1)
     decode_failures = station.data_decode_failures + station.ack_decode_failures
     assert metrics.failures <= decode_failures <= metrics.failures + 1

@@ -64,7 +64,7 @@ def test_window_segments_follow_the_schedule(times, t0, length, direction):
     t1 = t0 + length
     medium = scheduled_medium(RunConfig(), times)
     off, on = getattr(medium, f"sinr_{direction}")
-    window = getattr(medium, f"sinr_trace_at_{direction}")(t0, t1)
+    window = medium._window(t0, t1, getattr(medium, f"sinr_{direction}"))
 
     assert window and all(duration > 0 for duration, _ in window)
     assert sum(duration for duration, _ in window) == t1 - t0

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coexsim.experiments import SCENARIOS
 from coexsim.metrics import (BoxStats, RunMetrics, box_stats, normalized_throughput,
                              throughput_mbps)
+from coexsim.simulation import Simulation
 
 from conftest import airtime_partition, lte_intervals, make_cfg, run_sim, traced_emissions
 
@@ -103,7 +105,31 @@ class TestAirtimePartition:
         parts = airtime_partition(traced_emissions(sim), lte_intervals(sim.medium),
                                   metrics.duration_ns)
         assert sum(parts.values()) == metrics.duration_ns
-        # The independent sweep agrees with the incremental counters.
+        # The independent sweep agrees with the closed-form airtime.
         assert parts["wifi_only"] + parts["overlap"] == metrics.wifi_airtime_ns
         assert parts["lte_only"] + parts["overlap"] == metrics.lte_airtime_ns
         assert parts["overlap"] > 0  # capture regime transmits during on-periods
+
+
+def default_grid_configs(duration_s):
+    """Every config of the four default sweeps' grids, baselines included, once each."""
+    configs = {}
+    for name in sorted(SCENARIOS):
+        scenario = SCENARIOS[name]()
+        scenario.duration_s = duration_s
+        for _, cfg, _, baseline, _ in scenario.grid():
+            configs.update(dict.fromkeys((cfg, baseline)))
+    return list(configs)
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_closed_form_airtime_over_the_default_grids(seed):
+    # Sweep-shaped runs: the airtime the station sets from its counters at the run
+    # end is the same traced and untraced, and equals the emissions in the trace.
+    configs = default_grid_configs(0.2)
+    assert len(configs) > 200
+    for cfg in configs:
+        untraced = Simulation(cfg, seed=seed).run()
+        sim = Simulation(cfg, seed=seed, trace=True)
+        assert sim.run() == untraced
+        assert untraced.wifi_airtime_ns == sum(t1 - t0 for t0, t1 in traced_emissions(sim))
