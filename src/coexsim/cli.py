@@ -11,7 +11,7 @@ import functools
 import os
 import sys
 
-from .config import WIFI_ONLY, ConfigError, RunConfig, parse_config, parse_value
+from .config import WIFI_ONLY, ConfigError, RunConfig, parse_config, parse_value, resolve_path
 from .engine import SchedulingError
 from .experiments import (POOL_MIN_WORK_S, SCENARIOS, SweepError, SweepResult,
                           check_one_cycle, run_sweep)
@@ -97,10 +97,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         scenario.reps = args.reps
     if args.duration is not None:
         scenario.duration_s = args.duration
+    given = set()  # one --grid an axis: a later one would replace the earlier
     for item in args.grid or []:
         if "=" not in item:
             raise ConfigError(f"--grid expects key=v1,v2,... got {item!r}")
         path, _, values = item.partition("=")
+        if (path := ".".join(resolve_path(path))) in given:
+            raise ConfigError(f"--grid gives axis {path!r} twice")
+        given.add(path)
         scenario.override_grid(path, values.split(","))
     if (args.jobs or 0) < 0:
         raise ConfigError(f"--jobs must be >= 0 (0 uses all cores), got {args.jobs}")

@@ -33,6 +33,12 @@ def _invalid(section: str, key: str, rule: str, value) -> ConfigError:
     return ConfigError(f"{section}.{key} must {rule}, got {value!r}")
 
 
+def _check_nonzero(name: str, text: str, value) -> None:
+    """A number whose mantissa in ``text`` is nonzero must not convert to 0.0."""
+    if value == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+        raise ConfigError(f"{name}: {text!r} is not 0 but converts to 0.0")
+
+
 # Bounds that keep every link budget finite: each value in dB (a key ending
 # in _db, _dbi, _dbc or _dbm, or a PER threshold) lies within +-DB_LIMIT, and
 # each distance, frequency and bandwidth within MAGNITUDE_RANGE of its unit.
@@ -113,12 +119,12 @@ class WifiSettings:
 
     def __post_init__(self) -> None:
         _check_floats(self, "wifi")
-        if self.mcs_mbps not in BITS_PER_SYMBOL:
-            raise _invalid("wifi", "mcs_mbps", f"be one of {MCS_RATES}", self.mcs_mbps)
-        if self.payload_bytes <= 0:
-            raise _invalid("wifi", "payload_bytes", "be positive", self.payload_bytes)
-        if self.slot_us <= 0:
-            raise _invalid("wifi", "slot_us", "be positive", self.slot_us)
+        for key in ("mcs_mbps", "control_rate_mbps"):
+            if getattr(self, key) not in BITS_PER_SYMBOL:
+                raise _invalid("wifi", key, f"be one of {MCS_RATES}", getattr(self, key))
+        for key in ("payload_bytes", "slot_us"):
+            if getattr(self, key) <= 0:
+                raise _invalid("wifi", key, "be positive", getattr(self, key))
         for key in ("sifs_us", "preamble_us", "ack_bytes", "mac_overhead_bytes"):
             if getattr(self, key) < 0:
                 raise _invalid("wifi", key, "be >= 0", getattr(self, key))
@@ -201,11 +207,12 @@ class RadioSettings:
             given = set()
             for pair in self.per_thresholds.split(","):
                 try:
-                    rate, db = pair.split(":")
-                    rate, db = int(rate.strip()), float(db.strip())
+                    rate, text = pair.split(":")
+                    rate, db = int(rate.strip()), float(text)
                 except ValueError as exc:
                     raise ConfigError(
                         f"radio.per_thresholds: bad entry {pair.strip()!r}") from exc
+                _check_nonzero("radio.per_thresholds", text.strip(), db)
                 if rate not in MCS_RATES or rate in given:
                     raise _invalid("radio", "per_thresholds",
                                    f"give each rate of {MCS_RATES} at most once",
@@ -324,8 +331,7 @@ def parse_value(section: str, key: str, text: str):
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {text!r} as "
                           f"{kind.__name__}") from exc
-    if value == 0.0 and any(c in "123456789" for c in token.lower().partition("e")[0]):
-        raise ConfigError(f"{section}.{key}: {text!r} is not 0 but converts to 0.0")
+    _check_nonzero(f"{section}.{key}", text, value)
     return value
 
 

@@ -186,10 +186,6 @@ class Engine:
         heapq.heappush(self._queue, (event.fire_time, event.seq, event))
         return event
 
-    def schedule_in(self, delay_ns: int, kind: str, target: str,
-                    fn: Callable[[], None], detail: str = "") -> Event:
-        return self.schedule(self.now + delay_ns, kind, target, fn, detail)
-
     def cancel(self, event: Event) -> bool:
         """True iff the event could still fire and now never will."""
         if event.fn is None:

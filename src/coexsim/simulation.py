@@ -84,13 +84,17 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
     ladder, period = tuple(2**b - 1 for b in ladder_bits.tolist()), max(wifi.retry_limit, 1)
     shortest_ns = (wifi.difs_us + wifi.sifs_us) * NS_PER_US + data_air_ns + ack_air_ns
     station = dict(
-        cca=cca, slope_k=slope_k, slot_ns=wifi.slot_us * NS_PER_US,
-        sifs_ns=wifi.sifs_us * NS_PER_US, difs_ns=wifi.difs_us * NS_PER_US,
+        cca=cca, slope_k=slope_k, payload_bytes=wifi.payload_bytes,
+        slot_ns=wifi.slot_us * NS_PER_US, sifs_ns=wifi.sifs_us * NS_PER_US,
+        difs_ns=wifi.difs_us * NS_PER_US,
         data_air_ns=data_air_ns, ack_air_ns=ack_air_ns, data_threshold_db=data_threshold_db,
         shortest_cycle_ns=shortest_ns, ack_threshold_db=ack_threshold_db, _outcomes=tuple(outcomes),
         _ladder_bits=ladder_bits, _cw_ladder=ladder, _retry_period=period,
         _data_clears=tuple(sinr >= data_threshold_db for sinr in sinr_rx),
-        _ack_clears=tuple(sinr >= ack_threshold_db for sinr in sinr_tx))
+        _ack_clears=tuple(sinr >= ack_threshold_db for sinr in sinr_tx),
+        # An LTE that neither defers the station nor changes how a cycle ends bounds
+        # no untraced step unless the cycles draw decodes.
+        _feels_lte_untraced=defer_to_lte or outcomes[0] != outcomes[1] or outcomes[0][3] != 0)
     # Only a duty strictly between 0 and 1 has silent periods to draw.
     silent_ms = silent_range_ms(lte) if 0.0 < lte.duty < 1.0 else None
     return Plan((defer_to_lte, sinr_rx, sinr_tx), station,
@@ -103,7 +107,7 @@ class Medium:
     """Shared channel: carrier sense and SINR windows over the LTE transitions passed."""
 
     def __init__(self, run_plan: Plan, lte: LteNode) -> None:
-        self.plan, self.lte, self.end_ns = run_plan, lte, lte.end_ns
+        self.lte, self.end_ns = lte, lte.end_ns
         self.defer_to_lte, self.sinr_rx, self.sinr_tx = run_plan.medium
 
     @property
@@ -147,7 +151,7 @@ class Simulation:
 
         self.station = None
         if include_wifi:
-            self.station = DcfStation(self.engine, self.medium, cfg.wifi, p.station, self.acc)
+            self.station = DcfStation(self.engine, self.medium, p.station, self.acc)
         else:
             self.lte_node.arm()
 

@@ -77,10 +77,9 @@ def frame_airtime_us(mcs_mbps: int, payload_bytes: int, params: WifiSettings) ->
 
 
 def ack_rate_mbps(data_rate_mbps: int, params: WifiSettings) -> int:
-    """Highest basic rate not exceeding min(data rate, configured control rate)."""
+    """Highest basic rate not exceeding min(data rate, control rate), each at least 6 Mbps."""
     cap = min(data_rate_mbps, params.control_rate_mbps)
-    eligible = [r for r in BASIC_RATES if r <= cap]
-    return max(eligible) if eligible else BASIC_RATES[0]
+    return max(r for r in BASIC_RATES if r <= cap)
 
 
 def ack_airtime_us(data_rate_mbps: int, params: WifiSettings) -> int:
@@ -255,29 +254,20 @@ class DcfStation:
 
     name = "wifi-tx"
 
-    def __init__(self, engine: Engine, channel, params: WifiSettings, constants: dict,
-                 acc) -> None:
-        self.engine = engine
-        self.channel = channel
-        self.params = params
-        self.payload_bytes = params.payload_bytes
-        self.acc = acc
-        for name, value in constants.items():  # timings, thresholds, cw ladder, outcomes
+    def __init__(self, engine: Engine, channel, constants: dict, acc) -> None:
+        self.engine, self.channel, self.acc = engine, channel, acc
+        for name, value in constants.items():  # payload, timings, thresholds, cw ladder, outcomes
             setattr(self, name, value)  # one by one: a __dict__ update slows every read
         self.rng = engine.rng_stream(BACKOFF_LABEL)
         # A word at most per cycle, none shorter than DIFS, data, SIFS and ACK; 2 for peeks.
         self.backoff = BackoffStream(self.rng, channel.end_ns // self.shortest_cycle_ns + 2)
         # The hard PER rule decodes without drawing, so it gets no decode stream.
         self.decode_rng = engine.rng_stream(DECODE_LABEL) if self.slope_k != 0.0 else None
-        off, on = self._outcomes
-        # An LTE that neither defers the station nor changes how a cycle ends bounds
-        # no untraced step unless the cycles draw decodes; traced lines must
-        # interleave with the LTE node's in order.
-        self._feels_lte = (engine.trace is not None or channel.defer_to_lte or off != on
-                           or off[3] != 0)
+        # Traced lines must interleave with the LTE node's in order.
+        self._feels_lte = engine.trace is not None or self._feels_lte_untraced
 
         self.state = "blocked"
-        self.cw = params.cw_min
+        self.cw = self._cw_ladder[0]
         self.consecutive_failures = 0
         self.pending_k: int | None = None  # residual backoff surviving a freeze
         self._event = None
@@ -319,8 +309,8 @@ class DcfStation:
 
     def _start_difs(self) -> None:
         self.state = "difs"
-        self._event = self.engine.schedule_in(self.difs_ns, "difs-end", self.name,
-                                              self._difs_end)
+        self._event = self.engine.schedule(self.engine.now + self.difs_ns, "difs-end",
+                                           self.name, self._difs_end)
 
     def _difs_end(self) -> None:
         """Count the DIFS and take its backoff: a frozen residual, or a fresh draw
@@ -333,10 +323,9 @@ class DcfStation:
             self._start_tx()
             return
         self.state = "backoff"
-        self._backoff_k = k
-        self._backoff_t0 = self.engine.now
-        self._event = self.engine.schedule_in(k * self.slot_ns, "backoff-slot", self.name,
-                                              self._backoff_done, f"k={k}")
+        self._backoff_k, self._backoff_t0 = k, self.engine.now
+        self._event = self.engine.schedule(self._backoff_t0 + k * self.slot_ns, "backoff-slot",
+                                           self.name, self._backoff_done, f"k={k}")
 
     def _backoff_done(self) -> None:
         self.backoff_slots_elapsed += self._backoff_k
@@ -348,8 +337,8 @@ class DcfStation:
         self.state = "tx"
         self.acc.attempts += 1
         self._tx_start = self.engine.now
-        self._event = self.engine.schedule_in(self.data_air_ns, "tx-end", self.name,
-                                              self._tx_end)
+        self._event = self.engine.schedule(self._tx_start + self.data_air_ns, "tx-end",
+                                           self.name, self._tx_end)
 
     def _tx_end(self) -> None:
         now = self.engine.now
@@ -362,8 +351,7 @@ class DcfStation:
             self._ack_window = (ack_start, ack_end)
             self._event = self.engine.schedule(ack_end, "ack-result", self.name,
                                                self._ack_result)
-        else:
-            self._ack_window = None
+        else:  # _ack_window is None from the last _ack_result
             self._event = self.engine.schedule(ack_end + self.slot_ns, "ack-timeout",
                                                self.name, self._ack_timeout)
 
@@ -388,25 +376,17 @@ class DcfStation:
 
     def _ack_result(self) -> None:
         window, self._ack_window = self._ack_window, None
-        if self._ack_decodes(*window):
-            self._success()
+        ok = self._ack_decodes(*window)
+        self._count(ok)
+        if ok:
+            self._begin_contention()
         else:
-            self._failure(resume_delay_ns=self.slot_ns)
+            self._event = self.engine.schedule(self.engine.now + self.slot_ns, "cca-sample",
+                                               self.name, self._begin_contention)
 
     def _ack_timeout(self) -> None:
-        self._failure(resume_delay_ns=0)
-
-    def _success(self) -> None:
-        self._count(True)
-        self._begin_contention()
-
-    def _failure(self, resume_delay_ns: int) -> None:
         self._count(False)
-        if resume_delay_ns:
-            self._event = self.engine.schedule_in(resume_delay_ns, "cca-sample",
-                                                  self.name, self._begin_contention)
-        else:
-            self._begin_contention()
+        self._begin_contention()
 
     def _count(self, delivered: bool) -> None:
         """Count a cycle's end: a delivery resets cw, a failure climbs or drops."""
@@ -416,7 +396,7 @@ class DcfStation:
         else:
             self.acc.failures += 1
             self.consecutive_failures += 1
-            if self.consecutive_failures >= self.params.retry_limit:
+            if self.consecutive_failures >= self._retry_period:  # max(retry_limit, 1)
                 self.acc.drops += 1
                 self.consecutive_failures = 0
         self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
@@ -473,9 +453,10 @@ class DcfStation:
         Each cycle draws its data outcome and, if that decoded, its ACK outcome
         against the odds.  A chunk's backoff draws are one slice and shift of
         the words ``_difs_end`` would read (none for a frozen residual), and its
-        decode draws one ``uniform`` call, rewound to what the cycles that fit
-        used: both streams end where per-cycle draws leave them.  A traced run
-        gets the events' lines.  Returns the end of the last whole cycle.
+        decode draws one ``uniform`` call of 2m, one PCG64 output each, which a
+        negative ``advance`` rewinds to those the cycles that fit used, all 2m
+        if none fits: both streams end where per-cycle draws leave them.  A
+        traced run gets the events' lines.  Returns the end of the last whole cycle.
         """
         top, period, trace = len(self._cw_ladder) - 1, self._retry_period, self.engine.trace
         base_ns, tail_ns = self.shortest_cycle_ns, self.shortest_cycle_ns - self.difs_ns
@@ -483,7 +464,6 @@ class DcfStation:
             m = min((horizon - 1 - now) // base_ns, FAST_FORWARD_CHUNK)
             if m <= 0:  # below 0 for a transition at the run end
                 break
-            decode_saved = self.decode_rng.bit_generator.state
             data, ok, used = self._drawn_outcomes(m, *odds)
             # Failures before each cycle: since the last success, or the start and those before.
             i, failed, start = np.arange(m), ~ok, -1 - self.consecutive_failures
@@ -498,10 +478,9 @@ class DcfStation:
                 ks[0] = frozen
             ends = now + np.cumsum(ks * self.slot_ns + (base_ns + failed * self.slot_ns))
             n = int(np.searchsorted(ends, horizon))  # cycles ending before it
-            self.decode_rng.bit_generator.state = decode_saved
+            self.decode_rng.bit_generator.advance((int(used[n - 1]) if n else 0) - 2 * m)
             if n == 0:
                 break
-            self.decode_rng.uniform(size=int(used[n - 1]))
             ks, bits, data, ok, failed = ks[:n], bits[:n], data[:n], ok[:n], failed[:n]
             failures_before, ends = failures_before[:n], ends[:n]
             self.backoff.take(bits)
@@ -567,14 +546,13 @@ class DcfStation:
         self.backoff_slots_elapsed += (t - now - cycles * cycle_ns) // slot_ns
         if ack_ok:
             self.acc.delivered_payload_bytes += cycles * self.payload_bytes
-            self.consecutive_failures, self.cw = 0, self._cw_ladder[0]
         else:
             self.acc.failures += cycles
             self.acc.drops += (f0 + cycles) // period - f0 // period  # each wrap of the count
             self.data_decode_failures += cycles * (not data_ok)
             self.ack_decode_failures += cycles * data_ok
-            self.consecutive_failures = (f0 + cycles) % period
-            self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
+        self.consecutive_failures = (f0 + cycles) % period  # 0 if clean: period 1
+        self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
         return t
 
     def _walk_edge(self, t: int, horizon: int) -> int | None:
@@ -704,8 +682,11 @@ class DcfStation:
     # -- carrier sense: a deferring station at the LTE node's transitions -----
 
     def lte_switched(self, now: int) -> None:
-        if self.channel.defer_to_lte:
-            (self.busy_onset if self.channel.lte_on else self.busy_cleared)(now)
+        """A deferring station freezes at an LTE-on and, if blocked, contends at an LTE-off."""
+        if self.channel.busy:
+            self.busy_onset(now)
+        elif self.channel.defer_to_lte and self.state == "blocked":
+            self._begin_contention()
 
     def busy_onset(self, now: int) -> None:
         """Deferral-grade energy appeared on the medium."""
@@ -737,16 +718,10 @@ class DcfStation:
             self.pending_k = remaining
             self.state = "blocked"
         else:
-            self._backoff_k = remaining
-            self._backoff_t0 = self.engine.now
-            self._event = self.engine.schedule_in(remaining * self.slot_ns,
-                                                  "backoff-slot", self.name,
-                                                  self._backoff_done,
-                                                  f"k={remaining}")
-
-    def busy_cleared(self, now: int) -> None:
-        if self.state == "blocked":
-            self._begin_contention()
+            self._backoff_k, self._backoff_t0 = remaining, self.engine.now
+            self._event = self.engine.schedule(self._backoff_t0 + remaining * self.slot_ns,
+                                               "backoff-slot", self.name, self._backoff_done,
+                                               f"k={remaining}")
 
     # -- end of run -----------------------------------------------------------
 

@@ -248,6 +248,9 @@ class TestSweepPlanErrors:
         # Each row would be written twice and summarised as one group.
         (["--grid", "lte.duty=0.5,0.5"], "'lte.duty' repeats a value in [0.5, 0.5]"),
         (["--grid", "lte.duty=50%,0.5"], "'lte.duty' repeats a value in [0.5, 0.5]"),
+        # An axis given twice, also by its key alone: only the last would run.
+        (["--grid", "lte.duty=0.5", "--grid", "duty=0.6"], "--grid gives axis 'lte.duty' twice"),
+        (["--grid", "lte.tx_power_dbm=-16"], "--grid gives axis 'lte.tx_power_dbm' twice"),
         # 1 ns short of the 6 Mbps baseline's DIFS, data, SIFS and ACK: no frame
         # could be acknowledged, so no row could be normalized.
         (["--duration", "0.002165999"], "run.duration_s must be at least one baseline "
@@ -319,6 +322,11 @@ class TestRunInputErrors:
         (["run"], "[wifi]\ncca_measure_band = primary20\n", "wifi.cca_measure_band"),
         # A threshold for no 802.11a rate is not silently ignored.
         (["run"], "[radio]\nper_thresholds = 100:40\n", "radio.per_thresholds"),
+        # Nor one that is not 0 but converts to 0 dB.
+        (["run"], "[radio]\nper_thresholds = 6:1e-400\n",
+         "radio.per_thresholds: '1e-400' is not 0 but converts to 0.0"),
+        # A control rate that is no 802.11a rate would send the ACK at 6 Mbps.
+        (["run"], "[wifi]\ncontrol_rate_mbps = 7\n", "wifi.control_rate_mbps must be one of"),
         # Values whose DCF cycles overflow the step's int64 ns.
         (["run", "--duration", "0.2"], "[lte]\nduty = 1\n[wifi]\ncw_max = 4611686018427387903"
          "\nretry_limit = 100\ncca_ed_threshold_dbm = 30\n", "cw_max"),

@@ -298,6 +298,8 @@ LISTED_INVALID = (
     + [(RadioSettings, "per_thresholds", text) for text in (
         "6", "6:", "x:5", "6:5:7", "6:nan", "54:inf", "6:30", "9:4", "54:5, 6:30", "54:301",
         "6:-1e308",
+        # Not 0, but too small for a float: it would give a 0 dB threshold.
+        "6:1e-400", "6: -1e-400",
         # Rates that are no 802.11a rate, and a rate given twice.
         "100:40", "7:5.5", "6:5, 6:5")]
     # A value just past each bound the property test draws beyond, so that every
@@ -322,6 +324,8 @@ LISTED_INVALID = (
         ("cw_min", -1), ("cw_min", 14), ("cw_min", 2**33 - 1), ("cw_max", -1), ("cw_max", 14),
         ("cw_max", 2**33 - 1), ("cca_profile", "vendor-C"), ("cca_measure_band", "full10"),
         ("retry_limit", -1), ("retry_limit", 2**63))]
+    # Control rates that are no 802.11a rate: the ACK would go at 6 Mbps.
+    + [(WifiSettings, "control_rate_mbps", rate) for rate in (-3, 0, 7, 1000)]
     + [(RadioSettings, "oob_floor_dbc", 1e-9), (RadioSettings, "soft_slope_k", -1e-9)]
     + [(RunConfig, key, value) for key, value in (
         ("duration_s", 4e-10), ("duration_s", 1e10), ("seed", -1), ("seed", 2**64))]
@@ -348,7 +352,7 @@ invalid_values = st.one_of(
     st.tuples(st.just(LteSettings), st.just("n_prb"),
               st.integers().filter(lambda n: n not in PRB_CHOICES)),
     st.tuples(st.just(LteSettings), st.just("tx_power_dbm"), beyond_db_limit),
-    st.tuples(st.just(WifiSettings), st.just("mcs_mbps"),
+    st.tuples(st.just(WifiSettings), st.sampled_from(["mcs_mbps", "control_rate_mbps"]),
               st.integers().filter(lambda n: n not in MCS_RATES)),
     st.tuples(st.just(WifiSettings), st.sampled_from(
         ["tx_power_dbm", "cca_ed_threshold_dbm"]), beyond_db_limit),

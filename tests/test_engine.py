@@ -93,7 +93,7 @@ class TestRunUntil:
 
         def tick():
             count[0] += 1
-            engine.schedule_in(NS_PER_MS, "tick", "n", tick)
+            engine.schedule(engine.now + NS_PER_MS, "tick", "n", tick)
 
         engine.schedule(NS_PER_MS, "tick", "n", tick)
         engine.run_until(10 * NS_PER_S)

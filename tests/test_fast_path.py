@@ -140,6 +140,35 @@ def test_soft_per_draws_mixed_outcomes_in_one_step(retry_limit):
     assert fast["scheduled"] < events["scheduled"] // 50
 
 
+# Long backoffs under short unsensed LTE periods: chunks whose first cycle ends
+# past the next transition.
+NO_CYCLE_FITS = make_cfg(duty=0.3, mean_period_ms=3, lte_power=-16.0, mcs=54,
+                         profile="vendor-A", soft_slope_k=0.5, duration=0.3, cw_min=63)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_chunk_no_cycle_fits_rewinds_all_its_decode_draws(seed, monkeypatch):
+    # Such a chunk takes no backoff word and rewinds every decode draw it made.
+    skip_chunks, drawn_outcomes = DcfStation._skip_chunks, DcfStation._drawn_outcomes
+    drawn_at, none_fit = [], []
+
+    def drawn(self, m, p_data, p_ack):
+        drawn_at.append(self.difs_completed)
+        return drawn_outcomes(self, m, p_data, p_ack)
+
+    def chunks(self, now, horizon, odds):
+        drawn_at.clear()
+        end = skip_chunks(self, now, horizon, odds)
+        # The last chunk drawn advanced no cycle.
+        none_fit.append(bool(drawn_at) and drawn_at[-1] == self.difs_completed)
+        return end
+
+    monkeypatch.setattr(DcfStation, "_drawn_outcomes", drawn)
+    monkeypatch.setattr(DcfStation, "_skip_chunks", chunks)
+    assert_paths_agree(NO_CYCLE_FITS, seed)
+    assert any(none_fit)
+
+
 def test_forced_collisions_cross_the_retry_ladder():
     fast = observe(FORCED[0], 3, True)
     metrics = fast["metrics"]
@@ -790,8 +819,9 @@ FAILING_CASES = ({f"phase {f0} of {period}" for period in range(1, 8) for f0 in 
 
 
 def count_failing_stretches(monkeypatch):
-    """Name the cases of the all-failing stretches that advanced."""
-    seen = set()
+    """Name the cases of the all-failing stretches that advanced.  The caller puts
+    the retry limit and cw_min of the run under way in the dict returned."""
+    seen, case = set(), {}
     stretch = DcfStation._skip_alike_cycles
 
     def counted(self, now, horizon, data_ok, ack_ok):
@@ -799,8 +829,7 @@ def count_failing_stretches(monkeypatch):
         end = stretch(self, now, horizon, data_ok, ack_ok)
         if not ack_ok and end > now:
             seen.update({f"phase {f0} of {self._retry_period}",
-                         f"retry limit {self.params.retry_limit}",
-                         f"cw_min {self.params.cw_min}",
+                         f"retry limit {case['retry_limit']}", f"cw_min {case['cw_min']}",
                          "ack undecoded" if data_ok else "ack timeout",
                          "untraced" if self.engine.trace is None else "traced"})
             seen.update({"frozen residual"} if frozen is not None else ())
@@ -808,7 +837,7 @@ def count_failing_stretches(monkeypatch):
         return end
 
     monkeypatch.setattr(DcfStation, "_skip_alike_cycles", counted)
-    return seen
+    return seen, case
 
 
 # A dead link under a deferring vendor-A: short periods, each resuming the ladder.
@@ -822,7 +851,7 @@ def test_all_failing_stretches_match_the_event_path(monkeypatch):
     # its stretches start anywhere on the ladder after an earlier period, and a
     # station that defers resumes a frozen residual there; under an LTE it does
     # not sense, the other links lose the data, or only the ACK.
-    seen = count_failing_stretches(monkeypatch)
+    seen, case = count_failing_stretches(monkeypatch)
 
     @settings(max_examples=300, deadline=None)
     # Every start phase of each retry ladder, and frozen residuals.
@@ -847,6 +876,7 @@ def test_all_failing_stretches_match_the_event_path(monkeypatch):
                        retry_limit=retry_limit, cw_min=cw_min)
         cfg = dataclasses.replace(cfg, radio=dataclasses.replace(cfg.radio,
                                                                  **FAILING_LINKS[link]))
+        case.update(retry_limit=retry_limit, cw_min=cw_min)
         assert_paths_agree(cfg, seed)
 
     check()

@@ -106,7 +106,7 @@ def test_hard_rule_verdicts_equal_packet_outcome_over_the_window(cfg, ack, swapp
     t1 = (later[inside - 1] if inside else t0) + 1 + past
     t1 = min(t1, later[inside]) if inside < len(later) else t1
     medium = scheduled_medium(cfg, times)
-    station = medium.plan.station
+    station = plan(cfg.lte, cfg.wifi, cfg.radio).station
     threshold, sinr, clears = ((station["ack_threshold_db"], medium.sinr_tx, station["_ack_clears"])
                                if ack else (station["data_threshold_db"], medium.sinr_rx,
                                             station["_data_clears"]))
@@ -126,7 +126,7 @@ def test_the_medium_reads_only_the_transitions_passed(cfg, times, passed, t0, le
     passed, t1 = min(passed, len(times)), t0 + length
     medium = scheduled_medium(cfg, times, passed)
     happened = scheduled_medium(cfg, times[:passed])
-    station = medium.plan.station
+    station = plan(cfg.lte, cfg.wifi, cfg.radio).station
     for sinr, clears in ((medium.sinr_rx, station["_data_clears"]),
                          (medium.sinr_tx, station["_ack_clears"])):
         assert medium._window(t0, t1, sinr) == happened._window(t0, t1, sinr)

@@ -158,6 +158,19 @@ class TestDrawsUnchanged:
         assert sim.lte_node.rng.uniform(size=3).tolist() == [
             0.018215087516119, 0.0067603642789679785, 0.3984484808115806]
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 100),
+           drawn=st.integers(0, 10_000))
+    def test_a_negative_advance_rewinds_uniform_draws_exactly(self, seed, before, drawn):
+        # The soft step rewinds a chunk's unused decode draws with one negative
+        # advance, which numpy takes modulo 2^128: one PCG64 output a draw.
+        rng = Engine(seed).rng_stream("wifi-decode")
+        rng.uniform(size=before)
+        state = rng.bit_generator.state
+        rng.uniform(size=drawn)
+        rng.bit_generator.advance(-drawn)
+        assert rng.bit_generator.state == state
+
 
 class TestSeedFromText:
     @pytest.mark.parametrize("duty", [0.0, 0.5])
