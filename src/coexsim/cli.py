@@ -24,7 +24,7 @@ def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is no text
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc

@@ -349,7 +349,9 @@ def resolve_path(path: str) -> tuple[str, str]:
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key-value configuration; unknown sections and keys are errors."""
     # No section name is empty, so [DEFAULT] is an unknown section like any other.
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    # A ";" after whitespace starts a comment, also after a value.
+    parser = configparser.ConfigParser(interpolation=None, default_section="",
+                                       inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,6 +34,11 @@ from .simulation import Simulation, plan
 
 CSV_METRIC_COLUMNS = ("throughput_mbps", "normalized", "wifi_airtime_frac",
                       "lte_airtime_frac", "attempts", "failures", "drops")
+# A row's CSV_METRIC_COLUMNS as "%" formats: a float to 6 decimals, a count as str
+# prints it; "normalized" is a float, or "" for a run with no baseline (the second).
+_METRIC_CELLS = tuple(f",%.6f,%{normalized},%.6f,%.6f,%s,%s,%s\n" for normalized in (".6f", "s"))
+# A summary line after its point: n, then each box's five values and outlier count.
+_STATS_CELLS = ",%d" + (",%.6f" * 5 + ",%d") * 2 + "\n"
 # A sweep pools its runs only from this much planned work, runs x (duration + 1 s),
 # the 1 s standing for a run's set-up and its result's trip back from a worker.
 # Against the in-process loop (2 workers, 2 vCPUs, 9 alternating rounds of 10-800 runs
@@ -218,15 +224,14 @@ class SweepResult:
         return ["scenario", *self.axis_names, "rep", "seed", *CSV_METRIC_COLUMNS]
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.header())]
-        for row in self.rows:
-            cells = [row["scenario"], *[row[a] for a in self.axis_names],
-                     str(row["rep"]), str(row["seed"])]
-            for col in CSV_METRIC_COLUMNS:
-                value = row[col]
-                cells.append(f"{value:.6f}" if isinstance(value, float) else str(value))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        """One line a row, from one "%" template over its cells in header order."""
+        head = ",".join(["%s"] * (3 + len(self.axis_names)))  # scenario, axes, rep, seed
+        floats, text = (head + cells for cells in _METRIC_CELLS)
+        header = self.header()
+        cells = operator.itemgetter(*header)
+        return ",".join(header) + "\n" + "".join([
+            (floats if isinstance(row["normalized"], float) else text) % cells(row)
+            for row in self.rows])
 
     def summary_csv_text(self) -> str:
         """Per-grid-point box statistics over the repetitions."""
@@ -234,19 +239,16 @@ class SweepResult:
         for prefix in ("thr", "norm"):
             header += [f"{prefix}_{s}" for s in
                        ("median", "q25", "q75", "whisker_lo", "whisker_hi", "outliers")]
-        lines = [",".join(header)]
-        for _, group in itertools.groupby(
-                self.rows, key=lambda r: tuple(r[a] for a in self.axis_names)):
+        point = ",".join(f"%({key})s" for key in ("scenario", *self.axis_names))
+        lines = [",".join(header) + "\n"]
+        for _, group in itertools.groupby(self.rows, operator.itemgetter("scenario",
+                                                                         *self.axis_names)):
             group = list(group)
-            cells = [group[0]["scenario"], *[group[0][a] for a in self.axis_names],
-                     str(len(group))]
-            for col in ("throughput_mbps", "normalized"):
-                stats = box_stats([r[col] for r in group])
-                cells += [f"{stats.median:.6f}", f"{stats.q25:.6f}", f"{stats.q75:.6f}",
-                          f"{stats.whisker_lo:.6f}", f"{stats.whisker_hi:.6f}",
-                          str(len(stats.outliers))]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            thr, norm = (box_stats([r[col] for r in group]) for col in ("throughput_mbps",
+                                                                          "normalized"))
+            lines.append(point % group[0] + _STATS_CELLS % (
+                len(group), *thr[:5], len(thr.outliers), *norm[:5], len(norm.outliers)))
+        return "".join(lines)
 
 
 def _fmt(value) -> str:

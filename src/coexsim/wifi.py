@@ -153,7 +153,7 @@ class BackoffStream:
 
     def __init__(self, rng: np.random.Generator, most_words: int = 2 * FAST_FORWARD_CHUNK) -> None:
         self.rng = rng
-        self._raw = np.empty(0, "<u8")
+        self._raw = ()  # the outputs drawn and not wholly spent, none yet
         self._w = 0  # next word; odd while a high half is pending
         self._top_up(min(-(-most_words // 2), FAST_FORWARD_CHUNK))
 
@@ -221,8 +221,9 @@ class BackoffStream:
 
     def _top_up(self, outputs: int = FAST_FORWARD_CHUNK) -> None:
         start = self._w // 2  # the first output not wholly spent
-        self._raw = np.concatenate((self._raw[start:], self.rng.bit_generator.random_raw(
-            outputs)), dtype="<u8")
+        # Little-endian on any host, so the words split each output low half first.
+        raw = self.rng.bit_generator.random_raw(outputs).astype("<u8", copy=False)
+        self._raw = np.concatenate((self._raw[start:], raw)) if len(self._raw) else raw
         self._words = self._raw.view("<u4")
         self._w -= 2 * start
         self._prefix = None
@@ -255,9 +256,8 @@ class DcfStation:
     name = "wifi-tx"
 
     def __init__(self, engine: Engine, channel, constants: dict, acc) -> None:
+        vars(self).update(constants)  # payload, timings, thresholds, cw ladder, outcomes
         self.engine, self.channel, self.acc = engine, channel, acc
-        for name, value in constants.items():  # payload, timings, thresholds, cw ladder, outcomes
-            setattr(self, name, value)  # one by one: a __dict__ update slows every read
         self.rng = engine.rng_stream(BACKOFF_LABEL)
         # A word at most per cycle, none shorter than DIFS, data, SIFS and ACK; 2 for peeks.
         self.backoff = BackoffStream(self.rng, channel.end_ns // self.shortest_cycle_ns + 2)

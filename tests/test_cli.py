@@ -1,9 +1,12 @@
 import multiprocessing
+import re
+from pathlib import Path
 
 import pytest
 
 from coexsim import cli, experiments
 from coexsim.cli import main
+from coexsim.config import parse_config
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +87,28 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", str(path))
         assert code == 2
         assert "duty" in err
+
+    def test_the_readme_example_config_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 1
+        assert parse_config(blocks[0]).lte.duty == 0.5  # "50%  ; or 0.5"
+        path = tmp_path / "readme.ini"
+        path.write_text(blocks[0], encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--duration", "0.05")
+        assert code == 0, err
+        assert len(out.splitlines()) == 2  # the header and one row
+
+    def test_a_config_saved_with_a_byte_order_mark_is_read(self, tmp_path, capsys):
+        text = "[run]\nseed = 3\n[lte]\nduty = 0.2\n"
+        rows = []
+        for name, data in (("plain.ini", text.encode()), ("bom.ini", text.encode("utf-8-sig"))):
+            (tmp_path / name).write_bytes(data)
+            code, out, err = run_cli(capsys, "run", "--config", str(tmp_path / name),
+                                     "--duration", "0.05")
+            assert code == 0, err
+            rows.append(out)
+        assert rows[0] == rows[1]
 
     def test_missing_config_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/nonexistent.ini")

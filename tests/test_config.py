@@ -127,6 +127,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cca_profile"):
             parse_config("[wifi]\ncca_profile = vendor-X\n").wifi.cca()
 
+    def test_a_semicolon_after_whitespace_starts_a_comment(self):
+        cfg = parse_config("[lte]\nduty = 50%  ; or 0.5\nn_prb = 25\t;six to 100\n"
+                           "; a whole line\n[wifi] ; a header\ncca_profile = vendor-B ;\n")
+        assert (cfg.lte.duty, cfg.lte.n_prb, cfg.wifi.cca_profile) == (0.5, 25, "vendor-B")
+
+    @pytest.mark.parametrize("text", ["[lte]\nduty = 0.5;x\n", "[lte]\nduty = 0.5 # x\n",
+                                      "[wifi]\ncca_profile = vendor-B;\n"])
+    def test_a_semicolon_inside_a_value_or_a_hash_is_part_of_it(self, text):
+        with pytest.raises(ConfigError, match="cannot parse|must be one of"):
+            parse_config(text)
+
     @pytest.mark.parametrize("text", ["[DEFAULT]\nduty = 0.3\n",
                                       "[DEFAULT]\nseed = 3\n[run]\n",
                                       "[run]\nseed = 2\n[DEFAULT]\nduty = 0.3\n"])

@@ -6,17 +6,20 @@ abort) without a traceback, and an exit 2 leaves no output file.  Every run
 lasts at most 0.05 s.  ``COEXSIM_FUZZ_EXAMPLES`` sets the examples per test.
 """
 
+import configparser
 import contextlib
 import dataclasses
 import io
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from coexsim import cli
-from coexsim.config import LteSettings, RadioSettings, RunConfig, WifiSettings
+from coexsim.config import (ConfigError, LteSettings, RadioSettings, RunConfig, WifiSettings,
+                            parse_config)
 
 EXAMPLES = int(os.environ.get("COEXSIM_FUZZ_EXAMPLES", "40"))
 FUZZ = settings(max_examples=EXAMPLES, deadline=None,
@@ -32,7 +35,9 @@ HOSTILE = ["", " ", "-", "--", "0", "-0", "1", "-1", "2", "7", "1.5", "1e-9", "1
 # Values a key can take, and shapes near them.
 VALUES = HOSTILE + ["true", "off", "vendor-A", "vendor-B", "vendor-C", "full20", "primary10",
                     "6:5, 9:6", "6:5,6:6", "50%", "1e-400%", "100", "54", "6", "15", "1023",
-                    "-16", "12", "0.3", "1.0", "0.05"]
+                    "-16", "12", "0.3", "1.0", "0.05",
+                    # An inline comment after whitespace, or a semicolon inside a value.
+                    "50%  ; or 0.5", "0.5;x", "vendor-B ;", "6:5 ; 9:6", "1\t;"]
 # Runs stay at 0.05 s at most: every number here that parses as a duration is
 # one, or is rejected.
 DURATIONS = ["0.05", "0.01", "5e-2", "1e-9", "0", "-1", "-0.05", "nan", "inf", "-inf",
@@ -167,3 +172,27 @@ def hostile_argv(draw):
 @example(argv=["sweep", "duty", "--duration", "0.05", "--reps", "1", "--seed", str(10**29)])
 def test_hostile_argv_exits_cleanly(argv):
     assert_exits_cleanly(*call_main(argv, b"[lte]\nduty = 0.2\n"))
+
+
+_CONFIG_PARSER = configparser.ConfigParser
+
+
+def parse_without_inline_comments(text: str) -> RunConfig:
+    """``parse_config`` with configparser's default of no inline comments."""
+    def plain(**kwargs):
+        return _CONFIG_PARSER(**{**kwargs, "inline_comment_prefixes": None})
+
+    with mock.patch.object(configparser, "ConfigParser", plain):
+        return parse_config(text)
+
+
+@FUZZ
+@given(ini=INI_TEXT)
+@example(ini=b"[lte]\nduty = 0.5\n  ;x\n[wifi] ;y\n")
+def test_a_config_read_without_inline_comments_reads_the_same_with_them(ini):
+    try:
+        before = parse_without_inline_comments(ini.decode("utf-8"))
+    except (UnicodeDecodeError, ConfigError):
+        return
+    event("accepted without inline comments")
+    assert parse_config(ini.decode("utf-8")) == before

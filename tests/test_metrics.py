@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coexsim.experiments import SCENARIOS
-from coexsim.metrics import (BoxStats, RunMetrics, box_stats, normalized_throughput,
-                             throughput_mbps)
+from coexsim.metrics import (BoxStats, MetricsAccumulator, RunMetrics, box_stats,
+                             normalized_throughput, throughput_mbps)
 from coexsim.simulation import Simulation
 
 from conftest import airtime_partition, lte_intervals, make_cfg, run_sim, traced_emissions
@@ -27,6 +29,29 @@ class TestThroughput:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
             throughput_mbps(metrics_with(duration_s=0.0))
+
+
+class TestRunMetrics:
+    def test_is_a_frozen_dataclass_in_the_field_order_digests_read(self):
+        # perfbench pins each run by repr(dataclasses.astuple(metrics)): this order.
+        assert dataclasses.is_dataclass(RunMetrics)
+        assert [f.name for f in dataclasses.fields(RunMetrics)] == [
+            "delivered_payload_bytes", "attempts", "failures", "drops", "wifi_airtime_ns",
+            "lte_airtime_ns", "duration_ns"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            metrics_with().attempts = 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(counts=st.lists(st.integers(0, 2**63), min_size=7, max_size=7))
+    @example(counts=[1, 2, 3, 4, 5, 6, 7])
+    def test_finalize_is_the_keyword_construction(self, counts):
+        acc = MetricsAccumulator()
+        (acc.delivered_payload_bytes, acc.attempts, acc.failures, acc.drops,
+         acc.wifi_airtime_ns, lte_airtime_ns, duration_ns) = counts
+        assert acc.finalize(duration_ns, lte_airtime_ns) == RunMetrics(
+            delivered_payload_bytes=acc.delivered_payload_bytes, attempts=acc.attempts,
+            failures=acc.failures, drops=acc.drops, wifi_airtime_ns=acc.wifi_airtime_ns,
+            lte_airtime_ns=lte_airtime_ns, duration_ns=duration_ns)
 
 
 class TestNormalized:
