@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .config import (WIFI_ONLY, ConfigError, RunConfig, lte_for_seed, parse_value,
                      resolve_path, run_text, section_text, seed_from_text)
 from .engine import NS_PER_S, Seed, stream_words
-from .metrics import RunMetrics, box_stats, normalized_throughput, throughput_mbps
+from .metrics import BoxStats, RunMetrics, box_stats, normalized_throughput, throughput_mbps
 from .simulation import Simulation, plan
 
 CSV_METRIC_COLUMNS = ("throughput_mbps", "normalized", "wifi_airtime_frac",
@@ -200,7 +200,8 @@ class SweepResult:
     rows: list[dict] = field(default_factory=list)
 
     def axis_cells(self, point: tuple) -> dict[str, str]:
-        return {axis: _fmt(value) for axis, value in zip(self.axis_names, point)}
+        return {axis: repr(value) if isinstance(value, float) else str(value)
+                for axis, value in zip(self.axis_names, point)}
 
     def add(self, cells: dict[str, str], rep: int, seed: int, metrics: RunMetrics,
             normalized: float | str) -> None:
@@ -235,10 +236,8 @@ class SweepResult:
 
     def summary_csv_text(self) -> str:
         """Per-grid-point box statistics over the repetitions."""
-        header = ["scenario", *self.axis_names, "n"]
-        for prefix in ("thr", "norm"):
-            header += [f"{prefix}_{s}" for s in
-                       ("median", "q25", "q75", "whisker_lo", "whisker_hi", "outliers")]
+        header = ["scenario", *self.axis_names, "n",
+                  *(f"{prefix}_{s}" for prefix in ("thr", "norm") for s in BoxStats._fields)]
         point = ",".join(f"%({key})s" for key in ("scenario", *self.axis_names))
         lines = [",".join(header) + "\n"]
         for _, group in itertools.groupby(self.rows, operator.itemgetter("scenario",
@@ -249,10 +248,6 @@ class SweepResult:
             lines.append(point % group[0] + _STATS_CELLS % (
                 len(group), *thr[:5], len(thr.outliers), *norm[:5], len(norm.outliers)))
         return "".join(lines)
-
-
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def check_one_cycle(duration_s: float, plans) -> None:

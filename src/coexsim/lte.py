@@ -76,16 +76,17 @@ class LteNode:
     def _schedule(self, end_ns: int) -> list[int]:
         """The transitions from 0 to the first one past ``end_ns``.
 
-        Silent periods are drawn in blocks, one ``uniform`` call each, of the
-        offs that surely fall by ``end_ns``: no period is longer than on, the
-        longest silence and a frame.  So every draw is used, and the stream
-        ends where one draw per off by ``end_ns`` leaves it.
+        Silent periods are drawn in blocks of raw outputs, one call each, of the offs
+        that surely fall by ``end_ns``: no period is longer than on, the longest silence
+        and a frame.  So every draw is used, and the stream ends where one draw per off by
+        ``end_ns`` leaves it.  A draw is ``uniform``'s: low + (high - low) x top 53 bits / 2^53.
         """
         low, high = self._silent_ms
         on, align, times, t = self._on_ns, self._align_ns, [0], 0
         longest_ns = on + _silent_ns(high) + align
         while (offs := (end_ns - t - on) // longest_ns + 1) > 0:
-            for drawn_ms in self.rng.uniform(low, high, size=offs).tolist():
+            for raw in self.rng.bit_generator.random_raw(offs).tolist():
+                drawn_ms = low + (high - low) * ((raw >> 11) * 2**-53)
                 # An off, then the next on (``_silent_ns`` inline: no draw is negative),
                 # which waits for a frame boundary; the extra wait counts as off-time.
                 times += (t + on, t := t + -(-(on + (int(drawn_ms + 0.5) or 1) * NS_PER_MS)

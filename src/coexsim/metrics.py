@@ -39,10 +39,7 @@ class MetricsAccumulator:
     """
 
     def __init__(self) -> None:
-        self.delivered_payload_bytes = 0
-        self.attempts = 0
-        self.failures = 0
-        self.drops = 0
+        self.delivered_payload_bytes = self.attempts = self.failures = self.drops = 0
         self.wifi_airtime_ns = 0
 
     def finalize(self, duration_ns: int, lte_airtime_ns: int) -> RunMetrics:

@@ -46,27 +46,20 @@ class Plan(NamedTuple):
 def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
     """What set-up derives from the config alone, once per config and shared by its
     runs, so arrays are read-only; each run builds its engine, streams and state."""
-    gain_lte_tx, gain_lte_rx, gain_link = radio.link_gains()
+    (gain_lte_tx, gain_lte_rx, signal, noise), station = _link_plan(wifi, radio)
+    slope_k, data_air_ns, ack_air_ns, data_threshold_db, ack_threshold_db = (station[key] for key
+        in ("slope_k", "data_air_ns", "ack_air_ns", "data_threshold_db", "ack_threshold_db"))
     wifi_band, lte_band = SpectrumBand(0.0, radio.wifi_bandwidth_mhz), occupied_band(lte)
-    noise = noise_floor_dbm(radio.wifi_bandwidth_mhz, radio.noise_figure_db)
-    cca, lte_at_sensor = wifi.cca(), lte.tx_power_dbm + gain_lte_tx
-    defer_to_lte = cca_busy(cca, lte_at_sensor, lte_band, wifi_band, radio.oob_floor_dbc)
+    lte_at_sensor = lte.tx_power_dbm + gain_lte_tx
+    defer_to_lte = cca_busy(station["cca"], lte_at_sensor, lte_band, wifi_band,
+                            radio.oob_floor_dbc)
     # Receiver-side interference integrates over the demodulated channel.
     # The peer's ACK comes at the same configured WiFi power over the
     # reciprocal link, decoded where the LTE sits 34 cm away.
     rx_fraction = overlap_fraction(lte_band, wifi_band, radio.oob_floor_dbc)
-    signal = wifi.tx_power_dbm + gain_link
     clear = sinr_db(signal, [], noise)
     sinr_rx = (clear, sinr_db(signal, [(lte.tx_power_dbm + gain_lte_rx, rx_fraction)], noise))
     sinr_tx = (clear, sinr_db(signal, [(lte_at_sensor, rx_fraction)], noise))
-    mcs, slope_k = wifi.mcs_mbps, radio.soft_slope_k
-    data_air_ns = frame_airtime_us(mcs, wifi.payload_bytes, wifi) * NS_PER_US
-    ack_air_ns = ack_airtime_us(mcs, wifi) * NS_PER_US
-    data_threshold_db = radio.threshold_db(mcs)
-    ack_threshold_db = radio.threshold_db(ack_rate_mbps(mcs, wifi))
-    # The cw after j consecutive failures, each a bit wider: cw_ladder[min(j, top)].
-    ladder_bits = np.arange(wifi.cw_min.bit_length(), wifi.cw_max.bit_length() + 1)
-    ladder_bits.flags.writeable = False
     # (data decoded, ACK decoded, odds, decode draws) of a cycle in each LTE state, each
     # frame over one SINR segment.  odds is None when those cycles all end alike: the
     # hard PER rule, data that cannot decode, or soft odds each exactly 1.0 or None (a
@@ -81,15 +74,8 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
         outcomes.append((data_ok, ack_ok, None, (data_ok + ack_ok) * (slope_k != 0.0))
                         if not data_ok or p_data == 1.0 and p_ack in (None, 1.0)
                         else (False, False, (p_data, p_ack), None))
-    ladder, period = tuple(2**b - 1 for b in ladder_bits.tolist()), max(wifi.retry_limit, 1)
-    shortest_ns = (wifi.difs_us + wifi.sifs_us) * NS_PER_US + data_air_ns + ack_air_ns
     station = dict(
-        cca=cca, slope_k=slope_k, payload_bytes=wifi.payload_bytes,
-        slot_ns=wifi.slot_us * NS_PER_US, sifs_ns=wifi.sifs_us * NS_PER_US,
-        difs_ns=wifi.difs_us * NS_PER_US,
-        data_air_ns=data_air_ns, ack_air_ns=ack_air_ns, data_threshold_db=data_threshold_db,
-        shortest_cycle_ns=shortest_ns, ack_threshold_db=ack_threshold_db, _outcomes=tuple(outcomes),
-        _ladder_bits=ladder_bits, _cw_ladder=ladder, _retry_period=period,
+        station, _outcomes=tuple(outcomes),
         _data_clears=tuple(sinr >= data_threshold_db for sinr in sinr_rx),
         _ack_clears=tuple(sinr >= ack_threshold_db for sinr in sinr_tx),
         # An LTE that neither defers the station nor changes how a cycle ends bounds
@@ -101,6 +87,29 @@ def plan(lte: LteSettings, wifi: WifiSettings, radio: RadioSettings) -> Plan:
                 (on_duration_ns(lte), lte.frame_align_ms * NS_PER_MS, silent_ms),
                 (RNG_LABEL,) * (silent_ms is not None) + (BACKOFF_LABEL,)
                 + (DECODE_LABEL,) * (slope_k != 0.0))
+
+
+@functools.lru_cache(maxsize=1024)  # the grids of a sweep share a few WiFi and radio settings
+def _link_plan(wifi: WifiSettings, radio: RadioSettings) -> tuple[tuple, dict]:
+    """``plan``'s part that the WiFi and radio settings alone decide: the LTE's two gains,
+    the WiFi signal and noise, and the station's constants but those the LTE sets."""
+    gain_lte_tx, gain_lte_rx, gain_link = radio.link_gains()
+    mcs = wifi.mcs_mbps
+    data_air_ns = frame_airtime_us(mcs, wifi.payload_bytes, wifi) * NS_PER_US
+    ack_air_ns = ack_airtime_us(mcs, wifi) * NS_PER_US
+    # The cw after j consecutive failures, each a bit wider: cw_ladder[min(j, top)].
+    ladder_bits = np.arange(wifi.cw_min.bit_length(), wifi.cw_max.bit_length() + 1)
+    ladder_bits.flags.writeable = False
+    return (gain_lte_tx, gain_lte_rx, wifi.tx_power_dbm + gain_link,
+            noise_floor_dbm(radio.wifi_bandwidth_mhz, radio.noise_figure_db)), dict(
+        cca=wifi.cca(), slope_k=radio.soft_slope_k, payload_bytes=wifi.payload_bytes,
+        slot_ns=wifi.slot_us * NS_PER_US, sifs_ns=wifi.sifs_us * NS_PER_US,
+        difs_ns=wifi.difs_us * NS_PER_US, data_air_ns=data_air_ns, ack_air_ns=ack_air_ns,
+        data_threshold_db=radio.threshold_db(mcs),
+        ack_threshold_db=radio.threshold_db(ack_rate_mbps(mcs, wifi)),
+        shortest_cycle_ns=(wifi.difs_us + wifi.sifs_us) * NS_PER_US + data_air_ns + ack_air_ns,
+        _ladder_bits=ladder_bits, _cw_ladder=tuple(2**b - 1 for b in ladder_bits.tolist()),
+        _retry_period=max(wifi.retry_limit, 1))
 
 
 class Medium:

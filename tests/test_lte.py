@@ -195,6 +195,20 @@ class TestScheduleAhead:
         assert sim.lte_node.times[:sim.lte_node.passed] == times
         assert (None if sim.lte_node.rng is None else sim.lte_node.rng.bit_generator.state) == state
 
+    @settings(max_examples=200, deadline=None)
+    @given(low=st.floats(0.0, 1e300) | st.sampled_from([0.0, 37.5, 0.5]),
+           width=st.floats(0.0, 1e300) | st.sampled_from([0.0, 75.0, 1e-300]),
+           n=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+    def test_a_silent_draw_is_uniforms_value_from_one_raw_output(self, low, width, n, seed):
+        """``_schedule`` reads each silent period from one raw PCG64 output as
+        ``Generator.uniform`` does, to the last bit, and leaves the stream alike."""
+        high = low + width
+        raw, drawn = (Engine(seed).rng_stream(RNG_LABEL) for _ in range(2))
+        values = [low + (high - low) * ((r >> 11) * 2**-53)  # as in LteNode._schedule
+                  for r in raw.bit_generator.random_raw(n).tolist()]
+        assert values == drawn.uniform(low, high, size=n).tolist()
+        assert raw.bit_generator.state == drawn.bit_generator.state
+
 
 def exact_on_fraction(cfg) -> float:
     """E[on] / E[period] of the schedule, from its distribution in closed form.
