@@ -7,13 +7,11 @@ sweeps (duty cycle, LTE transmit power, LTE bandwidth, center-frequency
 offset) as deterministic, seed-reproducible experiments with CSV output.
 """
 
-from .engine import Engine, Event, SchedulingError
+from .engine import Engine
 from .metrics import BoxStats, RunMetrics, box_stats, normalized_throughput, throughput_mbps
 
 __all__ = [
     "Engine",
-    "Event",
-    "SchedulingError",
     "RunMetrics",
     "BoxStats",
     "throughput_mbps",

@@ -12,7 +12,6 @@ import os
 import sys
 
 from .config import WIFI_ONLY, ConfigError, RunConfig, parse_config, parse_value, resolve_path
-from .engine import SchedulingError
 from .experiments import (POOL_MIN_WORK_S, SCENARIOS, SweepError, SweepResult,
                           check_one_cycle, run_sweep)
 from .metrics import throughput_mbps
@@ -198,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SweepError, SchedulingError) as exc:
+    except SweepError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

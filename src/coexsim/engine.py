@@ -1,18 +1,15 @@
-"""Deterministic discrete-event core: integer-ns clock, event queue, labeled RNG streams.
+"""A run's core: integer-ns time, labeled RNG streams and the trace.
 
 One :class:`Engine` owns one simulation run.  Time is an integer nanosecond
-count from run start; there is no floating-point time anywhere.  Events fire
-in strict ``(fire_time, seq)`` order, so simultaneous events dispatch in
-insertion order and every run is exactly reproducible from its seed.
+count from run start; there is no floating-point time anywhere.  Every draw
+comes from a stream derived from the master seed and a label, so every run is
+exactly reproducible from its seed.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -140,82 +137,32 @@ class Seed(int):
         return Seed, (int(self), self.words, self.index, self.plan)
 
 
-class SchedulingError(Exception):
-    """An event was scheduled before the current clock (contract violation)."""
-
-
-@dataclass(slots=True)
-class Event:
-    """A schedulable occurrence; (fire_time, seq) is a strict total order per run."""
-
-    fire_time: int  # ns since run start
-    seq: int        # insertion counter, unique per run
-    kind: str       # e.g. lte-on, lte-off, difs-end, backoff-slot, tx-end, ack-timeout, run-end
-    target: str     # node identifier
-    fn: Callable[[], None] | None = field(repr=False)  # None once it cannot fire
-    detail: str = ""
-
-
 def trace_line(t: int, kind: str, target: str, detail: str) -> str:
     """One trace line: ``time_ns kind node [detail]`` and a newline."""
     return f"{t} {kind} {target} {detail}".rstrip() + "\n"
 
 
 class Engine:
-    """Single-threaded event loop with a master seed and per-purpose RNG streams."""
+    """A run's master seed, its per-purpose RNG streams and its trace."""
 
     def __init__(self, seed: int, trace: bool = False) -> None:
         self.seed = int(seed)
         self._words, self._index = (seed.words, seed.index) if isinstance(seed, Seed) else ({}, 0)
-        self.now = 0
-        self._queue: list[tuple[int, int, Event]] = []
-        self._seq = 0
         self._streams: dict[str, np.random.Generator] = {}
         # Text chunks of whole trace lines; None disables recording.
         self.trace: list[str] | None = [] if trace else None
+        self._at_end = ""  # the lines at the run end, which follow its line
 
-    def schedule(self, fire_time: int, kind: str, target: str,
-                 fn: Callable[[], None], detail: str = "") -> Event:
-        """Schedule ``fn`` at absolute ``fire_time`` (ns); returns a cancellable handle."""
-        if fire_time < self.now:
-            raise SchedulingError(
-                f"event {kind!r} for {target!r} scheduled at {fire_time} ns, "
-                f"before current clock {self.now} ns")
-        event = Event(int(fire_time), self._seq, kind, target, fn, detail)
-        self._seq += 1
-        heapq.heappush(self._queue, (event.fire_time, event.seq, event))
-        return event
+    def write(self, lines: list[tuple[int, str, str, str]], end_ns: int) -> None:
+        """Record (time, kind, node, detail) lines in the order they happen; those at
+        the run end ``end_ns`` wait for ``close``."""
+        cut = next((n for n, line in enumerate(lines) if line[0] >= end_ns), len(lines))
+        self.trace.append("".join(trace_line(*line) for line in lines[:cut]))
+        self._at_end += "".join(trace_line(*line) for line in lines[cut:])
 
-    def cancel(self, event: Event) -> bool:
-        """True iff the event could still fire and now never will."""
-        if event.fn is None:
-            return False
-        event.fn = None
-        return True
-
-    def run_until(self, t_end: int) -> None:
-        """Dispatch the events with fire_time <= t_end in order, drop the rest; clock ends at t_end.
-
-        A traced run records each event's line, except for an event with an
-        empty kind: a step that resumes contention has written its own lines.
-        """
-        if t_end <= self.now:
-            raise SchedulingError(f"run_until({t_end}) at clock {self.now}")
-        queue = self._queue
-        while queue and queue[0][0] <= t_end:
-            _, _, event = heapq.heappop(queue)
-            fn, event.fn = event.fn, None
-            if fn is None:
-                continue
-            self.now = event.fire_time
-            if self.trace is not None and event.kind:
-                self.trace.append(trace_line(event.fire_time, event.kind, event.target,
-                                             event.detail))
-            fn()
-        self.now = t_end
-        for _, _, event in queue:
-            event.fn = None
-        queue.clear()
+    def close(self, end_ns: int) -> None:
+        """Record the run-end line, then the lines at the run end."""
+        self.trace.append(trace_line(end_ns, "run-end", "engine", "") + self._at_end)
 
     def rng_stream(self, label: str) -> np.random.Generator:
         """Deterministic generator derived from (master seed, label).

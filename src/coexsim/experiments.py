@@ -251,12 +251,23 @@ class SweepResult:
 
 
 def check_one_cycle(duration_s: float, plans) -> None:
-    """Raise ConfigError unless runs of ``duration_s`` hold the longest of these plans'
-    DIFS, data, SIFS and ACK: a shorter baseline acknowledges no frame."""
+    """Raise ConfigError unless the duty-0 baselines of these plans can acknowledge a
+    frame: runs of ``duration_s`` hold the longest plan's DIFS, data, SIFS and ACK,
+    and with the LTE off a frame decodes and is acknowledged, surely or by chance.
+    A baseline has its run's WiFi and radio, so each plan's LTE-off outcome is its
+    baseline's."""
     cycle_ns = max(p.station["shortest_cycle_ns"] for p in plans)
     if round(duration_s * NS_PER_S) < cycle_ns:
         raise ConfigError(f"run.duration_s must be at least one baseline DIFS, data, SIFS "
                           f"and ACK ({cycle_ns} ns), got {duration_s!r}")
+    for p in plans:
+        data_ok, ack_ok, odds, _ = p.station["_outcomes"][0]
+        if not ack_ok and odds is None:
+            frame, sinr, threshold = (("data", p.medium[1][0], "data_threshold_db") if not data_ok
+                                      else ("ACK", p.medium[2][0], "ack_threshold_db"))
+            raise ConfigError(f"a duty-0 baseline acknowledges no frame: its {frame} never "
+                              f"decodes at {sinr:.1f} dB SINR against a "
+                              f"{p.station[threshold]:.1f} dB threshold")
 
 
 def run_sweep(scenario: Scenario, master_seed: int, jobs: int = 1) -> SweepResult:

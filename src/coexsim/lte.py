@@ -49,29 +49,26 @@ def occupied_band(cfg: LteSettings) -> SpectrumBand:
 
 
 class LteNode:
-    """Duty-cycle schedule, drawn when the node is built; one pending event,
-    once armed, counts the next transition by the run end and tells the
-    station that armed it.
+    """Duty-cycle schedule, drawn when the node is built.
 
     Draws only from its own RNG stream, so the schedule for a given seed is
     identical whether or not WiFi nodes exist in the run.  ``times`` is the
     one record of the LTE schedule: the transitions up to the first past the
-    run end, "on" at even indices.  The first ``passed`` have happened.  A
-    station counts those it walks past: the node arms only where the station
-    hands a cycle to the events, or in a run without one.
+    run end, "on" at even indices; the first ``by_end`` happen.  The first
+    ``passed`` have happened: the station counts those it walks past.
     """
 
     name = "lte"
 
     def __init__(self, engine: Engine, end_ns: int, period: tuple) -> None:
-        self.engine, self.end_ns = engine, end_ns
+        self.end_ns = end_ns
         self._on_ns, self._align_ns, self._silent_ms = period  # ns, ns, ms or None
         self.rng = None if self._silent_ms is None else engine.rng_stream(RNG_LABEL)
         self.times: list[int] = []  # none at duty 0
         if self._on_ns:
             self.times = [0] if self.rng is None else self._schedule(end_ns)
+        self.by_end = bisect.bisect_right(self.times, end_ns)
         self.passed = 0  # transitions that have happened
-        self._event = None  # the pending transition event
 
     def _schedule(self, end_ns: int) -> list[int]:
         """The transitions from 0 to the first one past ``end_ns``.
@@ -93,34 +90,7 @@ class LteNode:
                                              // align) * align)
         return times + [t + on] * (t <= end_ns)  # the off past the end
 
-    # The node counts a transition, and the event tells the station, before
-    # the next one is scheduled: a station that contends inside the callback
-    # knows how long the medium stays as it is, and its events stay ahead
-    # of the node's when both fall on the same instant (as do a station's that
-    # starts at an LTE-off; one that starts at 0 arms the node first).
-
-    def arm(self, station=None) -> None:
-        """Schedule the event of the next transition, if it falls by the run end and
-        none is pending; the station given, if any, learns of the transition."""
-        n = self.passed
-        if self._event is None and n < len(self.times) and self.times[n] <= self.end_ns:
-            # A lambda, not a partial: the callback's module names its layer in profiles.
-            self._event = self.engine.schedule(self.times[n], "lte-off" if n % 2 else "lte-on",
-                                               self.name, lambda: self._switch(station))
-
-    def _switch(self, station) -> None:
-        self._event = None
-        self.passed += 1
-        if station is not None:
-            station.lte_switched(self.engine.now)
-        self.arm(station)
-
-    def advance_to(self, t: int) -> None:
-        """Count the transitions up to ``t`` that the station has run past on
-        its own, and drop the pending event if it was one; ``arm`` replaces it."""
-        j = bisect.bisect_right(self.times, t, self.passed)
-        if j > self.passed:
-            self.passed = j
-            if self._event is not None:
-                self.engine.cancel(self._event)
-                self._event = None
+    def lines(self, i: int, j: int) -> list[tuple[int, str, str, str]]:
+        """The trace lines of transitions ``i`` to ``j - 1``."""
+        return [(at, "lte-off" if n % 2 else "lte-on", self.name, "")
+                for n, at in enumerate(self.times[i:j], i)]

@@ -4,16 +4,13 @@ The medium is two-valued: geometry never changes, so each direction (data
 at the receiver, ACK at the transmitter) has one SINR while the LTE node is
 on and one while it is off.  The LTE node's ``times`` is the one record of
 the LTE schedule, "on" at even indices, and its ``passed`` counts the
-transitions so far: the node's events count up, and so does a station that
-steps past transitions (the node's ``advance_to``).  The LTE state, each
-packet's SINR window and the run's LTE airtime all derive from the transitions
-passed; what derives from the config alone is ``plan``'s.
-The walk starts the run: ``run`` starts the station at its first idle instant,
-0 or a deferring station's first LTE-off, and the LTE node arms only where the
-station hands a cycle to the events, or in a run without a station.
-References point one way (simulation, station, medium, LTE node, engine): the
-LTE node's event holds the station it tells, and an event drops its callback
-once it cannot fire, so a finished run is freed by reference counting.
+transitions so far, which the station counts as it walks past them.  The LTE
+state, each packet's SINR window and the run's LTE airtime all derive from the
+transitions passed; what derives from the config alone is ``plan``'s.
+``run`` is the station's walk from its first idle instant, 0 or a deferring
+station's first LTE-off, to the run end; without a station every transition by
+the run end passes.  References point one way (simulation, station, medium,
+LTE node, engine), so a finished run is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -123,11 +120,6 @@ class Medium:
     def lte_on(self) -> bool:
         return self.lte.passed % 2 == 1
 
-    @property
-    def busy(self) -> bool:
-        """Carrier-sense verdict for the station (its own TX is not sensed)."""
-        return self.lte_on and self.defer_to_lte
-
     def _window(self, t0: int, t1: int, sinr: tuple[float, float]) -> list[tuple[int, float]]:
         """SINR over [t0, t1) as (duration_ns, sinr_db) segments, one per LTE state."""
         times, n = self.lte.times, self.lte.passed
@@ -161,17 +153,23 @@ class Simulation:
         self.station = None
         if include_wifi:
             self.station = DcfStation(self.engine, self.medium, p.station, self.acc)
-        else:
-            self.lte_node.arm()
-
-        self.engine.schedule(self.duration_ns, "run-end", "engine", lambda: None)
 
     def run(self) -> RunMetrics:
+        lte, end, trace = self.lte_node, self.duration_ns, self.engine.trace
         if self.station is not None:
             self.station.start()
-        self.engine.run_until(self.duration_ns)
+        else:  # the LTE node alone: every transition by the run end happens
+            lte.passed = lte.by_end
+            if trace is not None:
+                self.engine.write(lte.lines(0, lte.passed), end)
+        if trace is not None:
+            self.engine.close(end)
+        return self.finish()
+
+    def finish(self) -> RunMetrics:
+        """The run's metrics once it reached its end."""
         if self.station is not None:
-            self.station.flush(self.duration_ns)
+            self.station.flush()
         # The LTE airtime: each off less its on, and an on still open runs to the end.
         times, n = self.lte_node.times, self.lte_node.passed
         lte_airtime_ns = sum(times[1:n:2]) - sum(times[0:n:2]) + self.duration_ns * (n % 2)

@@ -1,4 +1,4 @@
-"""802.11 DCF saturated station pair: MAC timing, CCA profiles, backoff state machine.
+"""802.11 DCF saturated station pair: MAC timing, CCA profiles and the walk of a run.
 
 One transmitter, one receiver, fixed MCS, always a 1500-byte payload queued.
 The only contender is the duty-cycled LTE node, seen through energy-detect
@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .engine import Engine, trace_line
+from .engine import Engine
 from .radio import SpectrumBand, overlap_fraction, packet_outcome
 
 if TYPE_CHECKING:
@@ -233,24 +233,22 @@ class BackoffStream:
 
 
 class DcfStation:
-    """Saturated DCF transmitter driving the engine; its peer only sends ACKs.
+    """Saturated DCF transmitter walking a run; its peer only sends ACKs.
 
-    States: blocked (medium busy, optional residual counter), difs, backoff,
-    tx, ack.  Standard DCF: idle DIFS, uniform backoff in [0, cw], freeze
-    while the medium is busy, binary exponential backoff on failure, drop and
-    reset after retry_limit consecutive failures.
+    Standard DCF: idle DIFS, uniform backoff in [0, cw], freeze while the
+    medium is busy, binary exponential backoff on failure, drop and reset
+    after retry_limit consecutive failures.
 
-    Every run fast-forwards: each contention that starts on an idle medium
-    first advances, in one step, every whole cycle that ends before the
-    medium next changes (``_skip_whole_cycles``): a stretch whose cycles all
-    end alike by a prefix search, one whose decodes are drawn in NumPy
-    chunks.  An untraced run's LTE that the station neither defers to nor
-    decodes differently under is no change, and every run settles the cycle
-    that crosses an LTE transition in closed form and steps on, period after
-    period, to the cycle the run end cuts, which it settles too
-    (``_walk_edge``).  Counters, airtime, RNG streams and trace lines end
-    exactly where the event path leaves them; a cycle that crosses a change
-    the closed form leaves alone runs on events from its DIFS.
+    The station walks the run from its first idle instant to the run end.
+    Each contention that starts on an idle medium first advances, in one
+    step, every whole cycle that ends before the medium next changes: a
+    stretch whose cycles all end alike by a prefix search, one whose decodes
+    are drawn in NumPy chunks.  An untraced run's LTE that the station
+    neither defers to nor decodes differently under is no change.
+    ``_walk_edge`` settles the cycle that meets an LTE transition, or that the
+    run end cuts, in closed form, and the walk goes on where contention next
+    starts.  Counters, airtime, RNG streams and trace lines end exactly where
+    the event-driven model leaves them (``tests/event_path.py``).
     """
 
     name = "wifi-tx"
@@ -266,94 +264,61 @@ class DcfStation:
         # Traced lines must interleave with the LTE node's in order.
         self._feels_lte = engine.trace is not None or self._feels_lte_untraced
 
-        self.state = "blocked"
         self.cw = self._cw_ladder[0]
         self.consecutive_failures = 0
         self.pending_k: int | None = None  # residual backoff surviving a freeze
-        self._event = None
-        self._backoff_k = self._backoff_t0 = self._tx_start = 0
-        self._ack_window: tuple[int, int] | None = None
-        self._at_end = ""  # trace lines the walk settled at the run end
+        # Whether the station's next event goes ahead of an LTE transition on the same
+        # instant: it does iff the LTE node's transition was the last thing to happen.
+        self._ahead = False
+        self._cut_ns = 0  # the airtime in the air at the run end, past what the counts give
 
         self.difs_completed = self.backoff_slots_elapsed = 0
         self.data_decode_failures = self.ack_decode_failures = 0
 
-    def start(self) -> None:
-        """Contend from the first idle instant, 0 or the first LTE-off for a station that
-        defers (none at duty 1), with the transitions up to it counted and, traced, their
-        lines and the start line.  A start after 0 is an event with no kind."""
+    def first_idle(self) -> int:
+        """The first idle instant, 0 or the first LTE-off for a station that defers
+        (past the run end at duty 1), with the transitions up to it counted and, traced,
+        their lines and the start line."""
         lte, times, end = self.channel.lte, self.channel.lte.times, self.channel.end_ns
         t = (times[1:2] or [end + 1])[0] if self.channel.defer_to_lte and times else 0
         lte.passed = bisect.bisect_right(times, min(t, end))
-        if (trace := self.engine.trace) is not None:
-            off = trace_line(t, "lte-off", lte.name, "") * (lte.passed == 2)
-            trace.append(trace_line(0, "lte-on", lte.name, "") * bool(times)
-                         + trace_line(0, "cca-sample", self.name, "start") + off * (t < end))
-            self._at_end = off * (t == end)  # after the run-end line
-        if t == 0 and self._skip_whole_cycles(0) == 0:
-            lte.arm(self)  # as the LTE-on at 0 would, before the station's events
-            self._start_difs()
-        elif 0 < t < end:
-            self.engine.schedule(t, "", self.name, self._begin_contention)
+        if self.engine.trace is not None:
+            self.engine.write(lte.lines(0, 1) + [(0, "cca-sample", self.name, "start")]
+                              + lte.lines(1, lte.passed), end)
+        return t
 
-    # -- contention ---------------------------------------------------------
+    def start(self) -> None:
+        """Walk the run from its first idle instant to its end.
 
-    def _begin_contention(self) -> None:
-        if self.channel.busy:
-            self.state = "blocked"
-            return
-        now = self.engine.now
-        if self._skip_whole_cycles(now) == now:
-            self._start_difs()
-            self.channel.lte.arm(self)
-
-    def _start_difs(self) -> None:
-        self.state = "difs"
-        self._event = self.engine.schedule(self.engine.now + self.difs_ns, "difs-end",
-                                           self.name, self._difs_end)
-
-    def _difs_end(self) -> None:
-        """Count the DIFS and take its backoff: a frozen residual, or a fresh draw
-        (``rng.integers(0, cw + 1)``'s value, from the words the step reads)."""
-        self.difs_completed += 1
-        k, self.pending_k = self.pending_k, None
-        if k is None:
-            k = self.backoff.draw(self.cw)
-        if k == 0:
-            self._start_tx()
-            return
-        self.state = "backoff"
-        self._backoff_k, self._backoff_t0 = k, self.engine.now
-        self._event = self.engine.schedule(self._backoff_t0 + k * self.slot_ns, "backoff-slot",
-                                           self.name, self._backoff_done, f"k={k}")
-
-    def _backoff_done(self) -> None:
-        self.backoff_slots_elapsed += self._backoff_k
-        self._start_tx()
-
-    # -- transmission and acknowledgment ------------------------------------
-
-    def _start_tx(self) -> None:
-        self.state = "tx"
-        self.acc.attempts += 1
-        self._tx_start = self.engine.now
-        self._event = self.engine.schedule(self._tx_start + self.data_air_ns, "tx-end",
-                                           self.name, self._tx_end)
-
-    def _tx_end(self) -> None:
-        now = self.engine.now
-        data_ok = self._data_decodes(self._tx_start, now)
-        ack_start = now + self.sifs_ns
-        ack_end = ack_start + self.ack_air_ns
-        self.state = "ack"
-        if data_ok:
-            # The receiver answers SIFS after the data, carrier sense exempt.
-            self._ack_window = (ack_start, ack_end)
-            self._event = self.engine.schedule(ack_end, "ack-result", self.name,
-                                               self._ack_result)
-        else:  # _ack_window is None from the last _ack_result
-            self._event = self.engine.schedule(ack_end + self.slot_ns, "ack-timeout",
-                                               self.name, self._ack_timeout)
+        A cycle is DIFS, backoff, data, SIFS, then the ACK, plus one slot (ACK
+        timeout, or the resume after an undecoded ACK) if it failed.  Until the
+        next LTE transition or the run end the SINR at both ends is constant,
+        and an LTE that ``_feels_lte`` rules out changes nothing.  Under the
+        hard PER rule, when the data cannot decode, or under soft odds that
+        are each 0 or 1, every cycle then has the same outcome, and the cycles
+        differ only in their backoff draws: ``_skip_alike_cycles`` takes such
+        a stretch, ``_skip_chunks`` drawn odds.  A soft run's decode stream
+        then jumps past the draws those cycles take.  ``_walk_edge`` settles
+        the cycle after the stretch and says where contention next starts.
+        Each stretch and each walked edge writes its own trace lines.
+        """
+        now, lte, end = self.first_idle(), self.channel.lte, self.channel.end_ns
+        # The LTE node's transitions at 0 come before a start there; a start after 0
+        # is the station's reaction to an LTE-off.
+        self._ahead = now > 0
+        times = lte.times if self._feels_lte else ()
+        while now < end:
+            i = lte.passed  # the next LTE transition bounds the step if the station feels it
+            horizon = min(times[i], end) if i < len(times) else end
+            data_ok, ack_ok, odds, draws = self._outcomes[i % 2]
+            cycles = self.difs_completed
+            t = (self._skip_chunks(now, horizon, odds) if odds else
+                 self._skip_alike_cycles(now, horizon, data_ok, ack_ok))
+            if cycles < self.difs_completed:  # the station's event was the last
+                self._ahead = False
+                if draws:  # certain soft odds: skip the decode draws the cycles took
+                    self.decode_rng.bit_generator.advance(draws * (self.difs_completed - cycles))
+            now = self._walk_edge(t)
 
     def _data_decodes(self, t0: int, t1: int) -> bool:
         """Decode a data frame over [t0, t1): under the hard rule, from the verdicts
@@ -374,20 +339,6 @@ class DcfStation:
         self.ack_decode_failures += not ok
         return ok
 
-    def _ack_result(self) -> None:
-        window, self._ack_window = self._ack_window, None
-        ok = self._ack_decodes(*window)
-        self._count(ok)
-        if ok:
-            self._begin_contention()
-        else:
-            self._event = self.engine.schedule(self.engine.now + self.slot_ns, "cca-sample",
-                                               self.name, self._begin_contention)
-
-    def _ack_timeout(self) -> None:
-        self._count(False)
-        self._begin_contention()
-
     def _count(self, delivered: bool) -> None:
         """Count a cycle's end: a delivery resets cw, a failure climbs or drops."""
         if delivered:
@@ -401,58 +352,14 @@ class DcfStation:
                 self.consecutive_failures = 0
         self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
 
-    # -- fast-forward ---------------------------------------------------------
-
-    def _skip_whole_cycles(self, now: int) -> int:
-        """Advance every whole cycle that ends before the medium next changes,
-        and leave the rest to the events.
-
-        A cycle is DIFS, backoff, data, SIFS, then the ACK, plus one slot (ACK
-        timeout, or the resume after an undecoded ACK) if it failed.  Until the
-        next LTE transition or the run end the SINR at both ends is constant,
-        and an LTE that ``_feels_lte`` rules out changes nothing.  Under the
-        hard PER rule, when the data cannot decode, or under soft odds that
-        are each 0 or 1, every cycle then has the same outcome, and the cycles
-        differ only in their backoff draws: ``_skip_alike_cycles`` takes such
-        a stretch, ``_skip_chunks`` drawn odds.  A soft run's decode stream
-        then jumps past the draws those cycles take.
-
-        The step walks on: ``_walk_edge`` settles the cycle that crosses a
-        transition, and the step goes on from where contention resumes, up to
-        the cycle the run end cuts, which ``_walk_edge`` settles too, or to
-        the first edge it leaves to the events.  The LTE node counts the
-        transitions passed (all up to the run end once the station is done).
-        Each stretch and each walked edge writes its own trace lines.  At an
-        edge left to the events the node arms, and the step schedules the next
-        contention where its last whole cycle ends, as an event with no kind
-        that writes no line, if it advanced (else its caller arms the node).
-        Returns the time the station advanced to: ``now`` if it did not, the
-        run end if it reached it, after which it schedules nothing.
-        """
-        start = t = now
-        lte, end = self.channel.lte, self.channel.end_ns
-        times = lte.times if self._feels_lte else ()
-        while now is not None and now < end:  # None: an edge left to the events
-            i = lte.passed  # the next LTE transition bounds the step if the station feels it
-            horizon = min(times[i], end) if i < len(times) else end
-            data_ok, ack_ok, odds, draws = self._outcomes[i % 2]
-            cycles = self.difs_completed
-            t = (self._skip_chunks(now, horizon, odds) if odds else
-                 self._skip_alike_cycles(now, horizon, data_ok, ack_ok))
-            if draws:  # certain soft odds: skip the decode draws the cycles took
-                self.decode_rng.bit_generator.advance(draws * (self.difs_completed - cycles))
-            now = self._walk_edge(t, horizon)
-        if now is None and t > start:
-            lte.arm(self)
-            self._event = self.engine.schedule(t, "", self.name, self._start_difs)
-        return t if now is None else end
+    # -- the walk --------------------------------------------------------------
 
     def _skip_chunks(self, now: int, horizon: int, odds) -> int:
         """Advance the whole cycles of a stretch under drawn soft odds, in NumPy chunks.
 
         Each cycle draws its data outcome and, if that decoded, its ACK outcome
         against the odds.  A chunk's backoff draws are one slice and shift of
-        the words ``_difs_end`` would read (none for a frozen residual), and its
+        the words the cycles' DIFS ends draw (none for a frozen residual), and its
         decode draws one ``uniform`` call of 2m, one PCG64 output each, which a
         negative ``advance`` rewinds to those the cycles that fit used, all 2m
         if none fits: both streams end where per-cycle draws leave them.  A
@@ -507,7 +414,7 @@ class DcfStation:
         return now
 
     def _skip_alike_cycles(self, now: int, horizon: int, data_ok: bool, ack_ok: bool) -> int:
-        """``_skip_whole_cycles`` for a stretch whose cycles all end alike: each
+        """``start``'s step over a stretch whose cycles all end alike: each
         delivered (clean), or each failed, a slot longer.
 
         The first cycle resumes a frozen residual or draws at the current
@@ -555,93 +462,116 @@ class DcfStation:
         self.cw = self._cw_ladder[min(self.consecutive_failures, len(self._cw_ladder) - 1)]
         return t
 
-    def _walk_edge(self, t: int, horizon: int) -> int | None:
-        """Settle the cycle from ``t`` that crosses the LTE transition at
-        ``horizon``, or that the run end at ``horizon`` cuts, as its events
-        would; return when contention next starts, at or past the run end
-        once the station is done.
+    def _walk_edge(self, t: int) -> int:
+        """Settle the cycle from ``t``, which meets the next LTE transition or the
+        run end, as the events would; return when contention next starts, at or
+        past the run end once the station is done.
 
-        A deferring station is blocked from that LTE-on to the next LTE-off.
-        The onset cuts its DIFS short, freezes its backoff (at once under
-        mid-packet abort or on a slot boundary, else at the next one), or
-        finds a frame in flight or in vendor-B's last slot.  A station that
-        does not defer contends again where the cycle ends.  The word peeked
-        is taken, a frame decodes over the LTE states it spans, and its ACK or
-        timeout, retry ladder and drop are counted as the events count them,
-        each only if it falls at or before the run end; a frame or an ACK
-        still in the air there is left for ``flush``.  A traced run gets the
-        lines of the cycle's events and of the transitions passed, a last one on
-        the run end too, in time order; ``flush`` writes those at the run end.
-        Returns None, changing nothing, for an edge left to the events: a
-        station event on the transition, or on the run end with a transition
-        there, a last event at or past the next transition before the run
-        end, or a resume whose DIFS would end on the next transition.
+        A deferring station meets the LTE-ons in turn.  One cuts its DIFS short
+        or freezes its backoff: at once under mid-packet abort or on a slot
+        boundary, else at the next boundary if the LTE is still on there, and
+        if it is off, vendor-B's countdown goes on.  It finds a frame in flight
+        or in vendor-B's last slot.  The station is then blocked until the next
+        LTE-off, as it is when its cycle ends under the LTE.  A station that does
+        not defer contends again where the cycle ends.  On a tie with a
+        transition the station's event goes first iff ``_ahead``.  The word
+        peeked is taken, a frame decodes over the LTE states it spans, and its
+        ACK or timeout, retry ladder and drop are counted as the events count
+        them, each only if it falls at or before the run end; what is still in
+        the air there is left for ``flush``.  A traced run gets the lines of the
+        cycle's events and of the transitions passed, in the order they happen.
         """
-        channel, slot, defer = self.channel, self.slot_ns, self.channel.defer_to_lte
-        times, i, end = channel.lte.times, channel.lte.passed, channel.end_ns
-        edge = horizon < end or self._feels_lte and i < len(times) and times[i] == end
-        after = min(times[i + 1], end) if horizon < end else end
-        if defer and after < end and after + self.difs_ns == times[i + 2] <= end:
-            return None
-        k = self.pending_k
+        channel, slot, end = self.channel, self.slot_ns, self.channel.end_ns
+        lte, defer = channel.lte, channel.defer_to_lte
+        times, j0 = lte.times, lte.passed
+        m = lte.by_end if self._feels_lte else j0  # the transitions the walk meets
+        j, k = j0, self.pending_k
         k = self.backoff.peek_one(self.cw.bit_length()) if k is None else k
         difs_end = t + self.difs_ns
         tx_start = difs_end + k * slot
         tx_end = tx_start + self.data_air_ns
         ack_end = tx_end + self.sifs_ns + self.ack_air_ns
-        last, frozen = ack_end + slot, None  # frozen: (slots counted, residual)
-        if edge and defer and horizon < tx_start:
-            whole, within = divmod(horizon - difs_end, slot)
-            if horizon < difs_end:
-                last, frozen = horizon, (0, self.pending_k)
-            elif self.cca.mid_packet_abort or not within:
-                last, frozen = horizon, (whole, k - whole)
-            elif whole + 1 < k:  # the slot in progress completes
-                last, frozen = difs_end + (whole + 1) * slot, (whole + 1, k - whole - 1)
-        events = (difs_end, tx_start, tx_end, ack_end, ack_end + slot)
-        if last >= after < end or edge and (  # a station event on a transition
-                horizon in events or times[i + 1] == end and end in (*events, last)):
-            return None
-        channel.lte.advance_to(after if defer else horizon)
-        # Events at or before the run end happen: it may cut the cycle anywhere.
-        if difs_ended := (frozen is None or horizon > difs_end) and difs_end <= end:
+        # The station's events, where it is blocked, and where the cycle ends.
+        lines, blocked, e = [], None, end + 1
+        if defer and j < m and times[j] <= difs_end and (times[j] < difs_end or not self._ahead):
+            blocked, j = times[j], j + 1  # the LTE-on cuts the DIFS short
+        elif difs_end <= end:
+            lines.append((difs_end, "difs-end", ""))
             self.difs_completed += 1  # it takes the k peeked
             self.backoff.skip(self.pending_k is None and self.cw > 0)
-            self.pending_k = None
-        data = ok = False
-        if frozen is not None:
-            if last <= end:
-                self.backoff_slots_elapsed += frozen[0]
-                self.pending_k = frozen[1]
-        elif tx_start <= end:
-            self.backoff_slots_elapsed += k
-            self.acc.attempts += 1
-            if tx_end <= end:
-                data = self._data_decodes(tx_start, tx_end)
-                if (ack_end if data else last) <= end:
-                    ok = data and self._ack_decodes(ack_end - self.ack_air_ns, ack_end)
-                    self._count(ok)
-        if (resume := after if defer else ack_end if ok else last) >= end:
-            channel.lte.advance_to(end)  # a transition on the run end happens too, after its line
-        if after == end:  # what ``flush`` reads: a frame or an ACK in the air at the run end
-            self.state = "tx" if frozen is None and tx_start <= end < tx_end else "blocked"
-            self._tx_start = tx_start
-            self._ack_window = (ack_end - self.ack_air_ns, ack_end) if data and ack_end > end else None
-        if (trace := self.engine.trace) is not None:
-            lines = [(difs_end, "difs-end", "")] * difs_ended
-            if frozen is not None:  # vendor-B's slot boundary, if the slot went on
-                lines += [(last, "backoff-slot", "")] * (last > horizon)
-            else:
-                lines += [(tx_start, "backoff-slot", f"k={k}")] * (k > 0) + [(tx_end, "tx-end", "")]
-                lines += [(ack_end, "ack-result", "")] * data
-                lines += [(last, "cca-sample" if data else "ack-timeout", "")] * (not ok)
-            lines = [(at, kind, self.name, detail) for at, kind, detail in lines if at <= end]
-            lines = sorted(lines + [(at, "lte-off" if n % 2 else "lte-on", channel.lte.name, "")
-                                    for n, at in enumerate(times[i:channel.lte.passed], i)])
-            cut = bisect.bisect_left(lines, (end,))  # lines at the run end follow its line
-            trace.append("".join(trace_line(*line) for line in lines[:cut]))
-            self._at_end += "".join(trace_line(*line) for line in lines[cut:])
+            self.pending_k, b0 = None, difs_end  # k slots counted down from b0
+            # Each LTE-on in the backoff.  One at its end goes first: the station's
+            # last event came after the LTE's.
+            while defer and k and j < m and times[j] <= tx_start:
+                whole, within = divmod(times[j] - b0, slot)
+                if self.cca.mid_packet_abort or not within:
+                    blocked, self.pending_k, j = times[j], k - whole, j + 1
+                    self.backoff_slots_elapsed += whole
+                    break
+                b0 += (whole + 1) * slot  # vendor-B: the slot in progress ends first
+                if b0 >= tx_start or b0 > end:  # the last slot, which transmits, or the run end
+                    break
+                lines.append((b0, "backoff-slot", ""))
+                self.backoff_slots_elapsed += whole + 1
+                k -= whole + 1
+                # The transitions before the boundary; one on it goes after the station's
+                # event, as the LTE's came last.
+                j = bisect.bisect_left(times, b0, j + 1, m)
+                if j % 2:  # the LTE is on: frozen until its LTE-off
+                    blocked, self.pending_k = b0, k
+                    break
+            if blocked is None and tx_start <= end:
+                if k:
+                    lines.append((tx_start, "backoff-slot", f"k={k}"))
+                self.backoff_slots_elapsed += k
+                self.acc.attempts += 1
+                lte.passed = m  # a frame decodes over the transitions by its end
+                if tx_end > end:  # the attempts count the frame whole
+                    self._cut_ns = end - tx_end
+                else:
+                    lines.append((tx_end, "tx-end", ""))
+                    if not self._data_decodes(tx_start, tx_end):
+                        e = ack_end + slot
+                        if e <= end:
+                            lines.append((e, "ack-timeout", ""))
+                            self._count(False)
+                    elif ack_end > end:  # the ACK is cut off
+                        self._cut_ns = max(end - ack_end + self.ack_air_ns, 0)
+                    else:
+                        lines.append((ack_end, "ack-result", ""))
+                        ok = self._ack_decodes(ack_end - self.ack_air_ns, ack_end)
+                        self._count(ok)
+                        e = ack_end + (not ok) * slot
+                        if not ok and e <= end:
+                            lines.append((e, "cca-sample", ""))
+        if blocked is None and e <= end:
+            j = bisect.bisect_right(times, e, j, m)  # the transitions by the cycle's end
+            if defer and j % 2:  # the LTE is on: blocked until its LTE-off
+                blocked = e
+        resume = e if blocked is None else times[j] if j < m else end
+        lte.passed = j + (blocked is not None) if resume < end else lte.by_end
+        # Contention after an LTE-off is its reaction; at a tie on the cycle's end the
+        # two keep their order.
+        tie = blocked is None and j > j0 and times[j - 1] == e
+        if self.engine.trace is not None or tie:
+            lines, ahead = self._in_order(lines, lte.lines(j0, lte.passed))
+            if self.engine.trace is not None:
+                self.engine.write(lines, end)
+        self._ahead = blocked is not None or tie and ahead
         return resume
+
+    def _in_order(self, lines: list, transitions: list) -> tuple[list, bool]:
+        """The station's (time, kind, detail) lines and the transitions' lines in the
+        order they happen, and whether a transition's came last.  At a tie the
+        station's goes first iff ``_ahead``, and the two keep their order after it."""
+        out, ahead, i = [], self._ahead, 0
+        for at, kind, detail in lines:
+            while i < len(transitions) and (transitions[i][0], ahead) < (at, True):
+                out.append(transitions[i])
+                i, ahead = i + 1, True
+            out.append((at, kind, self.name, detail))
+            ahead = False
+        return out + transitions[i:], ahead or i < len(transitions)
 
     def _drawn_outcomes(self, m: int, p_data: float, p_ack: float | None):
         """Outcomes of the next ``m`` cycles from one chunk of decode draws.
@@ -668,7 +598,7 @@ class DcfStation:
         return data, ok, starts + 1 + (data & (p_ack is not None))
 
     def _trace_cycles(self, trace, ends, tx_start, ks, data, ok) -> None:
-        """Append the event path's lines for these cycles as one text chunk."""
+        """Append the events' lines for these cycles as one text chunk."""
         data_end = self.data_air_ns
         ack_end = data_end + self.sifs_ns + self.ack_air_ns
         backoff, always = ks > 0, np.ones(len(ends), dtype=bool)
@@ -679,62 +609,11 @@ class DcfStation:
         trace.append("".join([CYCLE_TEMPLATES[s] for s in shapes.tolist()])
                      % tuple(values.tolist()))
 
-    # -- carrier sense: a deferring station at the LTE node's transitions -----
-
-    def lte_switched(self, now: int) -> None:
-        """A deferring station freezes at an LTE-on and, if blocked, contends at an LTE-off."""
-        if self.channel.busy:
-            self.busy_onset(now)
-        elif self.channel.defer_to_lte and self.state == "blocked":
-            self._begin_contention()
-
-    def busy_onset(self, now: int) -> None:
-        """Deferral-grade energy appeared on the medium."""
-        if self.state == "difs":
-            # Any interruption restarts the DIFS wait once the medium clears.
-            self.engine.cancel(self._event)
-            self.state = "blocked"
-        elif self.state == "backoff":
-            elapsed = now - self._backoff_t0
-            whole, within = divmod(elapsed, self.slot_ns)
-            if self.cca.mid_packet_abort or within == 0:
-                self.engine.cancel(self._event)
-                self.pending_k = self._backoff_k - whole
-                self.backoff_slots_elapsed += whole
-                self.state = "blocked"
-            elif whole + 1 < self._backoff_k:
-                # Slot in progress still completes; react at its boundary.
-                self.engine.cancel(self._event)
-                remaining = self._backoff_k - (whole + 1)
-                completed = whole + 1
-                self._event = self.engine.schedule(
-                    self._backoff_t0 + completed * self.slot_ns, "backoff-slot",
-                    self.name, lambda: self._slot_boundary(remaining, completed))
-            # else: the final slot completes and the pending event transmits.
-
-    def _slot_boundary(self, remaining: int, completed: int) -> None:
-        self.backoff_slots_elapsed += completed
-        if self.channel.busy:
-            self.pending_k = remaining
-            self.state = "blocked"
-        else:
-            self._backoff_k, self._backoff_t0 = remaining, self.engine.now
-            self._event = self.engine.schedule(self._backoff_t0 + remaining * self.slot_ns,
-                                               "backoff-slot", self.name, self._backoff_done,
-                                               f"k={remaining}")
-
     # -- end of run -----------------------------------------------------------
 
-    def flush(self, t_end_ns: int) -> None:
-        """Write the lines of walked events at t_end, which follow the run-end line, and
-        set the WiFi airtime: a data frame per attempt, an ACK per delivery or ACK decode
-        failure, and a frame or an ACK still in the air cut off at t_end."""
-        if self._at_end:
-            self.engine.trace.append(self._at_end)
-        acc, cut = self.acc, 0
-        if self.state == "tx":  # the attempts count it whole: take off what is past t_end
-            cut = t_end_ns - self._tx_start - self.data_air_ns
-        elif self._ack_window is not None and self._ack_window[0] < t_end_ns:
-            cut = min(self._ack_window[1], t_end_ns) - self._ack_window[0]
+    def flush(self) -> None:
+        """Set the WiFi airtime: a data frame per attempt, an ACK per delivery or ACK
+        decode failure, and what is in the air at the run end, cut off there."""
+        acc = self.acc
         acks = acc.delivered_payload_bytes // self.payload_bytes + self.ack_decode_failures
-        acc.wifi_airtime_ns = acc.attempts * self.data_air_ns + acks * self.ack_air_ns + cut
+        acc.wifi_airtime_ns = acc.attempts * self.data_air_ns + acks * self.ack_air_ns + self._cut_ns

@@ -98,19 +98,19 @@ def traced_emissions(sim) -> list[tuple[int, int]]:
 
     A ``tx-end`` line at t ends a data frame [t - data airtime, t) and an
     ``ack-result`` line an ACK [t - ACK airtime, t).  A data frame still in
-    the air at the run end, or an ACK begun before it, is cut off there.
+    the air at the run end, or an ACK begun before it, is cut off there: the
+    station's ``_cut_ns`` is what the data frame lacks to its whole airtime
+    (negative), or the ACK's airtime by the run end.
     """
-    station, end = sim.station, sim.duration_ns
+    station, end, cut = sim.station, sim.duration_ns, sim.station._cut_ns
     airtime = {"tx-end": station.data_air_ns, "ack-result": station.ack_air_ns}
     emissions = []
     for line in "".join(sim.engine.trace).splitlines():
         t, kind = line.split(" ", 2)[:2]
         if kind in airtime:
             emissions.append((int(t) - airtime[kind], int(t)))
-    if station.state == "tx":
-        emissions.append((station._tx_start, end))
-    elif station._ack_window is not None and station._ack_window[0] < end:
-        emissions.append((station._ack_window[0], min(station._ack_window[1], end)))
+    if cut:
+        emissions.append((end - cut - station.data_air_ns if cut < 0 else end - cut, end))
     return emissions
 
 

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from coexsim.config import ConfigError, RunConfig
 from coexsim.engine import Engine
 from coexsim.simulation import Simulation
-from coexsim.wifi import FAST_FORWARD_CHUNK, BackoffStream, DcfStation
+from coexsim.wifi import FAST_FORWARD_CHUNK, BackoffStream
 
 from conftest import make_cfg
+from event_path import EventSimulation
 
 LABEL = "wifi-backoff"
 # Draws per example: past two refills even when every window is narrow.
@@ -141,9 +142,7 @@ def test_a_run_reads_no_word_past_its_first_block(duty, lte_power, mcs, profile,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BackoffStream, "_top_up", counted)
-        if events:
-            patch.setattr(DcfStation, "_skip_whole_cycles", lambda self, now: now)
-        Simulation(cfg, seed=seed, trace=trace).run()
+        (EventSimulation if events else Simulation)(cfg, seed=seed, trace=trace).run()
     if blocks[0] != (FAST_FORWARD_CHUNK,):
         assert len(blocks) == 1
 

@@ -178,15 +178,32 @@ class TestSweep:
         assert texts[0].splitlines()[1].startswith("duty,0.5,12.0,54,0,")
 
     def test_baseline_without_payload_exits_3_naming_it(self, capsys):
+        # Under soft PER each frame decodes with odds of about 1e-11: by chance, none does.
         code, _, err = run_cli(capsys, "sweep", "power", "--out", "-", "--reps", "1",
                                "--duration", "0.05", "--jobs", "1",
                                "--grid", "lte.tx_power_dbm=12",
-                               "--grid", "wifi.tx_power_dbm=-80", "--grid", "wifi.mcs_mbps=54")
+                               "--grid", "wifi.tx_power_dbm=-80", "--grid", "wifi.mcs_mbps=54",
+                               "--grid", "radio.soft_slope_k=2")
         assert code == 3
         assert err.startswith("runtime error: cannot normalize against the baseline for "
                               "{'lte.tx_power_dbm': 12.0, 'wifi.tx_power_dbm': -80.0, "
-                              "'wifi.mcs_mbps': 54} rep 0")
+                              "'wifi.mcs_mbps': 54, 'radio.soft_slope_k': 2.0} rep 0")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("grid", [["wifi.tx_power_dbm=-100"],
+                                      # the sigmoid underflows: no odds to draw against
+                                      ["wifi.tx_power_dbm=-100", "radio.soft_slope_k=40"]])
+    def test_baseline_that_surely_delivers_nothing_exits_2_before_any_run(self, capsys,
+                                                                        monkeypatch, grid):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(experiments, "_execute", no_run)
+        code, out, err = run_cli(capsys, "sweep", "duty", "--reps", "1", "--duration", "0.2",
+                                 "--out", "-", *(f"--grid={axis}" for axis in grid))
+        assert code == 2 and out == ""
+        assert err == ("config error: a duty-0 baseline acknowledges no frame: its data never "
+                       "decodes at -46.2 dB SINR against a 5.0 dB threshold\n")
 
     def test_a_run_of_one_baseline_cycle_is_no_config_error(self, capsys):
         # Whether a frame is acknowledged in exactly one cycle depends on the draws.

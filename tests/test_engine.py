@@ -1,3 +1,5 @@
+"""The reference's event queue, and the engine's RNG streams and run determinism."""
+
 import hashlib
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coexsim.engine import NS_PER_MS, NS_PER_S, Engine, SchedulingError
+from coexsim.engine import NS_PER_MS, NS_PER_S, Engine
 
 from conftest import make_cfg, run_sim, trace_lines
+from event_path import EventEngine, SchedulingError
 
 
 def trace_times(engine):
@@ -17,14 +20,14 @@ def trace_times(engine):
 
 class TestScheduleAndDispatch:
     def test_event_at_current_time_dispatches(self):
-        engine = Engine(seed=1, trace=True)
+        engine = EventEngine(seed=1, trace=True)
         fired = []
         engine.schedule(0, "a", "n", lambda: fired.append(engine.now))
         engine.run_until(10)
         assert fired == [0]
 
     def test_equal_fire_times_dispatch_in_insertion_order(self):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         order = []
         engine.schedule(5, "first", "n", lambda: order.append("first"))
         engine.schedule(5, "second", "n", lambda: order.append("second"))
@@ -33,14 +36,14 @@ class TestScheduleAndDispatch:
         assert order == ["early", "first", "second"]
 
     def test_ten_ms_is_exactly_ten_million_ns(self):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         seen = []
         engine.schedule(10 * NS_PER_MS, "t", "n", lambda: seen.append(engine.now))
         engine.run_until(NS_PER_S)
         assert seen == [10_000_000]
 
     def test_scheduling_in_the_past_is_rejected(self):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         engine.schedule(5, "x", "n", lambda: engine.schedule(
             2, "bad", "n", lambda: None))
         with pytest.raises(SchedulingError):
@@ -49,7 +52,7 @@ class TestScheduleAndDispatch:
 
 class TestCancel:
     def test_cancel_pending_prevents_dispatch(self):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         fired = []
         handle = engine.schedule(5, "x", "n", lambda: fired.append(1))
         assert engine.cancel(handle) is True
@@ -57,13 +60,13 @@ class TestCancel:
         assert fired == []
 
     def test_cancel_after_fire_returns_false(self):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         handle = engine.schedule(5, "x", "n", lambda: None)
         engine.run_until(10)
         assert engine.cancel(handle) is False
 
     def test_double_cancel_returns_false(self):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         handle = engine.schedule(5, "x", "n", lambda: None)
         assert engine.cancel(handle) is True
         assert engine.cancel(handle) is False
@@ -72,7 +75,7 @@ class TestCancel:
 class TestHandlesAfterTheRun:
     @pytest.mark.parametrize("fate", ["fired", "cancelled", "past t_end"])
     def test_a_handle_holds_no_callback_once_the_run_is_over(self, fate):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         handle = engine.schedule(20 if fate == "past t_end" else 5, "x", "n", lambda: None)
         if fate == "cancelled":
             engine.cancel(handle)
@@ -83,12 +86,12 @@ class TestHandlesAfterTheRun:
 
 class TestRunUntil:
     def test_empty_queue_advances_clock(self):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         engine.run_until(10 * NS_PER_S)
         assert engine.now == 10 * NS_PER_S
 
     def test_one_ms_period_gives_ten_thousand_boundaries_in_ten_seconds(self):
-        engine = Engine(seed=1)
+        engine = EventEngine(seed=1)
         count = [0]
 
         def tick():
@@ -101,7 +104,7 @@ class TestRunUntil:
         assert count[0] == 10_000
 
     def test_dispatch_order_is_monotone_in_fire_time_then_seq(self):
-        engine = Engine(seed=3, trace=True)
+        engine = EventEngine(seed=3, trace=True)
         rng = engine.rng_stream("chaos")
         for _ in range(200):
             t = int(rng.integers(0, 1000))
@@ -147,7 +150,7 @@ class TestRngStreams:
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60))
 def test_dispatch_order_property(times):
-    engine = Engine(seed=1, trace=True)
+    engine = EventEngine(seed=1, trace=True)
     for t in times:
         engine.schedule(t, "e", "n", lambda: None)
     engine.run_until(20_000)

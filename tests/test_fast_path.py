@@ -1,14 +1,16 @@
-"""The station's fast-forward against the event path, and run-end invariants.
+"""The station's walk against the event path, and run-end invariants.
 
-The reference is the same run with ``DcfStation._skip_whole_cycles`` patched
-to advance nothing, which keeps every packet on the event path.  Runs are
-compared traced and untraced, under the hard and the soft PER rule, with the
-station as a run builds it.
+The reference is the same run on events (``event_path.EventSimulation``),
+which takes every packet one event at a time.  Runs are compared traced and
+untraced, under the hard and the soft PER rule, with the station as a run
+builds it.  ``COEXSIM_FUZZ_EXAMPLES`` sets the examples of the tests that
+draw configs for the comparison; by default each keeps its own.
 """
 
 import dataclasses
 import itertools
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,18 +18,26 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from coexsim import experiments
 from coexsim.config import ConfigError
-from coexsim.engine import NS_PER_S, NS_PER_US, Engine
+from coexsim.engine import NS_PER_S, NS_PER_US
 from coexsim.experiments import SCENARIOS, run_sweep
 from coexsim.simulation import Simulation
 from coexsim.wifi import (FAST_FORWARD_CHUNK, BackoffStream, DcfStation, ack_airtime_us,
                           frame_airtime_us)
 
 from conftest import backoffs, lte_intervals, make_cfg, traced_emissions
+from event_path import EventEngine, EventSimulation
 
 SEEDS = (1, 2, 5)
 INT64_MAX = 2**63 - 1
 SOFT_SLOPES = (0.5, 2.0, 40.0)
+FUZZ_EXAMPLES = os.environ.get("COEXSIM_FUZZ_EXAMPLES")
+
+
+def examples(default: int) -> int:
+    """A differential test's examples: ``COEXSIM_FUZZ_EXAMPLES`` if set, else its own."""
+    return int(FUZZ_EXAMPLES) if FUZZ_EXAMPLES else default
 
 
 def observe(cfg, seed, trace, fast=True):
@@ -42,9 +52,7 @@ def observe(cfg, seed, trace, fast=True):
     with pytest.MonkeyPatch.context() as patch:
         # draw, take and stretch all take their words through skip.
         patch.setattr(BackoffStream, "skip", counted)
-        if not fast:
-            patch.setattr(DcfStation, "_skip_whole_cycles", lambda self, now: now)
-        sim = Simulation(cfg, seed=seed, trace=trace)
+        sim = (Simulation if fast else EventSimulation)(cfg, seed=seed, trace=trace)
         metrics = sim.run()
     station = sim.station
     emissions = None
@@ -64,26 +72,19 @@ def observe(cfg, seed, trace, fast=True):
         "decode_rng": (None if station.decode_rng is None
                        else station.decode_rng.bit_generator.state),
         "trace": "".join(sim.engine.trace or ()),
-        "scheduled": sim.engine._seq,
         "feels_lte": station._feels_lte,
     }
 
 
 def assert_paths_agree(cfg, seed):
-    """Traced and untraced fast runs against the traced event path.
-
-    The trace does not pick the path: where the station feels the LTE, a
-    traced run steps and walks as an untraced one does, event for event.
-    """
+    """Traced and untraced walked runs against the traced event path."""
     events = observe(cfg, seed, True, fast=False)
     traced, untraced = observe(cfg, seed, True), observe(cfg, seed, False)
-    for key in events.keys() - {"scheduled"}:
+    for key in events:
         assert traced[key] == events[key], f"traced {key} differs at seed {seed}"
-    for key in events.keys() - {"scheduled", "trace", "wifi_emissions", "feels_lte"}:
+    for key in events.keys() - {"trace", "wifi_emissions", "feels_lte"}:
         assert untraced[key] == events[key], f"untraced {key} differs at seed {seed}"
     assert untraced["trace"] == ""
-    if untraced["feels_lte"]:
-        assert traced["scheduled"] == untraced["scheduled"], f"event counts differ at seed {seed}"
     return events, traced
 
 
@@ -115,17 +116,12 @@ def config_id(cfg):
 @pytest.mark.parametrize("cfg", MATRIX + FORCED, ids=config_id)
 def test_fast_path_matches_event_path(cfg):
     for seed in SEEDS:
-        events, fast = assert_paths_agree(cfg, seed)
-        if cfg.lte.duty == 0.0:
-            # A whole idle run is one step plus the cycles cut by the run end.
-            assert fast["scheduled"] < 20 < events["scheduled"]
+        assert_paths_agree(cfg, seed)
 
 
 @pytest.mark.parametrize("cfg", SOFT, ids=config_id)
 def test_fast_path_matches_event_path_under_soft_per(cfg):
-    events, fast = assert_paths_agree(cfg, 3)
-    if cfg.lte.duty == 0.0:
-        assert fast["scheduled"] < 20 < events["scheduled"]
+    assert_paths_agree(cfg, 3)
 
 
 @pytest.mark.parametrize("retry_limit", [7, 1, 0])
@@ -134,10 +130,9 @@ def test_soft_per_draws_mixed_outcomes_in_one_step(retry_limit):
     # by chance: the steps between LTE transitions see both outcomes.
     cfg = make_cfg(duty=1.0, lte_power=-16.0, prb=50, mcs=54, duration=0.8,
                    soft_slope_k=2.0, retry_limit=retry_limit)
-    events, fast = assert_paths_agree(cfg, 4)
+    _, fast = assert_paths_agree(cfg, 4)
     metrics = fast["metrics"]
     assert 0 < metrics.failures < metrics.attempts // 2
-    assert fast["scheduled"] < events["scheduled"] // 50
 
 
 # Long backoffs under short unsensed LTE periods: chunks whose first cycle ends
@@ -238,7 +233,7 @@ def contention_timing(draw):
     return slot_us, 2**bottom - 1, 2**top - 1
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(duty=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
        lte_power=st.floats(min_value=-20.0, max_value=15.0),
        mcs=st.sampled_from([6, 24, 54]),
@@ -268,19 +263,17 @@ def test_fast_path_matches_event_path_on_random_mac_settings(
 def test_step_matches_event_path_when_station_times_hit_lte_transitions():
     # LTE transitions on whole milliseconds and every MAC time a multiple of
     # 10 us (these payload and ACK sizes take a multiple of 5 OFDM symbols at
-    # both MCSs) put station events exactly on transitions.  There the event path
-    # dispatches the station's event after the LTE node's, so the walk must
-    # leave such an edge to the events, and the events the step hands over to
-    # must keep that order.
+    # both MCSs) put station events exactly on transitions.  There the event
+    # path dispatches whichever event was scheduled first, and the walk must
+    # keep that order.
     ties = []
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     # A transmission that starts at the end of its DIFS (k = 0) and ends on
     # the next LTE-on, after the step's last whole cycle.
     @example(slot_us=30, sifs_us=20, preamble_us=40, cw_min=0, mean_period_ms=17, duty=0.2,
              mcs=54, profile="vendor-B", lte_power=12.0, soft_slope_k=0.0, seed=3170611280)
-    # An LTE-off on the 50 ms run end: the event path writes run-end first,
-    # so the walk leaves that edge to the events.
+    # An LTE-off on the 50 ms run end, whose line follows the run-end line.
     @example(slot_us=10, sifs_us=10, preamble_us=10, cw_min=0, mean_period_ms=3, duty=0.8,
              mcs=6, profile="vendor-A", lte_power=12.0, soft_slope_k=0.0, seed=0)
     @given(slot_us=st.sampled_from([10, 20, 30]), sifs_us=st.sampled_from([10, 20]),
@@ -312,9 +305,7 @@ def test_stepped_run_metrics_are_python_ints(duty, ed_threshold, soft_slope_k):
     # The benchmark digests repr(astuple(metrics)): an np.int64 would change it.
     cfg = make_cfg(duty=duty, lte_power=-16.0, prb=50, duration=1.0,
                    cca_ed_threshold_dbm=ed_threshold, soft_slope_k=soft_slope_k)
-    sim = Simulation(cfg, seed=3)
-    metrics = sim.run()
-    assert sim.station.difs_completed > sim.engine._seq  # most cycles were stepped
+    metrics = Simulation(cfg, seed=3).run()
     assert [type(v) for v in dataclasses.astuple(metrics)] == [int] * 7
 
 
@@ -375,7 +366,6 @@ def test_ten_second_traced_soft_run_writes_the_event_path_text(cfg):
     events, fast = assert_paths_agree(cfg, 7)
     assert fast["trace"] == events["trace"]
     assert fast["trace"].endswith("\n10000000000 run-end engine\n")
-    assert fast["scheduled"] < events["scheduled"] // 20
     if cfg.lte.duty == 1.0:
         assert fast["metrics"].attempts > 4 * FAST_FORWARD_CHUNK
 
@@ -487,48 +477,36 @@ def test_clean_path_runs_in_the_compared_runs(cfg, monkeypatch):
         assert calls[True] == calls[False] > len(SEEDS)
 
 
-# perfbench's `runs` configs at seed 5: the events a 10 s run schedules, none
-# past its end.  A run that walks from its start at 0 to its end schedules
-# only its run-end.
-RUN_EVENTS = [("defaults", make_cfg(), False, 8), ("defaults", make_cfg(), True, 8),
-              ("duty0-mcs54", make_cfg(duty=0.0), False, 1),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False, 1),
-              ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True, 1)]
-
-
-@pytest.mark.parametrize("name,cfg,trace,scheduled", RUN_EVENTS,
-                         ids=[f"{name}-{'traced' if trace else 'untraced'}"
-                              for name, _, trace, _ in RUN_EVENTS])
-def test_events_a_ten_second_run_schedules(name, cfg, trace, scheduled):
-    sim = Simulation(cfg, seed=5, trace=trace)
-    sim.run()
-    assert sim.engine._seq == scheduled
+# perfbench's `runs` configs at seed 5, untraced and traced.
+TEN_SECOND_RUNS = [(make_cfg(), False), (make_cfg(), True), (make_cfg(duty=0.0), False),
+                   (make_cfg(lte_power=-16.0, mcs=6), False),
+                   (make_cfg(lte_power=-16.0, mcs=6), True)]
 
 
 def test_no_lte_event_is_scheduled_past_the_run_end(monkeypatch):
-    # Every run of the default grids at 0.2 s, the runs above, and runs without
-    # a station, whose LTE node arms itself at each transition.
+    # Every reference run of the default grids at 0.2 s, the runs above, and runs
+    # without a station, whose LTE node arms itself at each transition.
     scheduled = {}  # engine -> (fire_time, kind, target) of each event it scheduled
-    schedule = Engine.schedule
+    schedule = EventEngine.schedule
 
     def spy(engine, fire_time, kind, target, fn, detail=""):
         scheduled.setdefault(engine, []).append((fire_time, kind, target))
         return schedule(engine, fire_time, kind, target, fn, detail)
 
-    monkeypatch.setattr(Engine, "schedule", spy)
+    monkeypatch.setattr(EventEngine, "schedule", spy)
+    monkeypatch.setattr(experiments, "Simulation", EventSimulation)
     for name in sorted(SCENARIOS):
         scenario = SCENARIOS[name]()
         scenario.duration_s = 0.2
         run_sweep(scenario, 1)
-    for _, cfg, trace, _ in RUN_EVENTS:
-        Simulation(cfg, seed=5, trace=trace).run()
+    for cfg, trace in TEN_SECOND_RUNS:
+        EventSimulation(cfg, seed=5, trace=trace).run()
     for duty, seed in itertools.product((0.3, 0.5), SEEDS):
-        Simulation(make_cfg(duty=duty, duration=1.0), seed=seed, include_wifi=False).run()
+        EventSimulation(make_cfg(duty=duty, duration=1.0), seed=seed, include_wifi=False).run()
     late, armed = [], 0
-    for events in scheduled.values():
-        (end,) = [t for t, kind, _ in events if kind == "run-end"]
+    for engine, events in scheduled.items():
         lte = [(t, kind) for t, kind, target in events if target == "lte"]
-        late += [(t, kind, end) for t, kind in lte if t > end]
+        late += [(t, kind, engine.now) for t, kind in lte if t > engine.now]  # now: the run end
         armed += bool(lte)
     assert late == [] and armed > 2 * len(SEEDS)  # more than the runs without a station
 
@@ -572,29 +550,121 @@ def test_clean_path_logs_a_long_stretch_a_prefix_at_a_time():
 # -- the walk past LTE transitions -------------------------------------------
 
 
-def count_walked_edges(monkeypatch):
-    """Count the edges runs settled in closed form and the ones they left to
-    the events, keyed by whether the run was traced and by which."""
-    counts = dict.fromkeys(itertools.product((True, False), ("settled", "events")), 0)
-    walk_edge = DcfStation._walk_edge
+# The edges the walk once left to the events, by class.
+EDGE_CLASSES = ("tie", "run-end tie", "past the next transition",
+                "resume DIFS on the next transition")
+# A station event on an LTE transition: (its kind, or the vendor-B slot boundary or the
+# backoff end that starts the frame; the transition's kind; a residual frozen in the cycle).
+TIE_SHAPES = {("difs-end", "lte-on", False), ("difs-end", "lte-on", True),
+              ("difs-end", "lte-off", False), ("difs-end", "lte-off", True),
+              ("tx-start", "lte-on", False), ("tx-start", "lte-off", False),
+              ("tx-end", "lte-on", False), ("tx-end", "lte-off", False),
+              ("ack-result", "lte-on", False), ("ack-result", "lte-off", False),
+              ("ack-timeout", "lte-off", False), ("cca-sample", "lte-off", False)}
 
-    def counted(self, t, horizon):
-        resume = walk_edge(self, t, horizon)
-        counts[self.engine.trace is not None, "events" if resume is None else "settled"] += 1
+
+def count_walked_edges(monkeypatch):
+    """Count the compared runs' edges of each of ``EDGE_CLASSES``, and the shapes of
+    the ties before the run end.  A tie is a station event and an LTE event the
+    reference schedules at one instant, whichever of them fires; the other classes
+    are cycles a traced walk settles: one whose events reach a second transition,
+    and one after which contention resumes at an LTE-off and its DIFS would end on
+    the next LTE-on."""
+    counts, shapes = dict.fromkeys(EDGE_CLASSES, 0), set()
+    schedule, run_until = EventEngine.schedule, EventEngine.run_until
+    walk_edge, in_order = DcfStation._walk_edge, DcfStation._in_order
+
+    def logged(engine, fire_time, kind, target, fn, detail=""):
+        frozen = getattr(getattr(fn, "__self__", None), "pending_k", None) is not None
+        vars(engine).setdefault("log", []).append((fire_time, kind, target, detail, frozen))
+        return schedule(engine, fire_time, kind, target, fn, detail)
+
+    def ties(engine, t_end):
+        run_until(engine, t_end)
+        lte = {t: kind for t, kind, target, _, _ in engine.log if target == "lte"}
+        for t, kind, target, detail, frozen in engine.log:
+            if target == "wifi-tx" and t in lte and t <= t_end:
+                counts["run-end tie" if t == t_end else "tie"] += 1
+                if kind == "backoff-slot":
+                    kind = "tx-start" if detail else "slot boundary"
+                shapes.add((kind, lte[t], frozen))
+
+    def ordered(self, lines, transitions):
+        self.edge_lines, ahead = in_order(self, lines, transitions)
+        return self.edge_lines, ahead
+
+    def walked(self, t):
+        resume = walk_edge(self, t)
+        if self.engine.trace is not None:
+            lte, end = self.channel.lte, self.channel.end_ns
+            station = [at for at, _, node, _ in self.edge_lines if node == self.name]
+            passed = [at for at, _, node, _ in self.edge_lines if node == lte.name]
+            counts["past the next transition"] += (len(passed) > 1 and bool(station)
+                                                   and station[-1] >= passed[1])
+            counts["resume DIFS on the next transition"] += (
+                resume in passed and lte.passed < lte.by_end
+                and resume + self.difs_ns == lte.times[lte.passed])
         return resume
 
-    monkeypatch.setattr(DcfStation, "_walk_edge", counted)
-    return counts
+    monkeypatch.setattr(EventEngine, "schedule", logged)
+    monkeypatch.setattr(EventEngine, "run_until", ties)
+    monkeypatch.setattr(DcfStation, "_in_order", ordered)
+    monkeypatch.setattr(DcfStation, "_walk_edge", walked)
+    return counts, shapes
+
+
+# Configs as ``check`` below takes them.  A station that defers to the LTE: vendor-A at
+# 12 dBm, 1 ms slots and SIFS; and one that does not: its ED threshold is 30 dBm.
+DEFERS_MS = dict(duty=0.2, mean_period_ms=5, align_ms=1, profile="vendor-A", lte_power=12.0,
+                 ed_threshold=None, soft_slope_k=0.0, retry_limit=0, slot_us=1000,
+                 sifs_us=1000, cw_min=15, mcs=54, duration=0.05)
+SENSES_NONE = dict(DEFERS_MS, ed_threshold=30.0)
 
 
 def test_walked_edges_match_the_event_path(monkeypatch):
     # Short periods, long slots and a SIFS of whole milliseconds put edges
-    # where the closed form must hand over: on-periods shorter than a cycle,
-    # and vendor-B slot boundaries on the LTE-off.  Soft PER draws inside an
-    # edge, and retry limits of 0 and 1 drop a packet there.
-    counts = count_walked_edges(monkeypatch)
+    # where the events meet the closed form's hardest cases: on-periods shorter
+    # than a cycle, vendor-B slot boundaries on the LTE-off, and station events
+    # on transitions, whose order the walk carries from edge to edge.  Soft PER
+    # draws inside an edge, and retry limits of 0 and 1 drop a packet there.  The
+    # examples pin each class and each shape of tie, at the shortest run that
+    # holds it.
+    counts, shapes = count_walked_edges(monkeypatch)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
+    # A DIFS that ends on an LTE-on (4 ms), and one that resumes a frozen residual and
+    # ends on an LTE-off (8 ms).
+    @example(**dict(DEFERS_MS, soft_slope_k=2.0, retry_limit=1, mcs=6), seed=1037379163)
+    # A DIFS that resumes a frozen residual and ends on an LTE-on, vendor-B (8 ms).
+    @example(**dict(DEFERS_MS, profile="vendor-B", soft_slope_k=2.0, retry_limit=1),
+             seed=3622357395)
+    # A DIFS on an LTE-off with no residual, vendor-B at -1 dBm (4 ms).
+    @example(**dict(DEFERS_MS, profile="vendor-B", lte_power=-1.0, cw_min=1), seed=2048051427)
+    # The end of a backoff, which starts the frame, on an LTE-on (6 ms) and on an
+    # LTE-off (5 ms).
+    @example(**dict(DEFERS_MS, mean_period_ms=10, cw_min=1, mcs=6), seed=1412354858)
+    @example(**dict(DEFERS_MS, lte_power=-1.0, soft_slope_k=2.0, retry_limit=7, cw_min=1, mcs=6),
+             seed=1076155545)
+    # A data frame that ends on an LTE-on (22 ms) and on an LTE-off (6 ms).
+    @example(**dict(DEFERS_MS, duty=0.8, mean_period_ms=11, lte_power=-1.0, retry_limit=7,
+                    slot_us=20, sifs_us=16, cw_min=0), seed=3686552560)
+    @example(**dict(DEFERS_MS, duty=0.5, mean_period_ms=12, align_ms=10, lte_power=-16.0,
+                    soft_slope_k=2.0, retry_limit=7, slot_us=20, cw_min=1), seed=528909101)
+    # An ACK that ends on an LTE-on (20 ms) and on an LTE-off (63 ms).
+    @example(**dict(DEFERS_MS, duty=0.8, mean_period_ms=12, align_ms=10, lte_power=-1.0,
+                    retry_limit=7, slot_us=20, sifs_us=16), seed=2073824668)
+    @example(**dict(SENSES_NONE, mean_period_ms=15, align_ms=10, lte_power=-16.0, slot_us=9,
+                    mcs=6, duration=0.064), seed=2550688731)
+    # An ACK timeout (53 ms) and the slot after an undecoded ACK (51 ms) on an LTE-off.
+    @example(**dict(SENSES_NONE, duty=0.5, mean_period_ms=35, lte_power=-1.0, soft_slope_k=2.0,
+                    slot_us=20, sifs_us=16, duration=0.054), seed=3152972355)
+    @example(**dict(DEFERS_MS, mean_period_ms=7, align_ms=10, retry_limit=7, slot_us=20,
+                    duration=0.052), seed=1848311092)
+    # Contention resumes at an LTE-off whose DIFS would end on the next LTE-on (10 ms).
+    @example(**dict(DEFERS_MS, profile="vendor-B", lte_power=-1.0), seed=2571733700)
+    # A DIFS that ends on an LTE-on at the run end.
+    @example(**dict(DEFERS_MS, duty=0.5, mean_period_ms=8, profile="vendor-B", lte_power=-1.0,
+                    retry_limit=7, cw_min=1, mcs=6, duration=0.2), seed=239060596)
     @given(duty=st.sampled_from([0.2, 0.5, 0.8]), mean_period_ms=st.integers(5, 40),
            align_ms=st.sampled_from([1, 10]), profile=st.sampled_from(["vendor-A", "vendor-B"]),
            lte_power=st.sampled_from([-16.0, -1.0, 12.0]),
@@ -614,8 +684,8 @@ def test_walked_edges_match_the_event_path(monkeypatch):
         assert_paths_agree(cfg, seed)
 
     check()
-    assert counts[False, "settled"] > 0 and counts[False, "events"] > 0
-    assert counts[True, "settled"] > 0
+    assert all(counts.values()), counts
+    assert TIE_SHAPES <= shapes, TIE_SHAPES - shapes
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -626,7 +696,7 @@ def test_walk_keeps_the_bytes_of_each_default_sweep(name):
     scenario.reps, scenario.duration_s = 2, 0.5
     walked = run_sweep(scenario, 1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DcfStation, "_skip_whole_cycles", lambda self, now: now)
+        patch.setattr(experiments, "Simulation", EventSimulation)
         events = run_sweep(scenario, 1)
     assert walked.to_csv_text() == events.to_csv_text()
     assert walked.summary_csv_text() == events.summary_csv_text()
@@ -694,12 +764,10 @@ def test_cut_cycle_at_the_run_end_matches_the_event_path():
     # each phase.
     seen = set()
 
-    @settings(max_examples=300, deadline=None)
-    # A last stretch whose horizon is the run end: its cut cycle ran on events
-    # from its DIFS.
+    @settings(max_examples=examples(300), deadline=None)
+    # A last stretch whose horizon is the run end.
     @example(**IDLE, mark="tx-end", nth=20, shift=-100_000)
-    # A deferring station whose last LTE-on lasts past the run end: its crossing
-    # cycle ran on events.
+    # A deferring station whose last LTE-on lasts past the run end.
     @example(**dict(IDLE, duty=0.5), mark="lte-on", nth=2, shift=1000)
     # Inside the backoff, SIFS and ACK, and exactly on each boundary.
     @example(**IDLE, mark="backoff-slot", nth=20, shift=-1)
@@ -722,7 +790,7 @@ def test_cut_cycle_at_the_run_end_matches_the_event_path():
     @example(**ABORTING, mark="lte-off", nth=2, shift=10_000)
     # A transition on the run end, whose line follows the run-end line: an
     # LTE-on, an LTE-off, one with an ACK in the air, and two with a station
-    # event there too, which the events order.
+    # event there too, in the order the events dispatch them.
     @example(**dict(IDLE, duty=0.5), mark="lte-on", nth=2, shift=0)
     @example(**dict(IDLE, duty=0.5), mark="lte-off", nth=2, shift=0)
     @example(**DECODING, mark="lte-off", nth=6, shift=0)
@@ -762,46 +830,6 @@ def test_cut_cycle_at_the_run_end_matches_the_event_path():
 
     check()
     assert CUT_PHASES <= seen, CUT_PHASES - seen
-
-
-def cycle_marks(station, t):
-    """The times of the events of a cycle from ``t``: DIFS end, backoff end, data
-    end, ACK end and the slot after it."""
-    k = station.pending_k
-    k = station.backoff.peek_one(station.cw.bit_length()) if k is None else k
-    tx_start = t + station.difs_ns + k * station.slot_ns
-    ack_end = tx_start + station.data_air_ns + station.sifs_ns + station.ack_air_ns
-    return (t + station.difs_ns, tx_start, tx_start + station.data_air_ns, ack_end,
-            ack_end + station.slot_ns)
-
-
-def test_default_grids_leave_no_edge_at_the_run_end_to_the_events(monkeypatch):
-    # At the sweeps' 0.2 s the run end cuts a cycle of every run whose station
-    # contends.  The walk settles it, and hands a cycle over to the events
-    # only for a station event on an LTE transition before the run end (a tie).
-    counts = dict.fromkeys(("contending runs", "settled at the run end", "tie", "other"), 0)
-    walk_edge, flush = DcfStation._walk_edge, DcfStation.flush
-
-    def counted(self, t, horizon):
-        marks, end = cycle_marks(self, t), self.channel.end_ns
-        resume = walk_edge(self, t, horizon)
-        if resume is None:
-            counts["tie" if horizon < end and horizon in marks else "other"] += 1
-        counts["settled at the run end"] += resume is not None and resume >= end
-        return resume
-
-    def flushed(self, t_end_ns):
-        counts["contending runs"] += self.difs_completed > 0
-        flush(self, t_end_ns)
-
-    monkeypatch.setattr(DcfStation, "_walk_edge", counted)
-    monkeypatch.setattr(DcfStation, "flush", flushed)
-    for name in sorted(SCENARIOS):
-        scenario = SCENARIOS[name]()
-        scenario.reps, scenario.duration_s = 2, 0.2
-        run_sweep(scenario, 1)
-    assert counts["other"] == 0
-    assert counts["settled at the run end"] + counts["tie"] >= counts["contending runs"] > 400
 
 
 # -- stretches in which every cycle fails ----------------------------------------
@@ -853,7 +881,7 @@ def test_all_failing_stretches_match_the_event_path(monkeypatch):
     # not sense, the other links lose the data, or only the ACK.
     seen, case = count_failing_stretches(monkeypatch)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     # Every start phase of each retry ladder, and frozen residuals.
     @example(**DEAD, retry_limit=2, seed=1)
     @example(**DEAD, retry_limit=3, seed=1)
@@ -947,39 +975,3 @@ def test_the_start_matches_the_event_path(case, soft_slope_k):
         # The tie dispatches the LTE-off first: it was armed at 0, before the station's events.
         kind = "ack-result" if "cycle" in case else "difs-end"
         assert f"1000000 lte-off lte\n1000000 {kind} wifi-tx\n" in events["trace"]
-
-
-def test_a_walk_to_the_run_end_schedules_its_run_end_and_a_later_start(monkeypatch):
-    # Every untraced run of the four default grids at 0.2 s whose station walks from
-    # its first contention to the run end schedules its run-end, and an event to
-    # start it if that is after 0 (a first LTE-off); the LTE node schedules nothing.
-    first_walks, counts = {}, dict.fromkeys(("at 0", "after 0", "never", "handed over"), 0)
-    skip, run = DcfStation._skip_whole_cycles, Simulation.run
-
-    def walk(self, now):
-        advanced_to = skip(self, now)
-        first_walks.setdefault(self, (now, advanced_to))
-        return advanced_to
-
-    def counted(self):
-        metrics = run(self)
-        start, advanced_to = first_walks.pop(self.station, (None, None))
-        if start is None:  # a deferring station under an LTE-on past the run end
-            assert self.engine._seq == 1
-            counts["never"] += 1
-        elif advanced_to == self.duration_ns:
-            assert self.engine._seq == 1 + (start > 0)
-            counts["after 0" if start else "at 0"] += 1
-        else:
-            counts["handed over"] += 1
-        return metrics
-
-    monkeypatch.setattr(DcfStation, "_skip_whole_cycles", walk)
-    monkeypatch.setattr(Simulation, "run", counted)
-    for name in sorted(SCENARIOS):
-        scenario = SCENARIOS[name]()
-        scenario.reps, scenario.duration_s = 2, 0.2
-        run_sweep(scenario, 1)
-    # Nearly every run walks to its end; the rest hand a tie on a transition to the events.
-    assert min(counts["at 0"], counts["after 0"]) > 100 and counts["never"] > 0
-    assert counts["handed over"] < 20

@@ -1,6 +1,7 @@
 """A run's references point one way, simulation to station to medium to LTE
-node to engine, and an event drops its callback once it cannot fire: so a
-finished run is freed by reference counting, with the cyclic collector off."""
+node to engine: so a finished run is freed by reference counting, with the
+cyclic collector off.  So is a run on the reference's events, each of which
+drops its callback once it cannot fire."""
 
 import gc
 import weakref
@@ -10,9 +11,9 @@ import pytest
 from coexsim.cli import main
 from coexsim.engine import Engine
 from coexsim.simulation import Simulation
-from coexsim.wifi import DcfStation
 
 from conftest import make_cfg
+from event_path import EventSimulation, EventStation
 
 SHORT = 0.2
 RUNS = {
@@ -33,20 +34,19 @@ RUNS = {
 def test_a_finished_run_is_freed_by_reference_counting(case, path, monkeypatch):
     cfg, options = RUNS[case]
     switched = 0
-    lte_switched = DcfStation.lte_switched
+    lte_switched = EventStation.lte_switched
 
     def counted(station, now):
         nonlocal switched
         switched += 1
         lte_switched(station, now)
 
-    monkeypatch.setattr(DcfStation, "lte_switched", counted)
-    if path == "events":  # every packet an event: the most cancelled and pending handles
-        monkeypatch.setattr(DcfStation, "_skip_whole_cycles", lambda self, now: now)
+    monkeypatch.setattr(EventStation, "lte_switched", counted)
     gc.collect()
     gc.disable()
     try:
-        sim = Simulation(cfg, seed=5, **options)
+        # Every packet an event: the most cancelled and pending handles.
+        sim = (Simulation if path == "walked" else EventSimulation)(cfg, seed=5, **options)
         sim.run()
         engine = weakref.ref(sim.engine)
         del sim
