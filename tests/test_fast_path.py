@@ -552,7 +552,7 @@ def test_clean_path_logs_a_long_stretch_a_prefix_at_a_time():
 
 # The edges the walk once left to the events, by class.
 EDGE_CLASSES = ("tie", "run-end tie", "past the next transition",
-                "resume DIFS on the next transition")
+                "resume DIFS on the next transition", "countdown on past an LTE period")
 # A station event on an LTE transition: (its kind, or the vendor-B slot boundary or the
 # backoff end that starts the frame; the transition's kind; a residual frozen in the cycle).
 TIE_SHAPES = {("difs-end", "lte-on", False), ("difs-end", "lte-on", True),
@@ -560,7 +560,8 @@ TIE_SHAPES = {("difs-end", "lte-on", False), ("difs-end", "lte-on", True),
               ("tx-start", "lte-on", False), ("tx-start", "lte-off", False),
               ("tx-end", "lte-on", False), ("tx-end", "lte-off", False),
               ("ack-result", "lte-on", False), ("ack-result", "lte-off", False),
-              ("ack-timeout", "lte-off", False), ("cca-sample", "lte-off", False)}
+              ("ack-timeout", "lte-off", False), ("cca-sample", "lte-off", False),
+              ("slot boundary", "lte-off", False)}
 
 
 def count_walked_edges(monkeypatch):
@@ -568,8 +569,9 @@ def count_walked_edges(monkeypatch):
     the ties before the run end.  A tie is a station event and an LTE event the
     reference schedules at one instant, whichever of them fires; the other classes
     are cycles a traced walk settles: one whose events reach a second transition,
-    and one after which contention resumes at an LTE-off and its DIFS would end on
-    the next LTE-on."""
+    one after which contention resumes at an LTE-off and its DIFS would end on the
+    next LTE-on, and one whose vendor-B countdown goes on from a slot boundary that
+    an LTE period shorter than a slot let pass idle."""
     counts, shapes = dict.fromkeys(EDGE_CLASSES, 0), set()
     schedule, run_until = EventEngine.schedule, EventEngine.run_until
     walk_edge, in_order = DcfStation._walk_edge, DcfStation._in_order
@@ -604,6 +606,10 @@ def count_walked_edges(monkeypatch):
             counts["resume DIFS on the next transition"] += (
                 resume in passed and lte.passed < lte.by_end
                 and resume + self.difs_ns == lte.times[lte.passed])
+            kinds = [(kind, detail) for _, kind, node, detail in self.edge_lines
+                     if node == self.name]
+            counts["countdown on past an LTE period"] += (
+                ("backoff-slot", "") in kinds and kinds[-1] != ("backoff-slot", ""))
         return resume
 
     monkeypatch.setattr(EventEngine, "schedule", logged)
@@ -617,14 +623,14 @@ def count_walked_edges(monkeypatch):
 # 12 dBm, 1 ms slots and SIFS; and one that does not: its ED threshold is 30 dBm.
 DEFERS_MS = dict(duty=0.2, mean_period_ms=5, align_ms=1, profile="vendor-A", lte_power=12.0,
                  ed_threshold=None, soft_slope_k=0.0, retry_limit=0, slot_us=1000,
-                 sifs_us=1000, cw_min=15, mcs=54, duration=0.05)
+                 sifs_us=1000, cw_min=15, mcs=54, payload_bytes=1500, duration=0.05)
 SENSES_NONE = dict(DEFERS_MS, ed_threshold=30.0)
 
 
 def test_walked_edges_match_the_event_path(monkeypatch):
     # Short periods, long slots and a SIFS of whole milliseconds put edges
     # where the events meet the closed form's hardest cases: on-periods shorter
-    # than a cycle, vendor-B slot boundaries on the LTE-off, and station events
+    # than a cycle or a slot, vendor-B slot boundaries on the LTE-off, and station events
     # on transitions, whose order the walk carries from edge to edge.  Soft PER
     # draws inside an edge, and retry limits of 0 and 1 drop a packet there.  The
     # examples pin each class and each shape of tie, at the shortest run that
@@ -662,6 +668,19 @@ def test_walked_edges_match_the_event_path(monkeypatch):
                     duration=0.052), seed=1848311092)
     # Contention resumes at an LTE-off whose DIFS would end on the next LTE-on (10 ms).
     @example(**dict(DEFERS_MS, profile="vendor-B", lte_power=-1.0), seed=2571733700)
+    # Slots of 2 ms against 1 ms LTE periods: vendor-B's countdown goes on from a slot
+    # boundary the LTE let pass idle (13 ms), and a slot boundary on an LTE-off, where
+    # the station freezes first and then contends (12 ms).
+    @example(**dict(DEFERS_MS, mean_period_ms=7, profile="vendor-B", retry_limit=1,
+                    slot_us=2000, sifs_us=16, mcs=6), seed=3129038158)
+    @example(**dict(DEFERS_MS, profile="vendor-B", lte_power=-1.0, soft_slope_k=2.0,
+                    retry_limit=1, slot_us=2000), seed=1663493039)
+    # A cycle whose ACK ends on an LTE-off, the LTE's on-period inside its SIFS, and the
+    # next DIFS on the next LTE-on: the tie at the cycle's end keeps the station first,
+    # so the DIFS ends before the LTE-on cuts it (9 ms).  At 6 Mbps a 661-byte frame and
+    # its ACK take exactly 1 ms.
+    @example(**dict(DEFERS_MS, duty=0.25, mean_period_ms=4, lte_power=-1.0, soft_slope_k=2.0,
+                    retry_limit=1, cw_min=0, mcs=6, payload_bytes=661), seed=1070867289)
     # A DIFS that ends on an LTE-on at the run end.
     @example(**dict(DEFERS_MS, duty=0.5, mean_period_ms=8, profile="vendor-B", lte_power=-1.0,
                     retry_limit=7, cw_min=1, mcs=6, duration=0.2), seed=239060596)
@@ -670,16 +689,17 @@ def test_walked_edges_match_the_event_path(monkeypatch):
            lte_power=st.sampled_from([-16.0, -1.0, 12.0]),
            ed_threshold=st.sampled_from([None, 30.0]),  # 30 dBm: never defers
            soft_slope_k=st.sampled_from([0.0, 2.0]), retry_limit=st.sampled_from([0, 1, 7]),
-           slot_us=st.sampled_from([9, 20, 1000]), sifs_us=st.sampled_from([16, 1000]),
+           slot_us=st.sampled_from([9, 20, 1000, 2000]), sifs_us=st.sampled_from([16, 1000]),
            cw_min=st.sampled_from([0, 1, 15]), mcs=st.sampled_from([6, 54]),
+           payload_bytes=st.sampled_from([1500, 661]),
            duration=st.floats(0.05, 0.2), seed=st.integers(0, 2**32))
     def check(duty, mean_period_ms, align_ms, profile, lte_power, ed_threshold, soft_slope_k,
-              retry_limit, slot_us, sifs_us, cw_min, mcs, duration, seed):
+              retry_limit, slot_us, sifs_us, cw_min, mcs, payload_bytes, duration, seed):
         cfg = make_cfg(duty=duty, lte_power=lte_power, mcs=mcs, profile=profile,
                        mean_period_ms=mean_period_ms, duration=duration,
                        cca_ed_threshold_dbm=ed_threshold, soft_slope_k=soft_slope_k,
                        retry_limit=retry_limit, slot_us=slot_us, sifs_us=sifs_us,
-                       cw_min=cw_min)
+                       cw_min=cw_min, payload_bytes=payload_bytes)
         cfg = dataclasses.replace(cfg, lte=dataclasses.replace(cfg.lte, frame_align_ms=align_ms))
         assert_paths_agree(cfg, seed)
 
