@@ -598,7 +598,7 @@ def count_walked_edges(monkeypatch):
     def walked(self, t):
         resume = walk_edge(self, t)
         if self.engine.trace is not None:
-            lte, end = self.channel.lte, self.channel.end_ns
+            lte = self.channel.lte
             station = [at for at, _, node, _ in self.edge_lines if node == self.name]
             passed = [at for at, _, node, _ in self.edge_lines if node == lte.name]
             counts["past the next transition"] += (len(passed) > 1 and bool(station)
