@@ -94,7 +94,7 @@ def analytic_goodput_mbps(mcs_mbps: int, payload_bytes: int,
 
     Per-packet cycle: DIFS + E[backoff] x slot + data + SIFS + ACK, with
     E[backoff] = cw_min / 2 over the uniform {0..cw_min} draw.  This is the
-    independent oracle the event-driven path is validated against.
+    independent oracle a run is validated against.
     """
     cycle_us = (params.difs_us
                 + params.cw_min / 2.0 * params.slot_us

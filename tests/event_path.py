@@ -32,7 +32,7 @@ class Event:
 
     fire_time: int  # ns since run start
     seq: int        # insertion counter, unique per run
-    kind: str       # e.g. lte-on, lte-off, difs-end, backoff-slot, tx-end, ack-timeout, run-end
+    kind: str       # e.g. lte-on, lte-off, difs-end, backoff-slot, tx-end, ack-timeout
     target: str     # node identifier
     fn: Callable[[], None] | None = field(repr=False)  # None once it cannot fire
     detail: str = ""
