@@ -7,6 +7,8 @@ builds it.  ``COEXSIM_FUZZ_EXAMPLES`` sets the examples of the tests that
 draw configs for the comparison; by default each keeps its own.
 """
 
+import bisect
+import collections
 import dataclasses
 import itertools
 import math
@@ -478,9 +480,51 @@ def test_clean_path_runs_in_the_compared_runs(cfg, monkeypatch):
 
 
 # perfbench's `runs` configs at seed 5, untraced and traced.
-TEN_SECOND_RUNS = [(make_cfg(), False), (make_cfg(), True), (make_cfg(duty=0.0), False),
-                   (make_cfg(lte_power=-16.0, mcs=6), False),
-                   (make_cfg(lte_power=-16.0, mcs=6), True)]
+TEN_SECOND_RUNS = [("defaults", make_cfg(), False), ("defaults", make_cfg(), True),
+                   ("duty0-mcs54", make_cfg(duty=0.0), False),
+                   ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), False),
+                   ("lte-16dbm-mcs6", make_cfg(lte_power=-16.0, mcs=6), True)]
+
+
+def count_scheduled(monkeypatch) -> collections.Counter:
+    """Count the events reference runs schedule, by kind."""
+    kinds = collections.Counter()
+    schedule = EventEngine.schedule
+
+    def spy(engine, fire_time, kind, target, fn, detail=""):
+        kinds[kind] += 1
+        return schedule(engine, fire_time, kind, target, fn, detail)
+
+    monkeypatch.setattr(EventEngine, "schedule", spy)
+    return kinds
+
+
+@pytest.mark.parametrize("name,cfg,trace", TEN_SECOND_RUNS,
+                         ids=[f"{name}-{'traced' if trace else 'untraced'}"
+                              for name, _, trace in TEN_SECOND_RUNS])
+def test_events_a_ten_second_run_schedules(name, cfg, trace, monkeypatch):
+    # The program's run is the walk and schedules no event.  The reference's run
+    # schedules an event per LTE transition after the station's first idle instant
+    # and by the run end, the walk passing each transition by the run end, and a
+    # data frame's end per attempt the walk counts.
+    kinds, firsts = count_scheduled(monkeypatch), {}
+    first_idle = DcfStation.first_idle
+
+    def first(station):
+        firsts[station] = t = first_idle(station)
+        return t
+
+    monkeypatch.setattr(DcfStation, "first_idle", first)
+    walked, events = Simulation(cfg, seed=5, trace=trace), EventSimulation(cfg, seed=5, trace=trace)
+    metrics = walked.run()
+    assert events.run() == metrics
+    assert "".join(events.engine.trace or ()) == "".join(walked.engine.trace or ())
+    assert not hasattr(walked.engine, "schedule")
+    lte, start = walked.lte_node, firsts[walked.station]
+    assert start == firsts[events.station]
+    assert lte.passed == lte.by_end
+    assert kinds["lte-on"] + kinds["lte-off"] == lte.by_end - bisect.bisect_right(lte.times, start)
+    assert kinds["tx-end"] == metrics.attempts > 0
 
 
 def test_no_lte_event_is_scheduled_past_the_run_end(monkeypatch):
@@ -499,7 +543,7 @@ def test_no_lte_event_is_scheduled_past_the_run_end(monkeypatch):
         scenario = SCENARIOS[name]()
         scenario.duration_s = 0.2
         run_sweep(scenario, 1)
-    for cfg, trace in TEN_SECOND_RUNS:
+    for _, cfg, trace in TEN_SECOND_RUNS:
         EventSimulation(cfg, seed=5, trace=trace).run()
     for duty, seed in itertools.product((0.3, 0.5), SEEDS):
         EventSimulation(make_cfg(duty=duty, duration=1.0), seed=seed, include_wifi=False).run()
@@ -852,6 +896,49 @@ def test_cut_cycle_at_the_run_end_matches_the_event_path():
     assert CUT_PHASES <= seen, CUT_PHASES - seen
 
 
+def cycle_marks(station, t):
+    """The times of the events of a cycle from ``t``: DIFS end, backoff end, data
+    end, ACK end and the slot after it."""
+    k = station.pending_k
+    k = station.backoff.peek_one(station.cw.bit_length()) if k is None else k
+    tx_start = t + station.difs_ns + k * station.slot_ns
+    ack_end = tx_start + station.data_air_ns + station.sifs_ns + station.ack_air_ns
+    return (t + station.difs_ns, tx_start, tx_start + station.data_air_ns, ack_end,
+            ack_end + station.slot_ns)
+
+
+def test_default_grids_leave_no_edge_at_the_run_end_to_the_events(monkeypatch):
+    # At the sweeps' 0.2 s the run end cuts a cycle of every run whose station
+    # contends.  The walk settles it: each edge resumes contention after it
+    # starts, and the last one at or past the run end.  A cycle with a station
+    # event on the LTE transition it meets before the run end (a tie) is walked
+    # as any other.
+    counts = dict.fromkeys(("contending runs", "settled at the run end", "tie"), 0)
+    walk_edge, flush = DcfStation._walk_edge, DcfStation.flush
+
+    def counted(self, t):
+        lte, end = self.channel.lte, self.channel.end_ns
+        marks = cycle_marks(self, t)
+        at = lte.times[lte.passed] if self._feels_lte and lte.passed < lte.by_end else end
+        resume = walk_edge(self, t)
+        assert resume > t
+        counts["tie"] += at < end and at in marks
+        counts["settled at the run end"] += resume >= end
+        return resume
+
+    def flushed(self):
+        counts["contending runs"] += self.difs_completed > 0
+        flush(self)
+
+    monkeypatch.setattr(DcfStation, "_walk_edge", counted)
+    monkeypatch.setattr(DcfStation, "flush", flushed)
+    for name in sorted(SCENARIOS):
+        scenario = SCENARIOS[name]()
+        scenario.reps, scenario.duration_s = 2, 0.2
+        run_sweep(scenario, 1)
+    assert counts["settled at the run end"] == counts["contending runs"] > 400
+
+
 # -- stretches in which every cycle fails ----------------------------------------
 
 # Links whose cycles fail: every frame lost on a dead link, in both LTE states;
@@ -995,3 +1082,59 @@ def test_the_start_matches_the_event_path(case, soft_slope_k):
         # The tie dispatches the LTE-off first: it was armed at 0, before the station's events.
         kind = "ack-result" if "cycle" in case else "difs-end"
         assert f"1000000 lte-off lte\n1000000 {kind} wifi-tx\n" in events["trace"]
+
+
+def test_a_walk_to_the_run_end_schedules_its_run_end_and_a_later_start(monkeypatch):
+    # Every untraced run of the four default grids at 0.2 s walks from its first
+    # idle instant to the run end and schedules nothing.  The reference run of it
+    # schedules the start, if after 0 (a first LTE-off) and before the run end, as
+    # an event with no kind, and its clock stops at the run end.
+    counts = dict.fromkeys(("at 0", "after 0", "never"), 0)
+    firsts, lasts, starts = {}, {}, {}
+    first_idle, walk_edge, schedule = (DcfStation.first_idle, DcfStation._walk_edge,
+                                       EventEngine.schedule)
+
+    def first(station):
+        firsts[station] = t = first_idle(station)
+        return t
+
+    def walked(station, t):
+        lasts[station] = resume = walk_edge(station, t)
+        return resume
+
+    def spy(engine, fire_time, kind, target, fn, detail=""):
+        if not kind:
+            starts.setdefault(engine, []).append(fire_time)
+        return schedule(engine, fire_time, kind, target, fn, detail)
+
+    class Both:
+        """A grid point's run, walked and on events."""
+
+        def __init__(self, cfg, seed):
+            self.walked, self.events = Simulation(cfg, seed=seed), EventSimulation(cfg, seed=seed)
+
+        def run(self):
+            metrics, end = self.walked.run(), self.walked.duration_ns
+            assert self.events.run() == metrics
+            assert not hasattr(self.walked.engine, "schedule") and self.events.engine.now == end
+            station, kindless = self.walked.station, starts.get(self.events.engine, [])
+            start = firsts[station]
+            assert start == firsts[self.events.station]
+            if start >= end:  # a deferring station under an LTE-on past the run end
+                assert station not in lasts and kindless == []
+                counts["never"] += 1
+            else:
+                assert lasts[station] >= end
+                assert kindless == ([start] if start else [])
+                counts["after 0" if start else "at 0"] += 1
+            return metrics
+
+    monkeypatch.setattr(DcfStation, "first_idle", first)
+    monkeypatch.setattr(DcfStation, "_walk_edge", walked)
+    monkeypatch.setattr(EventEngine, "schedule", spy)
+    monkeypatch.setattr(experiments, "Simulation", Both)
+    for name in sorted(SCENARIOS):
+        scenario = SCENARIOS[name]()
+        scenario.reps, scenario.duration_s = 2, 0.2
+        run_sweep(scenario, 1)
+    assert min(counts["at 0"], counts["after 0"]) > 100 and counts["never"] > 0
