@@ -138,36 +138,42 @@ class Medium:
 
 
 class Simulation:
-    """One closed, seeded run; repeated construction reproduces it bit-exactly."""
+    """One closed, seeded run; repeated construction reproduces it bit-exactly.
+
+    The types of its engine, LTE node and station are class attributes, so the
+    event-driven reference in the tests builds this set-up from its own parts."""
+
+    engine_type, lte_type, station_type = Engine, LteNode, DcfStation
 
     def __init__(self, cfg: RunConfig, seed: int | None = None, trace: bool = False,
                  include_wifi: bool = True) -> None:
-        self.engine = Engine(cfg.seed if seed is None else seed, trace=trace)
+        self.engine = self.engine_type(cfg.seed if seed is None else seed, trace=trace)
         self.acc = MetricsAccumulator()
         self.duration_ns = int(round(cfg.duration_s * NS_PER_S))
         # A sweep's seed carries the plan it looked up, which spares hashing the config.
         p = getattr(seed, "plan", None) or plan(cfg.lte, cfg.wifi, cfg.radio)
-        self.lte_node = LteNode(self.engine, self.duration_ns, p.period)
+        self.lte_node = self.lte_type(self.engine, self.duration_ns, p.period)
         self.medium = Medium(p, self.lte_node)
 
         self.station = None
         if include_wifi:
-            self.station = DcfStation(self.engine, self.medium, p.station, self.acc)
+            self.station = self.station_type(self.engine, self.medium, p.station, self.acc)
 
     def run(self) -> RunMetrics:
-        lte, end, trace = self.lte_node, self.duration_ns, self.engine.trace
+        lte = self.lte_node
         if self.station is not None:
             self.station.start()
         else:  # the LTE node alone: every transition by the run end happens
             lte.passed = lte.by_end
-            if trace is not None:
-                self.engine.write(lte.lines(0, lte.passed), end)
-        if trace is not None:
-            self.engine.close(end)
+            if self.engine.trace is not None:
+                self.engine.write(lte.lines(0, lte.passed), self.duration_ns)
         return self.finish()
 
     def finish(self) -> RunMetrics:
-        """The run's metrics once it reached its end."""
+        """End a run that reached its end: the run-end line if traced, then the metrics.
+        The event-driven reference in the tests ends its runs here too."""
+        if self.engine.trace is not None:
+            self.engine.close(self.duration_ns)
         if self.station is not None:
             self.station.flush()
         # The LTE airtime: each off less its on, and an on still open runs to the end.

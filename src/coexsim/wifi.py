@@ -278,7 +278,8 @@ class DcfStation:
     def first_idle(self) -> int:
         """The first idle instant, 0 or the first LTE-off for a station that defers
         (past the run end at duty 1), with the transitions up to it counted and, traced,
-        their lines and the start line."""
+        their lines and the start line.  ``start`` walks from there, as the event-driven
+        reference in the tests contends from there."""
         lte, times, end = self.channel.lte, self.channel.lte.times, self.channel.end_ns
         t = (times[1:2] or [end + 1])[0] if self.channel.defer_to_lte and times else 0
         lte.passed = bisect.bisect_right(times, min(t, end))

@@ -3,10 +3,8 @@
 A heap of events in strict ``(fire_time, seq)`` order drives the LTE node and the
 DCF station one event at a time.  The station schedules each event when the one
 before it fires; the LTE node schedules each transition once the one before it
-has fired and the station has reacted to it.  Simultaneous events dispatch in
-insertion order; the lines of those at the run end follow the run-end line.  The
-reference shares with the program the plan, the LTE schedule, the backoff
-stream, the decodes, the counts at a cycle's end and the airtime sum.
+has fired and the station has reacted to it.  Everything else a run does, from
+its set-up to its metrics and run-end line, is the program's.
 """
 
 from __future__ import annotations
@@ -15,10 +13,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
-from coexsim.engine import NS_PER_S, Engine
+from coexsim.engine import Engine
 from coexsim.lte import LteNode
-from coexsim.metrics import MetricsAccumulator
-from coexsim.simulation import Medium, Simulation, plan
+from coexsim.simulation import Simulation
 from coexsim.wifi import DcfStation
 
 
@@ -258,23 +255,12 @@ class EventStation(DcfStation):
 class EventSimulation(Simulation):
     """A run on events: ``Simulation``'s set-up with the reference's parts."""
 
-    def __init__(self, cfg, seed: int | None = None, trace: bool = False,
-                 include_wifi: bool = True) -> None:
-        self.engine = EventEngine(cfg.seed if seed is None else seed, trace=trace)
-        self.acc, self.duration_ns = MetricsAccumulator(), int(round(cfg.duration_s * NS_PER_S))
-        p = getattr(seed, "plan", None) or plan(cfg.lte, cfg.wifi, cfg.radio)
-        self.lte_node = EventLteNode(self.engine, self.duration_ns, p.period)
-        self.medium = Medium(p, self.lte_node)
-        self.station = None
-        if include_wifi:
-            self.station = EventStation(self.engine, self.medium, p.station, self.acc)
-        else:
-            self.lte_node.arm()
+    engine_type, lte_type, station_type = EventEngine, EventLteNode, EventStation
 
     def run(self):
         if self.station is not None:
             self.station.start()
+        else:
+            self.lte_node.arm()
         self.engine.run_until(self.duration_ns)
-        if self.engine.trace is not None:
-            self.engine.close(self.duration_ns)
         return self.finish()

@@ -43,17 +43,23 @@ def examples(default: int) -> int:
 
 
 def observe(cfg, seed, trace, fast=True):
-    words = 0
-    skip = BackoffStream.skip
+    words = walked = 0
+    skip, walk_edge = BackoffStream.skip, DcfStation._walk_edge
 
     def counted(stream, n):
         nonlocal words
         words += n
         skip(stream, n)
 
+    def walked_edge(station, t):
+        nonlocal walked
+        walked += 1
+        return walk_edge(station, t)
+
     with pytest.MonkeyPatch.context() as patch:
         # draw, take and stretch all take their words through skip.
         patch.setattr(BackoffStream, "skip", counted)
+        patch.setattr(DcfStation, "_walk_edge", walked_edge)
         sim = (Simulation if fast else EventSimulation)(cfg, seed=seed, trace=trace)
         metrics = sim.run()
     station = sim.station
@@ -75,18 +81,27 @@ def observe(cfg, seed, trace, fast=True):
                        else station.decode_rng.bit_generator.state),
         "trace": "".join(sim.engine.trace or ()),
         "feels_lte": station._feels_lte,
+        "walked_edges": walked,  # the cycles settled one at a time, not stepped
     }
 
 
 def assert_paths_agree(cfg, seed):
-    """Traced and untraced walked runs against the traced event path."""
+    """Traced and untraced walked runs against the traced event path.
+
+    The trace does not pick the path: where the station feels the LTE, a
+    traced run steps and walks as an untraced one does, edge for edge.
+    """
     events = observe(cfg, seed, True, fast=False)
     traced, untraced = observe(cfg, seed, True), observe(cfg, seed, False)
-    for key in events:
+    assert events["walked_edges"] == 0
+    for key in events.keys() - {"walked_edges"}:
         assert traced[key] == events[key], f"traced {key} differs at seed {seed}"
-    for key in events.keys() - {"trace", "wifi_emissions", "feels_lte"}:
+    for key in events.keys() - {"walked_edges", "trace", "wifi_emissions", "feels_lte"}:
         assert untraced[key] == events[key], f"untraced {key} differs at seed {seed}"
     assert untraced["trace"] == ""
+    if untraced["feels_lte"]:
+        assert traced["walked_edges"] == untraced["walked_edges"], \
+            f"walked edges differ at seed {seed}"
     return events, traced
 
 
@@ -118,12 +133,17 @@ def config_id(cfg):
 @pytest.mark.parametrize("cfg", MATRIX + FORCED, ids=config_id)
 def test_fast_path_matches_event_path(cfg):
     for seed in SEEDS:
-        assert_paths_agree(cfg, seed)
+        _, fast = assert_paths_agree(cfg, seed)
+        if cfg.lte.duty == 0.0:
+            # A whole idle run is one step plus the cycle cut by the run end.
+            assert fast["walked_edges"] == 1 < fast["metrics"].attempts
 
 
 @pytest.mark.parametrize("cfg", SOFT, ids=config_id)
 def test_fast_path_matches_event_path_under_soft_per(cfg):
-    assert_paths_agree(cfg, 3)
+    _, fast = assert_paths_agree(cfg, 3)
+    if cfg.lte.duty == 0.0:
+        assert fast["walked_edges"] == 1 < fast["metrics"].attempts
 
 
 @pytest.mark.parametrize("retry_limit", [7, 1, 0])
@@ -135,6 +155,7 @@ def test_soft_per_draws_mixed_outcomes_in_one_step(retry_limit):
     _, fast = assert_paths_agree(cfg, 4)
     metrics = fast["metrics"]
     assert 0 < metrics.failures < metrics.attempts // 2
+    assert fast["walked_edges"] < metrics.attempts // 50
 
 
 # Long backoffs under short unsensed LTE periods: chunks whose first cycle ends
@@ -307,8 +328,9 @@ def test_stepped_run_metrics_are_python_ints(duty, ed_threshold, soft_slope_k):
     # The benchmark digests repr(astuple(metrics)): an np.int64 would change it.
     cfg = make_cfg(duty=duty, lte_power=-16.0, prb=50, duration=1.0,
                    cca_ed_threshold_dbm=ed_threshold, soft_slope_k=soft_slope_k)
-    metrics = Simulation(cfg, seed=3).run()
-    assert [type(v) for v in dataclasses.astuple(metrics)] == [int] * 7
+    run = observe(cfg, 3, False)
+    assert run["walked_edges"] < run["counters"][0]  # most cycles were stepped
+    assert [type(v) for v in dataclasses.astuple(run["metrics"])] == [int] * 7
 
 
 # -- the trace text of a stepped block ---------------------------------------
@@ -368,6 +390,7 @@ def test_ten_second_traced_soft_run_writes_the_event_path_text(cfg):
     events, fast = assert_paths_agree(cfg, 7)
     assert fast["trace"] == events["trace"]
     assert fast["trace"].endswith("\n10000000000 run-end engine\n")
+    assert fast["walked_edges"] < fast["metrics"].attempts // 20
     if cfg.lte.duty == 1.0:
         assert fast["metrics"].attempts > 4 * FAST_FORWARD_CHUNK
 
