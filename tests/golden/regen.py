@@ -5,8 +5,10 @@ sweeps on a reduced grid (2 reps, 0.5 s runs, 2-3 values per axis, both MCS
 values and both CCA profiles kept), plus ``coexsim run`` at 0.5 s with its
 event trace: the default config, two soft-PER configs read from an INI
 file (vendor-B, which defers to the low-power LTE, and vendor-A, which does
-not and sends packets that decode under LTE only by chance), and one
-backoff-window edge case (see ``WINDOW_RUNS``).
+not and sends packets that decode under LTE only by chance), one
+backoff-window edge case (see ``WINDOW_RUNS``), and three runs in which a
+station event and an LTE transition fall on the same instant mid-run (see
+``TIE_RUNS``).
 ``tests/test_golden.py`` regenerates them into a temporary directory and
 compares them byte for byte.
 
@@ -66,6 +68,26 @@ cca_ed_threshold_dbm = 30
 WINDOW_RUNS = {
     "window-zero": (FORCED_INI + "cw_min = 0\ncw_max = 1\n", "0.05"),
 }
+TIE_INI = """\
+[lte]
+duty = {duty}
+tx_power_dbm = {power}
+
+[wifi]
+mcs_mbps = {mcs}
+cca_profile = vendor-A
+"""
+# Vendor-A runs that each hold a tie between a station event and an LTE
+# transition mid-run, which pins how their trace lines interleave: the INI and
+# the seed, at RUN_ARGS' duration.
+TIE_RUNS = {
+    # lte-on and tx-end at 380 ms
+    "tie-lte-on-tx-end": (TIE_INI.format(duty=0.1, power=12, mcs=54), "40"),
+    # lte-on and backoff-slot k=15 at 480 ms
+    "tie-lte-on-backoff-end": (TIE_INI.format(duty=0.5, power=-16, mcs=54), "26"),
+    # lte-off and tx-end at 435 ms
+    "tie-lte-off-tx-end": (TIE_INI.format(duty=0.9, power=-16, mcs=6), "22"),
+}
 
 
 def golden_names() -> list[str]:
@@ -73,7 +95,7 @@ def golden_names() -> list[str]:
     for scenario in SWEEP_GRIDS:
         names += [f"{scenario}.csv", f"{scenario}.summary.csv"]
     names += [RUN_CSV, RUN_TRACE]
-    for name in [*SOFT_RUNS, *WINDOW_RUNS]:
+    for name in [*SOFT_RUNS, *WINDOW_RUNS, *TIE_RUNS]:
         names += [f"{name}.csv", f"{name}.trace"]
     return names
 
@@ -97,6 +119,8 @@ def generate(out_dir: Path) -> None:
                 for name, profile in SOFT_RUNS.items()}
     ini_runs.update((name, (text, ["--seed", "3", "--duration", duration]))
                     for name, (text, duration) in WINDOW_RUNS.items())
+    ini_runs.update((name, (text, ["--seed", seed, *RUN_ARGS]))
+                    for name, (text, seed) in TIE_RUNS.items())
     with tempfile.TemporaryDirectory() as tmp:
         for name, (text, args) in ini_runs.items():
             ini = Path(tmp) / f"{name}.ini"
