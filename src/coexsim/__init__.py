@@ -1,4 +1,4 @@
-"""Discrete-event simulator of duty-cycled unlicensed-LTE / 802.11 DCF coexistence.
+"""Simulator of duty-cycled unlicensed-LTE / 802.11 DCF coexistence, walked in closed form.
 
 A single LTE base station radiates on a periodic, randomized on/off schedule
 (no carrier sensing) while a saturated 802.11a transmitter/receiver pair runs

@@ -17,6 +17,17 @@ from numpy.random.bit_generator import ISeedSequence
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
+# Most DCF cycles one vectorised chunk of the step covers, and one backoff
+# prefix sums: bounds the arrays they build and so the step's int64 ns sums.
+FAST_FORWARD_CHUNK = 4096
+# The trace lines of a DCF cycle, one bytes "%" template per shape, indexed by
+# 3 * (k > 0) + outcome: 0 the ACK decoded, 1 only the data decoded (contention
+# resumes a slot later), 2 the data did not decode (the ACK times out).
+CYCLE_TEMPLATES = tuple(
+    b"%d difs-end wifi-tx\n" + backoff + b"%d tx-end wifi-tx\n%d " + end + b" wifi-tx\n"
+    for backoff in (b"", b"%d backoff-slot wifi-tx k=%d\n")
+    for end in (b"ack-result", b"ack-result wifi-tx\n%d cca-sample", b"ack-timeout"))
+_OUTCOME_RUNS = np.arange(3, dtype=np.int8).repeat(FAST_FORWARD_CHUNK + 1).reshape(3, -1)  # hold's
 
 
 def _uint32_words(n: int) -> np.ndarray:
@@ -151,17 +162,62 @@ class Engine:
         self._streams: dict[str, np.random.Generator] = {}
         # Text chunks of whole trace lines; None disables recording.
         self.trace: list[str] | None = [] if trace else None
+        self._held, self._count = [], 0  # the block's records, and its cycles and edges
         self._at_end = ""  # the lines at the run end, which follow its line
+        self.cycle_ns = 0, 0, 0, 0  # the DCF station's DIFS, slot, data and shortest cycle
 
     def write(self, lines: list[tuple[int, str, str, str]], end_ns: int) -> None:
         """Record (time, kind, node, detail) lines in the order they happen; those at
         the run end ``end_ns`` wait for ``close``."""
         cut = next((n for n, line in enumerate(lines) if line[0] >= end_ns), len(lines))
-        self.trace.append("".join(trace_line(*line) for line in lines[:cut]))
+        self.hold(0, (0,), 0, "".join(trace_line(*line) for line in lines[:cut]))
         self._at_end += "".join(trace_line(*line) for line in lines[cut:])
+
+    def hold(self, t: int, bounds, outcome, text: str = "") -> None:
+        """Hold DCF cycles from ``t``, which end at ``t + bounds[1:] - bounds[0]``, with
+        one outcome for all or an array of them: 0 the ACK decoded, 1 only the data
+        did, 2 the data did not.  Without cycles, ``text`` holds a walked edge's lines.
+        A block holds at most FAST_FORWARD_CHUNK + 1 cycles and edges."""
+        if type(outcome) is int:
+            outcome = _OUTCOME_RUNS[outcome, :len(bounds) - 1]
+        if self._count + (len(outcome) or 1) > FAST_FORWARD_CHUNK + 1:
+            self.flush()
+        self._held.append((t, bounds, outcome, text))
+        self._count += len(outcome) or 1
+
+    def flush(self) -> None:
+        """Append the block held as one text chunk: the times, windows and shapes of
+        every cycle in one vectorised pass, then one bytes ``%`` on their templates and
+        the edges' lines, escaped."""
+        held, self._held, self._count = self._held, [], 0
+        if not held:
+            return
+        ts, parts, outcomes, texts = zip(*held)
+        sizes = [len(bounds) for bounds in parts]
+        b = np.concatenate(parts) + np.repeat(np.subtract(ts, [p[0] for p in parts]), sizes)
+        firsts, inner = np.cumsum(sizes) - sizes, np.ones(len(b), dtype=bool)
+        inner[firsts] = False  # a record's first bound ends no cycle
+        ends, outcome = b[inner], np.concatenate(outcomes)
+        difs, slot, data_air, shortest = self.cycle_ns
+        failed = outcome > 0  # a slot longer
+        ack_end = ends - failed * slot
+        tx_start = ack_end - (shortest - difs)
+        ks = (np.diff(b)[inner[1:]] - shortest) // slot - failed
+        backoff, always = ks > 0, np.ones(len(ends), dtype=bool)
+        written = np.column_stack([always, backoff, backoff, always, outcome < 2, failed]).ravel()
+        values = np.column_stack([tx_start - ks * slot, tx_start, ks, tx_start + data_air,
+                                  ack_end, ends]).ravel()[written]
+        edges = [r for r, text in enumerate(texts) if text]
+        templates = CYCLE_TEMPLATES + tuple(texts[r].encode().replace(b"%", b"%%") for r in edges)
+        # Each edge's lines follow the cycles before it.
+        shapes = np.insert(3 * backoff + outcome, (firsts - np.arange(len(held)))[edges],
+                           range(6, len(templates)))
+        text = b"".join([templates[s] for s in shapes.tolist()]) % tuple(values.tolist())
+        self.trace.append(text.decode("ascii"))
 
     def close(self, end_ns: int) -> None:
         """Record the run-end line, then the lines at the run end."""
+        self.flush()
         self.trace.append(trace_line(end_ns, "run-end", "engine", "") + self._at_end)
 
     def rng_stream(self, label: str) -> np.random.Generator:

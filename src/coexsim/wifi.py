@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .engine import Engine
+from .engine import FAST_FORWARD_CHUNK, Engine
 from .radio import SpectrumBand, overlap_fraction, packet_outcome
 
 if TYPE_CHECKING:
@@ -26,16 +26,6 @@ BASIC_RATES = (6, 12, 24)
 MEASURE_BANDS = ("full20", "primary10")  # CCA spans: the 20 MHz channel, its center 10 MHz
 SERVICE_TAIL_BITS = 16 + 6
 BACKOFF_LABEL, DECODE_LABEL = "wifi-backoff", "wifi-decode"  # the station's RNG streams
-# Most DCF cycles one vectorised chunk of the step covers, and one backoff
-# prefix sums: bounds the arrays they build and so the step's int64 ns sums.
-FAST_FORWARD_CHUNK = 4096
-# The trace lines of a stepped cycle, one "%" template per shape, indexed by
-# 3 * (k > 0) + outcome: 0 the ACK decoded, 1 only the data decoded (contention
-# resumes a slot later), 2 the data did not decode (the ACK times out).
-CYCLE_TEMPLATES = tuple(
-    "%d difs-end wifi-tx\n" + backoff + "%d tx-end wifi-tx\n%d " + end + " wifi-tx\n"
-    for backoff in ("", "%d backoff-slot wifi-tx k=%d\n")
-    for end in ("ack-result", "ack-result wifi-tx\n%d cca-sample", "ack-timeout"))
 
 
 class CcaProfile(NamedTuple):
@@ -263,6 +253,7 @@ class DcfStation:
         self.decode_rng = engine.rng_stream(DECODE_LABEL) if self.slope_k != 0.0 else None
         # Traced lines must interleave with the LTE node's in order.
         self._feels_lte = engine.trace is not None or self._feels_lte_untraced
+        engine.cycle_ns = self.difs_ns, self.slot_ns, self.data_air_ns, self.shortest_cycle_ns
 
         self.cw = self._cw_ladder[0]
         self.consecutive_failures = 0
@@ -301,7 +292,7 @@ class DcfStation:
         a stretch, ``_skip_chunks`` drawn odds.  A soft run's decode stream
         then jumps past the draws those cycles take.  ``_walk_edge`` settles
         the cycle after the stretch and says where contention next starts.
-        Each stretch and each walked edge writes its own trace lines.
+        A traced walk records each stretch and each walked edge in turn.
         """
         now, lte, end = self.first_idle(), self.channel.lte, self.channel.end_ns
         # The LTE node's transitions at 0 come before a start there; a start after 0
@@ -364,10 +355,9 @@ class DcfStation:
         decode draws one ``uniform`` call of 2m, one PCG64 output each, which a
         negative ``advance`` rewinds to those the cycles that fit used, all 2m
         if none fits: both streams end where per-cycle draws leave them.  A
-        traced run gets the events' lines.  Returns the end of the last whole cycle.
+        traced run records the cycles.  Returns the end of the last whole cycle.
         """
-        top, period, trace = len(self._cw_ladder) - 1, self._retry_period, self.engine.trace
-        base_ns, tail_ns = self.shortest_cycle_ns, self.shortest_cycle_ns - self.difs_ns
+        top, period, base_ns = len(self._cw_ladder) - 1, self._retry_period, self.shortest_cycle_ns
         while True:
             m = min((horizon - 1 - now) // base_ns, FAST_FORWARD_CHUNK)
             if m <= 0:  # below 0 for a transition at the run end
@@ -396,9 +386,8 @@ class DcfStation:
             delivered = int(np.count_nonzero(ok))
             undecoded = n - int(np.count_nonzero(data))
 
-            if trace is not None:
-                self._trace_cycles(trace, ends, ends - (tail_ns + failed * self.slot_ns), ks,
-                                   data, ok)
+            if self.engine.trace is not None:
+                self.engine.hold(now, np.concatenate(([now], ends)), 2 - data - ok)
             self.acc.drops += int(np.count_nonzero(failed & (failures_before + 1 == period)))
             self.acc.attempts += n
             self.acc.delivered_payload_bytes += delivered * self.payload_bytes
@@ -423,7 +412,7 @@ class DcfStation:
         (f0 + j) mod R failures, f0 the failures before the stretch and R 1 if
         clean, else ``max(retry_limit, 1)``, as a drop restarts the count.  So
         one prefix search of the backoff stream gives how many cycles fit and
-        their slots, and the counts follow in closed form.  Traces and returns
+        their slots, and the counts follow in closed form.  Records and returns
         what ``_skip_chunks`` does, a prefix at a time."""
         stream, slot_ns, frozen = self.backoff, self.slot_ns, self.pending_k
         cycle_ns = self.shortest_cycle_ns + (not ack_ok) * slot_ns  # DIFS, data, SIFS, ACK, a slot
@@ -435,18 +424,15 @@ class DcfStation:
         # A prefix sums the cycles that can end before its reach, plus one: one window's is kept,
         # so it reaches the run end; a ladder's the horizon.
         period, reach = (1, self.channel.end_ns) if ack_ok else (self._retry_period, horizon)
-        f0, trace, first, cycles, more = self.consecutive_failures, self.engine.trace, True, 1, True
+        f0, traced, cycles, more = self.consecutive_failures, self.engine.trace is not None, 1, True
+        if traced:  # the first cycle, then each prefix's
+            self.engine.hold(now, (now, t), 2 - data_ok - ack_ok)
         while more:
             n, span_ns, more, prefix = stream.stretch(
                 self._ladder_bits, period, (f0 + cycles) % period, cycle_ns, slot_ns, horizon - t,
-                min(FAST_FORWARD_CHUNK, (reach - t) // cycle_ns + 1), trace is not None)
-            if trace is not None and (first or n):
-                bounds = t + (prefix - prefix[0])  # where these cycles start and end
-                if first:  # the first cycle is traced with the first prefix
-                    bounds, first = np.concatenate(([now], bounds)), False
-                ends, ok = bounds[1:], np.full(len(bounds) - 1, ack_ok)
-                self._trace_cycles(trace, ends, ends - (cycle_ns - self.difs_ns),
-                                   (np.diff(bounds) - cycle_ns) // slot_ns, ok | data_ok, ok)
+                min(FAST_FORWARD_CHUNK, (reach - t) // cycle_ns + 1), traced)
+            if traced:
+                self.engine.hold(t, prefix, 2 - data_ok - ack_ok)
             cycles += n
             t += span_ns
         self.acc.attempts += cycles
@@ -597,18 +583,6 @@ class DcfStation:
         if p_ack is not None:
             ok[data] = draws[starts[data] + 1] < p_ack
         return data, ok, starts + 1 + (data & (p_ack is not None))
-
-    def _trace_cycles(self, trace, ends, tx_start, ks, data, ok) -> None:
-        """Append the events' lines for these cycles as one text chunk."""
-        data_end = self.data_air_ns
-        ack_end = data_end + self.sifs_ns + self.ack_air_ns
-        backoff, always = ks > 0, np.ones(len(ends), dtype=bool)
-        written = np.column_stack([always, backoff, backoff, always, data, ~ok]).ravel()
-        values = np.column_stack([tx_start - ks * self.slot_ns, tx_start, ks, tx_start + data_end,
-                                  tx_start + ack_end, ends]).ravel()[written]
-        shapes = 3 * backoff + 2 * ~data + (data & ~ok)
-        trace.append("".join([CYCLE_TEMPLATES[s] for s in shapes.tolist()])
-                     % tuple(values.tolist()))
 
     # -- end of run -----------------------------------------------------------
 

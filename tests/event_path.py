@@ -65,7 +65,8 @@ class EventEngine(Engine):
 
     def run_until(self, t_end: int) -> None:
         """Dispatch the events with fire_time <= t_end in order, drop the rest; clock ends
-        at t_end.  A traced run writes each event's line but one with no kind's."""
+        at t_end.  A traced run writes each event's line but one with no kind's, and
+        the trace then holds them."""
         if t_end <= self.now:
             raise SchedulingError(f"run_until({t_end}) at clock {self.now}")
         queue = self._queue
@@ -82,6 +83,8 @@ class EventEngine(Engine):
         for _, _, event in queue:
             event.fn = None
         queue.clear()
+        if self.trace is not None:
+            self.flush()
 
 
 class EventLteNode(LteNode):

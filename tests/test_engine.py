@@ -1,13 +1,16 @@
 """The reference's event queue, and the engine's RNG streams and run determinism."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coexsim.engine import NS_PER_MS, NS_PER_S, Engine
+from coexsim.engine import FAST_FORWARD_CHUNK, NS_PER_MS, NS_PER_S, Engine
+from coexsim.simulation import Simulation
+from coexsim.wifi import DcfStation
 
 from conftest import make_cfg, run_sim, trace_lines
 from event_path import EventEngine, SchedulingError
@@ -155,3 +158,45 @@ def test_dispatch_order_property(times):
         engine.schedule(t, "e", "n", lambda: None)
     engine.run_until(20_000)
     assert trace_times(engine) == sorted(times)
+
+
+def test_a_percent_sign_in_an_edge_line_is_written_as_it_is():
+    # A block's edge lines join the cycles' bytes "%" templates, escaped.
+    engine = Engine(seed=1, trace=True)
+    engine.cycle_ns = 34_000, 9_000, 248_000, 322_000
+    engine.write([(0, "lte-on", "lte", "100%d %s%%")], 10**9)
+    engine.hold(0, (0, 322_000), 0)
+    engine.write([(322_000, "lte-off", "lte", "%")], 10**9)
+    engine.close(10**9)
+    assert "".join(engine.trace) == (
+        "0 lte-on lte 100%d %s%%\n34000 difs-end wifi-tx\n282000 tx-end wifi-tx\n"
+        "322000 ack-result wifi-tx\n322000 lte-off lte %\n1000000000 run-end engine\n")
+
+
+# The two runs of test_fast_path's ten-second traced soft-PER test, and the default
+# config under soft odds that are drawn, whose cycles the step records as NumPy chunks.
+BLOCK_RUNS = {
+    "duty0.5-prb50": make_cfg(duty=0.5, lte_power=-16.0, prb=50, profile="vendor-B",
+                              soft_slope_k=2.0),
+    "duty1-prb100": make_cfg(duty=1.0, lte_power=-16.0, prb=100, profile="vendor-B",
+                             soft_slope_k=2.0),
+    "drawn-odds": make_cfg(soft_slope_k=0.5),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_RUNS)
+def test_a_traced_run_is_formatted_a_block_at_a_time(name, monkeypatch):
+    # Each text chunk of the trace is one flushed block of at most FAST_FORWARD_CHUNK + 1
+    # cycles and edges, and blocks are flushed only when full, and at the run end.
+    chunked = []
+    skip_chunks = DcfStation._skip_chunks
+    monkeypatch.setattr(DcfStation, "_skip_chunks",
+                        lambda self, *args: chunked.append(1) or skip_chunks(self, *args))
+    sim = Simulation(BLOCK_RUNS[name], seed=7, trace=True)
+    sim.run()
+    cycles, trace = sim.station.difs_completed, sim.engine.trace
+    assert cycles > 2 * FAST_FORWARD_CHUNK
+    if name == "drawn-odds":
+        assert chunked  # the step drew these cycles' decodes in chunks
+    assert max(chunk.count(" difs-end ") for chunk in trace) <= FAST_FORWARD_CHUNK + 1
+    assert len(trace) <= 2 * math.ceil(cycles / FAST_FORWARD_CHUNK) + 2

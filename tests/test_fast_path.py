@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from coexsim import experiments
 from coexsim.config import ConfigError
-from coexsim.engine import NS_PER_S, NS_PER_US
+from coexsim.engine import NS_PER_S, NS_PER_US, Engine
 from coexsim.experiments import SCENARIOS, run_sweep
 from coexsim.simulation import Simulation
 from coexsim.wifi import (FAST_FORWARD_CHUNK, BackoffStream, DcfStation, ack_airtime_us,
@@ -374,9 +374,11 @@ def test_block_text_equals_the_per_line_format(cycles, start):
     lengths = (station.difs_ns + ks * station.slot_ns + station.data_air_ns
                + station.sifs_ns + station.ack_air_ns + ~ok * station.slot_ns)
     ends = start + np.cumsum(lengths)
-    tx_start = ends - (lengths - station.difs_ns - ks * station.slot_ns)
-    trace = []
-    station._trace_cycles(trace, ends, tx_start, ks, data, ok)
+    engine = Engine(0, trace=True)
+    engine.cycle_ns = station.engine.cycle_ns
+    engine.hold(start, np.concatenate(([start], ends)), 2 - data - ok)
+    engine.flush()
+    trace = engine.trace
     assert trace == [per_line_trace(station, start, cycles)]
 
 
