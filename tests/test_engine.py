@@ -1,4 +1,5 @@
-"""The reference's event queue, and the engine's RNG streams and run determinism."""
+"""The reference's event queue, and the engine's RNG streams, trace blocks and run
+determinism."""
 
 import hashlib
 import math
@@ -188,10 +189,13 @@ BLOCK_RUNS = {
 def test_a_traced_run_is_formatted_a_block_at_a_time(name, monkeypatch):
     # Each text chunk of the trace is one flushed block of at most FAST_FORWARD_CHUNK + 1
     # cycles and edges, and blocks are flushed only when full, and at the run end.
-    chunked = []
-    skip_chunks = DcfStation._skip_chunks
-    monkeypatch.setattr(DcfStation, "_skip_chunks",
-                        lambda self, *args: chunked.append(1) or skip_chunks(self, *args))
+    chunked, skip_chunks = [], DcfStation._skip_chunks
+
+    def spy(self, *args):
+        chunked.append(args)
+        return skip_chunks(self, *args)
+
+    monkeypatch.setattr(DcfStation, "_skip_chunks", spy)
     sim = Simulation(BLOCK_RUNS[name], seed=7, trace=True)
     sim.run()
     cycles, trace = sim.station.difs_completed, sim.engine.trace
